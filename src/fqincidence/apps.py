@@ -29,7 +29,6 @@ from .geom import (
     dot3,
     line3_points,
     max_collinear,
-    np_field_tables,
 )
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance histogram
@@ -381,17 +380,7 @@ class RegularSubsetReport:
 def _unit_dot_counts(fs: FieldSpec, U: list[Point3]) -> list[int]:
     """For each u in U, the number of u' in U with u . u' = 1."""
     arr = np.asarray(U, dtype=np.int64)
-    if fs.n == 1:
-        vals = (arr @ arr.T) % fs.p
-        return list(np.asarray((vals == 1).sum(axis=1)).ravel())
-    if fs.q <= 256:
-        addt, mult = np_field_tables(fs)
-        t0 = mult[arr[:, 0][:, None], arr[None, :, 0]]
-        t1 = mult[arr[:, 1][:, None], arr[None, :, 1]]
-        t2 = mult[arr[:, 2][:, None], arr[None, :, 2]]
-        vals = addt[addt[t0, t1], t2]
-        return list(np.asarray((vals == 1).sum(axis=1)).ravel())
-    return [sum(1 for v in U if dot3(fs, u, v) == 1) for u in U]
+    return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1)]
 
 
 def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:

@@ -11,12 +11,30 @@ polynomial of degree n, coefficients compared low-degree-first.  That choice
 is deterministic, so a (p, n) pair pins bit-identical file formats on every
 machine.
 
-For prime fields arithmetic goes straight through Python ints; for small
-extension fields (q <= 256) full add/mul tables are built lazily and cached,
-which keeps the exhaustive counting engines fast.
+Prime fields (n = 1) compute inline mod p.  Extension fields share one
+table-driven backend over a fixed primitive element g, the smallest index
+>= p of order m = q - 1 (Lidl & Niederreiter, *Finite Fields*):
+
+    exp[k] = g^(k mod m) for k < 2m, 0 for 2m <= k <= 4m;
+    log[g^k] = k for k < m, log[0] = 2m,
+
+so mul(a, b) = exp[log a + log b] needs no branch for zero.  When p = 2 an
+index packs the GF(2) coefficients as bits and add is XOR; for odd p, add
+uses Zech's logarithm zech[d] = log(1 + g^d), since g^i + g^j =
+g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
+is_square read log.  The tables are O(q) int32 arrays (about 25 MB at
+q = 1021^2), built in numpy blocks by a field's first operation and kept on
+the FieldSpec with its scalar ops, closures that read them through
+memoryviews.  vmul, vadd and vneg work on numpy index arrays, and
+dot_blocks yields pairwise dot products in row blocks under
+PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single % p per block).
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import DegreeOutOfRange, DivisionByZero, NoIrreducibleFound, NotPrime
 
@@ -24,11 +42,15 @@ from .errors import DegreeOutOfRange, DivisionByZero, NoIrreducibleFound, NotPri
 MAX_ORDER = 1 << 20
 MAX_DEGREE = 4
 
-# Extension fields up to this order get full lookup tables.
-_TABLE_CAP = 256
+# Entries per block of dot_blocks: bounds the memory of every pairwise kernel.
+PAIR_BLOCK_ELEMENTS = 1 << 20
 
-# An element is just its index.
-FieldElement = int
+# Odd extension fields up to this order add arrays through a q x q table in
+# vadd, which beats the masked Zech path on small tables.
+_VADD_TABLE_MAX_Q = 256
+
+# Powers of the primitive element are built this many at a time.
+_POWER_BLOCK = 1 << 16
 
 
 def is_prime(m: int) -> bool:
@@ -69,13 +91,8 @@ def _has_root(coeffs: list[int], p: int) -> bool:
 
 
 def _irreducible_quadratics(p: int) -> list[list[int]]:
-    out = []
-    for c0 in range(p):
-        for c1 in range(p):
-            g = [c0, c1, 1]
-            if not _has_root(g, p):
-                out.append(g)
-    return out
+    quads = ([c0, c1, 1] for c0 in range(p) for c1 in range(p))
+    return [g for g in quads if not _has_root(g, p)]
 
 
 def _is_irreducible(coeffs: list[int], p: int, n: int) -> bool:
@@ -103,36 +120,12 @@ def make_field(p: int, n: int) -> "FieldSpec":
     if n == 1:
         modulus = (0, 1)  # degree-1 placeholder: the class of x
     else:
-        modulus = None
         # Lexicographic scan: the constant coefficient is the most significant.
-        for idx in range(q):
-            digits = []
-            rest = idx
-            for k in range(n - 1, -1, -1):
-                digits.append(rest // p**k)
-                rest %= p**k
-            cand = digits + [1]
-            if _is_irreducible(cand, p, n):
-                modulus = tuple(cand)
-                break
+        modulus = next((c + (1,) for c in product(range(p), repeat=n)
+                        if _is_irreducible(list(c) + [1], p, n)), None)
         if modulus is None:
             raise NoIrreducibleFound(f"no irreducible modulus for GF({p}^{n})")
     return FieldSpec(p=p, n=n, q=q, modulus=modulus, q_mod4=q % 4)
-
-
-class _Ops:
-    """Flat lookup tables for one small extension field."""
-
-    __slots__ = ("add", "mul", "neg", "inv")
-
-    def __init__(self, add, mul, neg, inv):
-        self.add = add
-        self.mul = mul
-        self.neg = neg
-        self.inv = inv
-
-
-_OPS_CACHE: dict["FieldSpec", _Ops] = {}
 
 
 @dataclass(frozen=True)
@@ -173,73 +166,116 @@ class FieldSpec:
         return a
 
     # -- arithmetic --------------------------------------------------------
+    # Prime fields compute inline.  The first operation of an extension field
+    # builds its tables and puts table-backed add, sub, neg, mul, inv, pow and
+    # is_square on the instance, where they shadow these methods; a method
+    # bound before that delegates to them.  (A __getattr__ hook would avoid
+    # the delegation but slows every attribute access on every field.)
+
+    def _ext(self, name: str):
+        """Table or table-backed op of an extension field, built on first use."""
+        attrs = self.__dict__
+        if name not in attrs:
+            attrs.update(_extension_backend(self))
+        return attrs[name]
 
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a + b) % self.p
-        ops = _ops(self)
-        if ops is not None:
-            return ops.add[a * self.q + b]
-        return self._add_raw(a, b)
+        return self._ext("add")(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.n == 1:
+            return (a - b) % self.p
+        return self._ext("sub")(a, b)
 
     def neg(self, a: int) -> int:
         if self.n == 1:
             return (-a) % self.p
-        ops = _ops(self)
-        if ops is not None:
-            return ops.neg[a]
-        p = self.p
-        return self.from_coeffs([(-c) % p for c in self.coeffs(a)])
+        return self._ext("neg")(a)
 
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a * b) % self.p
-        ops = _ops(self)
-        if ops is not None:
-            return ops.mul[a * self.q + b]
-        return self._mul_raw(a, b)
+        return self._ext("mul")(a, b)
 
     def inv(self, a: int) -> int:
+        if self.n > 1:
+            return self._ext("inv")(a)
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        ops = _ops(self)
-        if ops is not None:
-            return ops.inv[a]
-        return self.pow(a, self.q - 2)
+        return pow(a, self.p - 2, self.p)
 
     def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply; e must be >= 0 (0**0 == 1)."""
+        """a**e; e must be >= 0 (0**0 == 1)."""
+        if self.n > 1:
+            return self._ext("pow")(a, e)
         if e < 0:
             raise ValueError("negative exponent; invert explicitly")
-        if self.n == 1:
-            return pow(a, e, self.p)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return pow(a, e, self.p)
 
     def is_square(self, e: int) -> bool:
         """True iff e has a square root in the field.
 
-        Odd q uses the e^((q-1)/2) criterion; even q scans exhaustively
-        (every element of a characteristic-2 field is a square).
+        Prime fields use the e^((q-1)/2) criterion (every element of GF(2)
+        passes).  Extension fields answer True when p = 2 and otherwise check
+        that log e is even.
         """
-        if self.p == 2:
-            return any(self.mul(y, y) == e for y in self.elements())
-        if e == 0:
-            return True
-        return self.pow(e, (self.q - 1) // 2) == 1
+        if self.n > 1:
+            return self._ext("is_square")(e)
+        return e == 0 or pow(e, (self.q - 1) // 2, self.p) == 1
 
-    # -- raw polynomial paths (big extension fields, table construction) ---
+    # -- vectorised arithmetic on numpy index arrays (broadcasting) ----------
+    # Table positions are summed as intp: numpy gathers several times faster
+    # through intp indices than through the int32 the tables store.
+
+    def vmul(self, a, b):
+        if self.n == 1:
+            return a * b % self.p
+        log = self._ext("_log")
+        return self._ext("_exp")[np.add(log[a], log[b], dtype=np.intp)]
+
+    def vadd(self, a, b):
+        if self.n == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self.q <= _VADD_TABLE_MAX_Q:
+            return self._ext("_addq")[np.multiply(a, self.q, dtype=np.intp) + b]
+        log = self._ext("_log")
+        la, lb = log[a], log[b]
+        zech = self._ext("_zech")[(lb - la) % (self.q - 1)]
+        s = self._ext("_exp")[np.add(la, zech, dtype=np.intp)]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def vneg(self, a):
+        if self.n == 1:
+            return -a % self.p
+        if self.p == 2:
+            return a
+        half = (self.q - 1) // 2
+        return self._ext("_exp")[np.add(self._ext("_log")[a], half, dtype=np.intp)]
+
+    def dot_blocks(self, X, Y):
+        """Yield the |X| x |Y| matrix of dot products x . y, in row blocks.
+
+        X and Y are integer arrays of shape (rows, d) holding element indices.
+        Each yielded block holds the products of consecutive rows of X with
+        every row of Y, at most PAIR_BLOCK_ELEMENTS entries (and at least one
+        row) per block.
+        """
+        step = max(1, PAIR_BLOCK_ELEMENTS // max(len(Y), 1))
+        for start in range(0, len(X), step):
+            rows = X[start:start + step]
+            if self.n == 1:
+                yield rows @ Y.T % self.p
+                continue
+            acc = self.vmul(rows[:, None, 0], Y[None, :, 0])
+            for j in range(1, Y.shape[1]):
+                acc = self.vadd(acc, self.vmul(rows[:, None, j], Y[None, :, j]))
+            yield acc
+
+    # -- raw polynomial arithmetic: builds the tables, reference in tests ---
 
     def _add_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -263,29 +299,109 @@ class FieldSpec:
         return self.from_coeffs(prod[:n])
 
 
-def _ops(fs: FieldSpec) -> _Ops | None:
-    if fs.q > _TABLE_CAP:
-        return None
-    ops = _OPS_CACHE.get(fs)
-    if ops is None:
-        q = fs.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        neg = [0] * q
-        inv = [0] * q
-        for a in range(q):
-            row = a * q
-            for b in range(q):
-                add[row + b] = fs._add_raw(a, b)
-                mul[row + b] = fs._mul_raw(a, b)
-        # inverses straight from the finished tables
-        for a in range(q):
-            row = a * q
-            for b in range(q):
-                if add[row + b] == 0:
-                    neg[a] = b
-                if a and mul[row + b] == 1:
-                    inv[a] = b
-        ops = _Ops(add, mul, neg, inv)
-        _OPS_CACHE[fs] = ops
-    return ops
+def _pow_raw(fs: FieldSpec, a: int, e: int) -> int:
+    acc = 1
+    while e:
+        if e & 1:
+            acc = fs._mul_raw(acc, a)
+        a = fs._mul_raw(a, a)
+        e >>= 1
+    return acc
+
+
+def _primitive_element(fs: FieldSpec) -> int:
+    """The smallest index >= p of order q - 1.
+
+    Indices below p are the constants, whose order divides p - 1.
+    """
+    m = fs.q - 1
+    exponents = [m // r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    return next(
+        g for g in range(fs.p, fs.q)
+        if all(_pow_raw(fs, g, e) != 1 for e in exponents)
+    )
+
+
+def _times(fs: FieldSpec, idx, h: int):
+    """h * a for every index a in the array idx, as one GF(p)-linear map."""
+    pw = fs.p ** np.arange(fs.n, dtype=np.int64)
+    # row j holds the coefficients of x^j * h
+    rows = np.array([fs.coeffs(fs._mul_raw(fs.p**j, h)) for j in range(fs.n)])
+    digits = idx.astype(np.int64)[:, None] // pw % fs.p
+    return digits @ rows % fs.p @ pw
+
+
+def _extension_backend(fs: FieldSpec) -> dict:
+    """The tables of GF(p^n), n > 1, and the scalar ops that read them."""
+    p, q = fs.p, fs.q
+    m = q - 1
+    g = _primitive_element(fs)
+    exp = np.zeros(4 * m + 1, dtype=np.int32)
+    powers = exp[:m]
+    powers[0] = 1
+    k = 1
+    while k < m:
+        # g^k .. g^(k+step-1) from g^0 .. g^(step-1)
+        step = min(k, m - k, _POWER_BLOCK)
+        g_k = fs._mul_raw(int(powers[k - 1]), g)
+        powers[k:k + step] = _times(fs, powers[:step], g_k)
+        k += step
+    exp[m:2 * m] = powers
+    log = np.empty(q, dtype=np.int32)
+    log[powers] = np.arange(m, dtype=np.int32)
+    log[0] = 2 * m
+    exp_s, log_s = memoryview(exp), memoryview(log)
+
+    def mul(a, b):
+        return exp_s[log_s[a] + log_s[b]]
+
+    def inv(a):
+        if a == 0:
+            raise DivisionByZero("inverse of 0")
+        return exp_s[m - log_s[a]]
+
+    def power(a, e):
+        if e < 0:
+            raise ValueError("negative exponent; invert explicitly")
+        if a == 0:
+            return 1 if e == 0 else 0
+        return exp_s[log_s[a] * e % m]
+
+    backend = {"_exp": exp, "_log": log, "mul": mul, "inv": inv, "pow": power}
+    if p == 2:
+        # an index packs the GF(2) coefficients as bits; every element is a square
+        backend.update(add=operator.xor, sub=operator.xor, neg=lambda a: a,
+                       is_square=lambda e: True)
+        return backend
+
+    # 1 + g^d adds 1 to the constant coefficient, which wraps at p
+    one_more = powers + 1
+    one_more[one_more % p == 0] -= p
+    zech = log[one_more]
+    zech_s = memoryview(zech)
+    half = m // 2  # -1 = g^half; log 0 + half lands in the zero tail of exp
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log_s[a]
+        return exp_s[la + zech_s[(log_s[b] - la) % m]]
+
+    def neg(a):
+        return exp_s[log_s[a] + half]
+
+    def sub(a, b):
+        return add(a, exp_s[log_s[b] + half])
+
+    def is_square(e):
+        return log_s[e] % 2 == 0  # log 0 = 2m is even too
+
+    backend.update(_zech=zech, add=add, sub=sub, neg=neg, is_square=is_square)
+    if q <= _VADD_TABLE_MAX_Q:
+        pw = p ** np.arange(fs.n)
+        digits = np.arange(q)[:, None] // pw % p
+        addq = (digits[:, None, :] + digits[None, :, :]) % p @ pw
+        backend["_addq"] = addq.astype(np.int32).ravel()  # a + b at a * q + b
+    return backend

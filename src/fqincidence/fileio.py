@@ -29,11 +29,32 @@ def _header(fs: FieldSpec) -> str:
     return f"# field {fs.p} {fs.n}"
 
 
-def _parse_header(line: str, path) -> FieldSpec:
-    parts = line.split()
+def _ints(fields, path, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise FormatError(f"{path}: non-integer field in {line!r}") from None
+
+
+def _elements(fs: FieldSpec, fields, path, line: str) -> tuple[int, ...]:
+    """Field-element indices, each in [0, q)."""
+    values = _ints(fields, path, line)
+    for c in values:
+        if not 0 <= c < fs.q:
+            raise FormatError(f"{path}: value {c} in {line!r} outside GF({fs.q})")
+    return values
+
+
+def _read(path) -> tuple[FieldSpec, list[str]]:
+    """The field of a geometry file and its non-blank record lines."""
+    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    if not raw:
+        raise FormatError(f"{path}: empty file")
+    parts = raw[0].split()
     if len(parts) != 4 or parts[0] != "#" or parts[1] != "field":
         raise FormatError(f"{path}: expected header '# field p n'")
-    return make_field(int(parts[2]), int(parts[3]))
+    fs = make_field(*_ints(parts[2:], path, raw[0]))
+    return fs, [ln for ln in raw[1:] if ln.strip()]
 
 
 def save_points(path, fs: FieldSpec, points) -> None:
@@ -46,20 +67,14 @@ def save_points(path, fs: FieldSpec, points) -> None:
 
 
 def load_points(path) -> tuple[FieldSpec, list[tuple[int, ...]]]:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw:
-        raise FormatError(f"{path}: empty file")
-    fs = _parse_header(raw[0], path)
+    fs, records = _read(path)
     pts = []
-    for ln in raw[1:]:
-        if not ln.strip():
-            continue
-        coords = tuple(int(c) for c in ln.split(","))
+    for ln in records:
+        coords = _elements(fs, ln.split(","), path, ln)
         if len(coords) not in (1, 2, 3):
             raise FormatError(f"{path}: point {ln!r} has bad dimension")
-        for c in coords:
-            if not 0 <= c < fs.q:
-                raise FormatError(f"{path}: coordinate {c} outside GF({fs.q})")
+        if pts and len(coords) != len(pts[0]):
+            raise FormatError(f"{path}: point {ln!r} has a different dimension")
         pts.append(coords)
     return fs, pts
 
@@ -75,21 +90,14 @@ def save_lines(path, fs: FieldSpec, lines) -> None:
 
 
 def load_lines(path) -> tuple[FieldSpec, list[Line2]]:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw:
-        raise FormatError(f"{path}: empty file")
-    fs = _parse_header(raw[0], path)
+    fs, records = _read(path)
     lines = []
-    for ln in raw[1:]:
+    for ln in records:
         parts = ln.split()
-        if not parts:
-            continue
-        if parts[0] == "V" and len(parts) == 2:
-            lines.append(Line2("V", int(parts[1]), 0))
-        elif parts[0] == "N" and len(parts) == 3:
-            lines.append(Line2("N", int(parts[1]), int(parts[2])))
-        else:
+        if (parts[0], len(parts)) not in (("V", 2), ("N", 3)):
             raise FormatError(f"{path}: bad line record {ln!r}")
+        coef = _elements(fs, parts[1:], path, ln)
+        lines.append(Line2(parts[0], coef[0], coef[1] if len(coef) == 2 else 0))
     return fs, lines
 
 
@@ -102,19 +110,16 @@ def save_planes(path, fs: FieldSpec, planes) -> None:
 
 
 def load_planes(path) -> tuple[FieldSpec, list[Plane3]]:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw:
-        raise FormatError(f"{path}: empty file")
-    fs = _parse_header(raw[0], path)
+    fs, records = _read(path)
     planes = []
-    for ln in raw[1:]:
+    for ln in records:
         parts = ln.split()
-        if not parts:
-            continue
         if parts[0] != "P" or len(parts) != 5:
             raise FormatError(f"{path}: bad plane record {ln!r}")
-        normal = (int(parts[1]), int(parts[2]), int(parts[3]))
-        planes.append(Plane3(normal, int(parts[4]), False))
+        *normal, rhs = _elements(fs, parts[1:], path, ln)
+        if not any(normal):
+            raise FormatError(f"{path}: plane {ln!r} has a zero normal")
+        planes.append(Plane3(tuple(normal), rhs, False))
     return fs, planes
 
 
@@ -134,6 +139,6 @@ def load_setsystem(path) -> SetSystem:
     head = raw[0].split()
     if len(head) != 2 or head[0] != "ground":
         raise FormatError(f"{path}: expected header 'ground N'")
-    ground = int(head[1])
-    members = [[int(e) for e in ln.split()] for ln in raw[1:]]
+    (ground,) = _ints(head[1:], path, raw[0])
+    members = [_ints(ln.split(), path, ln) for ln in raw[1:]]
     return SetSystem.from_sets(ground, members)

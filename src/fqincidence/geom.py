@@ -113,14 +113,31 @@ def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
     return [(x, y) for x in a_set for y in b_set]
 
 
-def _check_coords(fs: FieldSpec, coords) -> None:
+def _check_coords(fs: FieldSpec, coords, what: str = "coordinate") -> None:
     for c in coords:
         if not 0 <= c < fs.q:
-            raise FieldMismatch(f"coordinate {c} outside [0, {fs.q})")
+            raise FieldMismatch(f"{what} {c} outside [0, {fs.q})")
+
+
+def _check_flat(fs: FieldSpec, flat) -> None:
+    """A known line kind, coefficients in [0, q), a nonzero plane normal."""
+    if isinstance(flat, Line2):
+        if flat.kind not in ("N", "V"):
+            raise FieldMismatch(f"unknown line kind {flat.kind!r}")
+        _check_coords(fs, (flat.a, flat.b), "line coefficient")
+    elif isinstance(flat, Plane3):
+        if len(flat.normal) != 3:
+            raise FieldMismatch("a plane normal needs 3 coordinates")
+        _check_coords(fs, (*flat.normal, flat.rhs), "plane coefficient")
+        if not any(flat.normal):
+            raise FieldMismatch("plane normal must be nonzero")
+    else:
+        raise FieldMismatch(f"unsupported flat type {type(flat)!r}")
 
 
 def incident(fs: FieldSpec, point, flat) -> bool:
     """Point-on-flat predicate for Line2 and Plane3."""
+    _check_flat(fs, flat)
     if isinstance(flat, Line2):
         if len(point) != 2:
             raise FieldMismatch("Line2 incidence needs a 2-coordinate point")
@@ -129,17 +146,15 @@ def incident(fs: FieldSpec, point, flat) -> bool:
         if flat.kind == "V":
             return x == flat.a
         return y == fs.add(fs.mul(flat.a, x), flat.b)
-    if isinstance(flat, Plane3):
-        if len(point) != 3:
-            raise FieldMismatch("Plane3 incidence needs a 3-coordinate point")
-        _check_coords(fs, point)
-        n = flat.normal
-        s = fs.add(
-            fs.add(fs.mul(n[0], point[0]), fs.mul(n[1], point[1])),
-            fs.mul(n[2], point[2]),
-        )
-        return s == flat.rhs
-    raise FieldMismatch(f"unsupported flat type {type(flat)!r}")
+    if len(point) != 3:
+        raise FieldMismatch("Plane3 incidence needs a 3-coordinate point")
+    _check_coords(fs, point)
+    n = flat.normal
+    s = fs.add(
+        fs.add(fs.mul(n[0], point[0]), fs.mul(n[1], point[1])),
+        fs.mul(n[2], point[2]),
+    )
+    return s == flat.rhs
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -157,8 +172,10 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
 
     "oracle" is the plain double loop over all (point, flat) pairs and is the
     reference everything else is checked against.  "fast" iterates
-    points x distinct-slopes for lines (plus a vertical pass) and uses a
-    vectorized double loop for planes.  Both return identical counts.
+    points x distinct-slopes for lines (plus a vertical pass) and counts
+    planes over the row blocks of FieldSpec.dot_blocks.  Both return
+    identical counts.  Both raise FieldMismatch for a coordinate or flat
+    coefficient outside [0, q), an unknown line kind or a zero plane normal.
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
@@ -170,6 +187,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     for f in flats:
         if isinstance(f, Line2) != lines:
             raise FieldMismatch("mixed flat kinds in one count")
+        _check_flat(fs, f)
     dim = 2 if lines else 3
     for pt in points:
         if len(pt) != dim:
@@ -225,41 +243,11 @@ def _count_lines_fast(fs, points, flats) -> int:
     return total
 
 
-_NP_TABLE_CACHE: dict[FieldSpec, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def np_field_tables(fs: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(add, mul) lookup tables as q x q int arrays; cached per field."""
-    cached = _NP_TABLE_CACHE.get(fs)
-    if cached is None:
-        q = fs.q
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = fs.add(a, b)
-                mul[a, b] = fs.mul(a, b)
-        cached = (add, mul)
-        _NP_TABLE_CACHE[fs] = cached
-    return cached
-
-
 def _count_planes_fast(fs, points, flats) -> int:
     pts = np.asarray(points, dtype=np.int64)
     nrm = np.asarray([pl.normal for pl in flats], dtype=np.int64)
     rhs = np.asarray([pl.rhs for pl in flats], dtype=np.int64)
-    if fs.n == 1:
-        vals = (pts @ nrm.T) % fs.p
-        return int((vals == rhs[None, :]).sum())
-    if fs.q <= 256:
-        addt, mult = np_field_tables(fs)
-        t0 = mult[pts[:, 0][:, None], nrm[None, :, 0]]
-        t1 = mult[pts[:, 1][:, None], nrm[None, :, 1]]
-        t2 = mult[pts[:, 2][:, None], nrm[None, :, 2]]
-        vals = addt[addt[t0, t1], t2]
-        return int((vals == rhs[None, :]).sum())
-    # large extension fields: plain loop
-    return _count_oracle(fs, points, flats, lines=False)
+    return sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     trials: int = 10
     seed: int = 0
-    preset_name: Optional[str] = None
     out: Optional[str] = None
 
     @property
@@ -909,8 +908,6 @@ def run_suite(cfg: ExperimentConfig) -> SuiteResult:
     fn = _SUITES.get(cfg.suite)
     if fn is None:
         raise ValueError(f"unknown suite {cfg.suite!r}; pick one of {SUITE_NAMES}")
-    if cfg.preset_name is not None and cfg.preset_name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {cfg.preset_name!r}")
     result = fn(cfg)
     if cfg.out:
         emit(result.rows, result.columns, cfg.out)

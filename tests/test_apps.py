@@ -384,6 +384,35 @@ def test_regular_subset_counts_match_brute_force():
         assert rep.neighbor_sizes[u] == brute
 
 
+def test_regular_subset_counts_match_brute_force_q625():
+    # U holds a few normals a and points on their planes a . x = 1, so the
+    # unit-product counts are not all zero; the brute force uses raw
+    # polynomial arithmetic, independent of the field tables
+    fs = make_field(5, 4)
+    q = fs.q
+    rng = random.Random(625)
+    U = set()
+    for _ in range(4):
+        a = tuple(rng.randrange(1, q) for _ in range(3))
+        U.add(a)
+        for _ in range(25):
+            x0, x1 = rng.randrange(q), rng.randrange(q)
+            rest = fs.sub(1, fs.add(fs.mul(a[0], x0), fs.mul(a[1], x1)))
+            U.add((x0, x1, fs.mul(rest, fs.inv(a[2]))))
+    U = sorted(U)
+    rep = regular_subset(fs, U)
+
+    def raw_dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = fs._add_raw(acc, fs._mul_raw(x, y))
+        return acc
+
+    brute = {u: sum(1 for v in U if raw_dot(u, v) == 1) for u in U}
+    assert rep.neighbor_sizes == brute
+    assert max(brute.values()) >= 25
+
+
 # -- trace pairs -------------------------------------------------------------
 
 def test_trace_pairs_frozen_example():

@@ -175,3 +175,14 @@ def test_field_mismatch_between_files(tmp_path):
     save_points(e, make_field(3, 1), [(0, 0, 0)])
     save_points(f, make_field(5, 1), [(0, 0, 0)])
     assert main(["distance", "--e", str(e), "--f", str(f)]) == 1
+
+
+def test_count_bad_file_exits_one_with_one_line(tmp_path, capsys):
+    # a normal coordinate of 5 lies outside GF(4)
+    pts = tmp_path / "points.txt"
+    pts.write_text("# field 2 2\n0,1,2\n")
+    pls = tmp_path / "planes.txt"
+    pls.write_text("# field 2 2\nP 5 1 1 0\n")
+    assert main(["count", "--points", str(pts), "--planes", str(pls)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

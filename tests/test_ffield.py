@@ -1,11 +1,20 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqincidence import ffield
 from fqincidence.errors import DegreeOutOfRange, DivisionByZero, NotPrime
 from fqincidence.ffield import FieldSpec, is_prime, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+# every extension field the tables serve with q <= 256, and larger samples
+EXT_FIELDS_UP_TO_256 = [
+    (p, n) for p in (2, 3, 5, 7, 11, 13) for n in (2, 3, 4) if p**n <= 256
+]
+LARGE_EXT_FIELDS = [(5, 4), (7, 3), (31, 4), (101, 3), (1021, 2)]
 
 
 def test_make_field_prime():
@@ -180,3 +189,107 @@ def test_fieldspec_validation():
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(1048573)
     assert not is_prime(1) and not is_prime(9) and not is_prime(1048575)
+
+
+# -- the table-driven backend against raw polynomial arithmetic ---------------
+
+def raw_neg(fs, a):
+    return fs.from_coeffs([-c for c in fs.coeffs(a)])
+
+
+def raw_dot(fs, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = fs._add_raw(acc, fs._mul_raw(int(x), int(y)))
+    return acc
+
+
+def check_scalar_ops(fs, pairs):
+    assert [fs.mul(a, b) for a, b in pairs] == [fs._mul_raw(a, b) for a, b in pairs]
+    assert [fs.add(a, b) for a, b in pairs] == [fs._add_raw(a, b) for a, b in pairs]
+    elems = sorted({a for a, _ in pairs})
+    assert [fs.neg(a) for a in elems] == [raw_neg(fs, a) for a in elems]
+    assert all(fs._mul_raw(a, fs.inv(a)) == 1 for a in elems if a)
+
+
+@pytest.mark.parametrize("p,n", EXT_FIELDS_UP_TO_256)
+def test_tables_match_raw_arithmetic_exhaustively(p, n):
+    fs = make_field(p, n)
+    check_scalar_ops(fs, [(a, b) for a in range(fs.q) for b in range(fs.q)])
+
+
+@pytest.mark.parametrize("p,n", LARGE_EXT_FIELDS)
+def test_tables_match_raw_arithmetic_sampled(p, n):
+    fs = make_field(p, n)
+    rng = random.Random(100 * p + n)
+    elems = [rng.randrange(fs.q) for _ in range(2000)]
+    pairs = [(a, rng.randrange(fs.q)) for a in elems]
+    pairs += [(0, a) for a in elems[:20]] + [(a, 0) for a in elems[:20]]
+    pairs += [(a, raw_neg(fs, a)) for a in elems[:20]] + [(0, 0), (1, fs.q - 1)]
+    check_scalar_ops(fs, pairs)
+    with pytest.raises(DivisionByZero):
+        fs.inv(0)
+    with pytest.raises(ValueError):
+        fs.pow(2, -1)
+    # O(q) int32 tables: under 32 MB even at q = 1021^2
+    assert sum(getattr(fs, t).nbytes for t in ("_exp", "_log", "_zech")) <= 32 << 20
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 4), (3, 4), (5, 4), (31, 2)])
+def test_vectorised_ops_match_scalar(p, n):
+    fs = make_field(p, n)
+    rng = np.random.default_rng(fs.q)
+    a = rng.integers(0, fs.q, size=300)
+    b = rng.integers(0, fs.q, size=300)
+    a[:10] = 0
+    b[10:20] = 0
+    b[20:40] = [fs.neg(int(x)) for x in a[20:40]]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert fs.vmul(a, b).tolist() == [fs.mul(x, y) for x, y in pairs]
+    assert fs.vadd(a, b).tolist() == [fs.add(x, y) for x, y in pairs]
+    assert fs.vneg(a).tolist() == [fs.neg(x) for x in a.tolist()]
+    # broadcasting, as the pairwise kernels use it
+    table = fs.vadd(a[:30, None], b[None, :30])
+    assert table.tolist() == [[fs.add(x, y) for y in b[:30].tolist()] for x in a[:30].tolist()]
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2), (5, 4)])
+def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
+    # a budget of 50 entries cuts 23 rows against 17 into blocks of 2 rows
+    monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", 50)
+    fs = make_field(p, n)
+    rng = np.random.default_rng(fs.q)
+    X = rng.integers(0, fs.q, size=(23, 3))
+    Y = rng.integers(0, fs.q, size=(17, 3))
+    blocks = list(fs.dot_blocks(X, Y))
+    assert [len(blk) for blk in blocks] == [2] * 11 + [1]
+    got = np.vstack(blocks).tolist()
+    assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
+
+
+AXIOM_FIELDS = [make_field(p, n) for p, n in [(7, 1), (2, 4), (3, 4), (5, 4), (13, 2), (2, 1)]]
+
+
+@st.composite
+def field_triples(draw):
+    fs = draw(st.sampled_from(AXIOM_FIELDS))
+    elem = st.integers(0, fs.q - 1)
+    return fs, draw(elem), draw(elem), draw(elem)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_triples())
+def test_field_axioms_property(args):
+    fs, a, b, c = args
+    add, mul = fs.add, fs.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, fs.neg(a)) == 0 and add(fs.sub(a, b), b) == a
+    if a:
+        assert mul(a, fs.inv(a)) == 1
+        assert fs.pow(a, fs.q - 1) == 1
+        assert fs.pow(a, 3) == mul(a, mul(a, a))
+        assert fs.is_square(mul(a, a))

@@ -89,3 +89,31 @@ def test_saves_are_deterministic(tmp_path):
     save_points(p1, fs, pts)
     save_points(p2, fs, pts)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("loader,body", [
+    (load_points, "0,x,2\n"),  # non-integer field
+    (load_points, "1,2,3\n1,2\n"),  # mixed point dimensions
+    (load_lines, "N 1 2\nN 7 0\n"),  # slope outside [0, q)
+    (load_lines, "V -1\n"),
+    (load_lines, "N 1 b\n"),
+    (load_planes, "P 1 0 0 9\n"),  # rhs outside [0, q)
+    (load_planes, "P 0 8 0 1\n"),
+    (load_planes, "P 0 0 0 0\n"),  # zero normal
+    (load_planes, "P 1 0 0 1.5\n"),
+])
+def test_malformed_records_rejected(tmp_path, loader, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("# field 7 1\n" + body)
+    with pytest.raises(FormatError):
+        loader(path)
+
+
+def test_non_integer_header_and_ground_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# field 7 one\n1,2\n")
+    with pytest.raises(FormatError):
+        load_points(path)
+    path.write_text("ground 6\n0 x\n")
+    with pytest.raises(FormatError):
+        load_setsystem(path)

@@ -8,8 +8,10 @@ from fqincidence.ffield import make_field
 from fqincidence.geom import (
     Line2,
     Line3,
+    Plane3,
     all_planes_through_one,
     count_incidences,
+    dot3,
     grid_points,
     incident,
     is_slanted,
@@ -68,6 +70,24 @@ def test_incident_rejects_bad_dimension():
         incident(fs, (1, 2, 3), nonvertical(1, 1))
     with pytest.raises(FieldMismatch):
         incident(fs, (1, 7), nonvertical(1, 1))
+
+
+@pytest.mark.parametrize("method", ["oracle", "fast"])
+@pytest.mark.parametrize("p,n,flat", [
+    (2, 2, Plane3((5, 1, 1), 0)),  # normal coordinate 5 >= q = 4
+    (7, 1, Plane3((8, 0, 0), 1)),  # 8 = 1 mod 7, still outside [0, 7)
+    (7, 1, nonvertical(8, 0)),
+    (7, 1, Plane3((0, 0, 0), 0)),  # zero normal: not a plane
+    (5, 1, Plane3((1, 0, 0), -1)),
+    (5, 1, Line2("W", 1, 0)),
+])
+def test_bad_flats_rejected(p, n, flat, method):
+    fs = make_field(p, n)
+    pt = (0, 0) if isinstance(flat, Line2) else (0, 0, 0)
+    with pytest.raises(FieldMismatch):
+        count_incidences(fs, [pt], [flat], method)
+    with pytest.raises(FieldMismatch):
+        incident(fs, pt, flat)
 
 
 def test_full_grid_line_count():
@@ -237,3 +257,26 @@ def test_max_shared_collinear():
     pts = [(1, 1, 0), (1, 1, 2), (0, 0, 0)]
     assert max_shared_collinear(fs, pts, planes) == 2
     assert max_shared_collinear(fs, [(0, 0, 0)], planes) == 0
+
+
+def test_fast_equals_oracle_q625():
+    # random flats rarely meet random points at q = 625, so half of the
+    # flats are built through sampled points
+    fs = make_field(5, 4)
+    q = fs.q
+    rng = random.Random(625)
+    pts = sample_points2(rng, q, 60)
+    lines = sample_lines(rng, q, 40)
+    for x, y in pts[:30]:
+        a = rng.randrange(q)
+        lines.append(Line2("N", a, fs.sub(y, fs.mul(a, x))))
+    lines += [vertical(x) for x, _ in pts[:5]]
+    pts3 = sample_points3(rng, q, 60)
+    planes = []
+    for pt in pts3[:40]:
+        normal = tuple(rng.randrange(1, q) for _ in range(3))
+        planes += [Plane3(normal, dot3(fs, normal, pt)), Plane3(normal, rng.randrange(q))]
+    for flats, points in ((lines, pts), (planes, pts3)):
+        fast = count_incidences(fs, points, flats, "fast").count
+        assert fast == count_incidences(fs, points, flats, "oracle").count
+        assert fast >= 30
