@@ -3,6 +3,8 @@
 All point sets live in three-space over GF(q).  The quadratic form
 ||x|| = x1^2 + x2^2 + x3^2 drives the distance operations, which therefore
 require odd q (in characteristic 2 the form collapses to a linear one).
+Pairwise counts (dot products, distances with T in one pass, unit products,
+trace classes) run over the row blocks of FieldSpec.dot_blocks.
 Counts are exact; the asymptotic conclusions of the source theorems are
 reported as measured ratios, never asserted with a constant.
 """
@@ -26,12 +28,13 @@ from .geom import (
     Line3,
     Plane3,
     Point3,
+    coords_array,
     dot3,
     line3_points,
     max_collinear,
 )
 
-TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance histogram
+TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
 SPHERE_SCAN_MAX_Q = 13
 BISECTOR_PAIR_BUDGET = 10**7
 
@@ -71,60 +74,63 @@ class DistanceReport:
 
 
 def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
-    """Exact distance set and zero-distance pair count by the double loop."""
-    _require_odd(fs)
-    E, F = list(E), list(F)
-    if not E or not F:
-        raise ValueError("E and F must be nonempty")
-    dists = set()
-    zero = 0
-    for x in E:
-        for y in F:
-            g = dist(fs, x, y)
-            dists.add(g)
-            zero += g == 0
-    return DistanceReport(dists, zero)
+    """Exact distance set, zero-distance pair count and T, in one pass.
 
-
-def _distance_rows(fs, E, F):
-    """Per-F-point histograms of distances into E."""
-    for y in F:
-        row = Counter()
-        for x in E:
-            row[dist(fs, x, y)] += 1
-        yield row
-
-
-def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
-    """Count triples (u, v, x) in E x E x F with ||x-u|| = ||x-v|| != 0.
-
-    Computed exactly through per-point distance histograms (sum of squared
-    multiplicities over nonzero distances), which agrees with the definition
-    tuple-for-tuple.  Also runs the unconditional chain check
-
-        (|E||F| - zero_pairs)^2 <= |distance set minus 0| * |F| * T
-
-    and, when zero_pairs <= |E||F|/2, the derived lower bound
-    |distance set| >= |E|^2 |F| / (4T).
+    ||y - x|| = (y, ||y||, 1) . (-2x, 1, ||x||) for y in F and x in E, over
+    the row blocks of FieldSpec.dot_blocks.  T is the number of triples
+    (u, v, y) in E x E x F with ||y-u|| = ||y-v|| != 0: per row y, the sum of
+    squared run lengths of its sorted nonzero distances.  Every call sorts
+    each block to get T, and raises BudgetExceeded for |E| * |F| over
+    TRIPLE_BUDGET (10^9) pairs, also when only the distance set is wanted.
     """
     _require_odd(fs)
     E, F = list(E), list(F)
     if not E or not F:
         raise ValueError("E and F must be nonempty")
     if len(E) * len(F) > TRIPLE_BUDGET:
-        raise BudgetExceeded("distance histogram over 10^9 pairs")
+        raise BudgetExceeded("distance scan over 10^9 pairs")
+    e, f = coords_array(E, 3), coords_array(F, 3)
+    rows = np.hstack([f, _norms(fs, f), np.ones_like(f[:, :1])])
+    cols = np.hstack([fs.vmul(e, fs.neg(fs.add(1, 1))), np.ones_like(e[:, :1]), _norms(fs, e)])
+    present = np.zeros(fs.q, dtype=bool)
+    zero = T = 0
+    for d in fs.dot_blocks(rows, cols):
+        present[d] = True
+        s = np.sort(d, axis=1)
+        first = np.flatnonzero(np.diff(s, axis=1, prepend=-1))  # run starts
+        runs = np.diff(first, append=s.size)
+        nonzero = s.ravel()[first] != 0
+        zero += int(runs[~nonzero].sum())
+        T += int(runs[nonzero] @ runs[nonzero])
+    return DistanceReport(set(np.flatnonzero(present).tolist()), zero, T)
+
+
+def _norms(fs: FieldSpec, pts):
+    """||x|| for each row of pts, as a column."""
+    sq = fs.vmul(pts, pts)
+    return fs.vadd(fs.vadd(sq[:, 0], sq[:, 1]), sq[:, 2])[:, None]
+
+
+def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
+    """Count triples (u, v, x) in E x E x F with ||x-u|| = ||x-v|| != 0.
+
+    The count comes from the one pass of distance_set, which agrees with the
+    definition tuple-for-tuple.  Also runs the unconditional chain check
+
+        (|E||F| - zero_pairs)^2 <= |distance set minus 0| * |F| * T
+
+    and, when zero_pairs <= |E||F|/2, the derived lower bound
+    |distance set| >= |E|^2 |F| / (4T).
+    """
+    E, F = list(E), list(F)
     rep = distance_set(fs, E, F)
-    T = 0
-    for row in _distance_rows(fs, E, F):
-        T += sum(c * c for g, c in row.items() if g != 0)
-    rep.T = T
     nonzero_pairs = len(E) * len(F) - rep.zero_pairs
     rep.chain_lhs = float(nonzero_pairs) ** 2
-    rep.chain_rhs = float(len(rep.distance_set - {0})) * len(F) * T
+    rep.chain_rhs = float(len(rep.distance_set - {0})) * len(F) * rep.T
     rep.chain_holds = rep.chain_lhs <= rep.chain_rhs
     rep.zero_hypothesis_ok = rep.zero_pairs <= len(E) * len(F) / 2
-    if rep.zero_hypothesis_ok and T > 0:
-        rep.derived_lower = len(E) ** 2 * len(F) / (4 * T)
+    if rep.zero_hypothesis_ok and rep.T > 0:
+        rep.derived_lower = len(E) ** 2 * len(F) / (4 * rep.T)
     return rep
 
 
@@ -164,7 +170,7 @@ def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
             x, y = E[i], E[j]
             pl = bisector_plane(fs, x, y)
             qualifying = [
-                u for u in F if _on_plane(fs, u, pl) and dist(fs, x, u) != 0
+                u for u in F if dot3(fs, pl.normal, u) == pl.rhs and dist(fs, x, u) != 0
             ]
             if len(qualifying) <= best:
                 continue
@@ -172,10 +178,6 @@ def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
             if k > best:
                 best = k
     return best
-
-
-def _on_plane(fs, u, pl: Plane3) -> bool:
-    return dot3(fs, pl.normal, u) == pl.rhs
 
 
 def sphere_line_scan(fs: FieldSpec, r: int) -> list[Line3]:
@@ -231,15 +233,12 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     E, F = list(E), list(F)
     if not E or not F:
         raise ValueError("E and F must be nonempty")
-    counts: Counter = Counter()
-    for x in E:
-        for y in F:
-            counts[dot3(fs, x, y)] += 1
-    nonzero = [(lam, c) for lam, c in counts.items() if lam != 0]
-    best = None
-    if nonzero:
-        top = max(c for _, c in nonzero)
-        best = min(lam for lam, c in nonzero if c == top)
+    hist = np.zeros(fs.q, dtype=np.int64)
+    for vals in fs.dot_blocks(coords_array(E, 3), coords_array(F, 3)):
+        hist += np.bincount(vals.ravel(), minlength=fs.q)
+    counts = {lam: c for lam, c in enumerate(hist.tolist()) if c}
+    # argmax returns the first, i.e. smallest, of the most frequent nonzero values
+    best = int(np.argmax(hist[1:])) + 1 if hist[1:].any() else None
     return DotReport(
         dot_set=set(counts),
         orthogonal_pairs=counts.get(0, 0),
@@ -301,14 +300,11 @@ def dot_k_line_check(fs: FieldSpec, E, F, line0: Line3) -> DotKLineReport:
         raise TooFewMarkedPoints(f"line carries {k} points of F; need >= 2")
     if affine_rank(fs, E) < 3:
         raise CoplanarPointSet("E is contained in a plane")
-    dot_values = {dot3(fs, e, u) for e in E for u in marked}
-    lambdas = set()
-    for e in E:
-        prods = {dot3(fs, e, u) for u in marked}
-        if len(prods) == 1:
-            lam = next(iter(prods))
-            if lam != 0:
-                lambdas.add(lam)
+    dot_values, lambdas = set(), set()
+    for prods in fs.dot_blocks(coords_array(E, 3), coords_array(marked, 3)):
+        dot_values.update(np.unique(prods).tolist())
+        const = prods[(prods == prods[:, :1]).all(axis=1), 0]  # one product per row
+        lambdas.update(const[const != 0].tolist())
     if len(lambdas) >= k:
         return DotKLineReport(
             k, "distinct-lambdas", sorted(lambdas), None, sorted(lambdas)[:k],
@@ -379,7 +375,7 @@ class RegularSubsetReport:
 
 def _unit_dot_counts(fs: FieldSpec, U: list[Point3]) -> list[int]:
     """For each u in U, the number of u' in U with u . u' = 1."""
-    arr = np.asarray(U, dtype=np.int64)
+    arr = coords_array(U, 3)
     return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1)]
 
 
@@ -437,15 +433,12 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     """
     U = list(map(tuple, U))
     Up = list(map(tuple, Uprime))
-    uset = set(U)
-    if not set(Up) <= uset:
+    if not set(Up) <= set(U):
         raise ValueError("U' must be a subset of U")
     groups: Counter = Counter()
-    for u in U:
-        trace = tuple(
-            i for i, x in enumerate(Up) if dot3(fs, u, x) == 1
-        )
-        groups[trace] += 1
+    for vals in fs.dot_blocks(coords_array(U, 3), coords_array(Up, 3)):
+        traces, mult = np.unique(np.packbits(vals == 1, axis=1), axis=0, return_counts=True)
+        groups.update(dict(zip(map(bytes, traces), mult.tolist())))
     sizes = sorted(groups.values(), reverse=True)
     pair_count = sum(m * m for m in sizes)
     classes = len(sizes)

@@ -30,6 +30,7 @@ dot_blocks yields pairwise dot products in row blocks under
 PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single % p per block).
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -315,7 +316,9 @@ def _primitive_element(fs: FieldSpec) -> int:
     Indices below p are the constants, whose order divides p - 1.
     """
     m = fs.q - 1
-    exponents = [m // r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    # every prime factor r of m is a divisor d <= sqrt(m) or its cofactor m // d
+    divisors = [c for d in range(1, math.isqrt(m) + 1) if m % d == 0 for c in (d, m // d)]
+    exponents = {m // r for r in divisors if is_prime(r)}
     return next(
         g for g in range(fs.p, fs.q)
         if all(_pow_raw(fs, g, e) != 1 for e in exponents)

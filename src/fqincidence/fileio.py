@@ -36,12 +36,12 @@ def _ints(fields, path, line: str) -> tuple[int, ...]:
         raise FormatError(f"{path}: non-integer field in {line!r}") from None
 
 
-def _elements(fs: FieldSpec, fields, path, line: str) -> tuple[int, ...]:
-    """Field-element indices, each in [0, q)."""
+def _below(bound: int, fields, path, line: str) -> tuple[int, ...]:
+    """Integers, each in [0, bound): field-element or ground-set indices."""
     values = _ints(fields, path, line)
     for c in values:
-        if not 0 <= c < fs.q:
-            raise FormatError(f"{path}: value {c} in {line!r} outside GF({fs.q})")
+        if not 0 <= c < bound:
+            raise FormatError(f"{path}: value {c} in {line!r} outside [0, {bound})")
     return values
 
 
@@ -70,7 +70,7 @@ def load_points(path) -> tuple[FieldSpec, list[tuple[int, ...]]]:
     fs, records = _read(path)
     pts = []
     for ln in records:
-        coords = _elements(fs, ln.split(","), path, ln)
+        coords = _below(fs.q, ln.split(","), path, ln)
         if len(coords) not in (1, 2, 3):
             raise FormatError(f"{path}: point {ln!r} has bad dimension")
         if pts and len(coords) != len(pts[0]):
@@ -96,7 +96,7 @@ def load_lines(path) -> tuple[FieldSpec, list[Line2]]:
         parts = ln.split()
         if (parts[0], len(parts)) not in (("V", 2), ("N", 3)):
             raise FormatError(f"{path}: bad line record {ln!r}")
-        coef = _elements(fs, parts[1:], path, ln)
+        coef = _below(fs.q, parts[1:], path, ln)
         lines.append(Line2(parts[0], coef[0], coef[1] if len(coef) == 2 else 0))
     return fs, lines
 
@@ -116,7 +116,7 @@ def load_planes(path) -> tuple[FieldSpec, list[Plane3]]:
         parts = ln.split()
         if parts[0] != "P" or len(parts) != 5:
             raise FormatError(f"{path}: bad plane record {ln!r}")
-        *normal, rhs = _elements(fs, parts[1:], path, ln)
+        *normal, rhs = _below(fs.q, parts[1:], path, ln)
         if not any(normal):
             raise FormatError(f"{path}: plane {ln!r} has a zero normal")
         planes.append(Plane3(tuple(normal), rhs, False))
@@ -140,5 +140,7 @@ def load_setsystem(path) -> SetSystem:
     if len(head) != 2 or head[0] != "ground":
         raise FormatError(f"{path}: expected header 'ground N'")
     (ground,) = _ints(head[1:], path, raw[0])
-    members = [_ints(ln.split(), path, ln) for ln in raw[1:]]
+    if ground < 0:
+        raise FormatError(f"{path}: negative ground size {ground}")
+    members = [_below(ground, ln.split(), path, ln) for ln in raw[1:]]
     return SetSystem.from_sets(ground, members)

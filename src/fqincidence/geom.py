@@ -10,12 +10,12 @@ Everything here is affine and exact; there is no projective geometry and no
 floating point.
 """
 
-from collections import Counter
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import ffield
 from .errors import FieldMismatch, SizeCap
 from .ffield import FieldSpec
 
@@ -135,26 +135,29 @@ def _check_flat(fs: FieldSpec, flat) -> None:
         raise FieldMismatch(f"unsupported flat type {type(flat)!r}")
 
 
+def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
+    """Every flat a valid Line2 (lines) or Plane3, every point of matching
+    dimension with coordinates in [0, q); FieldMismatch otherwise."""
+    kind = Line2 if lines else Plane3
+    for f in flats:
+        if not isinstance(f, kind):
+            raise FieldMismatch(f"expected {kind.__name__} flats, got {type(f).__name__}")
+        _check_flat(fs, f)
+    dim = 2 if lines else 3
+    for pt in points:
+        if len(pt) != dim:
+            raise FieldMismatch(f"expected {dim}-coordinate points")
+        _check_coords(fs, pt)
+
+
+def coords_array(rows, dim: int):
+    """Points (or other rows of dim field elements) as an int64 (len, dim) array."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+
+
 def incident(fs: FieldSpec, point, flat) -> bool:
     """Point-on-flat predicate for Line2 and Plane3."""
-    _check_flat(fs, flat)
-    if isinstance(flat, Line2):
-        if len(point) != 2:
-            raise FieldMismatch("Line2 incidence needs a 2-coordinate point")
-        _check_coords(fs, point)
-        x, y = point
-        if flat.kind == "V":
-            return x == flat.a
-        return y == fs.add(fs.mul(flat.a, x), flat.b)
-    if len(point) != 3:
-        raise FieldMismatch("Plane3 incidence needs a 3-coordinate point")
-    _check_coords(fs, point)
-    n = flat.normal
-    s = fs.add(
-        fs.add(fs.mul(n[0], point[0]), fs.mul(n[1], point[1])),
-        fs.mul(n[2], point[2]),
-    )
-    return s == flat.rhs
+    return count_incidences(fs, [point], [flat], "oracle").count == 1
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -171,11 +174,13 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     """Exact I(P, L) or I(P, Pi).
 
     "oracle" is the plain double loop over all (point, flat) pairs and is the
-    reference everything else is checked against.  "fast" iterates
-    points x distinct-slopes for lines (plus a vertical pass) and counts
-    planes over the row blocks of FieldSpec.dot_blocks.  Both return
-    identical counts.  Both raise FieldMismatch for a coordinate or flat
-    coefficient outside [0, q), an unknown line kind or a zero plane normal.
+    reference everything else is checked against.  "fast" runs over the row
+    blocks of FieldSpec.dot_blocks: for planes, point . normal against the
+    right-hand side; for lines, (x, y) . (-a, 1) = y - a*x against the
+    intercepts of the lines of slope a, with x = c as (x, y) . (1, 0) = c.
+    Both return identical counts.  Both raise FieldMismatch for a coordinate
+    or flat coefficient outside [0, q), an unknown line kind or a zero plane
+    normal.
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
@@ -184,15 +189,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     if not points or not flats:
         return IncidenceCount(0, method)
     lines = isinstance(flats[0], Line2)
-    for f in flats:
-        if isinstance(f, Line2) != lines:
-            raise FieldMismatch("mixed flat kinds in one count")
-        _check_flat(fs, f)
-    dim = 2 if lines else 3
-    for pt in points:
-        if len(pt) != dim:
-            raise FieldMismatch(f"expected {dim}-coordinate points")
-        _check_coords(fs, pt)
+    check_incidence_input(fs, points, flats, lines)
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
@@ -224,28 +221,31 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
 
 
 def _count_lines_fast(fs, points, flats) -> int:
-    by_slope: dict[int, Counter] = {}
-    vert: Counter = Counter()
+    # Line k has a direction row D[k] and a value v[k], and (x, y) lies on it
+    # iff (x, y) . D[k] = v[k]; lines sharing a direction share a row.
+    dirs: dict[tuple[int, int], int] = {}
+    keys = []
     for ln in flats:
-        if ln.kind == "V":
-            vert[ln.a] += 1
-        else:
-            by_slope.setdefault(ln.a, Counter())[ln.b] += 1
-    sub, mul = fs.sub, fs.mul
+        d, v = ((1, 0), ln.a) if ln.kind == "V" else ((fs.neg(ln.a), 1), ln.b)
+        keys.append(dirs.setdefault(d, len(dirs)) * fs.q + v)
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    pts, D = coords_array(points, 2), coords_array(list(dirs), 2)
+    # lines per (direction, value) bucket, over chunks of directions whose
+    # bucket table stays within the block budget
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // fs.q)
     total = 0
-    slope_items = list(by_slope.items())
-    for x, y in points:
-        for a, bucket in slope_items:
-            b = sub(y, mul(a, x))
-            total += bucket.get(b, 0)
-        if vert:
-            total += vert.get(x, 0)
+    for lo in range(0, len(D), step):
+        chunk = D[lo : lo + step]
+        first, end = np.searchsorted(keys, [lo * fs.q, (lo + len(chunk)) * fs.q])
+        table = np.bincount(keys[first:end] - lo * fs.q, minlength=len(chunk) * fs.q)
+        offset = np.arange(len(chunk), dtype=np.int64) * fs.q
+        total += sum(int(table[vals + offset].sum()) for vals in fs.dot_blocks(pts, chunk))
     return total
 
 
 def _count_planes_fast(fs, points, flats) -> int:
-    pts = np.asarray(points, dtype=np.int64)
-    nrm = np.asarray([pl.normal for pl in flats], dtype=np.int64)
+    pts = coords_array(points, 3)
+    nrm = coords_array([pl.normal for pl in flats], 3)
     rhs = np.asarray([pl.rhs for pl in flats], dtype=np.int64)
     return sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
 

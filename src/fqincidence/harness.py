@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import apps, bounds, reductions, setsys
-from .errors import Unrealizable
+from .errors import EvenCharacteristic, Unrealizable
 from .ffield import FieldSpec, make_field
 from .geom import (
     Line2,
@@ -422,7 +422,7 @@ def suite_unconditional(cfg: ExperimentConfig) -> SuiteResult:
     """The five inequalities that must hold exactly on every configuration."""
     fs = make_field(cfg.p, cfg.n)
     if fs.p == 2:
-        raise ValueError("the distance-chain family needs odd q")
+        raise EvenCharacteristic("the distance-chain family needs odd q")
     q = fs.q
     cols = _BASE_COLS + ["family", "sizes", "lhs", "rhs", "holds", "elapsed_ms"]
     rows, failures = [], 0

@@ -21,13 +21,17 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvariantFailure, SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
 from .geom import (
     Line2,
     Plane3,
     Point3,
+    coords_array,
     count_incidences,
+    dot3,
     grid_points,
     make_plane,
     max_collinear,
@@ -51,18 +55,17 @@ def _line_pairs(lines) -> list[tuple[int, int]]:
 def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     """The energy count over L x A x L x A.
 
-    "fast" makes one pass computing r(v) = #{(a, b, x) : a*x + b = v} and
-    returns sum r(v)^2; "oracle" enumerates all tuples.  Both agree exactly.
+    "fast" makes one pass over the row blocks of (a, b) . (x, 1) = a*x + b,
+    which histograms r(v) = #{(a, b, x) : a*x + b = v}, and returns
+    sum r(v)^2; "oracle" enumerates all tuples.  Both agree exactly.
     """
     L = _line_pairs(lines)
     A = list(a_set)
     if method == "fast":
-        r = [0] * fs.q
-        add, mul = fs.add, fs.mul
-        for a, b in L:
-            for x in A:
-                r[add(mul(a, x), b)] += 1
-        return sum(v * v for v in r)
+        r = np.zeros(fs.q, dtype=np.int64)
+        for vals in fs.dot_blocks(coords_array(L, 2), coords_array([(x, 1) for x in A], 2)):
+            r += np.bincount(vals.ravel(), minlength=fs.q)
+        return sum(v * v for v in r[r > 0].tolist())
     if method == "oracle":
         if (len(L) * len(A)) ** 2 > ORACLE_TUPLE_CAP:
             raise SizeCap("oracle tuple count over 10^9")
@@ -109,12 +112,8 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
                 xp = A[qi % len(A)]
                 lhs = add(mul(a, x), b)
                 rhs = add(mul(ap, xp), bp)
-                pl, pt = planes3[qi], points3[pi]
-                dot = add(
-                    add(mul(pl.normal[0], pt[0]), mul(pl.normal[1], pt[1])),
-                    mul(pl.normal[2], pt[2]),
-                )
-                if (dot == pl.rhs) != (lhs == rhs):
+                pl = planes3[qi]
+                if (dot3(fs, pl.normal, points3[pi]) == pl.rhs) != (lhs == rhs):
                     raise InvariantFailure("plane sign convention broke the identity")
         proj = {(x, ap) for x, ap, _ in points3}
         k_proj, _ = max_collinear(fs, proj)

@@ -12,9 +12,11 @@ from itertools import combinations
 from math import comb
 from typing import Any, NamedTuple, Optional
 
-from .errors import BudgetExceeded, FieldMismatch, SubsetTooLarge
+import numpy as np
+
+from .errors import BudgetExceeded, SubsetTooLarge
 from .ffield import FieldSpec
-from .geom import Plane3, incident
+from .geom import check_incidence_input, coords_array
 
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
@@ -88,25 +90,25 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
 
     side="by_point": ground set indexes the planes, one member per point u
     holding the planes through u.  side="by_plane" is the dual.  Multiplicity
-    is preserved on the member side.
+    is preserved on the member side.  Point u lies on n . x = r iff
+    (u, 1) . (n, -r) = 0; each member's mask is one packed row of that test
+    over the row blocks of FieldSpec.dot_blocks.
     """
     if side not in ("by_point", "by_plane"):
         raise ValueError(f"side must be by_point or by_plane, got {side!r}")
     points = list(points)
     planes = list(planes)
-    for pl in planes:
-        if not isinstance(pl, Plane3):
-            raise FieldMismatch("planes must be Plane3 values")
-    rows: list[list[int]] = [[] for _ in points]
-    cols: list[list[int]] = [[] for _ in planes]
-    for i, pt in enumerate(points):
-        for j, pl in enumerate(planes):
-            if incident(fs, pt, pl):
-                rows[i].append(j)
-                cols[j].append(i)
-    if side == "by_point":
-        return SetSystem.from_sets(len(planes), rows, labels=list(points))
-    return SetSystem.from_sets(len(points), cols, labels=list(planes))
+    check_incidence_input(fs, points, planes, lines=False)
+    pts = coords_array([(*pt, 1) for pt in points], 4)
+    pls = coords_array([(*pl.normal, fs.neg(pl.rhs)) for pl in planes], 4)
+    by_point = side == "by_point"
+    members, ground = (pts, pls) if by_point else (pls, pts)
+    masks = [
+        int.from_bytes(row.tobytes(), "little")
+        for vals in fs.dot_blocks(members, ground)
+        for row in np.packbits(vals == 0, axis=1, bitorder="little")
+    ]
+    return SetSystem(len(ground), masks, labels=points if by_point else planes)
 
 
 def is_shattered(system: SetSystem, subset) -> bool:

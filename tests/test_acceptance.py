@@ -17,10 +17,13 @@ hold, not their blanket forms, which are false:
 """
 
 import csv
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import fqincidence
 from fqincidence import apps, bounds
 from fqincidence.ffield import make_field
 from fqincidence.geom import Line3
@@ -269,11 +272,15 @@ def test_criterion_8_trace_pairs_desk_scale():
 
 def test_criterion_9_preset_audit_exit_code(tmp_path):
     out = tmp_path / "audit.csv"
+    # the child imports the same package as this process
+    src = str(Path(fqincidence.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fqincidence.cli", "suite", "--name",
          "preset-audit", "--q", "3", "--seed", str(SEED), "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -186,3 +186,12 @@ def test_count_bad_file_exits_one_with_one_line(tmp_path, capsys):
     assert main(["count", "--points", str(pts), "--planes", str(pls)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_unconditional_suite_even_q_exits_one_with_one_line(tmp_path, q, capsys):
+    # the distance-chain family needs odd q
+    out = tmp_path / "suite.csv"
+    assert main(["suite", "--name", "unconditional", "--q", str(q), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -267,6 +267,24 @@ def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
     assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
 
 
+# recorded g (the smallest index >= p of order q - 1) for every extension
+# field this module builds
+PRIMITIVE_ELEMENTS = {
+    (2, 2): 2, (2, 3): 2, (2, 4): 2, (3, 2): 4, (3, 3): 3, (3, 4): 10,
+    (5, 2): 7, (5, 3): 7, (5, 4): 30, (7, 2): 9, (7, 3): 9, (11, 2): 15,
+    (13, 2): 18, (31, 2): 35, (31, 4): 34, (101, 3): 103, (1021, 2): 1030,
+}
+
+
+def test_primitive_elements_unchanged():
+    assert set(PRIMITIVE_ELEMENTS) >= set(EXT_FIELDS_UP_TO_256 + LARGE_EXT_FIELDS)
+    for (p, n), g in PRIMITIVE_ELEMENTS.items():
+        fs = make_field(p, n)
+        assert ffield._primitive_element(fs) == g
+        assert fs.mul(1, 1) == 1 and fs._exp[1] == g
+        assert len(np.unique(fs._exp[:fs.q - 1])) == fs.q - 1  # g has order q - 1
+
+
 AXIOM_FIELDS = [make_field(p, n) for p, n in [(7, 1), (2, 4), (3, 4), (5, 4), (13, 2), (2, 1)]]
 
 

@@ -117,3 +117,16 @@ def test_non_integer_header_and_ground_rejected(tmp_path):
     path.write_text("ground 6\n0 x\n")
     with pytest.raises(FormatError):
         load_setsystem(path)
+
+
+@pytest.mark.parametrize("body,where", [
+    ("ground 3\n0 5\n", "'0 5'"),  # element outside the ground set
+    ("ground 3\n0 1\n\n2 -1\n", "'2 -1'"),
+    ("ground -1\n", "negative"),
+])
+def test_setsystem_element_outside_ground_rejected(tmp_path, body, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(FormatError, match=where) as info:
+        load_setsystem(path)
+    assert str(path) in str(info.value)
