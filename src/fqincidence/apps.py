@@ -21,6 +21,7 @@ from .errors import (
     CoplanarPointSet,
     EqualPoints,
     EvenCharacteristic,
+    InvalidPointSet,
     TooFewMarkedPoints,
 )
 from .ffield import FieldSpec
@@ -29,12 +30,17 @@ from .geom import (
     Plane3,
     Point3,
     coords_array,
+    decode_points,
     dot3,
+    line3_key,
     line3_points,
+    make_plane,
     max_collinear,
+    max_shared_collinear,
 )
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
+LAMBDA_PAIR_BUDGET = 10**6  # plane pairs times nonzero lambdas
 SPHERE_SCAN_MAX_Q = 13
 BISECTOR_PAIR_BUDGET = 10**7
 
@@ -86,7 +92,7 @@ def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
     _require_odd(fs)
     E, F = list(E), list(F)
     if not E or not F:
-        raise ValueError("E and F must be nonempty")
+        raise InvalidPointSet("E and F must be nonempty")
     if len(E) * len(F) > TRIPLE_BUDGET:
         raise BudgetExceeded("distance scan over 10^9 pairs")
     e, f = coords_array(E, 3), coords_array(F, 3)
@@ -149,8 +155,6 @@ def bisector_plane(fs: FieldSpec, x, y) -> Plane3:
     two = fs.add(1, 1)
     normal = tuple(fs.mul(two, fs.sub(y[i], x[i])) for i in range(3))
     rhs = fs.sub(norm3(fs, y), norm3(fs, x))
-    from .geom import make_plane
-
     return make_plane(fs, normal, rhs)
 
 
@@ -192,15 +196,8 @@ def sphere_line_scan(fs: FieldSpec, r: int) -> list[Line3]:
         raise ValueError("r must be nonzero")
     if fs.q > SPHERE_SCAN_MAX_Q:
         raise BudgetExceeded(f"sphere scan capped at q <= {SPHERE_SCAN_MAX_Q}")
-    q = fs.q
-    sphere = set()
-    for idx in range(q**3):
-        pt = (idx % q, (idx // q) % q, idx // (q * q))
-        if norm3(fs, pt) == r:
-            sphere.add(pt)
+    sphere = {pt for pt in decode_points(fs.q, range(fs.q**3)) if norm3(fs, pt) == r}
     pts = sorted(sphere)
-    from .geom import line3_key
-
     seen: set[Line3] = set()
     found: list[Line3] = []
     for i in range(len(pts)):
@@ -232,7 +229,7 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     """Exact dot-product value set and the per-value pair counts."""
     E, F = list(E), list(F)
     if not E or not F:
-        raise ValueError("E and F must be nonempty")
+        raise InvalidPointSet("E and F must be nonempty")
     hist = np.zeros(fs.q, dtype=np.int64)
     for vals in fs.dot_blocks(coords_array(E, 3), coords_array(F, 3)):
         hist += np.bincount(vals.ravel(), minlength=fs.q)
@@ -321,40 +318,21 @@ def dot_k_line_check(fs: FieldSpec, E, F, line0: Line3) -> DotKLineReport:
     )
 
 
-def dot_shared_collinear_k(
-    fs: FieldSpec, E, F, pair_budget: int = 10**6
-) -> tuple[int, dict[int, int]]:
+def dot_shared_collinear_k(fs: FieldSpec, E, F) -> tuple[int, dict[int, int]]:
     """Global and per-lambda maxima of |F on the common line of two lambda-planes|.
 
-    For each nonzero lambda and distinct u, v in E, the planes u.x = lambda
-    and v.x = lambda either miss each other or meet in a line; the value is
-    the largest number of F-points on such a line.
+    For each nonzero lambda and distinct nonzero u, v in E, the planes
+    u.x = lambda and v.x = lambda either miss each other or meet in a line;
+    the value is the largest number of F-points on such a line.
     """
-    from .geom import plane_intersection, make_plane
-
     E = list({tuple(e) for e in E})
-    fset = {tuple(y) for y in F}
-    n_pairs = len(E) * (len(E) - 1) // 2
-    if n_pairs * (fs.q - 1) > pair_budget:
+    if len(E) * (len(E) - 1) // 2 * (fs.q - 1) > LAMBDA_PAIR_BUDGET:
         raise BudgetExceeded("lambda-plane pair scan over budget")
-    per_lambda: dict[int, int] = {}
-    for lam in range(1, fs.q):
-        best = 0
-        for i in range(len(E)):
-            if E[i] == (0, 0, 0):
-                continue
-            for j in range(i + 1, len(E)):
-                if E[j] == (0, 0, 0):
-                    continue
-                meet = plane_intersection(
-                    fs, make_plane(fs, E[i], lam), make_plane(fs, E[j], lam)
-                )
-                if meet.kind != "line":
-                    continue
-                cnt = sum(1 for p in line3_points(fs, meet.line) if p in fset)
-                if cnt > best:
-                    best = cnt
-        per_lambda[lam] = best
+    normals = [u for u in E if u != (0, 0, 0)]
+    per_lambda = {
+        lam: max_shared_collinear(fs, F, [make_plane(fs, u, lam) for u in normals])
+        for lam in range(1, fs.q)
+    }
     return max(per_lambda.values(), default=0), per_lambda
 
 
@@ -433,8 +411,10 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     """
     U = list(map(tuple, U))
     Up = list(map(tuple, Uprime))
+    if not U:
+        raise InvalidPointSet("U must be nonempty")
     if not set(Up) <= set(U):
-        raise ValueError("U' must be a subset of U")
+        raise InvalidPointSet("U' must be a subset of U")
     groups: Counter = Counter()
     for vals in fs.dot_blocks(coords_array(U, 3), coords_array(Up, 3)):
         traces, mult = np.unique(np.packbits(vals == 1, axis=1), axis=0, return_counts=True)

@@ -278,7 +278,6 @@ class RegimeReport:
 def regime_report(
     params: RegimeParams,
     actual: Optional[int] = None,
-    with_axis_lines: bool = False,
     max_shared_collinear: Optional[int] = None,
 ) -> RegimeReport:
     """Evaluate every applicable bound and flag the improvement-range conditions.
@@ -295,7 +294,7 @@ def regime_report(
         bounds = {
             "vinh_line": eval_vinh_line(q, nP, nL, actual=actual),
             "cs_line": eval_cs_line(nP, nL, actual=actual),
-            "thm_line": eval_thm_line(params, with_axis_lines, actual=actual),
+            "thm_line": eval_thm_line(params, actual=actual),
         }
         la = nL * nA
         hyp = la > q**a * max(nA, nLx)

@@ -1,8 +1,9 @@
 """The fqincidence command line.
 
 Exit codes: 0 success, 2 when the run only tripped hypothesis flags,
-1 on errors or failed checks.  Every subcommand accepts --config FILE with
-flat key=value lines mirroring its long flags; explicit flags win.
+1 on errors, usage errors included, or failed checks.  Every subcommand
+accepts --config FILE with flat key=value lines mirroring its long flags;
+they are checked like flags, and explicit flags win.
 """
 
 import argparse
@@ -19,42 +20,38 @@ EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
 
 
-def _read_config(path) -> dict[str, str]:
-    out = {}
-    for ln in Path(path).read_text(encoding="utf-8").splitlines():
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other error: exit 1 with one error: line."""
+
+    def error(self, message):
+        raise ToolkitError(message)
+
+
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The --config file's key=value lines as --key=value flag tokens."""
+    tokens = []
+    for ln in Path(args.config).read_text(encoding="utf-8").splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         if "=" not in ln:
             raise ToolkitError(f"config line without '=': {ln!r}")
-        key, val = ln.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config(args.config)
-    for key, raw in file_vals.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        key, val = (part.strip() for part in ln.split("=", 1))
+        if not hasattr(args, key.replace("-", "_")):
             raise ToolkitError(f"config key {key!r} does not match a flag")
-        if getattr(args, attr) is None:
-            typ = _ARG_TYPES.get(attr, str)
-            setattr(args, attr, typ(raw))
+        tokens.append(f"--{key.replace('_', '-')}={val}")
+    return tokens
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; config values are parsed as flags ahead of the explicit
+    ones, so they get the same types and choices and explicit flags win."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
     return args
-
-
-_ARG_TYPES = {
-    "p": int,
-    "n": int,
-    "q": int,
-    "max_d": int,
-    "trials": int,
-    "seed": int,
-    "alpha": float,
-}
 
 
 def _require(args, *names) -> None:
@@ -190,15 +187,8 @@ def cmd_traces(args) -> int:
 def cmd_suite(args) -> int:
     _require(args, "name", "q")
     p, n = harness.split_prime_power(args.q)
-    cfg = harness.ExperimentConfig(
-        p=p,
-        n=n,
-        suite=args.name,
-        alpha=args.alpha if args.alpha is not None else 0.5,
-        trials=args.trials if args.trials is not None else 10,
-        seed=args.seed if args.seed is not None else 0,
-        out=args.out,
-    )
+    cfg = harness.ExperimentConfig(p, n, args.name, alpha=args.alpha, trials=args.trials,
+                                   seed=args.seed, out=args.out)
     result = harness.run_suite(cfg)
     print(f"suite {result.suite}: {len(result.rows)} rows, "
           f"{result.failures} failures, {result.violations} hypothesis violations")
@@ -209,7 +199,7 @@ def cmd_suite(args) -> int:
 
 def cmd_preset(args) -> int:
     _require(args, "name", "q", "out")
-    pc = harness.preset(args.name, args.q, seed=args.seed or 0)
+    pc = harness.preset(args.name, args.q, seed=args.seed)
     fs = harness.field_for_order(args.q)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -231,7 +221,7 @@ def cmd_preset(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fqincidence",
         description="incidence experiments over finite fields",
     )
@@ -271,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_suite,
         name={"choices": list(harness.SUITE_NAMES)},
         q={"type": int},
-        alpha={"type": float},
-        trials={"type": int},
-        seed={"type": int},
+        alpha={"type": float, "default": 0.5},
+        trials={"type": int, "default": 10},
+        seed={"type": int, "default": 0},
         out={},
     )
     add(
@@ -281,16 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_preset,
         name={"choices": list(harness.PRESET_NAMES)},
         q={"type": int},
-        seed={"type": int},
+        seed={"type": int, "default": 0},
         out={},
     )
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _parse_args(argv)
         return args.fn(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,6 +71,10 @@ class TooFewMarkedPoints(ToolkitError):
     pass
 
 
+class InvalidPointSet(ToolkitError, ValueError):
+    """An empty point set, or a subset that is not one."""
+
+
 # -- harness --
 
 class Unrealizable(ToolkitError):

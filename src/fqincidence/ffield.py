@@ -30,6 +30,7 @@ dot_blocks yields pairwise dot products in row blocks under
 PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single % p per block).
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -109,8 +110,13 @@ def _is_irreducible(coeffs: list[int], p: int, n: int) -> bool:
     return True
 
 
+@functools.cache
 def make_field(p: int, n: int) -> "FieldSpec":
-    """Construct GF(p^n) with the canonical (lexicographically smallest) modulus."""
+    """Construct GF(p^n) with the canonical (lexicographically smallest) modulus.
+
+    Memoized on (p, n): every caller shares one instance, so the modulus scan
+    and the extension tables are built once per field and process.
+    """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if not 1 <= n <= MAX_DEGREE:

@@ -98,14 +98,17 @@ def planes_equal(fs: FieldSpec, p1: Plane3, p2: Plane3) -> bool:
     return plane_canonical(fs, p1) == plane_canonical(fs, p2)
 
 
+def decode_points(q: int, idxs, dim: int = 3) -> list[tuple[int, ...]]:
+    """The points with the given indices, in order: (x_0, ..., x_{dim-1}) has
+    index x_0 + x_1 q + ... + x_{dim-1} q^(dim-1), so range(q**dim) lists
+    the whole space and range(1, q**dim) every nonzero point."""
+    idxs = list(idxs)
+    return list(zip(*[[idx // s % q for idx in idxs] for s in (q**i for i in range(dim))]))
+
+
 def all_planes_through_one(fs: FieldSpec) -> list[Plane3]:
     """Every plane of the form a . x = 1, a nonzero: q^3 - 1 planes."""
-    q = fs.q
-    out = []
-    for idx in range(1, q**3):
-        a = (idx % q, (idx // q) % q, idx // (q * q))
-        out.append(plane_through_one(a))
-    return out
+    return [plane_through_one(a) for a in decode_points(fs.q, range(1, fs.q**3))]
 
 
 def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
@@ -151,8 +154,12 @@ def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
 
 
 def coords_array(rows, dim: int):
-    """Points (or other rows of dim field elements) as an int64 (len, dim) array."""
-    return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    """Points (or other rows of dim field elements) as an int64 (len, dim) array;
+    FieldMismatch when a row does not hold dim coordinates."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    except ValueError:
+        raise FieldMismatch(f"expected {dim}-coordinate points") from None
 
 
 def incident(fs: FieldSpec, point, flat) -> bool:

@@ -5,6 +5,11 @@ sub-seeds derived arithmetically from (seed, suite, trial), so a config
 fixes every emitted byte except the elapsed_ms column.  Suites never abort
 on hypothesis violations; they flag them, and the command line maps
 "violations but no failures" to exit code 2.
+
+A suite is a generator over (config, field) that yields one
+(trial, row fields, failures, violations) tuple per row; run_suite builds
+the field, adds the base columns and elapsed_ms, sums the failures and
+violations, and writes the CSV.
 """
 
 import csv
@@ -12,7 +17,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import apps, bounds, reductions, setsys
 from .errors import EvenCharacteristic, Unrealizable
@@ -22,6 +27,7 @@ from .geom import (
     Plane3,
     all_planes_through_one,
     count_incidences,
+    decode_points,
     grid_points,
     line3_points,
     max_shared_collinear,
@@ -71,14 +77,6 @@ def field_for_order(q: int) -> FieldSpec:
 # samplers (uniform without replacement over the ambient object space)
 # ---------------------------------------------------------------------------
 
-def decode_point2(q: int, idx: int) -> tuple[int, int]:
-    return (idx % q, idx // q)
-
-
-def decode_point3(q: int, idx: int) -> tuple[int, int, int]:
-    return (idx % q, (idx // q) % q, idx // (q * q))
-
-
 def sample_field_subset(rng, fs, size: int) -> list[int]:
     if size > fs.q:
         raise Unrealizable(f"subset size {size} exceeds q = {fs.q}")
@@ -88,25 +86,20 @@ def sample_field_subset(rng, fs, size: int) -> list[int]:
 def sample_points2(rng, fs, size: int) -> list[tuple[int, int]]:
     if size > fs.q**2:
         raise Unrealizable(f"{size} points exceed the plane size {fs.q ** 2}")
-    return [decode_point2(fs.q, i) for i in sorted(rng.sample(range(fs.q**2), size))]
+    return decode_points(fs.q, sorted(rng.sample(range(fs.q**2), size)), 2)
 
 
 def sample_points3(rng, fs, size: int, nonzero: bool = False) -> list:
-    space = fs.q**3 - (1 if nonzero else 0)
+    lo = 1 if nonzero else 0
+    space = fs.q**3 - lo
     if size > space:
         raise Unrealizable(f"{size} points exceed the space size {space}")
-    lo = 1 if nonzero else 0
-    idxs = sorted(rng.sample(range(lo, fs.q**3), size))
-    return [decode_point3(fs.q, i) for i in idxs]
+    return decode_points(fs.q, sorted(rng.sample(range(lo, fs.q**3), size)))
 
 
 def sample_planes_one(rng, fs, size: int) -> list[Plane3]:
-    """Distinct planes of the form a . x = 1."""
-    space = fs.q**3 - 1
-    if size > space:
-        raise Unrealizable(f"{size} planes exceed the family size {space}")
-    idxs = sorted(rng.sample(range(1, fs.q**3), size))
-    return [plane_through_one(decode_point3(fs.q, i)) for i in idxs]
+    """Distinct planes of the form a . x = 1, drawn as their nonzero normals."""
+    return [plane_through_one(a) for a in sample_points3(rng, fs, size, nonzero=True)]
 
 
 def sample_lines(
@@ -302,8 +295,11 @@ def hash_name(name: str) -> int:
     return h
 
 
-def smallest_realizable_q(name: str, q_max: int = 64) -> int:
-    for q in range(2, q_max + 1):
+_PRESET_Q_MAX = 64
+
+
+def smallest_realizable_q(name: str) -> int:
+    for q in range(2, _PRESET_Q_MAX + 1):
         try:
             split_prime_power(q)
         except Unrealizable:
@@ -313,7 +309,7 @@ def smallest_realizable_q(name: str, q_max: int = 64) -> int:
         except Unrealizable:
             continue
         return q
-    raise Unrealizable(f"preset {name}: nothing realizable up to q = {q_max}")
+    raise Unrealizable(f"preset {name}: nothing realizable up to q = {_PRESET_Q_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +363,35 @@ def emit(rows: list[dict], columns: list[str], path) -> None:
             w.writerow([_fmt_cell(r.get(c, "")) for c in columns])
 
 
-def _base_row(cfg: ExperimentConfig, trial: int, t0: float) -> dict:
-    return {
-        "suite": cfg.suite,
-        "q": cfg.q,
-        "alpha": cfg.alpha,
-        "trial": trial,
-        "seed": cfg.seed,
-        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-    }
-
-
 _BASE_COLS = ["suite", "q", "alpha", "trial", "seed"]
+
+_SUITES: dict = {}  # name -> (suite, columns)
+
+
+def _suite(name: str, *cols: str):
+    """Register a suite under name; cols are its columns after the base ones."""
+
+    def register(fn):
+        _SUITES[name] = (fn, [*_BASE_COLS, *cols, "elapsed_ms"])
+        return fn
+
+    return register
+
+
+def _trial_rng(cfg: ExperimentConfig, t: int) -> random.Random:
+    return rng_for(cfg.seed, hash_name(cfg.suite), t)
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_oracle_equivalence(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("oracle-equivalence", "kind", "n_points", "n_flats", "oracle", "fast", "equal")
+def suite_oracle_equivalence(cfg: ExperimentConfig, fs: FieldSpec):
     """Fast vs brute-force incidence counts on seeded random configurations."""
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["kind", "n_points", "n_flats", "oracle", "fast", "equal",
-                         "elapsed_ms"]
-    rows, failures = [], 0
     for t in range(cfg.trials):
-        t0 = time.perf_counter()
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
+        rng = _trial_rng(cfg, t)
         if t % 2 == 0:
             n_pts = rng.randint(1, min(q * q, 40))
             n_fl = rng.randint(1, min(q * q + q, 40))
@@ -410,41 +407,33 @@ def suite_oracle_equivalence(cfg: ExperimentConfig) -> SuiteResult:
         oracle = count_incidences(fs, pts, flats, "oracle").count
         fast = count_incidences(fs, pts, flats, "fast").count
         equal = oracle == fast
-        failures += not equal
-        row = _base_row(cfg, t, t0)
-        row.update(kind=kind, n_points=n_pts, n_flats=n_fl, oracle=oracle,
-                   fast=fast, equal=equal)
-        rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+        yield t, dict(kind=kind, n_points=n_pts, n_flats=n_fl, oracle=oracle,
+                      fast=fast, equal=equal), not equal, 0
 
 
-def suite_unconditional(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("unconditional", "family", "sizes", "lhs", "rhs", "holds")
+def suite_unconditional(cfg: ExperimentConfig, fs: FieldSpec):
     """The five inequalities that must hold exactly on every configuration."""
-    fs = make_field(cfg.p, cfg.n)
     if fs.p == 2:
         raise EvenCharacteristic("the distance-chain family needs odd q")
     q = fs.q
-    cols = _BASE_COLS + ["family", "sizes", "lhs", "rhs", "holds", "elapsed_ms"]
-    rows, failures = [], 0
     tol = 1 + bounds.RELATIVE_TOL
-    for t in range(cfg.trials):
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
 
-        t0 = time.perf_counter()
+    def row(family, sizes, lhs, rhs, holds):
+        return dict(family=family, sizes=sizes, lhs=lhs, rhs=rhs, holds=holds), not holds, 0
+
+    for t in range(cfg.trials):
+        rng = _trial_rng(cfg, t)
+
         n_pts = rng.randint(1, min(q * q, 36))
         n_ln = rng.randint(1, min(q * q + q, 36))
         pts = sample_points2(rng, fs, n_pts)
         lns = sample_lines(rng, fs, n_ln)
         actual = count_incidences(fs, pts, lns, "oracle").count
         rep = bounds.eval_cs_line(n_pts, n_ln, actual=actual)
-        ok = actual <= rep.value * tol
-        failures += not ok
-        row = _base_row(cfg, t, t0)
-        row.update(family="cs_line", sizes=f"P={n_pts};L={n_ln}",
-                   lhs=actual, rhs=rep.value, holds=ok)
-        rows.append(row)
+        yield t, *row("cs_line", f"P={n_pts};L={n_ln}", actual, rep.value,
+                      actual <= rep.value * tol)
 
-        t0 = time.perf_counter()
         n_p3 = rng.randint(1, min(q**3, 40))
         n_pi = rng.randint(1, min(q**3 - 1, 40))
         pts3 = sample_points3(rng, fs, n_p3)
@@ -453,14 +442,9 @@ def suite_unconditional(cfg: ExperimentConfig) -> SuiteResult:
         rep = bounds.eval_plane_bounds(
             bounds.RegimeParams(q=q, alpha=cfg.alpha, nP=n_p3, nPi=n_pi),
             "vinh", actual=actual)
-        ok = actual <= rep.value * tol
-        failures += not ok
-        row = _base_row(cfg, t, t0)
-        row.update(family="vinh_plane", sizes=f"P={n_p3};Pi={n_pi}",
-                   lhs=actual, rhs=rep.value, holds=ok)
-        rows.append(row)
+        yield t, *row("vinh_plane", f"P={n_p3};Pi={n_pi}", actual, rep.value,
+                      actual <= rep.value * tol)
 
-        t0 = time.perf_counter()
         n_l = rng.randint(1, min(q * q, 20))
         n_a = rng.randint(1, min(q, 8))
         n_b = rng.randint(1, q)
@@ -468,49 +452,33 @@ def suite_unconditional(cfg: ExperimentConfig) -> SuiteResult:
         a_set = sample_field_subset(rng, fs, n_a)
         b_set = sample_field_subset(rng, fs, n_b)
         rep = reductions.cs_upper(fs, lns, a_set, b_set)
-        failures += not rep.holds
-        row = _base_row(cfg, t, t0)
-        row.update(family="cs_upper", sizes=f"L={n_l};A={n_a};B={n_b}",
-                   lhs=rep.actual, rhs=rep.value, holds=rep.holds)
-        rows.append(row)
+        yield t, *row("cs_upper", f"L={n_l};A={n_a};B={n_b}", rep.actual, rep.value,
+                      rep.holds)
 
-        t0 = time.perf_counter()
         n_e = rng.randint(1, min(q**3, 24))
         n_f = rng.randint(1, min(q**3, 24))
         E = sample_points3(rng, fs, n_e)
         F = sample_points3(rng, fs, n_f)
         rep = apps.triple_count_T(fs, E, F)
-        failures += not rep.chain_holds
-        row = _base_row(cfg, t, t0)
-        row.update(family="distance_chain", sizes=f"E={n_e};F={n_f}",
-                   lhs=rep.chain_lhs, rhs=rep.chain_rhs, holds=rep.chain_holds)
-        rows.append(row)
+        yield t, *row("distance_chain", f"E={n_e};F={n_f}", rep.chain_lhs,
+                      rep.chain_rhs, rep.chain_holds)
 
-        t0 = time.perf_counter()
         n_u = rng.randint(2, min(q**3, 40))
         U = sample_points3(rng, fs, n_u)
         n_up = rng.randint(1, min(n_u, 4))
         Up = [U[i] for i in sorted(rng.sample(range(n_u), n_up))]
         rep = apps.trace_pairs(fs, U, Up)
-        ok = rep.pair_count >= rep.cs_lower - 1e-9
-        failures += not ok
-        row = _base_row(cfg, t, t0)
-        row.update(family="trace_pairs", sizes=f"U={n_u};Uprime={n_up}",
-                   lhs=rep.pair_count, rhs=rep.cs_lower, holds=ok)
-        rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+        yield t, *row("trace_pairs", f"U={n_u};Uprime={n_up}", rep.pair_count,
+                      rep.cs_lower, rep.pair_count >= rep.cs_lower - 1e-9)
 
 
-def suite_reduction_identity(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("reduction-identity", "case", "n_lines", "n_a", "incidences", "fast", "oracle",
+        "equal")
+def suite_reduction_identity(cfg: ExperimentConfig, fs: FieldSpec):
     """I(points3, planes3) == energy count, plus full-family uniformity."""
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["case", "n_lines", "n_a", "incidences", "fast", "oracle",
-                         "equal", "elapsed_ms"]
-    rows, failures = [], 0
     for t in range(cfg.trials):
-        t0 = time.perf_counter()
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
+        rng = _trial_rng(cfg, t)
         n_l = rng.randint(1, min(q * q, 14))
         n_a = rng.randint(1, min(q, 6))
         lns = sample_lines(rng, fs, n_l, with_vertical=False)
@@ -519,12 +487,8 @@ def suite_reduction_identity(cfg: ExperimentConfig) -> SuiteResult:
         inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
         oracle = reductions.count_solutions(fs, lns, a_set, "oracle")
         equal = inc == out.solution_count == oracle
-        failures += not equal
-        row = _base_row(cfg, t, t0)
-        row.update(case="random", n_lines=n_l, n_a=n_a, incidences=inc,
-                   fast=out.solution_count, oracle=oracle, equal=equal)
-        rows.append(row)
-    t0 = time.perf_counter()
+        yield t, dict(case="random", n_lines=n_l, n_a=n_a, incidences=inc,
+                      fast=out.solution_count, oracle=oracle, equal=equal), not equal, 0
     full = all_nonvertical_lines(fs)
     fast = reductions.count_solutions(fs, full, list(fs.elements()), "fast")
     expected = q**5
@@ -533,29 +497,14 @@ def suite_reduction_identity(cfg: ExperimentConfig) -> SuiteResult:
     else:
         oracle = fast
     equal = fast == expected == oracle
-    failures += not equal
-    row = _base_row(cfg, cfg.trials, t0)
-    row.update(case="full_family", n_lines=len(full), n_a=q, incidences=expected,
-               fast=fast, oracle=oracle, equal=equal)
-    rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+    yield cfg.trials, dict(case="full_family", n_lines=len(full), n_a=q,
+                           incidences=expected, fast=fast, oracle=oracle,
+                           equal=equal), not equal, 0
 
 
-def _vc_config(fs, rng, exhaustive: bool):
-    q = fs.q
-    if exhaustive:
-        planes = all_planes_through_one(fs)
-        pts_all = [decode_point3(q, i) for i in range(q**3)]
-        pts_nonzero = pts_all[1:]
-        return pts_all, pts_nonzero, planes
-    n_pts = min(q**3 - 1, 40)
-    n_pl = min(q**3 - 1, 40)
-    pts = sample_points3(rng, fs, n_pts, nonzero=True)
-    planes = sample_planes_one(rng, fs, n_pl)
-    return pts, pts, planes
-
-
-def suite_vc_plane(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("vc-plane", "side", "ground", "members", "vc", "saturated", "vc_ok",
+        "shatter_z", "shatter_value", "ss_bound", "ss_ok")
+def suite_vc_plane(cfg: ExperimentConfig, fs: FieldSpec):
     """VC dimension <= 3 for plane-neighborhood systems, both sides.
 
     q <= 5 runs the full configuration exhaustively; larger q runs seeded
@@ -563,19 +512,17 @@ def suite_vc_plane(cfg: ExperimentConfig) -> SuiteResult:
     lies on no plane of the a . x = 1 family), which keeps the exhaustive
     q = 5 search inside the combinatorial budget.
     """
-    fs = make_field(cfg.p, cfg.n)
-    exhaustive = fs.q <= 5
-    n_configs = 1 if exhaustive else cfg.trials
-    cols = _BASE_COLS + ["side", "ground", "members", "vc", "saturated", "vc_ok",
-                         "shatter_z", "shatter_value", "ss_bound", "ss_ok",
-                         "elapsed_ms"]
-    rows, failures = [], 0
-    for t in range(n_configs):
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
-        pts_bp, pts_ground, planes = _vc_config(fs, rng, exhaustive)
-        for side in ("by_point", "by_plane"):
-            t0 = time.perf_counter()
-            pts = pts_bp if side == "by_point" else pts_ground
+    q = fs.q
+    exhaustive = q <= 5
+    for t in range(1 if exhaustive else cfg.trials):
+        if exhaustive:
+            by_point = decode_points(q, range(q**3))
+            by_plane, planes = by_point[1:], all_planes_through_one(fs)
+        else:
+            rng = _trial_rng(cfg, t)
+            by_point = by_plane = sample_points3(rng, fs, min(q**3 - 1, 40), nonzero=True)
+            planes = sample_planes_one(rng, fs, min(q**3 - 1, 40))
+        for side, pts in (("by_point", by_point), ("by_plane", by_plane)):
             system = setsys.neighborhood_system(fs, pts, planes, side)
             res = setsys.vc_dimension(system, d_max=4)
             vc_ok = res.dimension <= 3
@@ -583,17 +530,15 @@ def suite_vc_plane(cfg: ExperimentConfig) -> SuiteResult:
             sh = setsys.shatter_function(system, z, "exact")
             ss = setsys.sauer_shelah(z, res.dimension)
             ss_ok = sh.value <= ss
-            failures += (not vc_ok) + (not ss_ok)
-            row = _base_row(cfg, t, t0)
-            row.update(side=side, ground=system.ground_size,
-                       members=len(system.family), vc=res.dimension,
-                       saturated=res.saturated, vc_ok=vc_ok, shatter_z=z,
-                       shatter_value=sh.value, ss_bound=ss, ss_ok=ss_ok)
-            rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+            yield t, dict(side=side, ground=system.ground_size,
+                          members=len(system.family), vc=res.dimension,
+                          saturated=res.saturated, vc_ok=vc_ok, shatter_z=z,
+                          shatter_value=sh.value, ss_bound=ss,
+                          ss_ok=ss_ok), (not vc_ok) + (not ss_ok), 0
 
 
-def suite_q3mod4_geometry(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("q3mod4-geometry", "check", "r", "lines_found", "expect_lines", "ok")
+def suite_q3mod4_geometry(cfg: ExperimentConfig, fs: FieldSpec):
     """Sphere-line classification and bisector collision structure.
 
     The scan must find lines on the radius-r sphere exactly when -r is a
@@ -603,13 +548,8 @@ def suite_q3mod4_geometry(cfg: ExperimentConfig) -> SuiteResult:
     between points whose differences from the apex are parallel isotropic
     vectors; the exhaustive check verifies that characterization.
     """
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["check", "r", "lines_found", "expect_lines", "ok",
-                         "elapsed_ms"]
-    rows, failures = [], 0
     for r in range(1, q):
-        t0 = time.perf_counter()
         found = apps.sphere_line_scan(fs, r)
         expect_lines = fs.is_square(fs.neg(r))
         ok = bool(found) == expect_lines
@@ -621,111 +561,79 @@ def suite_q3mod4_geometry(cfg: ExperimentConfig) -> SuiteResult:
         if q == 5 and r == 1:
             witness = ((0, 0, 1), (1, 2, 0))
             ok = ok and any((ln.base, ln.direction) == witness for ln in found)
-        failures += not ok
-        row = _base_row(cfg, r, t0)
-        row.update(check="sphere_scan", r=r, lines_found=len(found),
-                   expect_lines=expect_lines, ok=ok)
-        rows.append(row)
+        yield r, dict(check="sphere_scan", r=r, lines_found=len(found),
+                      expect_lines=expect_lines, ok=ok), not ok, 0
     if fs.p != 2 and q <= 7:
-        t0 = time.perf_counter()
+        space = decode_points(q, range(q**3))
         ok = True
-        for xi in range(q**3):
-            x = decode_point3(q, xi)
+        for xi, x in enumerate(space):
             groups: dict = {}
-            for yi in range(q**3):
-                if yi == xi:
-                    continue
-                y = decode_point3(q, yi)
-                groups.setdefault(apps.bisector_plane(fs, x, y), []).append(y)
-            for ys in groups.values():
-                if len(ys) == 1:
-                    continue
-                if any(apps.dist(fs, x, y) != 0 for y in ys):
-                    ok = False
-                    break
-            if not ok:
+            for yi, y in enumerate(space):
+                if yi != xi:
+                    groups.setdefault(apps.bisector_plane(fs, x, y), []).append(y)
+            if any(len(ys) > 1 and any(apps.dist(fs, x, y) != 0 for y in ys)
+                   for ys in groups.values()):
+                ok = False
                 break
-        failures += not ok
-        row = _base_row(cfg, q, t0)
-        row.update(check="bisector_collisions_isotropic", r=0, lines_found=0,
-                   expect_lines=False, ok=ok)
-        rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+        yield q, dict(check="bisector_collisions_isotropic", r=0, lines_found=0,
+                      expect_lines=False, ok=ok), not ok, 0
 
 
-def suite_regular_subset(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("regular-subset", "case", "n_u", "n_u1", "hypothesis_ok", "ok")
+def suite_regular_subset(cfg: ExperimentConfig, fs: FieldSpec):
     """Thresholded unit-product neighborhoods on sets meeting |U| >= 8q^2."""
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["case", "n_u", "n_u1", "hypothesis_ok", "ok", "elapsed_ms"]
-    rows, failures, violations = [], 0, 0
-    t0 = time.perf_counter()
-    full = [decode_point3(q, i) for i in range(q**3)]
+    full = decode_points(q, range(q**3))
     rep = apps.regular_subset(fs, full)
-    if rep.size_hypothesis_ok:
-        ok = set(rep.U1) == set(full) - {(0, 0, 0)}
-    else:
-        ok = True
-        violations += 1
-    failures += not ok
-    row = _base_row(cfg, 0, t0)
-    row.update(case="full_space", n_u=len(full), n_u1=len(rep.U1),
-               hypothesis_ok=rep.size_hypothesis_ok, ok=ok)
-    rows.append(row)
+    hyp = rep.size_hypothesis_ok
+    ok = set(rep.U1) == set(full) - {(0, 0, 0)} if hyp else True
+    yield 0, dict(case="full_space", n_u=len(full), n_u1=len(rep.U1),
+                  hypothesis_ok=hyp, ok=ok), not ok, not hyp
     if 8 * q * q < q**3:
         for t in range(cfg.trials):
-            t0 = time.perf_counter()
-            rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
+            rng = _trial_rng(cfg, t)
             n_u = rng.randint(8 * q * q, q**3)
             U = sample_points3(rng, fs, n_u)
             rep = apps.regular_subset(fs, U)
             ok = len(rep.U1) >= n_u / 2
-            failures += not ok
-            row = _base_row(cfg, t + 1, t0)
-            row.update(case="random", n_u=n_u, n_u1=len(rep.U1),
-                       hypothesis_ok=rep.size_hypothesis_ok, ok=ok)
-            rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, violations)
+            yield t + 1, dict(case="random", n_u=n_u, n_u1=len(rep.U1),
+                              hypothesis_ok=rep.size_hypothesis_ok, ok=ok), not ok, 0
 
 
-def _retry(rng, build, accept, attempts=25):
+_RETRY_ATTEMPTS = 25
+
+
+def _retry(rng, build, accept):
     last = None
-    for _ in range(attempts):
+    for _ in range(_RETRY_ATTEMPTS):
         last = build(rng)
         if accept(last):
             return last, True
     return last, False
 
 
-def suite_calibration(cfg: ExperimentConfig) -> SuiteResult:
+def _calibrated(name: str, sizes: str, rep):
+    """Row fields, failure and violation of one calibration bound report."""
+    hyp = rep.hypotheses_ok
+    ok = rep.satisfied(2.0) if hyp else True
+    return dict(bound=name, sizes=sizes, actual=rep.actual, value=rep.value,
+                ratio=rep.ratio, hypothesis_ok=hyp, ok=ok), not ok, not hyp
+
+
+@_suite("calibration", "bound", "sizes", "actual", "value", "ratio", "hypothesis_ok",
+        "ok")
+def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
     """actual <= 2 * bound for configs meeting each theorem's hypotheses.
 
     The factor 2 is a calibration choice standing in for the unspecified
     big-O constants; measured ratios are emitted for the full distribution.
     """
-    fs = make_field(cfg.p, cfg.n)
     q, alpha = fs.q, cfg.alpha
-    cols = _BASE_COLS + ["bound", "sizes", "actual", "value", "ratio",
-                         "hypothesis_ok", "ok", "elapsed_ms"]
-    rows, failures, violations = [], 0, 0
-
-    def finish(t, t0, name, sizes, rep):
-        nonlocal failures, violations
-        hyp = rep.hypotheses_ok
-        ok = rep.satisfied(2.0) if hyp else True
-        failures += not ok
-        violations += not hyp
-        row = _base_row(cfg, t, t0)
-        row.update(bound=name, sizes=sizes, actual=rep.actual, value=rep.value,
-                   ratio=rep.ratio, hypothesis_ok=hyp, ok=ok)
-        rows.append(row)
-
     need = math.ceil(2 * q ** (1 + alpha))
     for t in range(cfg.trials):
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
+        rng = _trial_rng(cfg, t)
 
         if need <= q**3 - 1:
-            t0 = time.perf_counter()
             n_pi = rng.randint(need, q**3 - 1)
             n_p = rng.randint(1, q**3)
             pls = sample_planes_one(rng, fs, n_pi)
@@ -734,10 +642,9 @@ def suite_calibration(cfg: ExperimentConfig) -> SuiteResult:
             rep = bounds.eval_plane_bounds(
                 bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi),
                 "thm13_by_planes", actual=actual)
-            finish(t, t0, "thm13_by_planes", f"P={n_p};Pi={n_pi}", rep)
+            yield t, *_calibrated("thm13_by_planes", f"P={n_p};Pi={n_pi}", rep)
 
         if need <= q**3:
-            t0 = time.perf_counter()
             n_p = rng.randint(need, q**3)
             n_pi = rng.randint(1, q**3 - 1)
             pts = sample_points3(rng, fs, n_p)
@@ -746,9 +653,8 @@ def suite_calibration(cfg: ExperimentConfig) -> SuiteResult:
             rep = bounds.eval_plane_bounds(
                 bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi),
                 "thm13_by_points", actual=actual)
-            finish(t, t0, "thm13_by_points", f"P={n_p};Pi={n_pi}", rep)
+            yield t, *_calibrated("thm13_by_points", f"P={n_p};Pi={n_pi}", rep)
 
-        t0 = time.perf_counter()
         n_pi = rng.randint(2, min(q**3 - 1, 30))
         pls = sample_planes_one(rng, fs, n_pi)
 
@@ -765,9 +671,7 @@ def suite_calibration(cfg: ExperimentConfig) -> SuiteResult:
         rep = bounds.eval_plane_bounds(
             bounds.RegimeParams(q=q, alpha=alpha, nP=len(pts), nPi=n_pi, k=k),
             "thm14", actual=actual, max_shared_collinear=k - 1)
-        finish(t, t0, "thm14", f"P={len(pts)};Pi={n_pi};k={k}", rep)
-
-        t0 = time.perf_counter()
+        yield t, *_calibrated("thm14", f"P={len(pts)};Pi={n_pi};k={k}", rep)
 
         def build_line(r):
             n_l = r.randint(1, min((q - 1) * q, 30))
@@ -789,126 +693,106 @@ def suite_calibration(cfg: ExperimentConfig) -> SuiteResult:
             bounds.RegimeParams(q=q, alpha=alpha, nL=len(lns), nA=len(a_set),
                                 nB=len(b_set), nLx=n_lx),
             actual=actual)
-        finish(t, t0, "thm_line",
-               f"L={len(lns)};A={len(a_set)};B={len(b_set)};Lx={n_lx}", rep)
-    return SuiteResult(cfg.suite, cols, rows, failures, violations)
+        yield t, *_calibrated(
+            "thm_line", f"L={len(lns)};A={len(a_set)};B={len(b_set)};Lx={n_lx}", rep)
 
 
-def suite_trace_pairs(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("trace-pairs", "case", "n_u", "n_uprime", "pair_count", "classes", "cs_lower",
+        "bound_value", "ratio", "ok")
+def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
     """Trace-class pair counting: the frozen desk-scale case plus random ratios."""
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["case", "n_u", "n_uprime", "pair_count", "classes",
-                         "cs_lower", "bound_value", "ratio", "ok", "elapsed_ms"]
-    rows, failures = [], 0
-    if q == 3:
-        t0 = time.perf_counter()
-        U = [decode_point3(3, i) for i in range(1, 27)]
-        rep = apps.trace_pairs(fs, U, [(1, 0, 0)])
-        ok = rep.pair_count == 370
-        failures += not ok
-        row = _base_row(cfg, 0, t0)
-        row.update(case="frozen_q3", n_u=26, n_uprime=1,
-                   pair_count=rep.pair_count, classes=rep.classes,
-                   cs_lower=rep.cs_lower, bound_value=rep.bound_value,
-                   ratio=rep.ratio_vs_bound, ok=ok)
-        rows.append(row)
-    for t in range(cfg.trials):
-        t0 = time.perf_counter()
-        rng = rng_for(cfg.seed, hash_name(cfg.suite), t)
-        n_u = rng.randint(2, min(q**3, 60))
-        U = sample_points3(rng, fs, n_u)
-        n_up = rng.randint(1, min(n_u, 4))
-        Up = [U[i] for i in sorted(rng.sample(range(n_u), n_up))]
+
+    def cases():
+        if q == 3:
+            yield 0, "frozen_q3", decode_points(3, range(1, 27)), [(1, 0, 0)]
+        for t in range(cfg.trials):
+            rng = _trial_rng(cfg, t)
+            n_u = rng.randint(2, min(q**3, 60))
+            U = sample_points3(rng, fs, n_u)
+            n_up = rng.randint(1, min(n_u, 4))
+            yield t + 1, "random", U, [U[i] for i in sorted(rng.sample(range(n_u), n_up))]
+
+    for t, case, U, Up in cases():
         rep = apps.trace_pairs(fs, U, Up)
-        ok = rep.pair_count >= rep.cs_lower - 1e-9
-        failures += not ok
-        row = _base_row(cfg, t + 1, t0)
-        row.update(case="random", n_u=n_u, n_uprime=n_up,
-                   pair_count=rep.pair_count, classes=rep.classes,
-                   cs_lower=rep.cs_lower, bound_value=rep.bound_value,
-                   ratio=rep.ratio_vs_bound, ok=ok)
-        rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, 0)
+        if case == "frozen_q3":
+            ok = rep.pair_count == 370
+        else:
+            ok = rep.pair_count >= rep.cs_lower - 1e-9
+        yield t, dict(case=case, n_u=len(U), n_uprime=len(Up),
+                      pair_count=rep.pair_count, classes=rep.classes,
+                      cs_lower=rep.cs_lower, bound_value=rep.bound_value,
+                      ratio=rep.ratio_vs_bound, ok=ok), not ok, 0
 
 
-def suite_preset_audit(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("preset-audit", "preset", "preset_q", "sizes", "actual", "winner",
+        "hypothesis_ok", "flags")
+def suite_preset_audit(cfg: ExperimentConfig, fs: FieldSpec):
     """Regime flags for all seven presets at their smallest realizable q."""
-    cols = _BASE_COLS + ["preset", "preset_q", "sizes", "actual", "winner",
-                         "hypothesis_ok", "flags", "elapsed_ms"]
-    rows, failures, violations = [], 0, 0
     for t, name in enumerate(PRESET_NAMES):
-        t0 = time.perf_counter()
         q = smallest_realizable_q(name)
         pc = preset(name, q, seed=cfg.seed)
-        fs = field_for_order(q)
+        pfs = field_for_order(q)
         if pc.kind == "line":
             actual = count_incidences(
-                fs, grid_points(pc.a_set, pc.b_set), pc.lines, "fast").count
+                pfs, grid_points(pc.a_set, pc.b_set), pc.lines, "fast").count
             params = bounds.RegimeParams(
                 q=q, alpha=pc.alpha, nL=pc.sizes["lines"], nA=pc.sizes["A"],
                 nB=pc.sizes["B"], nLx=pc.sizes["slopes"])
             report = bounds.regime_report(params, actual=actual)
         else:
-            actual = count_incidences(fs, pc.points, pc.planes, "fast").count
-            shared = max_shared_collinear(fs, pc.points, pc.planes) if pc.k else None
+            actual = count_incidences(pfs, pc.points, pc.planes, "fast").count
+            shared = max_shared_collinear(pfs, pc.points, pc.planes) if pc.k else None
             params = bounds.RegimeParams(
                 q=q, alpha=pc.alpha, nP=pc.sizes["points"],
                 nPi=pc.sizes["planes"], k=pc.k)
             report = bounds.regime_report(
                 params, actual=actual, max_shared_collinear=shared)
         hyp = report.hypotheses_ok
-        violations += not hyp
         flags = ";".join(f"{k}={'1' if v else '0'}"
                          for k, v in sorted(report.flags.items()))
         sizes = ";".join(f"{k}={v}" for k, v in sorted(pc.sizes.items()))
-        row = _base_row(cfg, t, t0)
-        row.update(preset=name, preset_q=q, sizes=sizes, actual=actual,
-                   winner=report.winner, hypothesis_ok=hyp, flags=flags)
-        rows.append(row)
-    return SuiteResult(cfg.suite, cols, rows, failures, violations)
+        yield t, dict(preset=name, preset_q=q, sizes=sizes, actual=actual,
+                      winner=report.winner, hypothesis_ok=hyp, flags=flags), 0, not hyp
 
 
-def suite_vinh_plane(cfg: ExperimentConfig) -> SuiteResult:
+@_suite("vinh-plane", "n_points", "n_planes", "actual", "main_term", "main_ratio", "ok")
+def suite_vinh_plane(cfg: ExperimentConfig, fs: FieldSpec):
     """Full-space configuration: the main term alone matches the exact count."""
-    fs = make_field(cfg.p, cfg.n)
     q = fs.q
-    cols = _BASE_COLS + ["n_points", "n_planes", "actual", "main_term",
-                         "main_ratio", "ok", "elapsed_ms"]
-    t0 = time.perf_counter()
-    pts = [decode_point3(q, i) for i in range(q**3)]
+    pts = decode_points(q, range(q**3))
     planes = all_planes_through_one(fs)
     actual = count_incidences(fs, pts, planes, "fast").count
     main = len(pts) * len(planes) / q
     ok = actual == main
-    row = _base_row(cfg, 0, t0)
-    row.update(n_points=len(pts), n_planes=len(planes), actual=actual,
-               main_term=main, main_ratio=main / actual if actual else 0.0, ok=ok)
-    return SuiteResult(cfg.suite, cols, [row], 0 if ok else 1, 0)
+    yield 0, dict(n_points=len(pts), n_planes=len(planes), actual=actual,
+                  main_term=main, main_ratio=main / actual if actual else 0.0,
+                  ok=ok), not ok, 0
 
-
-_SUITES: dict[str, Callable[[ExperimentConfig], SuiteResult]] = {
-    "oracle-equivalence": suite_oracle_equivalence,
-    "unconditional": suite_unconditional,
-    "reduction-identity": suite_reduction_identity,
-    "vc-plane": suite_vc_plane,
-    "q3mod4-geometry": suite_q3mod4_geometry,
-    "regular-subset": suite_regular_subset,
-    "calibration": suite_calibration,
-    "trace-pairs": suite_trace_pairs,
-    "preset-audit": suite_preset_audit,
-    "vinh-plane": suite_vinh_plane,
-}
 
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteResult:
-    """Execute the named suite; writes CSV when cfg.out is set."""
-    fn = _SUITES.get(cfg.suite)
-    if fn is None:
+    """Execute the named suite; writes CSV when cfg.out is set.
+
+    Fills the base columns of every row the suite yields, times each row
+    into elapsed_ms, and sums the failures and hypothesis violations.
+    """
+    if cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; pick one of {SUITE_NAMES}")
-    result = fn(cfg)
+    suite, columns = _SUITES[cfg.suite]
+    result = SuiteResult(cfg.suite, columns, [])
+    rows = suite(cfg, make_field(cfg.p, cfg.n))
+    t0 = time.perf_counter()
+    for trial, fields, failed, violated in rows:
+        t1 = time.perf_counter()
+        result.rows.append({"suite": cfg.suite, "q": cfg.q, "alpha": cfg.alpha,
+                            "trial": trial, "seed": cfg.seed,
+                            "elapsed_ms": int((t1 - t0) * 1000), **fields})
+        result.failures += failed
+        result.violations += violated
+        t0 = t1
     if cfg.out:
         emit(result.rows, result.columns, cfg.out)
     return result

@@ -23,7 +23,9 @@ from fqincidence.errors import (
     CoplanarPointSet,
     EqualPoints,
     EvenCharacteristic,
+    InvalidPointSet,
     TooFewMarkedPoints,
+    ToolkitError,
 )
 from fqincidence.ffield import make_field
 from fqincidence.geom import Line3, dot3, line3_points, make_plane
@@ -341,6 +343,28 @@ def test_dot_shared_collinear_k():
     assert all(v <= len(F) for v in per_lambda.values())
 
 
+def test_dot_shared_collinear_k_matches_pair_loop():
+    # two lambda-planes u.x = lam, v.x = lam meet in a line exactly when u
+    # and v are not parallel; the line holds the points with both products lam
+    fs = make_field(5, 1)
+    rng = random.Random(11)
+    E = sample3(rng, 5, 7) + [(0, 0, 0)]
+    E += E[:2]
+    F = sample3(rng, 5, 40)
+    k, per_lambda = dot_shared_collinear_k(fs, E, F)
+    normals = sorted({e for e in E if any(e)})
+    for lam in range(1, 5):
+        best = 0
+        for u, v in combinations(normals, 2):
+            cross = [fs.sub(fs.mul(u[i], v[j]), fs.mul(u[j], v[i]))
+                     for i, j in ((1, 2), (2, 0), (0, 1))]
+            if any(cross):
+                best = max(best, sum(dot3(fs, u, x) == lam == dot3(fs, v, x)
+                                     for x in set(F)))
+        assert per_lambda[lam] == best
+    assert k == max(per_lambda.values())
+
+
 # -- regular subsets ---------------------------------------------------------
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
@@ -450,6 +474,19 @@ def test_trace_pairs_requires_subset():
     fs = make_field(3, 1)
     with pytest.raises(ValueError):
         trace_pairs(fs, [(1, 0, 0)], [(2, 0, 0)])
+
+
+def test_empty_and_non_subset_inputs_raise_invalid_point_set():
+    fs = make_field(3, 1)
+    assert issubclass(InvalidPointSet, ToolkitError)
+    assert issubclass(InvalidPointSet, ValueError)
+    with pytest.raises(InvalidPointSet):
+        trace_pairs(fs, [], [])
+    with pytest.raises(InvalidPointSet):
+        trace_pairs(fs, [(1, 0, 0)], [(2, 0, 0)])
+    for fn in (dot_product_set, distance_set):
+        with pytest.raises(InvalidPointSet):
+            fn(fs, [], [(1, 0, 0)])
 
 
 def test_trace_classes_bounded_by_shatter_function():

@@ -195,3 +195,113 @@ def test_unconditional_suite_even_q_exits_one_with_one_line(tmp_path, q, capsys)
     assert main(["suite", "--name", "unconditional", "--q", str(q), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _full_space_files(tmp_path):
+    fs = make_field(3, 1)
+    pts = tmp_path / "p3.txt"
+    save_points(pts, fs, [(i % 3, (i // 3) % 3, i // 9) for i in range(27)])
+    pls = tmp_path / "planes.txt"
+    save_planes(pls, fs, all_planes_through_one(fs))
+    return pts, pls
+
+
+def test_config_value_overrides_flag_default(tmp_path, capsys):
+    pts, pls = _full_space_files(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text("max_d=1\n")
+    assert main(["vcdim", "--config", str(conf), "--points", str(pts),
+                 "--planes", str(pls)]) == 0
+    assert "vc_dimension = 1 " in capsys.readouterr().out
+    conf.write_text("side=by_plane\n")
+    assert main(["vcdim", "--config", str(conf), "--points", str(pts),
+                 "--planes", str(pls)]) == 0
+    assert "ground = 27," in capsys.readouterr().out
+    # an explicit flag still beats the file
+    conf.write_text("max-d=1\n")
+    assert main(["vcdim", "--config", str(conf), "--points", str(pts),
+                 "--planes", str(pls), "--max-d", "4"]) == 0
+    assert "vc_dimension = 3" in capsys.readouterr().out
+
+
+def test_config_method_reaches_count(gf5_files, tmp_path, capsys):
+    pts, lns = gf5_files
+    conf = tmp_path / "run.conf"
+    conf.write_text("method=oracle\n")
+    assert main(["count", "--config", str(conf), "--points", str(pts),
+                 "--lines", str(lns)]) == 0
+    assert "method=oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["name=bogus", "trials=x"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"name=vinh-plane\nq=3\n{line}\n")
+    assert main(["suite", "--config", str(conf)]) == 1
+    _one_error_line(capsys)
+
+
+def test_config_choice_checked_for_flag_with_default(gf5_files, tmp_path, capsys):
+    pts, lns = gf5_files
+    conf = tmp_path / "run.conf"
+    conf.write_text("method=slow\n")
+    assert main(["count", "--config", str(conf), "--points", str(pts),
+                 "--lines", str(lns)]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vcdim", "--max-d", "x"],
+    ["suite", "--name", "bogus", "--q", "3"],
+    ["suite", "--q", "3", "--unknown", "1"],
+    ["nope"],
+])
+def test_usage_errors_exit_one_with_one_line(argv, capsys):
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "-h"])
+    assert exc.value.code == 0
+    assert "--name" in capsys.readouterr().out
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["distance", "dotprod"])
+def test_header_only_points_exit_one(tmp_path, capsys, command):
+    empty = _write(tmp_path / "empty.txt", "# field 3 1\n")
+    full = _write(tmp_path / "f.txt", "# field 3 1\n0,1,2\n")
+    assert main([command, "--e", empty, "--f", full]) == 1
+    _one_error_line(capsys)
+
+
+def test_header_only_points_to_traces_exit_one(tmp_path, capsys):
+    empty = _write(tmp_path / "empty.txt", "# field 3 1\n")
+    assert main(["traces", "--u", empty, "--uprime", empty]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["distance", "dotprod"])
+def test_two_coordinate_points_exit_one(tmp_path, capsys, command):
+    flat = _write(tmp_path / "e.txt", "# field 3 1\n0,1\n1,2\n")
+    assert main([command, "--e", flat, "--f", flat]) == 1
+    _one_error_line(capsys)
+
+
+def test_traces_uprime_outside_u_exit_one(tmp_path, capsys):
+    u = _write(tmp_path / "u.txt", "# field 3 1\n1,0,0\n")
+    up = _write(tmp_path / "up.txt", "# field 3 1\n2,0,0\n")
+    assert main(["traces", "--u", u, "--uprime", up]) == 1
+    _one_error_line(capsys)

@@ -179,6 +179,11 @@ def test_make_field_deterministic():
     assert make_field(2, 4).modulus == make_field(2, 4).modulus
 
 
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (31, 4)])
+def test_make_field_memoized(p, n):
+    assert make_field(p, n) is make_field(p, n)
+
+
 def test_fieldspec_validation():
     with pytest.raises(ValueError):
         FieldSpec(p=3, n=2, q=8, modulus=(1, 0, 1), q_mod4=0)

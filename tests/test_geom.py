@@ -10,7 +10,9 @@ from fqincidence.geom import (
     Line3,
     Plane3,
     all_planes_through_one,
+    coords_array,
     count_incidences,
+    decode_points,
     dot3,
     grid_points,
     incident,
@@ -280,3 +282,28 @@ def test_fast_equals_oracle_q625():
         fast = count_incidences(fs, points, flats, "fast").count
         assert fast == count_incidences(fs, points, flats, "oracle").count
         assert fast >= 30
+
+
+@pytest.mark.parametrize("q,dim", [(2, 2), (5, 2), (3, 3), (4, 3)])
+def test_decode_points_lists_the_space_in_index_order(q, dim):
+    space = decode_points(q, range(q**dim), dim)
+    assert len(set(space)) == q**dim
+    for idx, pt in enumerate(space):
+        assert sum(c * q**i for i, c in enumerate(pt)) == idx
+    assert decode_points(q, range(1, q**dim), dim) == space[1:]
+    assert decode_points(q, []) == []
+
+
+def test_all_planes_through_one_are_the_nonzero_normals():
+    fs = make_field(3, 1)
+    planes = all_planes_through_one(fs)
+    assert [pl.normal for pl in planes] == decode_points(3, range(1, 27))
+    assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
+
+
+def test_coords_array_rejects_wrong_dimension():
+    assert coords_array([], 3).shape == (0, 3)
+    assert coords_array([(1, 2, 3)], 3).tolist() == [[1, 2, 3]]
+    for rows in ([(1, 2), (0, 1)], [(1, 2, 3), (1, 2)], [(1, 2, 3, 4)]):
+        with pytest.raises(FieldMismatch):
+            coords_array(rows, 3)

@@ -240,3 +240,35 @@ def test_suite_rows_deterministic_modulo_elapsed():
         {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows
     ]
     assert strip(a.rows) == strip(b.rows)
+
+
+def test_sample_planes_one_maps_nonzero_points():
+    fs = field_for_order(5)
+    planes = sample_planes_one(rng_for(3), fs, 30)
+    normals = sample_points3(rng_for(3), fs, 30, nonzero=True)
+    assert [pl.normal for pl in planes] == normals
+    assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
+    with pytest.raises(Unrealizable):
+        sample_planes_one(rng_for(3), fs, 5**3)
+
+
+def test_run_suite_fills_base_columns():
+    res = _run("trace-pairs", 5, trials=3, seed=4, alpha=0.25)
+    assert [r["trial"] for r in res.rows] == [1, 2, 3]
+    for r in res.rows:
+        assert (r["suite"], r["q"], r["alpha"], r["seed"]) == ("trace-pairs", 5, 0.25, 4)
+        assert isinstance(r["elapsed_ms"], int) and r["elapsed_ms"] >= 0
+        assert set(r) == set(res.columns)
+
+
+def test_vc_plane_counts_vc_and_sauer_shelah_failures_separately(monkeypatch):
+    from fqincidence import setsys
+
+    real = setsys.vc_dimension
+    monkeypatch.setattr(setsys, "vc_dimension",
+                        lambda system, d_max: real(system, d_max)._replace(dimension=4))
+    monkeypatch.setattr(setsys, "sauer_shelah", lambda z, d: -1)
+    res = _run("vc-plane", 3, seed=1)
+    assert len(res.rows) == 2
+    assert not any(r["vc_ok"] or r["ss_ok"] for r in res.rows)
+    assert res.failures == 4
