@@ -3,7 +3,7 @@
 Submodules:
     ffield      exact GF(p^n) arithmetic with canonical element indexing
     geom        points/lines/planes, exact incidence counting, collinearity
-    setsys      set systems, shattering, VC dimension, packing checks
+    setsys      set systems, shattering, VC dimension, shatter function
     bounds      closed-form bound evaluators and regime comparison
     reductions  the point-line to point-plane energy reduction
     apps        distance sets, dot-product sets, regular subsets, trace pairs

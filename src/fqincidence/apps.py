@@ -16,14 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    CoplanarPointSet,
-    EqualPoints,
-    EvenCharacteristic,
-    InvalidPointSet,
-    TooFewMarkedPoints,
-)
+from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (
     Line3,
@@ -36,11 +29,9 @@ from .geom import (
     line3_points,
     make_plane,
     max_collinear,
-    max_shared_collinear,
 )
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
-LAMBDA_PAIR_BUDGET = 10**6  # plane pairs times nonzero lambdas
 SPHERE_SCAN_MAX_Q = 13
 BISECTOR_PAIR_BUDGET = 10**7
 
@@ -243,97 +234,6 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
         best_lambda=best,
         orthogonal_hypothesis_ok=counts.get(0, 0) <= len(E) * len(F) / 2,
     )
-
-
-def affine_rank(fs: FieldSpec, points) -> int:
-    """Rank of the differences to the first point; 3 means not coplanar."""
-    pts = list(points)
-    if len(pts) < 2:
-        return 0
-    base = pts[0]
-    rows = [tuple(fs.sub(p[i], base[i]) for i in range(3)) for p in pts[1:]]
-    rank = 0
-    reduced: list[tuple[int, ...]] = []
-    for row in rows:
-        row = list(row)
-        for piv_col, piv_row in reduced:
-            c = row[piv_col]
-            if c:
-                row = [fs.sub(row[t], fs.mul(c, piv_row[t])) for t in range(3)]
-        lead = next((t for t in range(3) if row[t] != 0), None)
-        if lead is not None:
-            inv = fs.inv(row[lead])
-            reduced.append((lead, tuple(fs.mul(inv, v) for v in row)))
-            rank += 1
-            if rank == 3:
-                break
-    return rank
-
-
-@dataclass
-class DotKLineReport:
-    k: int  # marked points of F on the line
-    path: str  # "distinct-lambdas" | "witness-point"
-    lambdas: list[int]  # nonzero constant-product values met by E
-    witness: Optional[Point3]
-    products: list[int]  # the k distinct products along the chosen path
-    dot_count: int  # |D(E, marked)|
-    ok: bool  # dot_count >= k
-
-
-def dot_k_line_check(fs: FieldSpec, E, F, line0: Line3) -> DotKLineReport:
-    """Verify |D(E, marked points of F on line0)| >= k via the two-path argument.
-
-    Path one: enough distinct nonzero values lambda occur as the constant
-    product of some point of E with every marked point (those points sit on
-    the common intersection line of the lambda-planes).  Path two: a point of
-    E off the plane {x : x . direction = 0} has k distinct products with the
-    marked points.  E must not be contained in any plane, and k >= 2.
-    """
-    E = list(E)
-    marked = sorted(set(line3_points(fs, line0)) & set(map(tuple, F)))
-    k = len(marked)
-    if k < 2:
-        raise TooFewMarkedPoints(f"line carries {k} points of F; need >= 2")
-    if affine_rank(fs, E) < 3:
-        raise CoplanarPointSet("E is contained in a plane")
-    dot_values, lambdas = set(), set()
-    for prods in fs.dot_blocks(coords_array(E, 3), coords_array(marked, 3)):
-        dot_values.update(np.unique(prods).tolist())
-        const = prods[(prods == prods[:, :1]).all(axis=1), 0]  # one product per row
-        lambdas.update(const[const != 0].tolist())
-    if len(lambdas) >= k:
-        return DotKLineReport(
-            k, "distinct-lambdas", sorted(lambdas), None, sorted(lambdas)[:k],
-            len(dot_values), len(dot_values) >= k,
-        )
-    d = line0.direction
-    witness = next((e for e in E if dot3(fs, e, d) != 0), None)
-    if witness is None:  # impossible once affine_rank(E) == 3
-        raise CoplanarPointSet("E lies in the plane x . direction = 0")
-    products = sorted({dot3(fs, witness, u) for u in marked})
-    return DotKLineReport(
-        k, "witness-point", sorted(lambdas), witness, products,
-        len(dot_values), len(dot_values) >= k,
-    )
-
-
-def dot_shared_collinear_k(fs: FieldSpec, E, F) -> tuple[int, dict[int, int]]:
-    """Global and per-lambda maxima of |F on the common line of two lambda-planes|.
-
-    For each nonzero lambda and distinct nonzero u, v in E, the planes
-    u.x = lambda and v.x = lambda either miss each other or meet in a line;
-    the value is the largest number of F-points on such a line.
-    """
-    E = list({tuple(e) for e in E})
-    if len(E) * (len(E) - 1) // 2 * (fs.q - 1) > LAMBDA_PAIR_BUDGET:
-        raise BudgetExceeded("lambda-plane pair scan over budget")
-    normals = [u for u in E if u != (0, 0, 0)]
-    per_lambda = {
-        lam: max_shared_collinear(fs, F, [make_plane(fs, u, lam) for u in normals])
-        for lam in range(1, fs.q)
-    }
-    return max(per_lambda.values(), default=0), per_lambda
 
 
 # ---------------------------------------------------------------------------

@@ -116,16 +116,11 @@ def eval_cs_line(nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
     return BoundReport(name, sum(terms.values()), terms, actual=actual)
 
 
-def eval_thm_line(
-    params: RegimeParams,
-    with_axis_lines: bool = False,
-    actual: Optional[int] = None,
-) -> BoundReport:
+def eval_thm_line(params: RegimeParams, actual: Optional[int] = None) -> BoundReport:
     """The VC-route line bound for Cartesian point sets A x B.
 
-    value = nL*nA*sqrt(nB)/q^(alpha/2) + q^alpha*sqrt(nL*nA*nB), plus
-    2*nA*nB when horizontal/vertical lines are allowed in.  The recorded
-    hypothesis is nL*nA > q^alpha * max(nA, nLx).
+    value = nL*nA*sqrt(nB)/q^(alpha/2) + q^alpha*sqrt(nL*nA*nB).  The
+    recorded hypothesis is nL*nA > q^alpha * max(nA, nLx).
     """
     params.require("nL", "nA", "nB", "nLx")
     q, a = params.q, params.alpha
@@ -133,8 +128,6 @@ def eval_thm_line(
     t1 = nL * nA * math.sqrt(nB) / q ** (a / 2)
     t2 = q**a * math.sqrt(nL * nA * nB)
     terms = {"energy_main": t1, "energy_rich": t2}
-    if with_axis_lines:
-        terms["axis_lines"] = 2.0 * nA * nB
     hyps = {
         "alpha_in_0_1": _alpha_ok(a),
         "size_condition": nL * nA > q**a * max(nA, nLx),

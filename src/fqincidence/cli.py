@@ -1,9 +1,9 @@
 """The fqincidence command line.
 
 Exit codes: 0 success, 2 when the run only tripped hypothesis flags,
-1 on errors, usage errors included, or failed checks.  Every subcommand
-accepts --config FILE with flat key=value lines mirroring its long flags;
-they are checked like flags, and explicit flags win.
+1 on errors (usage and file errors included) or failed checks.  Every
+subcommand accepts --config FILE with flat key=value lines mirroring its
+long flags; they are checked like flags, and explicit flags win.
 """
 
 import argparse
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import apps, bounds, fileio, harness, reductions, setsys
 from .errors import ToolkitError
-from .ffield import make_field
+from .ffield import FieldSpec, make_field
 from .geom import count_incidences
 
 EXIT_OK = 0
@@ -105,23 +105,31 @@ def cmd_vcdim(args) -> int:
     return EXIT_OK
 
 
+def _field_subset(path) -> tuple[FieldSpec, list[int]]:
+    """The field of a points file and its records, which must be single indices."""
+    fs, pts = fileio.load_points(path)
+    if pts and len(pts[0]) != 1:
+        raise ToolkitError(f"{path}: expected single field elements, "
+                           f"got {len(pts[0])}-coordinate points")
+    return fs, [p[0] for p in pts]
+
+
 def cmd_reduce(args) -> int:
     _require(args, "lines", "a")
     fs, lines = fileio.load_lines(args.lines)
-    fs2, a_pts = fileio.load_points(args.a)
+    fs2, a_set = _field_subset(args.a)
     if fs != fs2:
         raise ToolkitError("line and A files use different fields")
-    a_set = [p[0] for p in a_pts]
     out = reductions.build_point_plane_sets(fs, lines, a_set)
     inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
     print(f"lines = {len(lines)}, |A| = {len(a_set)}, k_bound = {out.k_bound}")
     print(f"energy = {out.solution_count}, incidence check = {inc}, "
           f"identity {'holds' if inc == out.solution_count else 'FAILS'}")
     if args.b:
-        fs3, b_pts = fileio.load_points(args.b)
+        fs3, b_set = _field_subset(args.b)
         if fs != fs3:
             raise ToolkitError("B file uses a different field")
-        rep = reductions.cs_upper(fs, lines, a_set, [p[0] for p in b_pts])
+        rep = reductions.cs_upper(fs, lines, a_set, b_set)
         print(f"cs upper = {rep.value:.6g}, actual = {rep.actual}, "
               f"holds = {rep.holds}")
     return EXIT_OK
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         points={},
         planes={},
         side={"choices": ["by_point", "by_plane"], "default": "by_point"},
-        max_d={"type": int, "default": 4},
+        max_d={"type": int, "default": 4, "choices": range(1, 7)},
     )
     add("reduce", cmd_reduce, lines={}, a={}, b={})
     add("distance", cmd_distance, e={}, f={}, alpha={"type": float})
@@ -281,7 +289,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return args.fn(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

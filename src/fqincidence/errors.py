@@ -63,14 +63,6 @@ class EqualPoints(ToolkitError):
     pass
 
 
-class CoplanarPointSet(ToolkitError):
-    pass
-
-
-class TooFewMarkedPoints(ToolkitError):
-    pass
-
-
 class InvalidPointSet(ToolkitError, ValueError):
     """An empty point set, or a subset that is not one."""
 

@@ -40,15 +40,6 @@ def vertical(c: int) -> Line2:
     return Line2("V", c, 0)
 
 
-def is_slanted(line: Line2) -> bool:
-    """The filter for lines y = a*x + b with a != 0."""
-    return line.kind == "N" and line.a != 0
-
-
-def slanted(lines) -> list[Line2]:
-    return [ln for ln in lines if is_slanted(ln)]
-
-
 class Plane3(NamedTuple):
     normal: Point3
     rhs: int
@@ -91,11 +82,6 @@ def plane_canonical(fs: FieldSpec, plane: Plane3) -> Plane3:
         return plane
     s = fs.inv(nrm[i0])
     return Plane3(tuple(fs.mul(s, c) for c in nrm), fs.mul(s, plane.rhs), False)
-
-
-def planes_equal(fs: FieldSpec, p1: Plane3, p2: Plane3) -> bool:
-    """Equality as point sets, via canonical forms."""
-    return plane_canonical(fs, p1) == plane_canonical(fs, p2)
 
 
 def decode_points(q: int, idxs, dim: int = 3) -> list[tuple[int, ...]]:
@@ -160,11 +146,6 @@ def coords_array(rows, dim: int):
         return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     except ValueError:
         raise FieldMismatch(f"expected {dim}-coordinate points") from None
-
-
-def incident(fs: FieldSpec, point, flat) -> bool:
-    """Point-on-flat predicate for Line2 and Plane3."""
-    return count_incidences(fs, [point], [flat], "oracle").count == 1
 
 
 def dot3(fs: FieldSpec, u, v) -> int:

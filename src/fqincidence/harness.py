@@ -527,7 +527,7 @@ def suite_vc_plane(cfg: ExperimentConfig, fs: FieldSpec):
             res = setsys.vc_dimension(system, d_max=4)
             vc_ok = res.dimension <= 3
             z = min(3, system.ground_size)
-            sh = setsys.shatter_function(system, z, "exact")
+            sh = setsys.shatter_function(system, z)
             ss = setsys.sauer_shelah(z, res.dimension)
             ss_ok = sh.value <= ss
             yield t, dict(side=side, ground=system.ground_size,

@@ -43,12 +43,9 @@ ORACLE_TUPLE_CAP = 10**9
 def _line_pairs(lines) -> list[tuple[int, int]]:
     out = []
     for ln in lines:
-        if isinstance(ln, Line2):
-            if ln.kind == "V":
-                raise VerticalLinePresent("the reduction needs non-vertical lines")
-            out.append((ln.a, ln.b))
-        else:
-            out.append((ln[0], ln[1]))
+        if ln.kind == "V":
+            raise VerticalLinePresent("the reduction needs non-vertical lines")
+        out.append((ln.a, ln.b))
     return out
 
 
@@ -81,7 +78,6 @@ class ReductionOutput:
     planes3: list[Plane3]
     k_bound: int  # max(|distinct A|, |distinct slopes|)
     solution_count: int
-    duplicates: bool  # lines or A-values repeated in the input
 
 
 def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
@@ -94,7 +90,6 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     """
     L = _line_pairs(lines)
     A = list(a_set)
-    duplicates = len(set(L)) < len(L) or len(set(A)) < len(A)
     points3 = [(x, ap, bp) for x in A for ap, bp in L]
     neg = fs.neg
     planes3 = [
@@ -122,7 +117,7 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
                 f"projected collinearity {k_proj} exceeds k bound {k_bound}"
             )
     count = count_solutions(fs, lines, A, method="fast")
-    return ReductionOutput(points3, planes3, k_bound, count, duplicates)
+    return ReductionOutput(points3, planes3, k_bound, count)
 
 
 class CsUpperReport(NamedTuple):

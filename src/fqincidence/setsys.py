@@ -1,16 +1,14 @@
-"""Set systems, shattering, VC dimension, shatter function, and separation.
+"""Set systems, shattering, VC dimension and the shatter function.
 
 Members are stored as bitmask ints over a ground set [0, ground_size); the
 family is a multiset (duplicates preserved, since neighborhood families can
-repeat).  All exponential searches carry explicit budgets and deterministic
-seeded sampling fallbacks.
+repeat).  All exponential searches carry explicit budgets.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Any, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,32 +18,24 @@ from .geom import check_incidence_input, coords_array
 
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
-SEPARATION_BUDGET = 10**7
 SHATTER_SUBSET_CAP = 20
 
 
 @dataclass
 class SetSystem:
-    """Ground set [0, ground_size) plus a multiset family of subsets.
-
-    labels, when present, map family index -> originating object (a point or
-    a plane, say) so sub-families keep their provenance.
-    """
+    """Ground set [0, ground_size) plus a multiset family of subsets."""
 
     ground_size: int
     family: list[int]  # one bitmask per member
-    labels: Optional[list[Any]] = None
 
     def __post_init__(self):
         limit = 1 << self.ground_size
         for m in self.family:
             if not 0 <= m < limit:
                 raise ValueError("family member outside the ground set")
-        if self.labels is not None and len(self.labels) != len(self.family):
-            raise ValueError("labels must align with the family")
 
     @classmethod
-    def from_sets(cls, ground_size: int, sets, labels=None) -> "SetSystem":
+    def from_sets(cls, ground_size: int, sets) -> "SetSystem":
         masks = []
         for s in sets:
             m = 0
@@ -54,26 +44,10 @@ class SetSystem:
                     raise ValueError(f"element {e} outside ground set")
                 m |= 1 << e
             masks.append(m)
-        return cls(ground_size, masks, labels)
+        return cls(ground_size, masks)
 
     def member_elements(self, i: int) -> tuple[int, ...]:
         return _mask_elements(self.family[i])
-
-    def member_size(self, i: int) -> int:
-        return self.family[i].bit_count()
-
-    def dedup(self) -> "SetSystem":
-        """Collapse duplicate members (labels keep the first occurrence)."""
-        seen: dict[int, int] = {}
-        masks, labels = [], [] if self.labels is not None else None
-        for i, m in enumerate(self.family):
-            if m in seen:
-                continue
-            seen[m] = i
-            masks.append(m)
-            if labels is not None:
-                labels.append(self.labels[i])
-        return SetSystem(self.ground_size, masks, labels)
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
@@ -101,14 +75,13 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
     check_incidence_input(fs, points, planes, lines=False)
     pts = coords_array([(*pt, 1) for pt in points], 4)
     pls = coords_array([(*pl.normal, fs.neg(pl.rhs)) for pl in planes], 4)
-    by_point = side == "by_point"
-    members, ground = (pts, pls) if by_point else (pls, pts)
+    members, ground = (pts, pls) if side == "by_point" else (pls, pts)
     masks = [
         int.from_bytes(row.tobytes(), "little")
         for vals in fs.dot_blocks(members, ground)
         for row in np.packbits(vals == 0, axis=1, bitorder="little")
     ]
-    return SetSystem(len(ground), masks, labels=points if by_point else planes)
+    return SetSystem(len(ground), masks)
 
 
 def is_shattered(system: SetSystem, subset) -> bool:
@@ -219,40 +192,23 @@ def _shatters(cover, full, cand) -> bool:
 
 class ShatterValue(NamedTuple):
     value: int
-    exact: bool  # sampled mode only yields a lower bound
 
 
-def shatter_function(
-    system: SetSystem,
-    z: int,
-    mode: str = "exact",
-    trials: int = 1000,
-    seed: int = 0,
-) -> ShatterValue:
+def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     """Max number of distinct traces of the family on a z-element ground subset.
 
-    Exact mode enumerates all C(ground_size, z) subsets (budget 10^6);
-    sampled mode draws seeded random subsets and reports a lower bound.
+    Enumerates all C(ground_size, z) subsets (budget 10^6).
     """
     n = system.ground_size
     if not 0 <= z <= n:
         raise ValueError(f"z = {z} outside [0, {n}]")
     if z == 0:
-        return ShatterValue(1 if system.family else 0, True)
-    if mode == "exact":
-        if comb(n, z) > SHATTER_EXACT_BUDGET:
-            raise BudgetExceeded("exact shatter function over 10^6 subsets")
-        subsets = combinations(range(n), z)
-        exact = True
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        subsets = (tuple(rng.sample(range(n), z)) for _ in range(trials))
-        exact = False
-    else:
-        raise ValueError(f"mode must be exact or sampled, got {mode!r}")
+        return ShatterValue(1 if system.family else 0)
+    if comb(n, z) > SHATTER_EXACT_BUDGET:
+        raise BudgetExceeded("exact shatter function over 10^6 subsets")
     members = set(system.family)
     best = 0
-    for subset in subsets:
+    for subset in combinations(range(n), z):
         mask = 0
         for e in subset:
             mask |= 1 << e
@@ -261,7 +217,7 @@ def shatter_function(
             best = len(traces)
             if best == 1 << z:
                 break  # cannot grow further
-    return ShatterValue(best, exact)
+    return ShatterValue(best)
 
 
 def sauer_shelah(z: int, d: int) -> int:
@@ -269,102 +225,3 @@ def sauer_shelah(z: int, d: int) -> int:
     if z < 0 or d < 0:
         raise ValueError("z and d must be nonnegative")
     return sum(comb(z, i) for i in range(min(z, d) + 1))
-
-
-@dataclass
-class SeparationReport:
-    k: int
-    delta: int
-    separated: bool
-    witness: Optional[tuple[int, ...]] = None  # violating member indices
-    exhaustive: bool = True
-
-    def __post_init__(self):
-        if self.separated and self.witness is not None:
-            raise ValueError("witness only accompanies a violation")
-
-
-def separation_check(
-    system: SetSystem,
-    k: int,
-    delta: int,
-    sample_trials: Optional[int] = None,
-    seed: int = 0,
-) -> SeparationReport:
-    """Check (k, delta)-separation: every k members have |union \\ intersection| >= delta.
-
-    Exhaustive over C(|family|, k) tuples up to 10^7; beyond that a seeded
-    sample is required (the report then only certifies the sampled tuples).
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    fam = system.family
-    if len(fam) < k:
-        return SeparationReport(k, delta, True)
-    total = comb(len(fam), k)
-    if total > SEPARATION_BUDGET:
-        if sample_trials is None:
-            raise BudgetExceeded(
-                f"{total} tuples exceed 10^7; pass sample_trials for a sampled check"
-            )
-        rng = random.Random(seed)
-        tuples = (
-            tuple(sorted(rng.sample(range(len(fam)), k)))
-            for _ in range(sample_trials)
-        )
-        exhaustive = False
-    else:
-        tuples = combinations(range(len(fam)), k)
-        exhaustive = True
-    for idxs in tuples:
-        union = 0
-        inter = -1
-        for i in idxs:
-            union |= fam[i]
-            inter &= fam[i]
-        if (union & ~inter).bit_count() < delta:
-            return SeparationReport(k, delta, False, tuple(idxs), exhaustive)
-    return SeparationReport(k, delta, True, None, exhaustive)
-
-
-def rich_elements(system: SetSystem, tau: int) -> list[int]:
-    """Indices of members of size >= tau (labels stay valid via the indices)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return [i for i, m in enumerate(system.family) if m.bit_count() >= tau]
-
-
-@dataclass
-class PackingReport:
-    """Measured packing ratio |family| / (ground/delta)^d vs a supplied c'.
-
-    This is a measurement harness, not a proof; the caller is responsible for
-    having verified (k, delta)-separation first.
-    """
-
-    family_size: int
-    ground_size: int
-    k: int
-    delta: int
-    d: int
-    c_prime: float
-    ratio: float
-    holds: bool
-
-
-def packing_bound_check(
-    system: SetSystem, k: int, delta: int, c_prime: float, d: int = 3
-) -> PackingReport:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ratio = len(system.family) / (system.ground_size / delta) ** d
-    return PackingReport(
-        family_size=len(system.family),
-        ground_size=system.ground_size,
-        k=k,
-        delta=delta,
-        d=d,
-        c_prime=c_prime,
-        ratio=ratio,
-        holds=ratio <= c_prime,
-    )

@@ -88,8 +88,6 @@ def test_thm_line_formula_and_hypothesis():
     expected = nL * nA * math.sqrt(nB) / q ** 0.2 + q ** 0.4 * math.sqrt(nL * nA * nB)
     assert rep.value == pytest.approx(expected)
     assert rep.hypotheses["size_condition"] == (nL * nA > q ** 0.4 * max(nA, nLx))
-    with_axes = eval_thm_line(params, with_axis_lines=True)
-    assert with_axes.value == pytest.approx(expected + 2 * nA * nB)
 
 
 def test_thm_line_hypothesis_flag_does_not_abort():

@@ -305,3 +305,41 @@ def test_traces_uprime_outside_u_exit_one(tmp_path, capsys):
     up = _write(tmp_path / "up.txt", "# field 3 1\n2,0,0\n")
     assert main(["traces", "--u", u, "--uprime", up]) == 1
     _one_error_line(capsys)
+
+
+_FILE_ERRORS = {
+    "missing-points": lambda d, lns: ["count", "--points", str(d / "nope.txt"), "--lines", lns],
+    "missing-config": lambda d, lns: ["suite", "--config", str(d / "nope.conf")],
+    "directory-input": lambda d, lns: ["count", "--points", str(d), "--lines", lns],
+    "non-utf8-input": lambda d, lns: ["count", "--points", str(d / "bad.txt"), "--lines", lns],
+    "suite-out-missing-dir": lambda d, lns: ["suite", "--name", "vinh-plane", "--q", "3",
+                                             "--trials", "1", "--out", str(d / "no" / "x.csv")],
+    "preset-out-existing-file": lambda d, lns: ["preset", "--name", "plane-3", "--q", "9",
+                                                "--out", lns],
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_ERRORS))
+def test_file_errors_exit_one_with_one_line(tmp_path, capsys, case):
+    lns = _write(tmp_path / "l.txt", "# field 3 1\nN 1 0\n")
+    (tmp_path / "bad.txt").write_bytes(b"# field 3 1\n0,\xff\n")
+    assert main(_FILE_ERRORS[case](tmp_path, lns)) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("max_d", ["0", "9"])
+def test_vcdim_max_d_outside_range_is_a_usage_error(tmp_path, capsys, max_d):
+    pts, pls = _full_space_files(tmp_path)
+    assert main(["vcdim", "--points", str(pts), "--planes", str(pls),
+                 "--max-d", max_d]) == 1
+    assert "invalid choice" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_reduce_rejects_multi_coordinate_subset_file(tmp_path, capsys, flag):
+    lns = _write(tmp_path / "l.txt", "# field 7 1\nN 1 0\nN 2 3\n")
+    single = _write(tmp_path / "single.txt", "# field 7 1\n1\n2\n")
+    pairs = _write(tmp_path / "pairs.txt", "# field 7 1\n1,5\n2,6\n")
+    files = {"--a": single, "--b": single, flag: pairs}
+    assert main(["reduce", "--lines", lns, "--a", files["--a"], "--b", files["--b"]]) == 1
+    assert "pairs.txt" in _one_error_line(capsys)

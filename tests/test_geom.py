@@ -15,8 +15,6 @@ from fqincidence.geom import (
     decode_points,
     dot3,
     grid_points,
-    incident,
-    is_slanted,
     line3_key,
     line3_points,
     make_plane,
@@ -26,8 +24,6 @@ from fqincidence.geom import (
     plane_canonical,
     plane_intersection,
     plane_through_one,
-    planes_equal,
-    slanted,
     vertical,
 )
 
@@ -60,18 +56,18 @@ def sample_planes(rng, q, count):
 
 def test_incident_examples():
     fs = make_field(5, 1)
-    assert incident(fs, (2, 3), nonvertical(1, 1)) is True
-    assert incident(fs, (2, 3), vertical(2)) is True
+    assert count_incidences(fs, [(2, 3)], [nonvertical(1, 1)], "oracle").count == 1
+    assert count_incidences(fs, [(2, 3)], [vertical(2)], "oracle").count == 1
     fs3 = make_field(3, 1)
-    assert incident(fs3, (1, 1, 1), plane_through_one((1, 1, 1))) is False
+    assert count_incidences(fs3, [(1, 1, 1)], [plane_through_one((1, 1, 1))], "oracle").count == 0
 
 
 def test_incident_rejects_bad_dimension():
     fs = make_field(5, 1)
     with pytest.raises(FieldMismatch):
-        incident(fs, (1, 2, 3), nonvertical(1, 1))
+        count_incidences(fs, [(1, 2, 3)], [nonvertical(1, 1)], "oracle")
     with pytest.raises(FieldMismatch):
-        incident(fs, (1, 7), nonvertical(1, 1))
+        count_incidences(fs, [(1, 7)], [nonvertical(1, 1)], "oracle")
 
 
 @pytest.mark.parametrize("method", ["oracle", "fast"])
@@ -88,8 +84,6 @@ def test_bad_flats_rejected(p, n, flat, method):
     pt = (0, 0) if isinstance(flat, Line2) else (0, 0, 0)
     with pytest.raises(FieldMismatch):
         count_incidences(fs, [pt], [flat], method)
-    with pytest.raises(FieldMismatch):
-        incident(fs, pt, flat)
 
 
 def test_full_grid_line_count():
@@ -149,12 +143,6 @@ def test_cartesian_count_matches_per_line_sum():
         sum(1 for x in A if fs.add(fs.mul(ln.a, x), ln.b) in set(B)) for ln in lines
     )
     assert total == expected
-
-
-def test_slanted_filter():
-    lines = [nonvertical(0, 1), nonvertical(2, 1), vertical(3)]
-    assert slanted(lines) == [nonvertical(2, 1)]
-    assert is_slanted(vertical(3)) is False
 
 
 def test_max_collinear_diagonal():
@@ -228,15 +216,13 @@ def test_intersecting_planes_share_exactly_q_points():
     pts = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
     for p1, p2 in combinations(planes, 2):
         common = sum(
-            1 for pt in pts if incident(fs, pt, p1) and incident(fs, pt, p2)
+            count_incidences(fs, [pt], [p1, p2], "oracle").count == 2 for pt in pts
         )
         meet = plane_intersection(fs, p1, p2)
         if meet.kind == "line":
             assert common == 5
-            assert all(
-                incident(fs, pt, p1) and incident(fs, pt, p2)
-                for pt in line3_points(fs, meet.line)
-            )
+            on_line = line3_points(fs, meet.line)
+            assert count_incidences(fs, on_line, [p1, p2], "oracle").count == 2 * 5
         else:
             assert common == 0  # distinct planes of the a.x=1 family never coincide
         assert common <= 5
@@ -248,7 +234,7 @@ def test_plane_canonical_and_equality():
     p2 = make_plane(fs, (1, 2, 0), 1)
     assert p1 == p2
     raw = plane_through_one((2, 4, 0))
-    assert planes_equal(fs, raw, make_plane(fs, (2, 4, 0), 1))
+    assert plane_canonical(fs, raw) == plane_canonical(fs, make_plane(fs, (2, 4, 0), 1))
     assert plane_canonical(fs, raw).normal[0] == 1
 
 

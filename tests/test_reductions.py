@@ -80,7 +80,6 @@ def test_build_single_tuple():
     inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
     assert inc == 1
     assert out.k_bound == 1
-    assert out.duplicates is False
 
 
 def test_build_identity_random():
@@ -114,11 +113,10 @@ def test_k_bound_is_max():
     assert out.k_bound == 3  # max(|A| = 3, |slopes| = 2)
 
 
-def test_duplicates_flagged_and_counted():
+def test_duplicates_counted():
     fs = make_field(5, 1)
     lines = [Line2("N", 1, 0), Line2("N", 1, 0)]
     out = build_point_plane_sets(fs, lines, [0, 1])
-    assert out.duplicates is True
     assert len(out.points3) == 4
     # multiset energy: each of the 2 diagonal solutions x = x' appears once
     # per ordered pair of line copies, so 2 * (2*2) = 8

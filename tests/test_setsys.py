@@ -11,10 +11,7 @@ from fqincidence.setsys import (
     SetSystem,
     is_shattered,
     neighborhood_system,
-    packing_bound_check,
-    rich_elements,
     sauer_shelah,
-    separation_check,
     shatter_function,
     vc_dimension,
 )
@@ -36,16 +33,9 @@ def test_from_sets_roundtrip_and_sizes():
     s = SetSystem.from_sets(5, [[0, 2], [], [4, 1, 2]])
     assert s.member_elements(0) == (0, 2)
     assert s.member_elements(1) == ()
-    assert s.member_size(2) == 3
+    assert s.family[2].bit_count() == 3
     with pytest.raises(ValueError):
         SetSystem.from_sets(3, [[3]])
-
-
-def test_dedup_preserves_first_labels():
-    s = SetSystem.from_sets(3, [[0], [1], [0]], labels=["a", "b", "c"])
-    d = s.dedup()
-    assert len(d.family) == 2
-    assert d.labels == ["a", "b"]
 
 
 def test_neighborhood_sizes_gf3():
@@ -53,7 +43,7 @@ def test_neighborhood_sizes_gf3():
     planes = all_planes_through_one(fs)
     sys_bp = neighborhood_system(fs, [(1, 0, 0)], planes, "by_point")
     assert sys_bp.ground_size == 26
-    assert sys_bp.member_size(0) == 9  # planes with first normal coordinate 1
+    assert sys_bp.family[0].bit_count() == 9  # planes with first normal coordinate 1
 
 
 def test_neighborhood_empty_points():
@@ -74,11 +64,11 @@ def test_neighborhood_sizes_match_incidence_oracle():
     s = neighborhood_system(fs, pts, planes, "by_point")
     for i, pt in enumerate(pts):
         expected = count_incidences(fs, [pt], planes, "oracle").count
-        assert s.member_size(i) == expected
+        assert s.family[i].bit_count() == expected
     dual = neighborhood_system(fs, pts, planes, "by_plane")
     for j, pl in enumerate(planes):
         expected = count_incidences(fs, pts, [pl], "oracle").count
-        assert dual.member_size(j) == expected
+        assert dual.family[j].bit_count() == expected
 
 
 def test_is_shattered_power_set_and_singletons():
@@ -155,28 +145,19 @@ def test_plane_system_vc_at_most_three(q, p, n):
 
 
 def test_shatter_function_values():
-    assert shatter_function(powerset_system(3), 0) == (1, True)
-    assert shatter_function(powerset_system(3), 2) == (4, True)
+    assert shatter_function(powerset_system(3), 0) == (1,)
+    assert shatter_function(powerset_system(3), 2) == (4,)
     fs = make_field(3, 1)
     system = neighborhood_system(
         fs, all_points3(3), all_planes_through_one(fs), "by_point"
     )
-    val = shatter_function(system, 4, "exact")
-    assert val.exact
+    val = shatter_function(system, 4)
     assert val.value <= sauer_shelah(4, 3) == 15
-
-
-def test_shatter_function_sampled_is_lower_bound():
-    system = powerset_system(4)
-    sampled = shatter_function(system, 3, "sampled", trials=5, seed=1)
-    exact = shatter_function(system, 3, "exact")
-    assert not sampled.exact
-    assert sampled.value <= exact.value
 
 
 def test_shatter_function_budget():
     with pytest.raises(BudgetExceeded):
-        shatter_function(SetSystem(200, [1]), 10, "exact")
+        shatter_function(SetSystem(200, [1]), 10)
 
 
 def test_sauer_shelah_values():
@@ -194,77 +175,15 @@ def test_sauer_shelah_bounds_every_exact_shatter_value():
         system = SetSystem(ground, fam)
         d = vc_dimension(system, min(4, ground)).dimension
         for z in range(0, min(ground, 5) + 1):
-            val = shatter_function(system, z, "exact").value
+            val = shatter_function(system, z).value
             assert val <= sauer_shelah(z, d) or d == min(4, ground)
 
 
-def test_separation_identical_sets_fail():
-    s = SetSystem.from_sets(4, [[0, 1], [0, 1]])
-    rep = separation_check(s, 2, 1)
-    assert rep.separated is False
-    assert rep.witness == (0, 1)
-
-
-def test_separation_disjoint_sets_pass():
-    s = SetSystem.from_sets(6, [[0, 1, 2], [3, 4, 5]])
-    rep = separation_check(s, 2, 6)
-    assert rep.separated is True
-    assert rep.witness is None
-
-
-def test_separation_pairwise_plane_bound():
-    # members of size >= 2q in a plane system are pairwise (2, size - q) separated
-    fs = make_field(3, 1)
-    pts = all_points3(3)
-    planes = all_planes_through_one(fs)
-    system = neighborhood_system(fs, pts[1:], planes, "by_point").dedup()
-    sizes = [system.member_size(i) for i in range(len(system.family))]
-    assert all(s == 9 for s in sizes)
-    rep = separation_check(system, 2, 9 - 3)
-    assert rep.separated is True
-
-
-def test_separation_budget_and_sampling():
-    fam = [[i] for i in range(100)]
-    s = SetSystem.from_sets(100, fam)
-    with pytest.raises(BudgetExceeded):
-        separation_check(s, 5, 1)
-    rep = separation_check(s, 5, 2, sample_trials=50, seed=3)
-    assert rep.exhaustive is False
-    assert rep.separated is True  # five distinct singletons: union minus inter = 5
-
-
-def test_rich_elements():
-    s = SetSystem.from_sets(6, [[0], [0, 1, 2], [], [3, 4, 5, 0]])
-    assert rich_elements(s, 0) == [0, 1, 2, 3]
-    assert rich_elements(s, 7) == []
-    assert rich_elements(s, 3) == [1, 3]
-
-
-def test_rich_elements_monotone():
-    rng = random.Random(8)
-    fam = [rng.randrange(1 << 10) for _ in range(20)]
-    s = SetSystem(10, fam)
-    for t1, t2 in [(0, 3), (2, 5), (1, 9)]:
-        assert set(rich_elements(s, t2)) <= set(rich_elements(s, t1))
-
-
-def test_rich_elements_full_plane_system_gf3():
+def test_full_plane_system_member_sizes_gf3():
     fs = make_field(3, 1)
     system = neighborhood_system(
         fs, all_points3(3), all_planes_through_one(fs), "by_point"
     )
-    rich = rich_elements(system, 9)
-    assert len(rich) == 26  # every nonzero point lies on exactly q^2 planes
-    assert all(system.labels[i] != (0, 0, 0) for i in rich)
-
-
-def test_packing_bound_check():
-    s = SetSystem.from_sets(10, [[0, 1]])
-    rep = packing_bound_check(s, 2, 5, c_prime=1.0, d=3)
-    assert rep.holds and rep.ratio == 1 / 8
-    # delta = ground and pairwise-complementary sets: ratio = |family|
-    comp = SetSystem(4, [0b0011, 0b1100, 0b0101, 0b1010])
-    rep = packing_bound_check(comp, 2, 4, c_prime=3.0, d=3)
-    assert rep.ratio == 4.0
-    assert rep.holds is False
+    sizes = [m.bit_count() for m in system.family]
+    # every nonzero point lies on exactly q^2 planes a . x = 1, the origin on none
+    assert sizes == [0] + [9] * 26
