@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 def _config_tokens(args: argparse.Namespace) -> list[str]:
     """The --config file's key=value lines as --key=value flag tokens."""
     tokens = []
-    for ln in Path(args.config).read_text(encoding="utf-8").splitlines():
+    for ln in fileio.read_text(args.config).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return args.fn(args)
-    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -45,9 +45,18 @@ def _below(bound: int, fields, path, line: str) -> tuple[int, ...]:
     return values
 
 
+def read_text(path) -> str:
+    """A UTF-8 input file's text; a byte that is not UTF-8 is a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 def _read(path) -> tuple[FieldSpec, list[str]]:
     """The field of a geometry file and its non-blank record lines."""
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    raw = read_text(path).splitlines()
     if not raw:
         raise FormatError(f"{path}: empty file")
     parts = raw[0].split()
@@ -131,7 +140,7 @@ def save_setsystem(path, system: SetSystem) -> None:
 
 
 def load_setsystem(path) -> SetSystem:
-    raw = Path(path).read_text(encoding="utf-8").split("\n")
+    raw = read_text(path).split("\n")
     if raw and raw[-1] == "":
         raw = raw[:-1]  # trailing newline, not an empty member
     if not raw:

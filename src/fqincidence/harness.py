@@ -14,6 +14,7 @@ violations, and writes the CSV.
 
 import csv
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -783,16 +784,24 @@ def run_suite(cfg: ExperimentConfig) -> SuiteResult:
         raise ValueError(f"unknown suite {cfg.suite!r}; pick one of {SUITE_NAMES}")
     suite, columns = _SUITES[cfg.suite]
     result = SuiteResult(cfg.suite, columns, [])
-    rows = suite(cfg, make_field(cfg.p, cfg.n))
-    t0 = time.perf_counter()
-    for trial, fields, failed, violated in rows:
-        t1 = time.perf_counter()
-        result.rows.append({"suite": cfg.suite, "q": cfg.q, "alpha": cfg.alpha,
-                            "trial": trial, "seed": cfg.seed,
-                            "elapsed_ms": int((t1 - t0) * 1000), **fields})
-        result.failures += failed
-        result.violations += violated
-        t0 = t1
+    fresh = cfg.out and not os.path.exists(cfg.out)
+    if cfg.out:
+        open(cfg.out, "a").close()  # a bad output path fails before any trial
+    try:
+        rows = suite(cfg, make_field(cfg.p, cfg.n))
+        t0 = time.perf_counter()
+        for trial, fields, failed, violated in rows:
+            t1 = time.perf_counter()
+            result.rows.append({"suite": cfg.suite, "q": cfg.q, "alpha": cfg.alpha,
+                                "trial": trial, "seed": cfg.seed,
+                                "elapsed_ms": int((t1 - t0) * 1000), **fields})
+            result.failures += failed
+            result.violations += violated
+            t0 = t1
+    except BaseException:
+        if fresh:
+            os.remove(cfg.out)  # a suite that raised leaves no empty CSV behind
+        raise
     if cfg.out:
         emit(result.rows, result.columns, cfg.out)
     return result

@@ -6,7 +6,8 @@ repeat).  All exponential searches carry explicit budgets.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -19,6 +20,7 @@ from .geom import check_incidence_input, coords_array
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
 SHATTER_SUBSET_CAP = 20
+TRACE_BLOCK = 1 << 16  # atom words per candidate block of the trace kernel
 
 
 @dataclass
@@ -47,16 +49,8 @@ class SetSystem:
         return cls(ground_size, masks)
 
     def member_elements(self, i: int) -> tuple[int, ...]:
-        return _mask_elements(self.family[i])
-
-
-def _mask_elements(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        m = self.family[i]
+        return tuple(e for e in range(m.bit_length()) if m >> e & 1)
 
 
 def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
@@ -109,8 +103,10 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
 
     Search budget: sum of C(ground_size, i) for i <= d_max must stay within
     10^7.  Candidate d-sets are drawn from subsets of members (a shattered
-    set must realize its full trace), falling back to plain enumeration when
-    members are large.  The empty family is assigned dimension 0.
+    set must realize its full trace), or plainly when that is fewer, and go
+    through the trace kernel _max_traces in blocks of about TRACE_BLOCK words
+    up to the first shattered set; the answer is exact, as if is_shattered
+    ran on every set.  The empty family is assigned dimension 0.
     """
     if not 1 <= d_max <= 6:
         raise ValueError("d_max must be in [1, 6]")
@@ -118,76 +114,82 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     if sum(comb(n, i) for i in range(1, d_max + 1)) > VC_BUDGET:
         raise BudgetExceeded("subset search over 10^7 combinations")
     members = sorted(set(system.family))
-    if not members or all(m == 0 for m in members):
-        return VcResult(0, False)
-    nm = len(members)
-    full = (1 << nm) - 1
-    cover = [0] * n
-    for bit, m in enumerate(members):
-        for e in _mask_elements(m):
-            cover[e] |= 1 << bit
+    inc, cols, ncols = _columns(members, n)
     # level 1: an element shatters iff some member holds it and some avoids it
-    singles = [e for e in range(n) if cover[e] not in (0, full)]
-    if not singles:
-        return VcResult(0, False)
-    best = 1
-    single_set = set(singles)
-    member_elems = [
-        tuple(e for e in _mask_elements(m) if e in single_set) for m in members
-    ]
+    singles = np.flatnonzero(np.isin(inc.sum(axis=0), (0, len(members)), invert=True))
+    inc = inc[:, singles]  # members restricted to the shattered singletons
+    sizes = inc.sum(axis=1)
+    best = min(1, singles.size)
     for d in range(2, d_max + 1):
-        if _level_has_shattered(cover, full, member_elems, singles, d):
-            best = d
-        else:
+        groups = [singles[None]]
+        if sum(comb(k, d) for k in sizes.tolist()) <= comb(singles.size, d):
+            groups = [singles[np.nonzero(inc[sizes == k])[1]].reshape(-1, k)
+                      for k in np.unique(sizes[sizes >= d]).tolist()]
+        if all(_max_traces(cols, ncols, c, (1 << d) - 1) < 1 << d
+               for c in _subsets(groups, d, cols.shape[1])):
             break
+        best = d
     return VcResult(best, best == d_max)
 
 
-def _level_has_shattered(cover, full, member_elems, singles, d) -> bool:
-    via_members = sum(comb(len(es), d) for es in member_elems)
-    if via_members <= comb(len(singles), d):
-        gen = (
-            s for es in member_elems if len(es) >= d for s in combinations(es, d)
-        )
-    else:
-        gen = combinations(singles, d)
-    for cand in gen:
-        if _shatters(cover, full, cand):
-            return True
-    return False
+def _columns(members, n):
+    """Bit-sliced members: inc[i, e] = 1 iff member i holds e, cols[e] packs
+    column e into uint64 words (bit i = member i), ncols = ~cols in those bits."""
+    nbytes, words = (n + 7) // 8, max(1, -(-len(members) // 64))
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in members)
+    inc = np.frombuffer(raw, np.uint8).reshape(len(members), nbytes)
+    inc = np.unpackbits(inc, axis=1, count=n, bitorder="little")
+    every = np.ones((1, len(members)), np.uint8)  # row n: every member's bit
+    bits = np.packbits(np.vstack((inc.T, every)), axis=1, bitorder="little")
+    cols = np.zeros((n + 1, words), np.uint64)
+    cols.view(np.uint8)[:, : bits.shape[1]] = bits
+    return inc, cols, ~cols & cols[n]
 
 
-def _shatters(cover, full, cand) -> bool:
-    d = len(cand)
-    pos = [cover[e] for e in cand]
-    inter = full
-    for m in pos:
-        inter &= m
-    if not inter:  # the full trace needs a member containing all of S
-        return False
-    # leave-one-out patterns first: for plane systems these fail earliest
-    pre = [full] * (d + 1)
+def _subsets(groups, d, words):
+    """Every d-subset of every row of each group (2-D arrays of element rows
+    of one length k, expanded by a streamed combinations(range(k), d)) as
+    index blocks, growing from 256 sets to about TRACE_BLOCK atom words.
+    """
+    rows = max(1, TRACE_BLOCK // (words * min(1 << d, 64 * words)))  # atoms <= members
+    size, parts = min(256, rows), []
+    for es in groups:
+        flat = chain.from_iterable(combinations(range(es.shape[1]), d))
+        while len(t := np.fromiter(islice(flat, size * d), np.intp).reshape(-1, d)):
+            step = max(1, size // len(t))
+            for i in range(0, len(es), step):
+                parts.append(es[i : i + step][:, t].reshape(-1, d))
+                if sum(map(len, parts)) >= size:
+                    yield np.concatenate(parts)
+                    size, parts = min(4 * size, rows), []
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _max_traces(cols, ncols, cands, floor: int) -> int:
+    """The trace kernel: max(floor, most distinct member traces on one set).
+
+    An atom is the members (as column words) sharing one trace; each element
+    splits every atom by its column and empty atoms go, so a set's atoms are
+    its traces.  Sets that can no longer beat floor go too; when only a
+    shattered one can, leave-one-out traces (in plane systems the first to
+    fail) are tested before any atom is built.
+    """
+    d = cands.shape[1]
+    for i in range(d if floor >= (1 << d) - 1 else 0):
+        others = (cols[cands[:, j]] for j in range(d) if j != i)
+        cands = cands[reduce(np.bitwise_and, others, ncols[cands[:, i]]).any(axis=1)]
+    owner = np.arange(len(cands))  # candidate row of each atom
+    atoms = np.repeat(cols[-1:], len(cands), axis=0)
     for i in range(d):
-        pre[i + 1] = pre[i] & pos[i]
-    suf = [full] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suf[i] = suf[i + 1] & pos[i]
-    for i in range(d):
-        if not pre[i] & suf[i + 1] & ~pos[i] & full:
-            return False
-    neg = [full & ~m for m in pos]
-    for pattern in range(1 << d):
-        bits = pattern.bit_count()
-        if bits >= d - 1:
-            continue  # already checked above
-        acc = full
-        for i in range(d):
-            acc &= pos[i] if (pattern >> i) & 1 else neg[i]
-            if not acc:
-                break
-        if not acc:
-            return False
-    return True
+        c = cands[owner, i]
+        atoms = np.concatenate((atoms & ncols[c], atoms & cols[c]))
+        owner = np.concatenate((owner, owner))
+        live = atoms.any(axis=1)
+        counts = np.bincount(owner[live], minlength=len(cands))
+        live &= (counts << (d - 1 - i) > floor)[owner]
+        atoms, owner = atoms[live], owner[live]
+    return max(floor, int(counts.max(initial=0)))
 
 
 class ShatterValue(NamedTuple):
@@ -197,7 +199,9 @@ class ShatterValue(NamedTuple):
 def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     """Max number of distinct traces of the family on a z-element ground subset.
 
-    Enumerates all C(ground_size, z) subsets (budget 10^6).
+    Runs all C(ground_size, z) subsets (budget 10^6) through the trace kernel
+    in lexicographic blocks of about TRACE_BLOCK words, stopping after the
+    first block that reaches min(2^z, distinct members); the value is exact.
     """
     n = system.ground_size
     if not 0 <= z <= n:
@@ -206,17 +210,12 @@ def shatter_function(system: SetSystem, z: int) -> ShatterValue:
         return ShatterValue(1 if system.family else 0)
     if comb(n, z) > SHATTER_EXACT_BUDGET:
         raise BudgetExceeded("exact shatter function over 10^6 subsets")
-    members = set(system.family)
+    members = sorted(set(system.family))
+    _, cols, ncols = _columns(members, n)
     best = 0
-    for subset in combinations(range(n), z):
-        mask = 0
-        for e in subset:
-            mask |= 1 << e
-        traces = {m & mask for m in members}
-        if len(traces) > best:
-            best = len(traces)
-            if best == 1 << z:
-                break  # cannot grow further
+    for cands in _subsets([np.arange(n)[None]], z, cols.shape[1]):
+        if (best := _max_traces(cols, ncols, cands, best)) == min(1 << z, len(members)):
+            break  # no set has more traces than 2^z or the distinct members
     return ShatterValue(best)
 
 

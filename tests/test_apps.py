@@ -213,7 +213,8 @@ def test_sphere_counterexample_gf3_radius_two():
     fs = make_field(3, 1)
     assert sphere_line_scan(fs, 1) == []  # square radius: truly empty
     found = sphere_line_scan(fs, 2)
-    assert Line3((0, 1, 2), (1, 1, 1)) in found or len(found) > 0
+    assert Line3((0, 1, 2), (1, 1, 1)) in found
+    assert len(found) == 2 * (3 + 1)
     witness = found[0]
     assert all(norm3(fs, pt) == 2 for pt in line3_points(fs, witness))
 

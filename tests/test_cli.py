@@ -327,6 +327,38 @@ def test_file_errors_exit_one_with_one_line(tmp_path, capsys, case):
     _one_error_line(capsys)
 
 
+def test_non_utf8_input_error_names_the_file(tmp_path, capsys):
+    lns = _write(tmp_path / "l.txt", "# field 3 1\nN 1 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# field 3 1\n0,\xff\n")
+    assert main(["count", "--points", str(bad), "--lines", lns]) == 1
+    assert str(bad) in _one_error_line(capsys)
+
+
+def test_non_utf8_config_error_names_the_file(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"q=9\n\xff\n")
+    assert main(["suite", "--config", str(conf)]) == 1
+    assert str(conf) in _one_error_line(capsys)
+
+
+def test_suite_bad_out_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    from fqincidence import harness
+
+    started = []
+    suite, columns = harness._SUITES["calibration"]
+    monkeypatch.setitem(harness._SUITES, "calibration",
+                        (lambda cfg, fs: started.append(cfg) or suite(cfg, fs), columns))
+    out = tmp_path / "no" / "x.csv"
+    assert main(["suite", "--name", "calibration", "--q", "9", "--trials", "5",
+                 "--out", str(out)]) == 1
+    assert str(out) in _one_error_line(capsys)
+    assert started == []
+    assert main(["suite", "--name", "calibration", "--q", "9", "--trials", "1",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(started) == 1
+
+
 @pytest.mark.parametrize("max_d", ["0", "9"])
 def test_vcdim_max_d_outside_range_is_a_usage_error(tmp_path, capsys, max_d):
     pts, pls = _full_space_files(tmp_path)

@@ -130,3 +130,17 @@ def test_setsystem_element_outside_ground_rejected(tmp_path, body, where):
     with pytest.raises(FormatError, match=where) as info:
         load_setsystem(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("loader,head", [
+    (load_points, b"# field 3 1\n"),
+    (load_lines, b"# field 3 1\n"),
+    (load_planes, b"# field 3 1\n"),
+    (load_setsystem, b"ground 3\n"),
+])
+def test_non_utf8_input_is_a_format_error_naming_the_file(tmp_path, loader, head):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head + b"0,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        loader(path)
+    assert str(path) in str(info.value)

@@ -2,11 +2,19 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqincidence.errors import BudgetExceeded, SubsetTooLarge
 from fqincidence.ffield import make_field
-from fqincidence.geom import all_planes_through_one, count_incidences, plane_through_one
+from fqincidence.geom import (
+    all_planes_through_one,
+    count_incidences,
+    decode_points,
+    plane_through_one,
+)
 from fqincidence.setsys import (
     SetSystem,
     is_shattered,
@@ -187,3 +195,137 @@ def test_full_plane_system_member_sizes_gf3():
     sizes = [m.bit_count() for m in system.family]
     # every nonzero point lies on exactly q^2 planes a . x = 1, the origin on none
     assert sizes == [0] + [9] * 26
+
+
+# Differential tests of the bit-sliced trace kernel behind vc_dimension and
+# shatter_function.  The families below have more than 64 distinct members,
+# so member columns span several uint64 words, and ground sets past 64, so
+# member bitmasks span several machine words too.
+
+
+def brute_trace_counts(system, d):
+    """Distinct traces on every d-subset of the ground set, in lex order.
+
+    Independent of the kernel: each member's trace is a d-bit code, and a
+    sorted row of codes counts its distinct values.
+    """
+    n = system.ground_size
+    inc = np.array([[m >> e & 1 for e in range(n)] for m in system.family],
+                   np.uint8).reshape(-1, n)
+    weights = (1 << np.arange(d)).astype(np.uint8)
+    out = []
+    subsets = list(combinations(range(n), d))
+    for lo in range(0, len(subsets), 4096):
+        chunk = np.array(subsets[lo : lo + 4096], np.intp).reshape(-1, d)
+        codes = (inc[:, chunk] * weights).sum(axis=2, dtype=np.uint8).T
+        codes.sort(axis=1)
+        out.append((np.diff(codes, axis=1) != 0).sum(axis=1) + (codes.shape[1] > 0))
+    return np.concatenate(out) if out else np.zeros(0, np.intp)
+
+
+def brute_vc_by_counts(system, d_max):
+    best = 0
+    for d in range(1, d_max + 1):
+        if not (brute_trace_counts(system, d) == 1 << d).any():
+            break
+        best = d
+    return best
+
+
+def wide_system(seed, ground, n_members, density, extras):
+    rng = random.Random(seed)
+    fam = [sum(1 << e for e in range(ground) if rng.random() < density)
+           for _ in range(n_members)]
+    if "dup" in extras:
+        fam += rng.sample(fam, min(len(fam), 7))
+    if "empty" in extras:
+        fam.append(0)
+    if "full" in extras:
+        fam.append((1 << ground) - 1)
+    rng.shuffle(fam)
+    return SetSystem(ground, fam)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ground=st.integers(1, 75),
+    n_members=st.integers(0, 140),
+    density=st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.5]),
+    extras=st.sets(st.sampled_from(["dup", "empty", "full"])),
+)
+def test_kernel_matches_brute_trace_counts_on_wide_families(
+    seed, ground, n_members, density, extras
+):
+    system = wide_system(seed, ground, n_members, density, extras)
+    d_max = min(3, ground)
+    expect = brute_vc_by_counts(system, d_max)
+    assert vc_dimension(system, d_max) == (expect, expect == d_max)
+    for z in range(1, d_max + 1):
+        counts = brute_trace_counts(system, z)
+        assert shatter_function(system, z).value == int(counts.max(initial=0))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        st.integers(0, n),
+    ))
+)
+def test_shatter_function_matches_set_traces_for_every_z(args):
+    n, fam, z = args
+    expect = max(len({m & sum(1 << e for e in s) for m in fam})
+                 for s in combinations(range(n), z))
+    assert shatter_function(SetSystem(n, fam), z).value == expect
+
+
+def test_shatter_function_searches_past_a_block_one_short():
+    # the first lexicographic pairs (0, x) reach only 3 of the 4 members'
+    # traces; the first pair with 4 is (0, 299), hundreds of pairs later
+    system = SetSystem.from_sets(300, [(0, 1, 298, 299), (0, 298), (299,), ()])
+    assert shatter_function(system, 2).value == 4
+    assert shatter_function(system, 1).value == 2
+    assert vc_dimension(system, 3) == (2, False)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vc_dimension_matches_is_shattered_past_one_word(seed):
+    rng = random.Random(seed)
+    system = wide_system(seed, rng.randint(65, 72), rng.randint(65, 90),
+                         rng.choice([0.05, 0.1, 0.2]), {"dup", "empty"})
+    assert len(set(system.family)) > 64
+    expect = brute_vc_dimension(system, 2)
+    assert vc_dimension(system, 2) == (expect, expect == 2)
+    best = max(len({m & (1 << a | 1 << b) for m in system.family})
+               for a, b in combinations(range(system.ground_size), 2))
+    assert shatter_function(system, 2).value == best
+
+
+def test_sauer_shelah_tight_family_spanning_words():
+    # every subset of size <= 2 of twelve elements spread over a 129-element
+    # ground: 79 distinct members, VC dimension 2, and on every triple of
+    # those elements exactly the 1 + 3 + 3 traces Sauer-Shelah allows
+    spread = [0, 7, 31, 32, 62, 63, 64, 65, 90, 100, 127, 128]
+    sets = [()] + [(e,) for e in spread] + list(combinations(spread, 2))
+    system = SetSystem.from_sets(129, sets + sets[:5])
+    assert len(set(system.family)) == 79
+    assert vc_dimension(system, 3) == (2, False)
+    assert vc_dimension(system, 2) == (2, True)
+    for z in (1, 2, 3):
+        assert shatter_function(system, z).value == sauer_shelah(z, 2)
+    assert is_shattered(system, [63, 64])
+    assert not is_shattered(system, [0, 64, 128])
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+def test_full_configuration_sides_share_vc_dimension(p, n):
+    fs = make_field(p, n)
+    points = decode_points(fs.q, range(fs.q**3))
+    planes = all_planes_through_one(fs)
+    dims = {
+        side: vc_dimension(neighborhood_system(fs, points, planes, side), 4)
+        for side in ("by_point", "by_plane")
+    }
+    assert dims["by_point"] == dims["by_plane"] == (3, False)
