@@ -16,23 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
+from . import ffield
+from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, FieldMismatch, InvalidPointSet
 from .ffield import FieldSpec
-from .geom import (
-    Line3,
-    Plane3,
-    Point3,
-    coords_array,
-    decode_points,
-    dot3,
-    line3_key,
-    line3_points,
-    make_plane,
-    max_collinear,
-)
+from .geom import (Line3, Plane3, Point3, coords_array, distinct_points3, dot3, line_blocks,
+                   make_plane, row_keys, unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
-SPHERE_SCAN_MAX_Q = 13
 BISECTOR_PAIR_BUDGET = 10**7
 
 
@@ -45,12 +35,6 @@ def norm3(fs: FieldSpec, x) -> int:
     """x1^2 + x2^2 + x3^2."""
     _require_odd(fs)
     return dot3(fs, x, x)
-
-
-def dist(fs: FieldSpec, x, y) -> int:
-    _require_odd(fs)
-    d = tuple(fs.sub(x[i], y[i]) for i in range(3))
-    return dot3(fs, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +70,9 @@ def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
         raise InvalidPointSet("E and F must be nonempty")
     if len(E) * len(F) > TRIPLE_BUDGET:
         raise BudgetExceeded("distance scan over 10^9 pairs")
-    e, f = coords_array(E, 3), coords_array(F, 3)
-    rows = np.hstack([f, _norms(fs, f), np.ones_like(f[:, :1])])
-    cols = np.hstack([fs.vmul(e, fs.neg(fs.add(1, 1))), np.ones_like(e[:, :1]), _norms(fs, e)])
     present = np.zeros(fs.q, dtype=bool)
     zero = T = 0
-    for d in fs.dot_blocks(rows, cols):
+    for d in _distance_blocks(fs, coords_array(F, 3), coords_array(E, 3)):
         present[d] = True
         s = np.sort(d, axis=1)
         first = np.flatnonzero(np.diff(s, axis=1, prepend=-1))  # run starts
@@ -103,9 +84,17 @@ def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
 
 
 def _norms(fs: FieldSpec, pts):
-    """||x|| for each row of pts, as a column."""
+    """||x|| for each row (last axis) of pts, as a trailing axis of length 1."""
     sq = fs.vmul(pts, pts)
-    return fs.vadd(fs.vadd(sq[:, 0], sq[:, 1]), sq[:, 2])[:, None]
+    return fs.vadd(fs.vadd(sq[..., 0], sq[..., 1]), sq[..., 2])[..., None]
+
+
+def _distance_blocks(fs: FieldSpec, a, b):
+    """||a_i - b_j|| in the row blocks of dot_blocks:
+    (a_i, ||a_i||, 1) . (-2 b_j, 1, ||b_j||)."""
+    rows = np.hstack([a, _norms(fs, a), np.ones_like(a[:, :1])])
+    cols = np.hstack([fs.vmul(b, fs.neg(fs.add(1, 1))), np.ones_like(b[:, :1]), _norms(fs, b)])
+    return fs.dot_blocks(rows, cols)
 
 
 def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
@@ -149,58 +138,96 @@ def bisector_plane(fs: FieldSpec, x, y) -> Plane3:
     return make_plane(fs, normal, rhs)
 
 
+def bisector_collisions_isotropic(fs: FieldSpec, points) -> bool:
+    """Whether, for every apex x among the points, bisector planes of (x, y)
+    coincide only among y with ||y - x|| = 0.  Per block of apexes, the keys
+    (unit form of y - x, right-hand side under the same scale) are sorted."""
+    _require_odd(fs)
+    pts = distinct_points3(fs, points)
+    norms, n = _norms(fs, pts)[:, 0], len(pts)
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, n, step):
+        apex = np.arange(lo, min(lo + step, n))
+        d = fs.vadd(pts, fs.vneg(pts[apex, None]))
+        unit, scale = unit_rows(fs, d)
+        normal = row_keys(fs.q, unit)
+        normal[np.arange(len(apex)), apex] = -1  # y = x, alone in its group
+        rhs = fs.vmul(scale[..., 0], fs.vadd(norms, fs.vneg(norms[apex, None])))
+        order = np.lexsort((rhs, normal), axis=1)
+        normal, rhs, far = (np.take_along_axis(k, order, axis=1)
+                            for k in (normal, rhs, _norms(fs, d)[..., 0] != 0))
+        tied = (normal[:, 1:] == normal[:, :-1]) & (rhs[:, 1:] == rhs[:, :-1])
+        if (tied & (far[:, 1:] | far[:, :-1])).any():
+            return False
+    return True
+
+
 def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
     """Largest number of collinear points of F equidistant (nonzero) from some
-    pair of distinct points of E.
+    pair of distinct points of E; zero when there is none.
 
-    Zero when E has no distinct pair or no qualifying configuration exists.
+    Q has a row per pair (x, y), 1 at u in F when (u, 1) . (2(y - x),
+    ||x|| - ||y||) = 0 and ||x - u|| != 0.  Two points of a row are always
+    collinear; a second pass multiplies Q by the membership matrix of the
+    lines through three or more points of F in rows of three or more.
     """
     _require_odd(fs)
     E, F = list(set(E)), list(F)
     if len(E) * (len(E) - 1) // 2 * max(len(F), 1) > BISECTOR_PAIR_BUDGET:
         raise BudgetExceeded("bisector pair scan over budget")
-    best = 0
-    for i in range(len(E)):
-        for j in range(i + 1, len(E)):
-            x, y = E[i], E[j]
-            pl = bisector_plane(fs, x, y)
-            qualifying = [
-                u for u in F if dot3(fs, pl.normal, u) == pl.rhs and dist(fs, x, u) != 0
-            ]
-            if len(qualifying) <= best:
-                continue
-            k, _ = max_collinear(fs, qualifying) if qualifying else (0, None)
-            if k > best:
-                best = k
+    e, f = distinct_points3(fs, E), distinct_points3(fs, F)
+    if len(e) < 2 or not len(f):
+        return 0
+    i, j = np.triu_indices(len(e), 1)
+    ne = _norms(fs, e)
+    bisectors = np.hstack([fs.vmul(fs.vadd(e[j], fs.vneg(e[i])), fs.add(1, 1)),
+                           fs.vadd(ne[i], fs.vneg(ne[j]))])
+    on_f = np.hstack([f, np.ones_like(f[:, :1])])
+
+    def q_blocks(step):  # Q, step rows at a time
+        for lo in range(0, len(i), step):
+            (plane,) = fs.dot_blocks(bisectors[lo:lo + step], on_f)
+            (distance,) = _distance_blocks(fs, e[i[lo:lo + step]], f)
+            yield (plane == 0) & (distance != 0)
+
+    best, rich = 0, np.zeros(len(f), dtype=bool)
+    for hits in q_blocks(max(1, ffield.PAIR_BLOCK_ELEMENTS // len(f))):
+        count = hits.sum(axis=1)
+        best = max(best, min(int(count.max()), 2))
+        rich |= hits[count > 2].any(axis=0)
+    lines = [np.concatenate(parts) for parts in zip(*line_blocks(fs, f[rich], 3))]
+    if not lines or not len(lines[0]):
+        return best
+    (anchor, size, rest), cols = lines, np.flatnonzero(rich)
+    starts = np.cumsum(size - 1) - (size - 1)
+    for hits in q_blocks(max(1, ffield.PAIR_BLOCK_ELEMENTS // max(len(f), len(rest)))):
+        on_line = np.add.reduceat(hits[:, cols[rest]], starts, axis=1, dtype=np.int64)
+        best = max(best, int((on_line + hits[:, cols[anchor]]).max()))
     return best
 
 
 def sphere_line_scan(fs: FieldSpec, r: int) -> list[Line3]:
-    """All lines fully contained in the sphere ||x|| = r, r != 0.
+    """All lines fully contained in the sphere ||x|| = r, r != 0, sorted.
 
-    Exhaustive over lines spanned by sphere point pairs.  The answer is
-    empty exactly when -r is not a nonzero square; for q = 3 mod 4 that
-    means exactly when r is a nonzero square.  Budget: q <= 13.
+    b + t d lies on it for every t iff ||d|| = 0, b . d = 0 and ||b|| = r.
+    For an isotropic unit direction d, leading 1 at position i, the bases
+    with b_i = 0 and b . d = 0 are s v, v = d x e_i, and ||v|| = -1: so each
+    of the q + 1 such d gives two lines when -r is a nonzero square, else none.
     """
     _require_odd(fs)
     if r == 0:
         raise ValueError("r must be nonzero")
-    if fs.q > SPHERE_SCAN_MAX_Q:
-        raise BudgetExceeded(f"sphere scan capped at q <= {SPHERE_SCAN_MAX_Q}")
-    sphere = {pt for pt in decode_points(fs.q, range(fs.q**3)) if norm3(fs, pt) == r}
-    pts = sorted(sphere)
-    seen: set[Line3] = set()
-    found: list[Line3] = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            key = line3_key(fs, pts[i], pts[j])
-            if key in seen:
-                continue
-            seen.add(key)
-            if all(p in sphere for p in line3_points(fs, key)):
-                found.append(key)
-    found.sort()
-    return found
+    if not 0 < r < fs.q:
+        raise FieldMismatch(f"radius {r} outside [0, {fs.q})")
+    # the unit directions (1, a, b), a < q, and (0, 1, b); (0, 0, 1) is not isotropic
+    a, b = np.divmod(np.arange(fs.q * (fs.q + 1)), fs.q)
+    d = np.column_stack([a < fs.q, np.where(a < fs.q, a, 1), b])
+    d = d[_norms(fs, d)[:, 0] == 0]
+    at0 = d[:, 0]  # 0 or 1: the integer products below pick d x e_0 or d x e_1
+    v = np.column_stack([fs.vneg(d[:, 2]) * (1 - at0), d[:, 2] * at0, fs.vneg(d[:, 1]) * at0])
+    el = np.arange(fs.q)
+    bases = fs.vmul(np.flatnonzero(fs.vmul(el, el) == fs.neg(r))[:, None, None], v)
+    return sorted(Line3(tuple(x), tuple(u)) for s in bases.tolist() for x, u in zip(s, d.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +281,7 @@ class RegularSubsetReport:
 def _unit_dot_counts(fs: FieldSpec, U: list[Point3]) -> list[int]:
     """For each u in U, the number of u' in U with u . u' = 1."""
     arr = coords_array(U, 3)
-    return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1)]
+    return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1).tolist()]
 
 
 def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
@@ -271,24 +298,14 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     n = len(U)
     lo = n / (2 * fs.q)
     hi = 2 * n / fs.q
-    heavy, light, middle = [], [], []
-    sizes = {}
-    for u, c in zip(U, counts):
-        sizes[u] = c
-        if c >= hi:
-            heavy.append(u)
-        elif c <= lo:
-            light.append(u)
-        else:
-            middle.append(u)
     return RegularSubsetReport(
-        U1=middle,
-        L_heavy=heavy,
-        R_light=light,
+        U1=[u for u, c in zip(U, counts) if lo < c < hi],
+        L_heavy=[u for u, c in zip(U, counts) if c >= hi],
+        R_light=[u for u, c in zip(U, counts) if c <= lo],
         lower_threshold=lo,
         upper_threshold=hi,
         size_hypothesis_ok=n >= 8 * fs.q**2,
-        neighbor_sizes=sizes,
+        neighbor_sizes=dict(zip(U, counts)),
     )
 
 

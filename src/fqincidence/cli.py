@@ -7,6 +7,7 @@ long flags; they are checked like flags, and explicit flags win.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -228,7 +229,9 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = _Parser(
         prog="fqincidence",
         description="incidence experiments over finite fields",
@@ -244,44 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("field-info", cmd_field_info, p={"type": int}, n={"type": int})
-    add(
-        "count",
-        cmd_count,
-        points={},
-        lines={},
-        planes={},
-        method={"choices": ["oracle", "fast"], "default": "fast"},
-    )
-    add(
-        "vcdim",
-        cmd_vcdim,
-        points={},
-        planes={},
+    add("count", cmd_count, points={}, lines={}, planes={},
+        method={"choices": ["oracle", "fast"], "default": "fast"})
+    add("vcdim", cmd_vcdim, points={}, planes={},
         side={"choices": ["by_point", "by_plane"], "default": "by_point"},
-        max_d={"type": int, "default": 4, "choices": range(1, 7)},
-    )
+        max_d={"type": int, "default": 4, "choices": range(1, 7)})
     add("reduce", cmd_reduce, lines={}, a={}, b={})
     add("distance", cmd_distance, e={}, f={}, alpha={"type": float})
     add("dotprod", cmd_dotprod, e={}, f={})
     add("traces", cmd_traces, u={}, uprime={})
-    add(
-        "suite",
-        cmd_suite,
-        name={"choices": list(harness.SUITE_NAMES)},
-        q={"type": int},
-        alpha={"type": float, "default": 0.5},
-        trials={"type": int, "default": 10},
-        seed={"type": int, "default": 0},
-        out={},
-    )
-    add(
-        "preset",
-        cmd_preset,
-        name={"choices": list(harness.PRESET_NAMES)},
-        q={"type": int},
-        seed={"type": int, "default": 0},
-        out={},
-    )
+    add("suite", cmd_suite, name={"choices": list(harness.SUITE_NAMES)}, q={"type": int},
+        alpha={"type": float, "default": 0.5}, trials={"type": int, "default": 10},
+        seed={"type": int, "default": 0}, out={})
+    add("preset", cmd_preset, name={"choices": list(harness.PRESET_NAMES)}, q={"type": int},
+        seed={"type": int, "default": 0}, out={})
     return ap
 
 

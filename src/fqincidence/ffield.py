@@ -25,7 +25,7 @@ g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
 is_square read log.  The tables are O(q) int32 arrays (about 25 MB at
 q = 1021^2), built in numpy blocks by a field's first operation and kept on
 the FieldSpec with its scalar ops, closures that read them through
-memoryviews.  vmul, vadd and vneg work on numpy index arrays, and
+memoryviews.  vmul, vadd, vneg and vinv work on numpy index arrays, and
 dot_blocks yields pairwise dot products in row blocks under
 PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single % p per block).
 """
@@ -262,6 +262,18 @@ class FieldSpec:
             return a
         half = (self.q - 1) // 2
         return self._ext("_exp")[np.add(self._ext("_log")[a], half, dtype=np.intp)]
+
+    def vinv(self, a):
+        """1/a elementwise; DivisionByZero when a holds a zero."""
+        a = np.asarray(a, dtype=np.int64)
+        if not a.all():
+            raise DivisionByZero("inverse of 0")
+        if self.n > 1:
+            return self._ext("_exp")[np.subtract(self.q - 1, self._ext("_log")[a], dtype=np.intp)]
+        acc, e = np.ones_like(a), self.p - 2  # a^(p-2) by repeated squaring
+        while e:
+            acc, a, e = (acc * a % self.p if e & 1 else acc), a * a % self.p, e >> 1
+        return acc
 
     def dot_blocks(self, X, Y):
         """Yield the |X| x |Y| matrix of dot products x . y, in row blocks.

@@ -10,7 +10,6 @@ Everything here is affine and exact; there is no projective geometry and no
 floating point.
 """
 
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,11 +55,6 @@ class IncidenceCount(NamedTuple):
     method: str
 
 
-class PlaneMeet(NamedTuple):
-    kind: str  # "same" | "empty" | "line"
-    line: Optional[Line3]
-
-
 def plane_through_one(normal: Point3) -> Plane3:
     """The paper-normalized plane normal . x = 1; normal must be nonzero."""
     if normal == (0, 0, 0):
@@ -102,26 +96,21 @@ def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
     return [(x, y) for x in a_set for y in b_set]
 
 
-def _check_coords(fs: FieldSpec, coords, what: str = "coordinate") -> None:
-    for c in coords:
-        if not 0 <= c < fs.q:
-            raise FieldMismatch(f"{what} {c} outside [0, {fs.q})")
+def _check_array(fs: FieldSpec, arr, what: str = "coordinate") -> None:
+    bad = arr[(arr < 0) | (arr >= fs.q)]
+    if bad.size:
+        raise FieldMismatch(f"{what} {bad[0]} outside [0, {fs.q})")
 
 
-def _check_flat(fs: FieldSpec, flat) -> None:
-    """A known line kind, coefficients in [0, q), a nonzero plane normal."""
-    if isinstance(flat, Line2):
-        if flat.kind not in ("N", "V"):
-            raise FieldMismatch(f"unknown line kind {flat.kind!r}")
-        _check_coords(fs, (flat.a, flat.b), "line coefficient")
-    elif isinstance(flat, Plane3):
-        if len(flat.normal) != 3:
-            raise FieldMismatch("a plane normal needs 3 coordinates")
-        _check_coords(fs, (*flat.normal, flat.rhs), "plane coefficient")
-        if not any(flat.normal):
-            raise FieldMismatch("plane normal must be nonzero")
-    else:
-        raise FieldMismatch(f"unsupported flat type {type(flat)!r}")
+def plane_rows(fs: FieldSpec, planes):
+    """Normals and right-hand sides as int64 arrays; FieldMismatch for a
+    coefficient outside [0, q) or a zero normal."""
+    nrm = coords_array([pl.normal for pl in planes], 3, "plane normals")
+    rhs = np.array([pl.rhs for pl in planes], dtype=np.int64)
+    _check_array(fs, np.column_stack([nrm, rhs]), "plane coefficient")
+    if not nrm.any(axis=1).all():
+        raise FieldMismatch("plane normal must be nonzero")
+    return nrm, rhs
 
 
 def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
@@ -131,21 +120,22 @@ def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
     for f in flats:
         if not isinstance(f, kind):
             raise FieldMismatch(f"expected {kind.__name__} flats, got {type(f).__name__}")
-        _check_flat(fs, f)
-    dim = 2 if lines else 3
-    for pt in points:
-        if len(pt) != dim:
-            raise FieldMismatch(f"expected {dim}-coordinate points")
-        _check_coords(fs, pt)
+        if lines and f.kind not in ("N", "V"):
+            raise FieldMismatch(f"unknown line kind {f.kind!r}")
+    if lines:
+        _check_array(fs, coords_array([f[1:] for f in flats], 2), "line coefficient")
+    else:
+        plane_rows(fs, flats)
+    _check_array(fs, coords_array(points, 2 if lines else 3))
 
 
-def coords_array(rows, dim: int):
+def coords_array(rows, dim: int, what: str = "points"):
     """Points (or other rows of dim field elements) as an int64 (len, dim) array;
     FieldMismatch when a row does not hold dim coordinates."""
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     except ValueError:
-        raise FieldMismatch(f"expected {dim}-coordinate points") from None
+        raise FieldMismatch(f"expected {dim}-coordinate {what}") from None
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -233,8 +223,7 @@ def _count_lines_fast(fs, points, flats) -> int:
 
 def _count_planes_fast(fs, points, flats) -> int:
     pts = coords_array(points, 3)
-    nrm = coords_array([pl.normal for pl in flats], 3)
-    rhs = np.asarray([pl.rhs for pl in flats], dtype=np.int64)
+    nrm, rhs = plane_rows(fs, flats)
     return sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
 
 
@@ -250,29 +239,63 @@ def _as_point3(pt) -> Point3:
     raise FieldMismatch("points must have 2 or 3 coordinates")
 
 
-def line3_key(fs: FieldSpec, p: Point3, r: Point3) -> Line3:
-    """Canonical key for the line through two distinct points.
+def distinct_points3(fs: FieldSpec, points):
+    """The distinct points, sorted, as an int64 (n, 3) array; 2-coordinate
+    points are embedded in the z = 0 plane.  FieldMismatch for a coordinate
+    outside [0, q)."""
+    pts = coords_array(sorted({_as_point3(pt) for pt in points}), 3)
+    _check_array(fs, pts)
+    return pts
 
-    The direction is scaled so its first nonzero coordinate is 1; the base
-    point is reduced along the direction so that the coordinate at that
-    position is 0.  Distinct point pairs on one line map to one key.
-    """
-    d = tuple(fs.sub(r[i], p[i]) for i in range(3))
-    i0 = next(i for i in range(3) if d[i] != 0)
-    s = fs.inv(d[i0])
-    dn = tuple(fs.mul(s, c) for c in d)
-    t = p[i0]
-    base = tuple(fs.sub(p[i], fs.mul(t, dn[i])) for i in range(3))
-    return Line3(base, dn)
+
+def unit_rows(fs: FieldSpec, rows):
+    """Every row (last axis) scaled so its first nonzero entry is 1, and the
+    scale, as a trailing axis of length 1; a zero row stays zero, scale 1."""
+    lead = np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], axis=-1)
+    scale = fs.vinv(np.where(lead == 0, 1, lead))
+    return fs.vmul(rows, scale), scale
+
+
+def row_keys(q: int, rows):
+    """Rows of three field elements as int64 keys ordered like the tuples."""
+    return rows @ np.array([q * q, q, 1], dtype=np.int64)
+
+
+def line_keys(fs: FieldSpec, P, R):
+    """Canonical (base, direction) rows of the lines through the pairs P[i] !=
+    R[i]: the direction scaled so its first nonzero coordinate is 1, the base
+    moved along it so that coordinate is 0; one key per line."""
+    d, _ = unit_rows(fs, fs.vadd(R, fs.vneg(P)))
+    t = np.take_along_axis(P, np.argmax(d != 0, axis=-1)[..., None], axis=-1)
+    return fs.vadd(P, fs.vneg(fs.vmul(t, d))), d
 
 
 def line3_points(fs: FieldSpec, line: Line3) -> list[Point3]:
     """The q points base + t*direction."""
-    b, d = line.base, line.direction
-    out = []
-    for t in fs.elements():
-        out.append(tuple(fs.add(b[i], fs.mul(t, d[i])) for i in range(3)))
-    return out
+    return [tuple(fs.add(b, fs.mul(t, d)) for b, d in zip(*line)) for t in fs.elements()]
+
+
+def line_blocks(fs: FieldSpec, pts, least: int = 2):
+    """The lines through at least least >= 2 of the distinct points pts (an
+    (n, 3) array), each once, as (anchor, size, rest) per block of anchors:
+    per line its lowest point and point count, then all its other points.
+    Per anchor, the sorted keys of the unit directions to every point hold
+    the rest of each line through it in a run; a block has at most
+    PAIR_BLOCK_ELEMENTS pairs."""
+    n = len(pts)
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, n, step):
+        anchors = np.arange(lo, min(lo + step, n))
+        key = row_keys(fs.q, unit_rows(fs, fs.vadd(pts, fs.vneg(pts[anchors, None])))[0])
+        key[np.arange(len(anchors)), anchors] = -1  # sorts first: runs never span rows
+        order = np.argsort(key, axis=1, kind="stable")
+        key = np.take_along_axis(key, order, axis=1).ravel()
+        order = order.ravel()
+        first = np.flatnonzero(np.diff(key, prepend=-2))
+        length = np.diff(first, append=key.size)
+        anchor = anchors[first // n]
+        keep = (length >= least - 1) & (order[first] > anchor)
+        yield anchor[keep], length[keep] + 1, order[np.repeat(keep, length)]
 
 
 def max_collinear(fs, points) -> tuple[int, Optional[Line3]]:
@@ -280,67 +303,45 @@ def max_collinear(fs, points) -> tuple[int, Optional[Line3]]:
 
     Accepts 2- or 3-coordinate points (2D inputs are embedded in the z = 0
     plane).  Returns k = 1 with no witness for a single point; duplicate
-    input points are collapsed first.
-    """
-    pts = sorted({_as_point3(pt) for pt in points})
-    if not pts:
+    input points are collapsed first.  The witness is the line largest by
+    (k, key).  FieldMismatch for a coordinate outside [0, q)."""
+    pts = distinct_points3(fs, points)
+    if not len(pts):
         raise ValueError("need at least one point")
     if len(pts) == 1:
         return 1, None
-    on_line: dict[Line3, set[int]] = {}
-    for i, j in combinations(range(len(pts)), 2):
-        key = line3_key(fs, pts[i], pts[j])
-        grp = on_line.get(key)
-        if grp is None:
-            on_line[key] = {i, j}
-        else:
-            grp.add(i)
-            grp.add(j)
-    best_key = max(on_line, key=lambda k: (len(on_line[k]), k))
-    return len(on_line[best_key]), best_key
-
-
-def plane_intersection(fs: FieldSpec, p1: Plane3, p2: Plane3) -> PlaneMeet:
-    """Classify the meet of two planes: Same, Empty, or a Line of q points."""
-    c1 = plane_canonical(fs, p1)
-    c2 = plane_canonical(fs, p2)
-    if c1.normal == c2.normal:
-        return PlaneMeet("same" if c1.rhs == c2.rhs else "empty", None)
-    n1, n2 = c1.normal, c2.normal
-    d = (
-        fs.sub(fs.mul(n1[1], n2[2]), fs.mul(n1[2], n2[1])),
-        fs.sub(fs.mul(n1[2], n2[0]), fs.mul(n1[0], n2[2])),
-        fs.sub(fs.mul(n1[0], n2[1]), fs.mul(n1[1], n2[0])),
-    )
-    k = next(i for i in range(3) if d[i] != 0)
-    i, j = [c for c in range(3) if c != k]
-    det = fs.sub(fs.mul(n1[i], n2[j]), fs.mul(n1[j], n2[i]))
-    det_inv = fs.inv(det)
-    r1, r2 = c1.rhs, c2.rhs
-    xi = fs.mul(det_inv, fs.sub(fs.mul(r1, n2[j]), fs.mul(r2, n1[j])))
-    xj = fs.mul(det_inv, fs.sub(fs.mul(n1[i], r2), fs.mul(n2[i], r1)))
-    base = [0, 0, 0]
-    base[i], base[j] = xi, xj
-    b = tuple(base)
-    other = tuple(fs.add(b[t], d[t]) for t in range(3))
-    return PlaneMeet("line", line3_key(fs, b, other))
+    best = (0,)
+    for anchor, size, rest in line_blocks(fs, pts):
+        if not len(size) or size.max() < best[0]:
+            continue
+        top = size == size.max()
+        second = rest[np.cumsum(size - 1) - (size - 1)]
+        base, d = line_keys(fs, pts[anchor[top]], pts[second[top]])
+        i = np.lexsort((row_keys(fs.q, d), row_keys(fs.q, base)))[-1]
+        best = max(best, (int(size.max()), tuple(base[i].tolist()), tuple(d[i].tolist())))
+    return best[0], Line3(*best[1:])
 
 
 def max_shared_collinear(fs, points, planes) -> int:
     """Max, over plane pairs meeting in a line, of input points on that line.
 
     This is the checker for the light-lines hypothesis: a value below k means
-    no line contained in two of the planes holds k points of the set.
-    """
-    pset = {_as_point3(pt) for pt in points}
+    no line contained in two of the planes holds k points of the set.  It is
+    the largest entry of N^T N, N the 0/1 point-plane incidence matrix, over
+    plane pairs with different unit normals (parallel planes share no line).
+    FieldMismatch for a coordinate outside [0, q) or a zero plane normal."""
+    pts = distinct_points3(fs, points)
+    nrm, rhs = plane_rows(fs, planes)
+    if not len(pts) or len(planes) < 2:
+        return 0
+    key = row_keys(fs.q, unit_rows(fs, nrm)[0])
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // len(planes))
     best = 0
-    seen: set[Line3] = set()
-    for a, b in combinations(range(len(planes)), 2):
-        meet = plane_intersection(fs, planes[a], planes[b])
-        if meet.kind != "line" or meet.line in seen:
-            continue
-        seen.add(meet.line)
-        cnt = sum(1 for pt in line3_points(fs, meet.line) if pt in pset)
-        if cnt > best:
-            best = cnt
+    for lo in range(0, len(planes), step):
+        gram = np.zeros((len(key[lo:lo + step]), len(planes)))
+        for vals in fs.dot_blocks(pts, nrm):
+            on = (vals == rhs).astype(np.float64)
+            gram += on[:, lo:lo + step].T @ on
+        gram[key[lo:lo + step, None] == key] = 0
+        best = max(best, int(gram.max()))
     return best

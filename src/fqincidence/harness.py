@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import apps, bounds, reductions, setsys
-from .errors import EvenCharacteristic, Unrealizable
+from .errors import BudgetExceeded, EvenCharacteristic, Unrealizable
 from .ffield import FieldSpec, make_field
 from .geom import (
     Line2,
@@ -36,6 +36,9 @@ from .geom import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# The q3mod4-geometry suite's range of odd q (the sphere scan itself has no cap).
+SPHERE_SCAN_MAX_Q = 13
 
 
 def _mix(*parts: int) -> int:
@@ -550,32 +553,20 @@ def suite_q3mod4_geometry(cfg: ExperimentConfig, fs: FieldSpec):
     vectors; the exhaustive check verifies that characterization.
     """
     q = fs.q
+    if fs.p != 2 and q > SPHERE_SCAN_MAX_Q:
+        raise BudgetExceeded(f"sphere scan capped at q <= {SPHERE_SCAN_MAX_Q}")
     for r in range(1, q):
         found = apps.sphere_line_scan(fs, r)
         expect_lines = fs.is_square(fs.neg(r))
         ok = bool(found) == expect_lines
-        ok = ok and all(
-            apps.norm3(fs, pt) == r
-            for ln in found
-            for pt in line3_points(fs, ln)
-        )
+        ok = ok and all(apps.norm3(fs, pt) == r for ln in found for pt in line3_points(fs, ln))
         if q == 5 and r == 1:
             witness = ((0, 0, 1), (1, 2, 0))
             ok = ok and any((ln.base, ln.direction) == witness for ln in found)
         yield r, dict(check="sphere_scan", r=r, lines_found=len(found),
                       expect_lines=expect_lines, ok=ok), not ok, 0
     if fs.p != 2 and q <= 7:
-        space = decode_points(q, range(q**3))
-        ok = True
-        for xi, x in enumerate(space):
-            groups: dict = {}
-            for yi, y in enumerate(space):
-                if yi != xi:
-                    groups.setdefault(apps.bisector_plane(fs, x, y), []).append(y)
-            if any(len(ys) > 1 and any(apps.dist(fs, x, y) != 0 for y in ys)
-                   for ys in groups.values()):
-                ok = False
-                break
+        ok = apps.bisector_collisions_isotropic(fs, decode_points(q, range(q**3)))
         yield q, dict(check="bisector_collisions_isotropic", r=0, lines_found=0,
                       expect_lines=False, ok=ok), not ok, 0
 

@@ -7,7 +7,6 @@ import pytest
 from fqincidence.apps import (
     bisector_collinear_k,
     bisector_plane,
-    dist,
     distance_set,
     dot_product_set,
     norm3,
@@ -24,6 +23,7 @@ from fqincidence.errors import (
 )
 from fqincidence.ffield import make_field
 from fqincidence.geom import Line3, dot3, line3_points, make_plane, max_shared_collinear
+from pair_loops import dist
 
 
 def all_points3(q):

@@ -1,6 +1,6 @@
 import pytest
 
-from fqincidence.cli import main
+from fqincidence.cli import build_parser, main
 from fqincidence.ffield import make_field
 from fqincidence.fileio import save_lines, save_planes, save_points
 from fqincidence.geom import Line2, all_planes_through_one
@@ -362,3 +362,33 @@ def test_reduce_rejects_multi_coordinate_subset_file(tmp_path, capsys, flag):
     files = {"--a": single, "--b": single, flag: pairs}
     assert main(["reduce", "--lines", lns, "--a", files["--a"], "--b", files["--b"]]) == 1
     assert "pairs.txt" in _one_error_line(capsys)
+
+
+def test_memoized_parser_matches_a_fresh_one(gf5_files, tmp_path, capsys):
+    # build_parser is built once per process; back-to-back runs through the
+    # shared parser print and return what they do with a fresh parser each
+    pts, lns = gf5_files
+    conf = tmp_path / "run.conf"
+    conf.write_text("p=3\nn=2\n")
+    runs = [
+        ["count", "--points", str(pts), "--lines", str(lns)],
+        ["field-info", "--config", str(conf)],
+        ["field-info", "--config", str(conf), "--p", "5", "--n", "1"],
+        ["suite", "--name", "bogus", "--q", "3"],
+        ["field-info", "--p", "7", "--n", "1"],
+        ["count", "--points", str(pts), "--lines", str(lns), "--method", "oracle"],
+    ]
+
+    def outputs(fresh):
+        seen = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    shared = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0]
+    assert shared == outputs(fresh=True)

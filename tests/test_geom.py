@@ -15,17 +15,16 @@ from fqincidence.geom import (
     decode_points,
     dot3,
     grid_points,
-    line3_key,
     line3_points,
     make_plane,
     max_collinear,
     max_shared_collinear,
     nonvertical,
     plane_canonical,
-    plane_intersection,
     plane_through_one,
     vertical,
 )
+from pair_loops import line3_key, plane_intersection
 
 
 def sample_points2(rng, q, count):
@@ -77,6 +76,7 @@ def test_incident_rejects_bad_dimension():
     (7, 1, nonvertical(8, 0)),
     (7, 1, Plane3((0, 0, 0), 0)),  # zero normal: not a plane
     (5, 1, Plane3((1, 0, 0), -1)),
+    (5, 1, Plane3((1, 0), 1)),  # a normal needs 3 coordinates
     (5, 1, Line2("W", 1, 0)),
 ])
 def test_bad_flats_rejected(p, n, flat, method):
