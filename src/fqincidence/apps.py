@@ -19,7 +19,7 @@ import numpy as np
 from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, FieldMismatch, InvalidPointSet
 from .ffield import FieldSpec
-from .geom import (Line3, Plane3, Point3, coords_array, distinct_points3, dot3, line_blocks,
+from .geom import (Line3, Plane3, Point3, distinct_points3, dot3, field_array, line_blocks,
                    make_plane, row_keys, unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
@@ -72,7 +72,7 @@ def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
         raise BudgetExceeded("distance scan over 10^9 pairs")
     present = np.zeros(fs.q, dtype=bool)
     zero = T = 0
-    for d in _distance_blocks(fs, coords_array(F, 3), coords_array(E, 3)):
+    for d in _distance_blocks(fs, field_array(fs, F, 3), field_array(fs, E, 3)):
         present[d] = True
         s = np.sort(d, axis=1)
         first = np.flatnonzero(np.diff(s, axis=1, prepend=-1))  # run starts
@@ -249,7 +249,7 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     if not E or not F:
         raise InvalidPointSet("E and F must be nonempty")
     hist = np.zeros(fs.q, dtype=np.int64)
-    for vals in fs.dot_blocks(coords_array(E, 3), coords_array(F, 3)):
+    for vals in fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3)):
         hist += np.bincount(vals.ravel(), minlength=fs.q)
     counts = {lam: c for lam, c in enumerate(hist.tolist()) if c}
     # argmax returns the first, i.e. smallest, of the most frequent nonzero values
@@ -280,7 +280,7 @@ class RegularSubsetReport:
 
 def _unit_dot_counts(fs: FieldSpec, U: list[Point3]) -> list[int]:
     """For each u in U, the number of u' in U with u . u' = 1."""
-    arr = coords_array(U, 3)
+    arr = field_array(fs, U, 3)
     return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1).tolist()]
 
 
@@ -333,7 +333,7 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     if not set(Up) <= set(U):
         raise InvalidPointSet("U' must be a subset of U")
     groups: Counter = Counter()
-    for vals in fs.dot_blocks(coords_array(U, 3), coords_array(Up, 3)):
+    for vals in fs.dot_blocks(field_array(fs, U, 3), field_array(fs, Up, 3)):
         traces, mult = np.unique(np.packbits(vals == 1, axis=1), axis=0, return_counts=True)
         groups.update(dict(zip(map(bytes, traces), mult.tolist())))
     sizes = sorted(groups.values(), reverse=True)

@@ -75,17 +75,23 @@ def cmd_field_info(args) -> int:
     return EXIT_OK
 
 
+def _load_same_field(fs: FieldSpec, path, load, path2):
+    """The records load reads from path2, whose field must be fs, the field
+    of the file path; ToolkitError naming both files and fields otherwise."""
+    fs2, records = load(path2)
+    if fs2 != fs:
+        raise ToolkitError(f"{path} is over GF({fs.q}) but {path2} is over GF({fs2.q}): "
+                           "the files must share one field")
+    return records
+
+
 def cmd_count(args) -> int:
     _require(args, "points")
     fs, pts = fileio.load_points(args.points)
     if bool(args.lines) == bool(args.planes):
         raise ToolkitError("pass exactly one of --lines or --planes")
-    if args.lines:
-        fs2, flats = fileio.load_lines(args.lines)
-    else:
-        fs2, flats = fileio.load_planes(args.planes)
-    if fs != fs2:
-        raise ToolkitError("point and flat files use different fields")
+    load = fileio.load_lines if args.lines else fileio.load_planes
+    flats = _load_same_field(fs, args.points, load, args.lines or args.planes)
     res = count_incidences(fs, pts, flats, args.method)
     print(f"incidences = {res.count}  (method={res.method}, "
           f"points={len(pts)}, flats={len(flats)})")
@@ -95,9 +101,7 @@ def cmd_count(args) -> int:
 def cmd_vcdim(args) -> int:
     _require(args, "points", "planes")
     fs, pts = fileio.load_points(args.points)
-    fs2, planes = fileio.load_planes(args.planes)
-    if fs != fs2:
-        raise ToolkitError("point and plane files use different fields")
+    planes = _load_same_field(fs, args.points, fileio.load_planes, args.planes)
     system = setsys.neighborhood_system(fs, pts, planes, args.side)
     res = setsys.vc_dimension(system, args.max_d)
     suffix = " (saturated: a max-size shattered set exists)" if res.saturated else ""
@@ -118,18 +122,14 @@ def _field_subset(path) -> tuple[FieldSpec, list[int]]:
 def cmd_reduce(args) -> int:
     _require(args, "lines", "a")
     fs, lines = fileio.load_lines(args.lines)
-    fs2, a_set = _field_subset(args.a)
-    if fs != fs2:
-        raise ToolkitError("line and A files use different fields")
+    a_set = _load_same_field(fs, args.lines, _field_subset, args.a)
     out = reductions.build_point_plane_sets(fs, lines, a_set)
     inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
     print(f"lines = {len(lines)}, |A| = {len(a_set)}, k_bound = {out.k_bound}")
     print(f"energy = {out.solution_count}, incidence check = {inc}, "
           f"identity {'holds' if inc == out.solution_count else 'FAILS'}")
     if args.b:
-        fs3, b_set = _field_subset(args.b)
-        if fs != fs3:
-            raise ToolkitError("B file uses a different field")
+        b_set = _load_same_field(fs, args.lines, _field_subset, args.b)
         rep = reductions.cs_upper(fs, lines, a_set, b_set)
         print(f"cs upper = {rep.value:.6g}, actual = {rep.actual}, "
               f"holds = {rep.holds}")
@@ -139,9 +139,7 @@ def cmd_reduce(args) -> int:
 def cmd_distance(args) -> int:
     _require(args, "e", "f")
     fs, E = fileio.load_points(args.e)
-    fs2, F = fileio.load_points(args.f)
-    if fs != fs2:
-        raise ToolkitError("E and F files use different fields")
+    F = _load_same_field(fs, args.e, fileio.load_points, args.f)
     rep = apps.full_distance_report(fs, E, F)
     print(f"|distance set| = {len(rep.distance_set)}, zero pairs = {rep.zero_pairs}")
     print(f"T = {rep.T}, chain holds = {rep.chain_holds}")
@@ -167,9 +165,7 @@ def cmd_distance(args) -> int:
 def cmd_dotprod(args) -> int:
     _require(args, "e", "f")
     fs, E = fileio.load_points(args.e)
-    fs2, F = fileio.load_points(args.f)
-    if fs != fs2:
-        raise ToolkitError("E and F files use different fields")
+    F = _load_same_field(fs, args.e, fileio.load_points, args.f)
     rep = apps.dot_product_set(fs, E, F)
     print(f"|dot set| = {len(rep.dot_set)}, orthogonal pairs = {rep.orthogonal_pairs}")
     print(f"best nonzero value = {rep.best_lambda} "
@@ -183,9 +179,7 @@ def cmd_dotprod(args) -> int:
 def cmd_traces(args) -> int:
     _require(args, "u", "uprime")
     fs, U = fileio.load_points(args.u)
-    fs2, Up = fileio.load_points(args.uprime)
-    if fs != fs2:
-        raise ToolkitError("U and U' files use different fields")
+    Up = _load_same_field(fs, args.u, fileio.load_points, args.uprime)
     rep = apps.trace_pairs(fs, U, Up)
     print(f"classes = {rep.classes}, pair count = {rep.pair_count}")
     print(f"cs floor = {rep.cs_lower:.6g}, bound |U|^2/|U'|^3 = {rep.bound_value:.6g}, "

@@ -11,9 +11,11 @@ polynomial of degree n, coefficients compared low-degree-first.  That choice
 is deterministic, so a (p, n) pair pins bit-identical file formats on every
 machine.
 
-Prime fields (n = 1) compute inline mod p.  Extension fields share one
-table-driven backend over a fixed primitive element g, the smallest index
->= p of order m = q - 1 (Lidl & Niederreiter, *Finite Fields*):
+A FieldSpec picks its backend once, at construction, and holds every op as
+an instance attribute.  Prime fields (n = 1) compute inline mod p.
+Extension fields share one table-driven backend over a fixed primitive
+element g, the smallest index >= p of order m = q - 1 (Lidl & Niederreiter,
+*Finite Fields*):
 
     exp[k] = g^(k mod m) for k < 2m, 0 for 2m <= k <= 4m;
     log[g^k] = k for k < m, log[0] = 2m,
@@ -23,17 +25,17 @@ index packs the GF(2) coefficients as bits and add is XOR; for odd p, add
 uses Zech's logarithm zech[d] = log(1 + g^d), since g^i + g^j =
 g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
 is_square read log.  The tables are O(q) int32 arrays (about 25 MB at
-q = 1021^2), built in numpy blocks by a field's first operation and kept on
-the FieldSpec with its scalar ops, closures that read them through
-memoryviews.  vmul, vadd, vneg and vinv work on numpy index arrays, and
-dot_blocks yields pairwise dot products in row blocks under
-PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single % p per block).
+q = 1021^2), built in numpy blocks with the field; the scalar ops are
+closures that read them through memoryviews.  vmul, vadd, vneg and vinv
+work on numpy index arrays, and dot_blocks yields pairwise dot products in
+row blocks under PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single
+% p per block).
 """
 
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -132,26 +134,38 @@ def make_field(p: int, n: int) -> "FieldSpec":
                         if _is_irreducible(list(c) + [1], p, n)), None)
         if modulus is None:
             raise NoIrreducibleFound(f"no irreducible modulus for GF({p}^{n})")
-    return FieldSpec(p=p, n=n, q=q, modulus=modulus, q_mod4=q % 4)
+    return FieldSpec(p, n, modulus)
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable description of GF(q); all arithmetic methods are pure."""
+    """Immutable GF(q), q = p^n, and its arithmetic on element indices.
+
+    Construction derives q and q_mod4 and puts every op on the instance,
+    from _prime_backend or _extension_backend:
+
+        add, sub, neg, mul, inv, pow, is_square   on ints in [0, q)
+        vmul, vadd, vneg, vinv                     elementwise on numpy index
+                                                   arrays, broadcasting
+
+    inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
+    e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
+    field: for 0, and for every element when p = 2.
+    """
 
     p: int
     n: int
-    q: int
     modulus: tuple[int, ...]
-    q_mod4: int
+    q: int = field(init=False)
+    q_mod4: int = field(init=False)
 
     def __post_init__(self):
-        if self.q != self.p**self.n:
-            raise ValueError("q must equal p^n")
         if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if self.q_mod4 != self.q % 4:
-            raise ValueError("q_mod4 inconsistent with q")
+        q = self.p**self.n
+        # frozen: the derived attributes and the ops go straight into __dict__
+        self.__dict__.update(q=q, q_mod4=q % 4)
+        self.__dict__.update(_prime_backend(self.p) if self.n == 1 else _extension_backend(self))
 
     # -- element encoding -------------------------------------------------
 
@@ -172,109 +186,6 @@ class FieldSpec:
             a = a * self.p + c % self.p
         return a
 
-    # -- arithmetic --------------------------------------------------------
-    # Prime fields compute inline.  The first operation of an extension field
-    # builds its tables and puts table-backed add, sub, neg, mul, inv, pow and
-    # is_square on the instance, where they shadow these methods; a method
-    # bound before that delegates to them.  (A __getattr__ hook would avoid
-    # the delegation but slows every attribute access on every field.)
-
-    def _ext(self, name: str):
-        """Table or table-backed op of an extension field, built on first use."""
-        attrs = self.__dict__
-        if name not in attrs:
-            attrs.update(_extension_backend(self))
-        return attrs[name]
-
-    def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
-        return self._ext("add")(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a - b) % self.p
-        return self._ext("sub")(a, b)
-
-    def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
-        return self._ext("neg")(a)
-
-    def mul(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a * b) % self.p
-        return self._ext("mul")(a, b)
-
-    def inv(self, a: int) -> int:
-        if self.n > 1:
-            return self._ext("inv")(a)
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e; e must be >= 0 (0**0 == 1)."""
-        if self.n > 1:
-            return self._ext("pow")(a, e)
-        if e < 0:
-            raise ValueError("negative exponent; invert explicitly")
-        return pow(a, e, self.p)
-
-    def is_square(self, e: int) -> bool:
-        """True iff e has a square root in the field.
-
-        Prime fields use the e^((q-1)/2) criterion (every element of GF(2)
-        passes).  Extension fields answer True when p = 2 and otherwise check
-        that log e is even.
-        """
-        if self.n > 1:
-            return self._ext("is_square")(e)
-        return e == 0 or pow(e, (self.q - 1) // 2, self.p) == 1
-
-    # -- vectorised arithmetic on numpy index arrays (broadcasting) ----------
-    # Table positions are summed as intp: numpy gathers several times faster
-    # through intp indices than through the int32 the tables store.
-
-    def vmul(self, a, b):
-        if self.n == 1:
-            return a * b % self.p
-        log = self._ext("_log")
-        return self._ext("_exp")[np.add(log[a], log[b], dtype=np.intp)]
-
-    def vadd(self, a, b):
-        if self.n == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self.q <= _VADD_TABLE_MAX_Q:
-            return self._ext("_addq")[np.multiply(a, self.q, dtype=np.intp) + b]
-        log = self._ext("_log")
-        la, lb = log[a], log[b]
-        zech = self._ext("_zech")[(lb - la) % (self.q - 1)]
-        s = self._ext("_exp")[np.add(la, zech, dtype=np.intp)]
-        return np.where(a == 0, b, np.where(b == 0, a, s))
-
-    def vneg(self, a):
-        if self.n == 1:
-            return -a % self.p
-        if self.p == 2:
-            return a
-        half = (self.q - 1) // 2
-        return self._ext("_exp")[np.add(self._ext("_log")[a], half, dtype=np.intp)]
-
-    def vinv(self, a):
-        """1/a elementwise; DivisionByZero when a holds a zero."""
-        a = np.asarray(a, dtype=np.int64)
-        if not a.all():
-            raise DivisionByZero("inverse of 0")
-        if self.n > 1:
-            return self._ext("_exp")[np.subtract(self.q - 1, self._ext("_log")[a], dtype=np.intp)]
-        acc, e = np.ones_like(a), self.p - 2  # a^(p-2) by repeated squaring
-        while e:
-            acc, a, e = (acc * a % self.p if e & 1 else acc), a * a % self.p, e >> 1
-        return acc
-
     def dot_blocks(self, X, Y):
         """Yield the |X| x |Y| matrix of dot products x . y, in row blocks.
 
@@ -285,14 +196,7 @@ class FieldSpec:
         """
         step = max(1, PAIR_BLOCK_ELEMENTS // max(len(Y), 1))
         for start in range(0, len(X), step):
-            rows = X[start:start + step]
-            if self.n == 1:
-                yield rows @ Y.T % self.p
-                continue
-            acc = self.vmul(rows[:, None, 0], Y[None, :, 0])
-            for j in range(1, Y.shape[1]):
-                acc = self.vadd(acc, self.vmul(rows[:, None, j], Y[None, :, j]))
-            yield acc
+            yield self._dot_block(X[start:start + step], Y)
 
     # -- raw polynomial arithmetic: builds the tables, reference in tests ---
 
@@ -352,8 +256,38 @@ def _times(fs: FieldSpec, idx, h: int):
     return digits @ rows % fs.p @ pw
 
 
+def _prime_backend(p: int) -> dict:
+    """The ops of GF(p), inline mod p; add, neg and mul serve arrays too."""
+
+    def inv(a):
+        if a == 0:
+            raise DivisionByZero("inverse of 0")
+        return pow(a, p - 2, p)
+
+    def power(a, e):
+        if e < 0:
+            raise ValueError("negative exponent; invert explicitly")
+        return pow(a, e, p)
+
+    def vinv(a):
+        a = np.asarray(a, dtype=np.int64)
+        if not a.all():
+            raise DivisionByZero("inverse of 0")
+        acc, e = np.ones_like(a), p - 2  # a^(p-2) by repeated squaring
+        while e:
+            acc, a, e = (acc * a % p if e & 1 else acc), a * a % p, e >> 1
+        return acc
+
+    half = (p - 1) // 2  # Euler's criterion; every element of GF(2) passes
+    ops = dict(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+               neg=lambda a: -a % p, mul=lambda a, b: a * b % p, inv=inv, pow=power,
+               is_square=lambda e: e == 0 or pow(e, half, p) == 1, vinv=vinv,
+               _dot_block=lambda rows, Y: rows @ Y.T % p)
+    return dict(ops, vadd=ops["add"], vneg=ops["neg"], vmul=ops["mul"])
+
+
 def _extension_backend(fs: FieldSpec) -> dict:
-    """The tables of GF(p^n), n > 1, and the scalar ops that read them."""
+    """The tables of GF(p^n), n > 1, and the ops that read them."""
     p, q = fs.p, fs.q
     m = q - 1
     g = _primitive_element(fs)
@@ -372,6 +306,7 @@ def _extension_backend(fs: FieldSpec) -> dict:
     log[powers] = np.arange(m, dtype=np.int32)
     log[0] = 2 * m
     exp_s, log_s = memoryview(exp), memoryview(log)
+    tables = {"_exp": exp, "_log": log}
 
     def mul(a, b):
         return exp_s[log_s[a] + log_s[b]]
@@ -388,41 +323,69 @@ def _extension_backend(fs: FieldSpec) -> dict:
             return 1 if e == 0 else 0
         return exp_s[log_s[a] * e % m]
 
-    backend = {"_exp": exp, "_log": log, "mul": mul, "inv": inv, "pow": power}
+    # Table positions are summed as intp: numpy gathers several times faster
+    # through intp indices than through the int32 the tables store.
+    def vmul(a, b):
+        return exp[np.add(log[a], log[b], dtype=np.intp)]
+
+    def vinv(a):
+        a = np.asarray(a, dtype=np.int64)
+        if not a.all():
+            raise DivisionByZero("inverse of 0")
+        return exp[np.subtract(m, log[a], dtype=np.intp)]
+
     if p == 2:
         # an index packs the GF(2) coefficients as bits; every element is a square
-        backend.update(add=operator.xor, sub=operator.xor, neg=lambda a: a,
-                       is_square=lambda e: True)
-        return backend
+        add = sub = vadd = operator.xor
+        neg = vneg = lambda a: a
+        is_square = lambda e: True
+    else:
+        # 1 + g^d adds 1 to the constant coefficient, which wraps at p
+        one_more = powers + 1
+        one_more[one_more % p == 0] -= p
+        zech = tables["_zech"] = log[one_more]
+        zech_s = memoryview(zech)
+        half = m // 2  # -1 = g^half; log 0 + half lands in the zero tail of exp
 
-    # 1 + g^d adds 1 to the constant coefficient, which wraps at p
-    one_more = powers + 1
-    one_more[one_more % p == 0] -= p
-    zech = log[one_more]
-    zech_s = memoryview(zech)
-    half = m // 2  # -1 = g^half; log 0 + half lands in the zero tail of exp
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log_s[a]
+            return exp_s[la + zech_s[(log_s[b] - la) % m]]
 
-    def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        la = log_s[a]
-        return exp_s[la + zech_s[(log_s[b] - la) % m]]
+        def neg(a):
+            return exp_s[log_s[a] + half]
 
-    def neg(a):
-        return exp_s[log_s[a] + half]
+        def sub(a, b):
+            return add(a, exp_s[log_s[b] + half])
 
-    def sub(a, b):
-        return add(a, exp_s[log_s[b] + half])
+        def is_square(e):
+            return log_s[e] % 2 == 0  # log 0 = 2m is even too
 
-    def is_square(e):
-        return log_s[e] % 2 == 0  # log 0 = 2m is even too
+        def vneg(a):
+            return exp[np.add(log[a], half, dtype=np.intp)]
 
-    backend.update(_zech=zech, add=add, sub=sub, neg=neg, is_square=is_square)
-    if q <= _VADD_TABLE_MAX_Q:
-        pw = p ** np.arange(fs.n)
-        digits = np.arange(q)[:, None] // pw % p
-        addq = (digits[:, None, :] + digits[None, :, :]) % p @ pw
-        backend["_addq"] = addq.astype(np.int32).ravel()  # a + b at a * q + b
-    return backend
+        if q <= _VADD_TABLE_MAX_Q:
+            pw = p ** np.arange(fs.n)
+            digits = np.arange(q)[:, None] // pw % p
+            addq = ((digits[:, None, :] + digits[None, :, :]) % p @ pw).astype(np.int32).ravel()
+
+            def vadd(a, b):
+                return addq[np.multiply(a, q, dtype=np.intp) + b]  # a + b at a * q + b
+        else:
+            def vadd(a, b):
+                la, lb = log[a], log[b]
+                s = exp[np.add(la, zech[(lb - la) % m], dtype=np.intp)]
+                return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def dot_block(rows, Y):
+        acc = vmul(rows[:, None, 0], Y[None, :, 0])
+        for j in range(1, Y.shape[1]):
+            acc = vadd(acc, vmul(rows[:, None, j], Y[None, :, j]))
+        return acc
+
+    return dict(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow=power,
+                is_square=is_square, vmul=vmul, vadd=vadd, vneg=vneg, vinv=vinv,
+                _dot_block=dot_block)

@@ -102,6 +102,13 @@ def _check_array(fs: FieldSpec, arr, what: str = "coordinate") -> None:
         raise FieldMismatch(f"{what} {bad[0]} outside [0, {fs.q})")
 
 
+def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
+    """coords_array(rows, dim); FieldMismatch for an entry outside [0, q)."""
+    arr = coords_array(rows, dim)
+    _check_array(fs, arr, what)
+    return arr
+
+
 def plane_rows(fs: FieldSpec, planes):
     """Normals and right-hand sides as int64 arrays; FieldMismatch for a
     coefficient outside [0, q) or a zero normal."""
@@ -113,9 +120,11 @@ def plane_rows(fs: FieldSpec, planes):
     return nrm, rhs
 
 
-def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
+def check_incidence_input(fs: FieldSpec, points, flats, lines: bool):
     """Every flat a valid Line2 (lines) or Plane3, every point of matching
-    dimension with coordinates in [0, q); FieldMismatch otherwise."""
+    dimension with coordinates in [0, q); FieldMismatch otherwise.  Returns
+    the points as an int64 array and the flats as rows: the (a, b) array of
+    the lines, or plane_rows of the planes."""
     kind = Line2 if lines else Plane3
     for f in flats:
         if not isinstance(f, kind):
@@ -123,10 +132,10 @@ def check_incidence_input(fs: FieldSpec, points, flats, lines: bool) -> None:
         if lines and f.kind not in ("N", "V"):
             raise FieldMismatch(f"unknown line kind {f.kind!r}")
     if lines:
-        _check_array(fs, coords_array([f[1:] for f in flats], 2), "line coefficient")
+        rows = field_array(fs, [f[1:] for f in flats], 2, "line coefficient")
     else:
-        plane_rows(fs, flats)
-    _check_array(fs, coords_array(points, 2 if lines else 3))
+        rows = plane_rows(fs, flats)
+    return field_array(fs, points, 2 if lines else 3), rows
 
 
 def coords_array(rows, dim: int, what: str = "points"):
@@ -167,14 +176,16 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     if not points or not flats:
         return IncidenceCount(0, method)
     lines = isinstance(flats[0], Line2)
-    check_incidence_input(fs, points, flats, lines)
+    pts, rows = check_incidence_input(fs, points, flats, lines)
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
         return IncidenceCount(_count_oracle(fs, points, flats, lines), "oracle")
     if lines:
-        return IncidenceCount(_count_lines_fast(fs, points, flats), "fast")
-    return IncidenceCount(_count_planes_fast(fs, points, flats), "fast")
+        return IncidenceCount(_count_lines_fast(fs, pts, flats), "fast")
+    nrm, rhs = rows
+    count = sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
+    return IncidenceCount(count, "fast")
 
 
 def _count_oracle(fs, points, flats, lines: bool) -> int:
@@ -198,7 +209,7 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
     return total
 
 
-def _count_lines_fast(fs, points, flats) -> int:
+def _count_lines_fast(fs, pts, flats) -> int:
     # Line k has a direction row D[k] and a value v[k], and (x, y) lies on it
     # iff (x, y) . D[k] = v[k]; lines sharing a direction share a row.
     dirs: dict[tuple[int, int], int] = {}
@@ -207,7 +218,7 @@ def _count_lines_fast(fs, points, flats) -> int:
         d, v = ((1, 0), ln.a) if ln.kind == "V" else ((fs.neg(ln.a), 1), ln.b)
         keys.append(dirs.setdefault(d, len(dirs)) * fs.q + v)
     keys = np.sort(np.asarray(keys, dtype=np.int64))
-    pts, D = coords_array(points, 2), coords_array(list(dirs), 2)
+    D = coords_array(list(dirs), 2)
     # lines per (direction, value) bucket, over chunks of directions whose
     # bucket table stays within the block budget
     step = max(1, ffield.PAIR_BLOCK_ELEMENTS // fs.q)
@@ -219,12 +230,6 @@ def _count_lines_fast(fs, points, flats) -> int:
         offset = np.arange(len(chunk), dtype=np.int64) * fs.q
         total += sum(int(table[vals + offset].sum()) for vals in fs.dot_blocks(pts, chunk))
     return total
-
-
-def _count_planes_fast(fs, points, flats) -> int:
-    pts = coords_array(points, 3)
-    nrm, rhs = plane_rows(fs, flats)
-    return sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +248,7 @@ def distinct_points3(fs: FieldSpec, points):
     """The distinct points, sorted, as an int64 (n, 3) array; 2-coordinate
     points are embedded in the z = 0 plane.  FieldMismatch for a coordinate
     outside [0, q)."""
-    pts = coords_array(sorted({_as_point3(pt) for pt in points}), 3)
-    _check_array(fs, pts)
-    return pts
+    return field_array(fs, sorted({_as_point3(pt) for pt in points}), 3)
 
 
 def unit_rows(fs: FieldSpec, rows):

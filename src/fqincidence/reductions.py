@@ -29,9 +29,9 @@ from .geom import (
     Line2,
     Plane3,
     Point3,
-    coords_array,
     count_incidences,
     dot3,
+    field_array,
     grid_points,
     make_plane,
     max_collinear,
@@ -54,13 +54,16 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
 
     "fast" makes one pass over the row blocks of (a, b) . (x, 1) = a*x + b,
     which histograms r(v) = #{(a, b, x) : a*x + b = v}, and returns
-    sum r(v)^2; "oracle" enumerates all tuples.  Both agree exactly.
+    sum r(v)^2; "oracle" enumerates all tuples.  Both agree exactly, and both
+    raise FieldMismatch for a line coefficient or element of A outside [0, q).
     """
     L = _line_pairs(lines)
     A = list(a_set)
+    rows = field_array(fs, L, 2, "line coefficient")
+    cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
-        for vals in fs.dot_blocks(coords_array(L, 2), coords_array([(x, 1) for x in A], 2)):
+        for vals in fs.dot_blocks(rows, cols):
             r += np.bincount(vals.ravel(), minlength=fs.q)
         return sum(v * v for v in r[r > 0].tolist())
     if method == "oracle":
@@ -87,9 +90,11 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     Both lists keep multiplicity; the defining identity
     I(points3, planes3) == count_solutions(L, A) holds exactly.  A projection
     self-check confirms at most k_bound collinear points in the Oxy shadow.
+    FieldMismatch for a line coefficient or element of A outside [0, q).
     """
+    lines, A = list(lines), list(a_set)
+    count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     L = _line_pairs(lines)
-    A = list(a_set)
     points3 = [(x, ap, bp) for x in A for ap, bp in L]
     neg = fs.neg
     planes3 = [
@@ -116,7 +121,6 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
             raise InvariantFailure(
                 f"projected collinearity {k_proj} exceeds k bound {k_bound}"
             )
-    count = count_solutions(fs, lines, A, method="fast")
     return ReductionOutput(points3, planes3, k_bound, count)
 
 

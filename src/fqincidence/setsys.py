@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SubsetTooLarge
 from .ffield import FieldSpec
-from .geom import check_incidence_input, coords_array
+from .geom import check_incidence_input
 
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
@@ -66,9 +66,9 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
         raise ValueError(f"side must be by_point or by_plane, got {side!r}")
     points = list(points)
     planes = list(planes)
-    check_incidence_input(fs, points, planes, lines=False)
-    pts = coords_array([(*pt, 1) for pt in points], 4)
-    pls = coords_array([(*pl.normal, fs.neg(pl.rhs)) for pl in planes], 4)
+    pts, (nrm, rhs) = check_incidence_input(fs, points, planes, lines=False)
+    pts = np.column_stack([pts, np.ones(len(pts), dtype=np.int64)])
+    pls = np.column_stack([nrm, fs.vneg(rhs)])
     members, ground = (pts, pls) if side == "by_point" else (pls, pts)
     masks = [
         int.from_bytes(row.tobytes(), "little")

@@ -9,6 +9,7 @@ from fqincidence.apps import (
     bisector_plane,
     distance_set,
     dot_product_set,
+    full_distance_report,
     norm3,
     regular_subset,
     sphere_line_scan,
@@ -18,11 +19,13 @@ from fqincidence.apps import (
 from fqincidence.errors import (
     EqualPoints,
     EvenCharacteristic,
+    FieldMismatch,
     InvalidPointSet,
     ToolkitError,
 )
 from fqincidence.ffield import make_field
-from fqincidence.geom import Line3, dot3, line3_points, make_plane, max_shared_collinear
+from fqincidence.geom import Line2, Line3, dot3, line3_points, make_plane, max_shared_collinear
+from fqincidence.reductions import build_point_plane_sets, count_solutions
 from pair_loops import dist
 
 
@@ -426,3 +429,38 @@ def test_trace_classes_bounded_by_shatter_function():
     cap = shatter_function(system, len(Up))
     # the zero point's empty trace may add one class beyond the plane family's
     assert rep.classes <= cap.value + (1 if (0, 0, 0) in U else 0)
+
+
+# -- coordinates outside [0, q) ------------------------------------------------
+
+GOOD3 = [(1, 1, 1), (0, 1, 0)]
+# each call passes one coordinate x = q + 2, which wraps mod p over a prime
+# field and indexes past the tables of an extension field
+OUT_OF_RANGE = {
+    "dot_product_set": lambda fs, x: dot_product_set(fs, [(0, 0, x)], GOOD3),
+    "distance_set": lambda fs, x: distance_set(fs, GOOD3, [(x, 0, 0)]),
+    "triple_count_T": lambda fs, x: triple_count_T(fs, [(0, x, 0)], GOOD3),
+    "full_distance_report": lambda fs, x: full_distance_report(fs, GOOD3, [(0, 0, x)]),
+    "trace_pairs": lambda fs, x: trace_pairs(fs, [(0, 0, x), *GOOD3], GOOD3),
+    "regular_subset": lambda fs, x: regular_subset(fs, [*GOOD3, (x, 1, 0)]),
+    "count_solutions-line": lambda fs, x: count_solutions(fs, [Line2("N", 1, x)], [0, 1]),
+    "count_solutions-A": lambda fs, x: count_solutions(fs, [Line2("N", 1, 1)], [0, x]),
+    "count_solutions-oracle": lambda fs, x: count_solutions(
+        fs, [Line2("N", x, 1)], [0, 1], method="oracle"),
+    "build_point_plane_sets-line": lambda fs, x: build_point_plane_sets(
+        fs, [Line2("N", 1, 0), Line2("N", 2, x)], [0, 1]),
+    "build_point_plane_sets-A": lambda fs, x: build_point_plane_sets(
+        fs, [Line2("N", 1, 0)], [x, 1]),
+}
+# the distance functions refuse even q before they read a coordinate
+DISTANCE_CALLS = {"distance_set", "triple_count_T", "full_distance_report"}
+
+
+@pytest.mark.parametrize("name,p,n", [
+    (name, p, n) for name in OUT_OF_RANGE for p, n in [(5, 1), (2, 2), (3, 2)]
+    if p != 2 or name not in DISTANCE_CALLS
+])
+def test_coordinates_outside_the_field_raise_field_mismatch(name, p, n):
+    fs = make_field(p, n)
+    with pytest.raises(FieldMismatch):
+        OUT_OF_RANGE[name](fs, fs.q + 2)

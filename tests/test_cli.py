@@ -169,6 +169,37 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert main(["field-info", "--config", str(conf)]) == 1
 
 
+_MIXED_FIELDS = {
+    "count": lambda f5, f7: ["count", "--points", f5["p3"], "--planes", f7["planes"]],
+    "vcdim": lambda f5, f7: ["vcdim", "--points", f5["p3"], "--planes", f7["planes"]],
+    "reduce-A": lambda f5, f7: ["reduce", "--lines", f5["lines"], "--a", f7["a"]],
+    "reduce-B": lambda f5, f7: ["reduce", "--lines", f5["lines"], "--a", f5["a"],
+                                "--b", f7["a"]],
+    "distance": lambda f5, f7: ["distance", "--e", f5["p3"], "--f", f7["p3"]],
+    "dotprod": lambda f5, f7: ["dotprod", "--e", f5["p3"], "--f", f7["p3"]],
+    "traces": lambda f5, f7: ["traces", "--u", f5["p3"], "--uprime", f7["p3"]],
+}
+
+
+@pytest.mark.parametrize("command", list(_MIXED_FIELDS))
+def test_files_over_different_fields_exit_one_naming_both(tmp_path, capsys, command):
+    files = {}
+    for p in (5, 7):
+        fs, d = make_field(p, 1), tmp_path / f"gf{p}"
+        d.mkdir()
+        files[p] = {"p3": d / "p3.txt", "planes": d / "planes.txt",
+                    "lines": d / "lines.txt", "a": d / "a.txt"}
+        save_points(files[p]["p3"], fs, [(1, 0, 0), (0, 1, 2)])
+        save_planes(files[p]["planes"], fs, all_planes_through_one(fs)[:5])
+        save_lines(files[p]["lines"], fs, [Line2("N", 1, 0), Line2("N", 2, 1)])
+        save_points(files[p]["a"], fs, [0, 1, 3])
+    args = _MIXED_FIELDS[command](*({k: str(v) for k, v in files[p].items()} for p in (5, 7)))
+    assert main(args) == 1
+    err = _one_error_line(capsys)
+    assert str(tmp_path / "gf5") in err and str(tmp_path / "gf7") in err
+    assert "GF(5)" in err and "GF(7)" in err
+
+
 def test_field_mismatch_between_files(tmp_path):
     e = tmp_path / "e.txt"
     f = tmp_path / "f.txt"

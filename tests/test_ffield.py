@@ -185,10 +185,24 @@ def test_make_field_memoized(p, n):
 
 
 def test_fieldspec_validation():
+    # q and q_mod4 are derived from (p, n), never passed in
+    fs = FieldSpec(3, 2, (1, 0, 1))
+    assert (fs.q, fs.q_mod4) == (9, 1)
+    assert (FieldSpec(2, 3, (1, 1, 0, 1)).q, FieldSpec(7, 1, (0, 1)).q_mod4) == (8, 3)
+    with pytest.raises(TypeError):
+        FieldSpec(p=3, n=2, q=9, modulus=(1, 0, 1))
     with pytest.raises(ValueError):
-        FieldSpec(p=3, n=2, q=8, modulus=(1, 0, 1), q_mod4=0)
-    with pytest.raises(ValueError):
-        FieldSpec(p=3, n=2, q=9, modulus=(1, 0, 2), q_mod4=1)
+        FieldSpec(p=3, n=2, modulus=(1, 0, 2))
+
+
+OPS = ("add", "sub", "neg", "mul", "inv", "pow", "is_square", "vmul", "vadd", "vneg", "vinv")
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2), (5, 4)])
+def test_ops_are_set_at_construction(p, n):
+    fs = FieldSpec(p, n, make_field(p, n).modulus)
+    assert set(OPS) <= vars(fs).keys()
+    assert not any(hasattr(FieldSpec, op) for op in OPS)
 
 
 def test_is_prime_basics():
