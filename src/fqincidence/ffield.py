@@ -27,9 +27,20 @@ g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
 is_square read log.  The tables are O(q) int32 arrays (about 25 MB at
 q = 1021^2), built in numpy blocks with the field; the scalar ops are
 closures that read them through memoryviews.  vmul, vadd, vneg and vinv
-work on numpy index arrays, and dot_blocks yields pairwise dot products in
-row blocks under PAIR_BLOCK_ELEMENTS (prime fields: one matmul and a single
-% p per block).
+work on numpy index arrays.
+
+dot_blocks yields the pairwise dot products x . y of a block of rows X
+against a fixed Y, in row blocks under PAIR_BLOCK_ELEMENTS.  Prime fields
+take one matmul and a single % p per block.  Extension fields, when
+q <= |X| and q * |Y| <= PAIR_BLOCK_ELEMENTS, build once per call the product
+tables T_j[a, c] = a * Y[c, j] over all a in [0, q); since x . y =
+sum_j T_j[x_j, c], a block is the row gather T_0[X[:, 0]] with the gathered
+rows of every further T_j added in (XOR in place when p = 2, vadd for odd
+p).  The tables hold the narrowest dtype that fits q (uint8 to q = 256,
+uint16 to 2^16, int32 above), so blocks may come back that narrow.  With
+fewer rows than elements the tables would cost more products than they
+save, and tables over the block budget would break the memory bound; then
+each block does a log/exp product per pair and coordinate instead.
 """
 
 import functools
@@ -147,6 +158,13 @@ class FieldSpec:
         add, sub, neg, mul, inv, pow, is_square   on ints in [0, q)
         vmul, vadd, vneg, vinv                     elementwise on numpy index
                                                    arrays, broadcasting
+        dot_blocks(X, Y)                           pairwise dot products
+
+    dot_blocks takes integer arrays X and Y of shape (rows, d) holding
+    element indices and yields the |X| x |Y| matrix of x . y in row blocks:
+    consecutive rows of X against every row of Y, at most
+    PAIR_BLOCK_ELEMENTS entries (and at least one row) per block.  A block
+    is an integer array of values in [0, q), possibly as narrow as uint8.
 
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
@@ -185,18 +203,6 @@ class FieldSpec:
         for c in reversed(cs):
             a = a * self.p + c % self.p
         return a
-
-    def dot_blocks(self, X, Y):
-        """Yield the |X| x |Y| matrix of dot products x . y, in row blocks.
-
-        X and Y are integer arrays of shape (rows, d) holding element indices.
-        Each yielded block holds the products of consecutive rows of X with
-        every row of Y, at most PAIR_BLOCK_ELEMENTS entries (and at least one
-        row) per block.
-        """
-        step = max(1, PAIR_BLOCK_ELEMENTS // max(len(Y), 1))
-        for start in range(0, len(X), step):
-            yield self._dot_block(X[start:start + step], Y)
 
     # -- raw polynomial arithmetic: builds the tables, reference in tests ---
 
@@ -256,6 +262,13 @@ def _times(fs: FieldSpec, idx, h: int):
     return digits @ rows % fs.p @ pw
 
 
+def _row_blocks(X, width: int):
+    """Consecutive row slices of X with at most PAIR_BLOCK_ELEMENTS entries
+    (and at least one row) each against width columns."""
+    step = max(1, PAIR_BLOCK_ELEMENTS // max(width, 1))
+    return (X[start:start + step] for start in range(0, len(X), step))
+
+
 def _prime_backend(p: int) -> dict:
     """The ops of GF(p), inline mod p; add, neg and mul serve arrays too."""
 
@@ -278,11 +291,15 @@ def _prime_backend(p: int) -> dict:
             acc, a, e = (acc * a % p if e & 1 else acc), a * a % p, e >> 1
         return acc
 
+    def dot_blocks(X, Y):
+        for rows in _row_blocks(X, len(Y)):
+            yield rows @ Y.T % p
+
     half = (p - 1) // 2  # Euler's criterion; every element of GF(2) passes
     ops = dict(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
                neg=lambda a: -a % p, mul=lambda a, b: a * b % p, inv=inv, pow=power,
                is_square=lambda e: e == 0 or pow(e, half, p) == 1, vinv=vinv,
-               _dot_block=lambda rows, Y: rows @ Y.T % p)
+               dot_blocks=dot_blocks)
     return dict(ops, vadd=ops["add"], vneg=ops["neg"], vmul=ops["mul"])
 
 
@@ -380,12 +397,30 @@ def _extension_backend(fs: FieldSpec) -> dict:
                 s = exp[np.add(la, zech[(lb - la) % m], dtype=np.intp)]
                 return np.where(a == 0, b, np.where(b == 0, a, s))
 
-    def dot_block(rows, Y):
-        acc = vmul(rows[:, None, 0], Y[None, :, 0])
-        for j in range(1, Y.shape[1]):
-            acc = vadd(acc, vmul(rows[:, None, j], Y[None, :, j]))
-        return acc
+    narrow = np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int32
+    accumulate = operator.ixor if p == 2 else vadd  # ixor adds in place
+
+    def dot_blocks(X, Y):
+        d = Y.shape[1]
+        if q > len(X) or q * len(Y) > PAIR_BLOCK_ELEMENTS:
+            # fewer rows than elements, or tables over the block budget:
+            # a log/exp product per pair
+            for rows in _row_blocks(X, len(Y)):
+                acc = vmul(rows[:, None, 0], Y[None, :, 0])
+                for j in range(1, d):
+                    acc = vadd(acc, vmul(rows[:, None, j], Y[None, :, j]))
+                yield acc
+            return
+        # products[j][a, c] = a * Y[c, j]: x_j takes only q values, so a
+        # block's products are row gathers from these tables
+        a = np.arange(q)[:, None]
+        products = [vmul(a, Y[None, :, j]).astype(narrow) for j in range(d)]
+        for rows in _row_blocks(X, len(Y)):
+            acc = products[0].take(rows[:, 0], axis=0)
+            for j in range(1, d):
+                acc = accumulate(acc, products[j].take(rows[:, j], axis=0))
+            yield acc
 
     return dict(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow=power,
                 is_square=is_square, vmul=vmul, vadd=vadd, vneg=vneg, vinv=vinv,
-                _dot_block=dot_block)
+                dot_blocks=dot_blocks)

@@ -182,7 +182,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
             raise SizeCap("oracle pair count over 10^9")
         return IncidenceCount(_count_oracle(fs, points, flats, lines), "oracle")
     if lines:
-        return IncidenceCount(_count_lines_fast(fs, pts, flats), "fast")
+        return IncidenceCount(_count_lines_fast(fs, pts, flats, rows), "fast")
     nrm, rhs = rows
     count = sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
     return IncidenceCount(count, "fast")
@@ -209,16 +209,20 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
     return total
 
 
-def _count_lines_fast(fs, pts, flats) -> int:
+def _count_lines_fast(fs, pts, flats, ab) -> int:
     # Line k has a direction row D[k] and a value v[k], and (x, y) lies on it
-    # iff (x, y) . D[k] = v[k]; lines sharing a direction share a row.
-    dirs: dict[tuple[int, int], int] = {}
-    keys = []
-    for ln in flats:
-        d, v = ((1, 0), ln.a) if ln.kind == "V" else ((fs.neg(ln.a), 1), ln.b)
-        keys.append(dirs.setdefault(d, len(dirs)) * fs.q + v)
-    keys = np.sort(np.asarray(keys, dtype=np.int64))
-    D = coords_array(list(dirs), 2)
+    # iff (x, y) . D[k] = v[k]: (1, 0) and a for x = a, (-a, 1) and b for
+    # y = a*x + b.  A direction packs into one int in [0, q], q for (1, 0)
+    # and -a for (-a, 1); lines sharing a direction share a row, numbered in
+    # packed order.
+    vert = np.fromiter((f.kind == "V" for f in flats), dtype=bool, count=len(flats))
+    a, b = ab[:, 0], ab[:, 1]
+    packed = np.where(vert, fs.q, fs.vneg(a))
+    used = np.zeros(fs.q + 1, dtype=bool)
+    used[packed] = True
+    dirs = np.flatnonzero(used)
+    keys = np.sort((np.cumsum(used) - 1)[packed] * fs.q + np.where(vert, a, b))
+    D = np.column_stack([np.where(dirs == fs.q, 1, dirs), dirs < fs.q])
     # lines per (direction, value) bucket, over chunks of directions whose
     # bucket table stays within the block budget
     step = max(1, ffield.PAIR_BLOCK_ELEMENTS // fs.q)

@@ -133,6 +133,7 @@ class CsUpperReport(NamedTuple):
 
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
     """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle."""
+    lines = list(lines)
     L = _line_pairs(lines)
     A = list(a_set)
     B = list(b_set)

@@ -286,6 +286,44 @@ def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
     assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
 
 
+# extension fields of both characteristics whose product tables are uint8
+# (q <= 256) or uint16 (q = 625)
+TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (5, 4)]
+
+
+@pytest.mark.parametrize("shape", ["tables", "few_rows", "wide_y"])
+@pytest.mark.parametrize("p,n", TABLE_FIELDS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
+    # "tables": q <= |X| and q * |Y| within the budget, so the product tables
+    # serve blocks of q rows; "few_rows" (|X| < q) and "wide_y" (q * |Y|
+    # over the budget) take the per-pair path
+    fs = make_field(p, n)
+    q = fs.q
+    d = data.draw(st.integers(2, 5), label="d")
+    ny = data.draw(st.integers(1, 2 if q > 256 else 6), label="|Y|")
+    if shape == "few_rows":
+        nx = data.draw(st.integers(1, q - 1), label="|X|")
+    else:
+        nx = data.draw(st.integers(q, 2 * q + 7), label="|X|")
+    budget = q * ny - (shape == "wide_y")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.integers(0, q, size=(nx, d))
+    Y = rng.integers(0, q, size=(ny, d))
+    X[0], Y[0] = q - 1, 0  # the largest element and a zero row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", budget)
+        blocks = list(fs.dot_blocks(X, Y))
+    step = budget // ny
+    assert [len(blk) for blk in blocks] == [min(step, nx - s) for s in range(0, nx, step)]
+    got = np.vstack(blocks)
+    assert got.min() >= 0 and got.max() < q
+    if shape == "tables" and p == 2:
+        assert all(blk.dtype == np.uint8 for blk in blocks)
+    assert got.tolist() == [[raw_dot(fs, x, y) for y in Y] for x in X]
+
+
 # recorded g (the smallest index >= p of order q - 1) for every extension
 # field this module builds
 PRIMITIVE_ELEMENTS = {

@@ -270,6 +270,26 @@ def test_fast_equals_oracle_q625():
         assert fast >= 30
 
 
+@pytest.mark.parametrize("p,n", [(3, 4), (13, 1)])
+def test_line_buckets_match_oracle_many_lines_per_direction(p, n):
+    # a few slopes, each with many intercepts (repeats included), and many
+    # vertical lines: the fast count buckets lines by direction and value
+    fs = make_field(p, n)
+    q = fs.q
+    rng = random.Random(q)
+    slopes = rng.sample(range(q), 4)
+    lines = [Line2("N", rng.choice(slopes), rng.randrange(q)) for _ in range(150)]
+    lines += [vertical(rng.randrange(q)) for _ in range(60)]
+    rng.shuffle(lines)
+    pts = sample_points2(rng, q, 40)
+    for x, y in pts[:20]:  # lines through sampled points, so counts are not tiny
+        a = rng.choice(slopes)
+        lines += [Line2("N", a, fs.sub(y, fs.mul(a, x))), vertical(x)]
+    fast = count_incidences(fs, pts, lines, "fast").count
+    assert fast == count_incidences(fs, pts, lines, "oracle").count
+    assert fast >= 40
+
+
 @pytest.mark.parametrize("q,dim", [(2, 2), (5, 2), (3, 3), (4, 3)])
 def test_decode_points_lists_the_space_in_index_order(q, dim):
     space = decode_points(q, range(q**dim), dim)

@@ -9,6 +9,7 @@ over scalar field arithmetic that the kernels replaced.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,7 +26,9 @@ from fqincidence.ffield import make_field
 from fqincidence.geom import (
     Line2,
     Plane3,
+    all_planes_through_one,
     count_incidences,
+    decode_points,
     dot3,
 )
 from fqincidence.reductions import count_solutions
@@ -236,3 +239,25 @@ def test_neighborhood_input_rejected(points, planes, side):
     fs = make_field(7, 1)
     with pytest.raises(FieldMismatch):
         neighborhood_system(fs, points, planes, side)
+
+
+@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
+def test_whole_space_kernels_stay_in_memory_budget(kernel):
+    # every point of GF(16)^3: 4096 x 4096 unit products and 4096 x 4095
+    # point-plane pairs, which a kernel must walk in blocks rather than hold
+    fs = make_field(2, 4)
+    space = decode_points(fs.q, range(fs.q**3))
+    planes = all_planes_through_one(fs)
+    tracemalloc.start()
+    try:
+        if kernel == "regular_subset":
+            result = len(apps.regular_subset(fs, space).U1)
+        else:
+            result = count_incidences(fs, space, planes).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every nonzero u has q^2 points x with u . x = 1: all of them are in U1,
+    # and every plane holds q^2 points
+    assert result == (fs.q**3 - 1) * (1 if kernel == "regular_subset" else fs.q**2)
+    assert peak < 8 * 2**20

@@ -139,6 +139,21 @@ def test_cs_upper_example():
     assert rep.holds
 
 
+@pytest.mark.parametrize("wrap", [list, iter, lambda ls: (ln for ln in ls)],
+                         ids=["list", "iterator", "generator"])
+def test_cs_upper_reads_lines_once(wrap):
+    # an iterator of lines must give the same report as the list: energy and
+    # oracle count both come from one pass over it
+    fs = make_field(5, 1)
+    lines = [Line2("N", a, b) for a, b in [(0, 1), (1, 0), (1, 2), (2, 3), (3, 3), (4, 1)]]
+    a_set, b_set = [0, 1, 2], [0, 1, 2, 3]
+    rep = cs_upper(fs, wrap(lines), a_set, b_set)
+    assert rep.solution_count == brute_six_tuples(fs, [ln[1:] for ln in lines], a_set)
+    assert rep.actual == count_incidences(fs, grid_points(a_set, b_set), lines, "oracle").count
+    assert rep.value == pytest.approx(math.sqrt(len(b_set) * rep.solution_count))
+    assert rep.holds
+
+
 def test_cs_upper_holds_on_random_configs():
     fs = make_field(3, 2)  # GF(9)
     for trial in range(10):
