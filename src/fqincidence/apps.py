@@ -46,7 +46,6 @@ class DistanceReport:
     distance_set: set[int]
     zero_pairs: int
     T: Optional[int] = None  # equal-nonzero-distance triple count
-    k_bisector: Optional[int] = None
     chain_lhs: Optional[float] = None  # (|E||F| - zero_pairs)^2
     chain_rhs: Optional[float] = None  # |set minus 0| * |F| * T
     chain_holds: Optional[bool] = None
@@ -117,13 +116,6 @@ def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
     rep.zero_hypothesis_ok = rep.zero_pairs <= len(E) * len(F) / 2
     if rep.zero_hypothesis_ok and rep.T > 0:
         rep.derived_lower = len(E) ** 2 * len(F) / (4 * rep.T)
-    return rep
-
-
-def full_distance_report(fs: FieldSpec, E, F) -> DistanceReport:
-    """distance_set + triple count + chain check + the bisector collinearity k."""
-    rep = triple_count_T(fs, E, F)
-    rep.k_bisector = bisector_collinear_k(fs, E, F)
     return rep
 
 

@@ -1,10 +1,10 @@
 """Closed-form evaluators for the incidence bounds and regime comparison.
 
-Every evaluator returns a BoundReport: the bound value, its named addends,
-per-hypothesis flags, and (when an actual count is supplied) the ratio
-actual/value.  Hypothesis violations never abort evaluation; exploring
-near-regime behavior is a harness feature, so the flags simply record the
-violation.
+Every evaluator returns a BoundReport (eval_plane_bounds a dict of them,
+keyed by bound name): the bound value, its named addends, per-hypothesis
+flags, and (when an actual count is supplied) the ratio actual/value.
+Hypothesis violations never abort evaluation; exploring near-regime
+behavior is a harness feature, so the flags simply record the violation.
 
 Values are computed in double precision (the q^alpha scales are irrational
 in general); comparisons of integer counts against bound values should use
@@ -87,40 +87,50 @@ def _alpha_ok(alpha: float) -> bool:
 # point-line bounds in the plane
 # ---------------------------------------------------------------------------
 
-def eval_vinh_line(
-    q: int, nP: int, nL: int, C: float = DEFAULT_C, actual: Optional[int] = None
-) -> BoundReport:
-    """Main term nP*nL/q plus the deviation allowance C*sqrt(q*nP*nL)."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+def _cs_report(name: str, by_points: dict, by_flats: dict, flat_side: str,
+               actual: Optional[int]) -> BoundReport:
+    """The smaller of the two Cauchy-Schwarz forms, each given by its terms."""
+    if sum(by_points.values()) <= sum(by_flats.values()):
+        name, terms = f"{name}[point-side]", by_points
+    else:
+        name, terms = f"{name}[{flat_side}-side]", by_flats
+    return BoundReport(name, sum(terms.values()), terms, actual=actual)
+
+
+def eval_vinh_line(q: int, nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
+    """Main term nP*nL/q plus the deviation allowance C*sqrt(q*nP*nL), C = 2."""
     main = nP * nL / q
-    dev = C * math.sqrt(q * nP * nL)
-    return BoundReport(
-        "vinh_line",
-        main + dev,
-        {"main": main, "deviation": dev},
-        actual=actual,
-    )
+    dev = DEFAULT_C * math.sqrt(q * nP * nL)
+    return BoundReport("vinh_line", main + dev, {"main": main, "deviation": dev}, actual=actual)
 
 
 def eval_cs_line(nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
     """min{ sqrt(nP)*nL + nP, nP*sqrt(nL) + nL }; unconditional."""
-    by_points = (math.sqrt(nP) * nL, float(nP))
-    by_lines = (nP * math.sqrt(nL), float(nL))
-    if sum(by_points) <= sum(by_lines):
-        terms = {"sqrtP_L": by_points[0], "P": by_points[1]}
-        name = "cs_line[point-side]"
-    else:
-        terms = {"P_sqrtL": by_lines[0], "L": by_lines[1]}
-        name = "cs_line[line-side]"
-    return BoundReport(name, sum(terms.values()), terms, actual=actual)
+    return _cs_report("cs_line", {"sqrtP_L": math.sqrt(nP) * nL, "P": float(nP)},
+                      {"P_sqrtL": nP * math.sqrt(nL), "L": float(nL)}, "line", actual)
 
 
 def eval_thm_line(params: RegimeParams, actual: Optional[int] = None) -> BoundReport:
     """The VC-route line bound for Cartesian point sets A x B.
 
-    value = nL*nA*sqrt(nB)/q^(alpha/2) + q^alpha*sqrt(nL*nA*nB).  The
-    recorded hypothesis is nL*nA > q^alpha * max(nA, nLx).
+    value = nL*nA*sqrt(nB)/q^(alpha/2) + q^alpha*sqrt(nL*nA*nB), derived in
+    three steps:
+
+    1. Energy: by Cauchy-Schwarz over B, I(A x B, L) <= sqrt(|B| * E), where
+       E counts (a, b, x, a', b', x') in L x A x L x A with
+       a*x + b = a'*x' + b'.
+    2. Lift (reductions.build_point_plane_sets): E = I(P', Pi') for point
+       and plane sets with |P'| = |Pi'| = |L||A|, and the reduction's
+       k_bound is k = max(|A|, |L_x|).
+    3. The light-lines plane theorem (thm14 of eval_plane_bounds, whose two
+       terms thm13_by_points shares), I(P', Pi') <= |P'||Pi'|/q^alpha +
+       |P'|*q^(2*alpha), gives E <= (nL*nA)^2/q^alpha + nL*nA*q^(2*alpha).
+       The square root of a sum is at most the sum of the square roots, so
+       sqrt(nB * E) is at most the two terms of value.
+
+    The recorded size_condition, nL*nA > q^alpha * max(nA, nLx), is thm14's
+    nP >= 2*k*q^alpha with nP = nL*nA and k = max(nA, nLx), minus the
+    factor 2.
     """
     params.require("nL", "nA", "nB", "nLx")
     q, a = params.q, params.alpha
@@ -132,83 +142,62 @@ def eval_thm_line(params: RegimeParams, actual: Optional[int] = None) -> BoundRe
         "alpha_in_0_1": _alpha_ok(a),
         "size_condition": nL * nA > q**a * max(nA, nLx),
     }
-    return BoundReport(
-        "thm_line", sum(terms.values()), terms, hypotheses=hyps, actual=actual
-    )
+    return BoundReport("thm_line", sum(terms.values()), terms, hyps, actual=actual)
 
 
 # ---------------------------------------------------------------------------
 # point-plane bounds in three-space
 # ---------------------------------------------------------------------------
 
-PLANE_BOUNDS = ("vinh", "cs", "thm13_by_planes", "thm13_by_points", "thm14")
-
-
 def eval_plane_bounds(
     params: RegimeParams,
-    which: str,
     actual: Optional[int] = None,
     max_shared_collinear: Optional[int] = None,
-) -> BoundReport:
-    """One of the five point-plane bounds.
+) -> dict[str, BoundReport]:
+    """Every point-plane bound that applies, keyed by name.
 
-    vinh:             nP*nPi/q + 2*q*sqrt(nP*nPi)  (printed constant 2)
-    cs:               min of the two Cauchy-Schwarz forms
+    plane_vinh:       nP*nPi/q + C*q*sqrt(nP*nPi), C = 2 (printed constant)
+    plane_cs:         min of the two Cauchy-Schwarz forms
     thm13_by_planes:  nP*nPi/q^a + nPi*q^(2a),  needs nPi >= 2*q^(1+a)
     thm13_by_points:  nP*nPi/q^a + nP*q^(2a),   needs nP  >= 2*q^(1+a)
     thm14:            nP*nPi/q^a + nP*q^(2a),   needs nP  >= 2*k*q^a and no
                       line in two of the planes holding k points (pass the
-                      measured max_shared_collinear to record that flag).
+                      measured max_shared_collinear to record that flag);
+                      present only when params.k is set.
     """
     params.require("nP", "nPi")
     q, a = params.q, params.alpha
     nP, nPi = params.nP, params.nPi
-    if which == "vinh":
-        main = nP * nPi / q
-        dev = 2.0 * q * math.sqrt(nP * nPi)
-        return BoundReport(
+
+    def theorem(name, rich_size, size_hyps):
+        terms = {"main": nP * nPi / q**a, "rich": rich_size * q ** (2 * a)}
+        hyps = {"alpha_in_0_1": _alpha_ok(a), **size_hyps}
+        return BoundReport(name, sum(terms.values()), terms, hyps, actual=actual)
+
+    main = nP * nPi / q
+    dev = DEFAULT_C * q * math.sqrt(nP * nPi)
+    reports = {
+        "plane_vinh": BoundReport(
             "plane_vinh", main + dev, {"main": main, "deviation": dev}, actual=actual
-        )
-    if which == "cs":
-        by_points = (math.sqrt(q) * math.sqrt(nP) * nPi, float(nP))
-        by_planes = (math.sqrt(q) * nP * math.sqrt(nPi), float(nPi))
-        if sum(by_points) <= sum(by_planes):
-            terms = {"sqrtqP_Pi": by_points[0], "P": by_points[1]}
-            name = "plane_cs[point-side]"
-        else:
-            terms = {"sqrtq_P_sqrtPi": by_planes[0], "Pi": by_planes[1]}
-            name = "plane_cs[plane-side]"
-        return BoundReport(name, sum(terms.values()), terms, actual=actual)
-    if which == "thm13_by_planes":
-        terms = {"main": nP * nPi / q**a, "rich": nPi * q ** (2 * a)}
-        hyps = {
-            "alpha_in_0_1": _alpha_ok(a),
-            "planes_at_least_2q^(1+a)": nPi >= 2 * q ** (1 + a),
-        }
-        return BoundReport(
-            "thm13_by_planes", sum(terms.values()), terms, hyps, actual=actual
-        )
-    if which == "thm13_by_points":
-        terms = {"main": nP * nPi / q**a, "rich": nP * q ** (2 * a)}
-        hyps = {
-            "alpha_in_0_1": _alpha_ok(a),
-            "points_at_least_2q^(1+a)": nP >= 2 * q ** (1 + a),
-        }
-        return BoundReport(
-            "thm13_by_points", sum(terms.values()), terms, hyps, actual=actual
-        )
-    if which == "thm14":
-        params.require("k")
+        ),
+        "plane_cs": _cs_report(
+            "plane_cs", {"sqrtqP_Pi": math.sqrt(q) * math.sqrt(nP) * nPi, "P": float(nP)},
+            {"sqrtq_P_sqrtPi": math.sqrt(q) * nP * math.sqrt(nPi), "Pi": float(nPi)},
+            "plane", actual),
+        "thm13_by_planes": theorem(
+            "thm13_by_planes", nPi, {"planes_at_least_2q^(1+a)": nPi >= 2 * q ** (1 + a)}
+        ),
+        "thm13_by_points": theorem(
+            "thm13_by_points", nP, {"points_at_least_2q^(1+a)": nP >= 2 * q ** (1 + a)}
+        ),
+    }
+    if params.k is not None:
         k = params.k
-        terms = {"main": nP * nPi / q**a, "rich": nP * q ** (2 * a)}
-        hyps = {
-            "alpha_in_0_1": _alpha_ok(a),
-            "points_at_least_2kq^a": nP >= 2 * k * q**a,
-        }
+        hyps = {"points_at_least_2kq^a": nP >= 2 * k * q**a}
         if max_shared_collinear is not None:
             hyps["no_k_rich_shared_line"] = max_shared_collinear < k
-        return BoundReport("thm14", sum(terms.values()), terms, hyps, actual=actual)
-    raise ValueError(f"unknown plane bound {which!r}; pick one of {PLANE_BOUNDS}")
+        reports["thm14"] = theorem("thm14", nP, hyps)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +279,7 @@ def regime_report(
             "thm_line": eval_thm_line(params, actual=actual),
         }
         la = nL * nA
-        hyp = la > q**a * max(nA, nLx)
+        hyp = bounds["thm_line"].hypotheses["size_condition"]
         flags = {
             "hyp_size_condition": hyp,
             "case1_alpha_below_half": a < 0.5,
@@ -304,23 +293,8 @@ def regime_report(
         }
         kind = "line"
     elif params.nPi is not None:
-        params.require("nP", "nPi")
         nP, nPi = params.nP, params.nPi
-        bounds = {
-            "plane_vinh": eval_plane_bounds(params, "vinh", actual=actual),
-            "plane_cs": eval_plane_bounds(params, "cs", actual=actual),
-            "thm13_by_planes": eval_plane_bounds(
-                params, "thm13_by_planes", actual=actual
-            ),
-            "thm13_by_points": eval_plane_bounds(
-                params, "thm13_by_points", actual=actual
-            ),
-        }
-        if params.k is not None:
-            bounds["thm14"] = eval_plane_bounds(
-                params, "thm14", actual=actual,
-                max_shared_collinear=max_shared_collinear,
-            )
+        bounds = eval_plane_bounds(params, actual, max_shared_collinear)
         pp = nP * nPi
         flags = {
             "case1_alpha_below_half": a < 0.5,

@@ -8,6 +8,7 @@ long flags; they are checked like flags, and explicit flags win.
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -140,19 +141,19 @@ def cmd_distance(args) -> int:
     _require(args, "e", "f")
     fs, E = fileio.load_points(args.e)
     F = _load_same_field(fs, args.e, fileio.load_points, args.f)
-    rep = apps.full_distance_report(fs, E, F)
+    rep = apps.triple_count_T(fs, E, F)
+    k = apps.bisector_collinear_k(fs, E, F)
     print(f"|distance set| = {len(rep.distance_set)}, zero pairs = {rep.zero_pairs}")
     print(f"T = {rep.T}, chain holds = {rep.chain_holds}")
     violated = not rep.zero_hypothesis_ok
     if violated:
         print("hypothesis violated: zero pairs exceed |E||F|/2")
-    k = rep.k_bisector
     print(f"bisector collinear k = {k}")
     if args.alpha is not None:
         low = bounds.eval_distance_dot_lower(fs.q, args.alpha, len(E), k)
         size_ok = len(F) > 2 * k * fs.q**args.alpha
         print(f"lower-bound branch {low.bound_name}: value = {low.value:.6g}, "
-              f"measured/value = {len(rep.distance_set) / low.value:.4g}")
+              f"measured/value = {bounds.ratio_of(len(rep.distance_set), low.value):.4g}")
         if k == 0:
             print("note: k = 0 leaves the size condition on |F| unconstrained")
         elif not size_ok:
@@ -223,6 +224,24 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
+# |alpha| <= 16 keeps every scale q^(c * alpha) the bounds and suites take,
+# |c| <= 3, a finite nonzero double at every q <= MAX_ORDER = 2^20:
+# 2^(20 * (3 * 16 + 1)) < 2^1023.
+ALPHA_LIMIT = 16.0
+
+
+def _alpha(text: str) -> float:
+    """The --alpha flag: a float with |alpha| <= ALPHA_LIMIT (so not nan or inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not abs(value) <= ALPHA_LIMIT:  # nan compares false, so it lands here too
+        raise argparse.ArgumentTypeError(
+            f"alpha must be a number with |alpha| <= {ALPHA_LIMIT:g}, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -247,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         side={"choices": ["by_point", "by_plane"], "default": "by_point"},
         max_d={"type": int, "default": 4, "choices": range(1, 7)})
     add("reduce", cmd_reduce, lines={}, a={}, b={})
-    add("distance", cmd_distance, e={}, f={}, alpha={"type": float})
+    add("distance", cmd_distance, e={}, f={}, alpha={"type": _alpha})
     add("dotprod", cmd_dotprod, e={}, f={})
     add("traces", cmd_traces, u={}, uprime={})
     add("suite", cmd_suite, name={"choices": list(harness.SUITE_NAMES)}, q={"type": int},
-        alpha={"type": float, "default": 0.5}, trials={"type": int, "default": 10},
+        alpha={"type": _alpha, "default": 0.5}, trials={"type": int, "default": 10},
         seed={"type": int, "default": 0}, out={})
     add("preset", cmd_preset, name={"choices": list(harness.PRESET_NAMES)}, q={"type": int},
         seed={"type": int, "default": 0}, out={})

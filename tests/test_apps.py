@@ -9,7 +9,6 @@ from fqincidence.apps import (
     bisector_plane,
     distance_set,
     dot_product_set,
-    full_distance_report,
     norm3,
     regular_subset,
     sphere_line_scan,
@@ -440,7 +439,6 @@ OUT_OF_RANGE = {
     "dot_product_set": lambda fs, x: dot_product_set(fs, [(0, 0, x)], GOOD3),
     "distance_set": lambda fs, x: distance_set(fs, GOOD3, [(x, 0, 0)]),
     "triple_count_T": lambda fs, x: triple_count_T(fs, [(0, x, 0)], GOOD3),
-    "full_distance_report": lambda fs, x: full_distance_report(fs, GOOD3, [(0, 0, x)]),
     "trace_pairs": lambda fs, x: trace_pairs(fs, [(0, 0, x), *GOOD3], GOOD3),
     "regular_subset": lambda fs, x: regular_subset(fs, [*GOOD3, (x, 1, 0)]),
     "count_solutions-line": lambda fs, x: count_solutions(fs, [Line2("N", 1, x)], [0, 1]),
@@ -453,7 +451,7 @@ OUT_OF_RANGE = {
         fs, [Line2("N", 1, 0)], [x, 1]),
 }
 # the distance functions refuse even q before they read a coordinate
-DISTANCE_CALLS = {"distance_set", "triple_count_T", "full_distance_report"}
+DISTANCE_CALLS = {"distance_set", "triple_count_T"}
 
 
 @pytest.mark.parametrize("name,p,n", [

@@ -43,7 +43,7 @@ def test_vinh_line_deviation_observed():
     pts = [(i % 7, i // 7) for i in rng.sample(range(49), 30)]
     lines = [Line2("N", i // 7, i % 7) for i in rng.sample(range(49), 40)]
     actual = count_incidences(fs, pts, lines, "oracle").count
-    rep = eval_vinh_line(7, 30, 40, C=2.0, actual=actual)
+    rep = eval_vinh_line(7, 30, 40, actual=actual)
     assert abs(actual - rep.terms["main"]) <= rep.terms["deviation"]
 
 
@@ -103,8 +103,8 @@ def test_plane_vinh_full_configuration():
     planes = all_planes_through_one(fs)
     actual = count_incidences(fs, pts, planes, "fast").count
     rep = eval_plane_bounds(
-        RegimeParams(q=3, alpha=0.5, nP=27, nPi=26), "vinh", actual=actual
-    )
+        RegimeParams(q=3, alpha=0.5, nP=27, nPi=26), actual=actual
+    )["plane_vinh"]
     assert actual == 234
     assert rep.terms["main"] == 234
     assert rep.satisfied(1.0)
@@ -112,36 +112,47 @@ def test_plane_vinh_full_configuration():
 
 def test_plane_bounds_zero_points():
     params = RegimeParams(q=5, alpha=0.5, nP=0, nPi=10)
-    assert eval_plane_bounds(params, "vinh").value == 0
-    assert eval_plane_bounds(params, "cs").value == 0
-    rep = eval_plane_bounds(params, "thm13_by_planes")
+    reps = eval_plane_bounds(params)
+    assert reps["plane_vinh"].value == 0
+    assert reps["plane_cs"].value == 0
+    rep = reps["thm13_by_planes"]
     assert rep.value == pytest.approx(10 * 5.0)  # only the rich term survives
 
 
 def test_plane_thm_hypotheses():
     params = RegimeParams(q=4, alpha=0.5, nP=100, nPi=3)
-    rep = eval_plane_bounds(params, "thm13_by_planes")
-    assert rep.hypotheses["planes_at_least_2q^(1+a)"] is False
-    rep = eval_plane_bounds(params, "thm13_by_points")
-    assert rep.hypotheses["points_at_least_2q^(1+a)"] is True
+    reps = eval_plane_bounds(params)
+    assert reps["thm13_by_planes"].hypotheses["planes_at_least_2q^(1+a)"] is False
+    assert reps["thm13_by_points"].hypotheses["points_at_least_2q^(1+a)"] is True
     params = RegimeParams(q=4, alpha=0.5, nP=100, nPi=3, k=3)
-    rep = eval_plane_bounds(params, "thm14", max_shared_collinear=2)
+    rep = eval_plane_bounds(params, max_shared_collinear=2)["thm14"]
     assert rep.hypotheses["no_k_rich_shared_line"] is True
     assert rep.hypotheses["points_at_least_2kq^a"] == (100 >= 2 * 3 * 2.0)
 
 
 def test_plane_cs_takes_the_minimum():
     params = RegimeParams(q=4, alpha=0.5, nP=100, nPi=2)
-    rep = eval_plane_bounds(params, "cs")
+    rep = eval_plane_bounds(params)["plane_cs"]
     by_points = math.sqrt(4) * math.sqrt(100) * 2 + 100
     by_planes = math.sqrt(4) * 100 * math.sqrt(2) + 2
     assert rep.value == pytest.approx(min(by_points, by_planes))
 
 
-def test_unknown_plane_bound_rejected():
-    params = RegimeParams(q=4, alpha=0.5, nP=1, nPi=1)
-    with pytest.raises(ValueError):
-        eval_plane_bounds(params, "nope")
+def test_one_name_per_plane_bound():
+    rng = random.Random(11)
+    for _ in range(20):
+        q = rng.choice([3, 4, 5, 9])
+        k = rng.choice([None, rng.randint(1, 5)])
+        params = RegimeParams(q=q, alpha=rng.uniform(0.1, 0.9), nP=rng.randint(0, 60),
+                              nPi=rng.randint(0, 60), k=k)
+        reps = eval_plane_bounds(params, actual=7, max_shared_collinear=2)
+        assert set(reps) == set(regime_report(params, actual=7).bounds)
+        assert set(reps) - {"thm14"} == {
+            "plane_vinh", "plane_cs", "thm13_by_planes", "thm13_by_points"}
+        assert ("thm14" in reps) == (k is not None)
+        for name, rep in reps.items():
+            assert rep.bound_name.startswith(name)
+            assert rep.actual == 7
 
 
 def test_evaluators_monotone_in_each_size():
@@ -158,12 +169,10 @@ def test_evaluators_monotone_in_each_size():
             bigger = eval_thm_line(RegimeParams(q=q, alpha=a, **kw))
             assert bigger.value >= base.value
         nP, nPi = sizes[0], sizes[1]
-        for which in ("vinh", "cs", "thm13_by_planes", "thm13_by_points"):
-            small = eval_plane_bounds(
-                RegimeParams(q=q, alpha=a, nP=nP, nPi=nPi), which)
-            grown = eval_plane_bounds(
-                RegimeParams(q=q, alpha=a, nP=nP + 3, nPi=nPi + 2), which)
-            assert grown.value >= small.value
+        small = eval_plane_bounds(RegimeParams(q=q, alpha=a, nP=nP, nPi=nPi))
+        grown = eval_plane_bounds(RegimeParams(q=q, alpha=a, nP=nP + 3, nPi=nPi + 2))
+        for name in small:
+            assert grown[name].value >= small[name].value
         assert eval_cs_line(nP + 1, nPi).value >= eval_cs_line(nP, nPi).value
         assert eval_vinh_line(q, nP + 1, nPi).value >= eval_vinh_line(q, nP, nPi).value
 

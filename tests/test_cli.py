@@ -423,3 +423,53 @@ def test_memoized_parser_matches_a_fresh_one(gf5_files, tmp_path, capsys):
     assert build_parser() is build_parser()
     assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0]
     assert shared == outputs(fresh=True)
+
+
+def _zero_distance_files(tmp_path):
+    # one point each: the only distance is 0 and bisector k is 0, so a lower
+    # bound value of 0 would leave measured/value undefined
+    fs = make_field(3, 1)
+    e, f = tmp_path / "e.txt", tmp_path / "f.txt"
+    save_points(e, fs, [(0, 0, 0)])
+    save_points(f, fs, [(0, 0, 0)])
+    return ["--e", str(e), "--f", str(f)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--alpha", "nan"],
+    ["distance", "--alpha", "inf"],
+    ["distance", "--alpha", "-1000"],
+    ["distance", "--alpha", "1000"],
+    ["suite", "--name", "calibration", "--q", "3", "--alpha", "nan"],
+    ["suite", "--name", "calibration", "--q", "3", "--alpha", "inf"],
+    ["suite", "--name", "calibration", "--q", "3", "--alpha", "1000"],
+    ["suite", "--name", "vc-plane", "--q", "3", "--alpha", "nan"],
+    ["suite", "--name", "vc-plane", "--q", "3", "--alpha", "x"],
+])
+def test_alpha_outside_double_range_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "rows.csv"
+    extra = _zero_distance_files(tmp_path) if argv[0] == "distance" else ["--out", str(out)]
+    assert main(argv + extra) == 1
+    assert "alpha must be a number with |alpha| <= 16" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["16", "-16"])
+def test_distance_at_the_alpha_limits(tmp_path, capsys, alpha):
+    assert main(["distance", "--alpha", alpha, *_zero_distance_files(tmp_path)]) == 2
+    assert "measured/value = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,q,alpha", [
+    ("calibration", 3, "2"),
+    ("calibration", 5, "2.5"),
+    ("calibration", 7, "2.5"),
+    ("calibration", 3, "16"),
+    ("calibration", 3, "-16"),
+    ("unconditional", 3, "16"),
+    ("unconditional", 3, "-16"),
+])
+def test_suites_run_at_large_and_negative_alpha(capsys, name, q, alpha):
+    code = main(["suite", "--name", name, "--q", str(q), "--alpha", alpha, "--trials", "2"])
+    assert code in (0, 2)
+    assert "0 failures" in capsys.readouterr().out

@@ -272,3 +272,10 @@ def test_vc_plane_counts_vc_and_sauer_shelah_failures_separately(monkeypatch):
     assert len(res.rows) == 2
     assert not any(r["vc_ok"] or r["ss_ok"] for r in res.rows)
     assert res.failures == 4
+
+
+@pytest.mark.parametrize("q,alpha", [(3, 2.0), (5, 2.5), (7, 2.5)])
+def test_suite_calibration_skips_families_past_the_space(q, alpha):
+    # 2 q^(1+alpha) and 4 q^alpha both exceed q^3: only the line family is left
+    res = _run("calibration", q, trials=2, alpha=alpha)
+    assert [r["bound"] for r in res.rows] == ["thm_line", "thm_line"]
