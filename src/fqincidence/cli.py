@@ -49,11 +49,34 @@ def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; config values are parsed as flags ahead of the explicit
     ones, so they get the same types and choices and explicit flags win."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_alpha(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
     return args
+
+
+def _glue_alpha(argv: list[str]) -> list[str]:
+    """'--alpha V' as '--alpha=V' when V starts with '-' and reads as a float.
+
+    argparse takes such a token for a flag unless it is a plain negative
+    number, so -inf, -nan and -1e400 would never reach _alpha; a token that
+    float() rejects, a following flag among them, is left where it is."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--alpha" and tok.startswith("-") and _is_float(tok):
+            out[-1] = f"--alpha={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _require(args, *names) -> None:

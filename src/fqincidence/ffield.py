@@ -30,17 +30,39 @@ closures that read them through memoryviews.  vmul, vadd, vneg and vinv
 work on numpy index arrays.
 
 dot_blocks yields the pairwise dot products x . y of a block of rows X
-against a fixed Y, in row blocks under PAIR_BLOCK_ELEMENTS.  Prime fields
-take one matmul and a single % p per block.  Extension fields, when
-q <= |X| and q * |Y| <= PAIR_BLOCK_ELEMENTS, build once per call the product
-tables T_j[a, c] = a * Y[c, j] over all a in [0, q); since x . y =
-sum_j T_j[x_j, c], a block is the row gather T_0[X[:, 0]] with the gathered
-rows of every further T_j added in (XOR in place when p = 2, vadd for odd
-p).  The tables hold the narrowest dtype that fits q (uint8 to q = 256,
-uint16 to 2^16, int32 above), so blocks may come back that narrow.  With
-fewer rows than elements the tables would cost more products than they
-save, and tables over the block budget would break the memory bound; then
-each block does a log/exp product per pair and coordinate instead.
+against a fixed Y, in row blocks of at most PAIR_BLOCK_ELEMENTS entries.
+That block is the cache unit: at 2^13 entries the widest per-block
+temporary is 64 KiB, so a block stays in L2 and below glibc's default mmap
+threshold.  The tables a call builds are bounded separately, by
+TABLE_ELEMENTS.
+
+Prime fields take one float64 BLAS product v = X . Y^T per block and reduce
+it in place to r = v - p * floor((v + 0.5) * fl(1/p)), returned as int32.
+This is exact whenever d * p^2 <= 2^51, so for every p <= 2^20 up to
+d = 2^11 columns; the kernels here use d <= 5, where:
+
+  * v <= 5 (p - 1)^2 < 2^43, so every product and partial sum is an integer
+    below 2^53, an exact double in any summation order, and v + 0.5 is
+    exact too;
+  * fl(1/p) and the product each carry a relative error of at most 2^-53,
+    and (v + 0.5)/p < 5(p - 1), so the computed quotient is within
+    5(p - 1) * 2^-52 (1 + 2^-54) < 5 * 2^20 * 2^-52 = 5 * 2^-32 of the
+    true one;
+  * the true quotient (v + 0.5)/p = floor(v/p) + (r + 0.5)/p, 0 <= r < p,
+    lies at least 1/(2p) >= 2^-21 from an integer, more than the error, so
+    the floor is floor(v/p) exactly, and so are p * floor and the
+    difference r.
+
+Extension fields, when q <= |X| and q * |Y| <= TABLE_ELEMENTS, build once
+per call the product tables T_j[a, c] = a * Y[c, j] over all a in [0, q);
+since x . y = sum_j T_j[x_j, c], a block is the row gather T_0[X[:, 0]]
+with the gathered rows of every further T_j added in (XOR in place when
+p = 2, vadd for odd p).  The tables hold the narrowest dtype that fits q
+(uint8 to q = 256, uint16 to 2^16, int32 above), so blocks may come back
+that narrow.  With fewer rows than elements the tables would cost more
+products than they save, and tables over the cap would break the memory
+bound; then each block does a log/exp product per pair and coordinate
+instead.
 """
 
 import functools
@@ -57,8 +79,18 @@ from .errors import DegreeOutOfRange, DivisionByZero, NoIrreducibleFound, NotPri
 MAX_ORDER = 1 << 20
 MAX_DEGREE = 4
 
-# Entries per block of dot_blocks: bounds the memory of every pairwise kernel.
-PAIR_BLOCK_ELEMENTS = 1 << 20
+# Entries per block of dot_blocks and of the kernels that step like it: the
+# cache unit, 64 KiB per int64 or float64 temporary.
+PAIR_BLOCK_ELEMENTS = 1 << 13
+
+# Entries of the tables a pairwise call builds once (the extension product
+# tables, the line count's bucket table, the plane-pair gram rows): the
+# memory bound of every pairwise kernel.
+TABLE_ELEMENTS = 1 << 20
+
+# The prime block's floating-point reduction is exact while d * p^2 stays
+# within this (see the module docstring).
+_EXACT_FLOAT_DOT = 1 << 51
 
 # Odd extension fields up to this order add arrays through a q x q table in
 # vadd, which beats the masked Zech path on small tables.
@@ -162,9 +194,13 @@ class FieldSpec:
 
     dot_blocks takes integer arrays X and Y of shape (rows, d) holding
     element indices and yields the |X| x |Y| matrix of x . y in row blocks:
-    consecutive rows of X against every row of Y, at most
-    PAIR_BLOCK_ELEMENTS entries (and at least one row) per block.  A block
-    is an integer array of values in [0, q), possibly as narrow as uint8.
+    consecutive rows of X against every row of Y, max(1,
+    PAIR_BLOCK_ELEMENTS // |Y|) rows per block (the last may have fewer).
+    The block is the cache unit; the memory a call holds beyond its blocks
+    is its tables, at most TABLE_ELEMENTS entries.  A block is an integer
+    array of values in [0, q): int32 for prime fields (exact through float64,
+    see the module docstring; ValueError when d * p^2 > 2^51), possibly as
+    narrow as uint8 for extension fields.
 
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
@@ -291,9 +327,20 @@ def _prime_backend(p: int) -> dict:
             acc, a, e = (acc * a % p if e & 1 else acc), a * a % p, e >> 1
         return acc
 
+    inv_p = 1.0 / p
+
     def dot_blocks(X, Y):
+        if Y.shape[1] * p * p > _EXACT_FLOAT_DOT:
+            raise ValueError(f"{Y.shape[1]} columns over GF({p}) leave the exact float range")
+        cols = Y.T.astype(np.float64)
         for rows in _row_blocks(X, len(Y)):
-            yield rows @ Y.T % p
+            v = rows.astype(np.float64) @ cols  # BLAS; exact, see the module docstring
+            t = v + 0.5
+            t *= inv_p
+            np.floor(t, out=t)
+            t *= p
+            v -= t
+            yield v.astype(np.int32)
 
     half = (p - 1) // 2  # Euler's criterion; every element of GF(2) passes
     ops = dict(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
@@ -402,8 +449,8 @@ def _extension_backend(fs: FieldSpec) -> dict:
 
     def dot_blocks(X, Y):
         d = Y.shape[1]
-        if q > len(X) or q * len(Y) > PAIR_BLOCK_ELEMENTS:
-            # fewer rows than elements, or tables over the block budget:
+        if q > len(X) or q * len(Y) > TABLE_ELEMENTS:
+            # fewer rows than elements, or tables over the cap:
             # a log/exp product per pair
             for rows in _row_blocks(X, len(Y)):
                 acc = vmul(rows[:, None, 0], Y[None, :, 0])

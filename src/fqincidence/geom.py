@@ -10,6 +10,7 @@ Everything here is affine and exact; there is no projective geometry and no
 floating point.
 """
 
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -123,19 +124,32 @@ def plane_rows(fs: FieldSpec, planes):
 def check_incidence_input(fs: FieldSpec, points, flats, lines: bool):
     """Every flat a valid Line2 (lines) or Plane3, every point of matching
     dimension with coordinates in [0, q); FieldMismatch otherwise.  Returns
-    the points as an int64 array and the flats as rows: the (a, b) array of
-    the lines, or plane_rows of the planes."""
+    the points as an int64 array and the flats as rows: line_rows of the
+    lines, or plane_rows of the planes."""
     kind = Line2 if lines else Plane3
-    for f in flats:
-        if not isinstance(f, kind):
-            raise FieldMismatch(f"expected {kind.__name__} flats, got {type(f).__name__}")
-        if lines and f.kind not in ("N", "V"):
-            raise FieldMismatch(f"unknown line kind {f.kind!r}")
-    if lines:
-        rows = field_array(fs, [f[1:] for f in flats], 2, "line coefficient")
-    else:
-        rows = plane_rows(fs, flats)
+    if not all(issubclass(t, kind) for t in set(map(type, flats))):
+        bad = next(f for f in flats if not isinstance(f, kind))
+        raise FieldMismatch(f"expected {kind.__name__} flats, got {type(bad).__name__}")
+    rows = line_rows(fs, flats) if lines else plane_rows(fs, flats)
     return field_array(fs, points, 2 if lines else 3), rows
+
+
+def line_rows(fs: FieldSpec, lines):
+    """A bool mask of the vertical lines and the (a, b) of every line as an
+    int64 array, read in one pass; FieldMismatch for an unknown kind or a
+    coefficient outside [0, q)."""
+    flat = list(chain.from_iterable(lines))  # kind_0, a_0, b_0, kind_1, ...
+    kinds = flat[::3]
+    if kinds.count("N") + kinds.count("V") != len(kinds):
+        bad = next(k for k in kinds if k not in ("N", "V"))
+        raise FieldMismatch(f"unknown line kind {bad!r}")
+    del flat[::3]
+    try:
+        ab = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except ValueError:  # a coefficient that is not a number
+        raise FieldMismatch("expected 2-coordinate points") from None
+    _check_array(fs, ab, "line coefficient")
+    return np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V"), ab
 
 
 def coords_array(rows, dim: int, what: str = "points"):
@@ -182,7 +196,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
             raise SizeCap("oracle pair count over 10^9")
         return IncidenceCount(_count_oracle(fs, points, flats, lines), "oracle")
     if lines:
-        return IncidenceCount(_count_lines_fast(fs, pts, flats, rows), "fast")
+        return IncidenceCount(_count_lines_fast(fs, pts, *rows), "fast")
     nrm, rhs = rows
     count = sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
     return IncidenceCount(count, "fast")
@@ -209,13 +223,12 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
     return total
 
 
-def _count_lines_fast(fs, pts, flats, ab) -> int:
+def _count_lines_fast(fs, pts, vert, ab) -> int:
     # Line k has a direction row D[k] and a value v[k], and (x, y) lies on it
     # iff (x, y) . D[k] = v[k]: (1, 0) and a for x = a, (-a, 1) and b for
     # y = a*x + b.  A direction packs into one int in [0, q], q for (1, 0)
     # and -a for (-a, 1); lines sharing a direction share a row, numbered in
     # packed order.
-    vert = np.fromiter((f.kind == "V" for f in flats), dtype=bool, count=len(flats))
     a, b = ab[:, 0], ab[:, 1]
     packed = np.where(vert, fs.q, fs.vneg(a))
     used = np.zeros(fs.q + 1, dtype=bool)
@@ -224,8 +237,8 @@ def _count_lines_fast(fs, pts, flats, ab) -> int:
     keys = np.sort((np.cumsum(used) - 1)[packed] * fs.q + np.where(vert, a, b))
     D = np.column_stack([np.where(dirs == fs.q, 1, dirs), dirs < fs.q])
     # lines per (direction, value) bucket, over chunks of directions whose
-    # bucket table stays within the block budget
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // fs.q)
+    # bucket table stays within the table cap
+    step = max(1, ffield.TABLE_ELEMENTS // fs.q)
     total = 0
     for lo in range(0, len(D), step):
         chunk = D[lo : lo + step]
@@ -342,7 +355,7 @@ def max_shared_collinear(fs, points, planes) -> int:
     if not len(pts) or len(planes) < 2:
         return 0
     key = row_keys(fs.q, unit_rows(fs, nrm)[0])
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // len(planes))
+    step = max(1, ffield.TABLE_ELEMENTS // len(planes))  # gram rows per step
     best = 0
     for lo in range(0, len(planes), step):
         gram = np.zeros((len(key[lo:lo + step]), len(planes)))

@@ -617,6 +617,8 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
 
     The factor 2 is a calibration choice standing in for the unspecified
     big-O constants; measured ratios are emitted for the full distribution.
+    The thm14 and thm_line samples are redrawn until the size hypothesis
+    their bound report records holds (or the attempts run out).
     """
     q, alpha = fs.q, cfg.alpha
     # the size floors of the thm13 and thm14 families; a floor past the
@@ -656,14 +658,16 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
                 n_p = r.randint(need14, q**3)
                 pts = sample_points3(r, fs, n_p)
                 k = max_shared_collinear(fs, pts, pls) + 1
-                return pts, k
+                return pts, bounds.RegimeParams(q=q, alpha=alpha, nP=len(pts), nPi=n_pi, k=k)
 
-            pts, k = _retry(rng, build, lambda pk: len(pk[0]) >= 2 * pk[1] * q**alpha)
+            def size_ok(c):
+                return bounds.eval_plane_bounds(c[1])["thm14"].hypotheses["points_at_least_2kq^a"]
+
+            pts, params = _retry(rng, build, size_ok)
             actual = count_incidences(fs, pts, pls, "fast").count
             rep = bounds.eval_plane_bounds(
-                bounds.RegimeParams(q=q, alpha=alpha, nP=len(pts), nPi=n_pi, k=k),
-                actual=actual, max_shared_collinear=k - 1)["thm14"]
-            yield t, *_calibrated(f"P={len(pts)};Pi={n_pi};k={k}", rep)
+                params, actual=actual, max_shared_collinear=params.k - 1)["thm14"]
+            yield t, *_calibrated(f"P={params.nP};Pi={n_pi};k={params.k}", rep)
 
         def build_line(r):
             n_l = r.randint(1, min((q - 1) * q, 30))
@@ -673,19 +677,17 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             a_set = sample_field_subset(r, fs, n_a)
             b_set = sample_field_subset(r, fs, n_b)
             n_lx = len({ln.a for ln in lns})
-            return lns, a_set, b_set, n_lx
+            return lns, a_set, b_set, bounds.RegimeParams(
+                q=q, alpha=alpha, nL=len(lns), nA=len(a_set), nB=len(b_set), nLx=n_lx)
 
-        lns, a_set, b_set, n_lx = _retry(
+        lns, a_set, b_set, params = _retry(
             rng, build_line,
-            lambda c: len(c[0]) * len(c[1]) > q**alpha * max(len(c[1]), c[3]),
-        )
+            lambda c: bounds.eval_thm_line(c[3]).hypotheses["size_condition"])
         actual = count_incidences(
             fs, grid_points(a_set, b_set), lns, "fast").count
-        rep = bounds.eval_thm_line(
-            bounds.RegimeParams(q=q, alpha=alpha, nL=len(lns), nA=len(a_set),
-                                nB=len(b_set), nLx=n_lx),
-            actual=actual)
-        yield t, *_calibrated(f"L={len(lns)};A={len(a_set)};B={len(b_set)};Lx={n_lx}", rep)
+        rep = bounds.eval_thm_line(params, actual=actual)
+        yield t, *_calibrated(
+            f"L={params.nL};A={params.nA};B={params.nB};Lx={params.nLx}", rep)
 
 
 @_suite("trace-pairs", "case", "n_u", "n_uprime", "pair_count", "classes", "cs_lower",

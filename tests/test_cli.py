@@ -454,6 +454,39 @@ def test_alpha_outside_double_range_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e400"])
+@pytest.mark.parametrize("glued", [False, True], ids=["spaced", "glued"])
+@pytest.mark.parametrize("command", ["distance", "suite"])
+def test_dash_alpha_outside_double_range_exits_one(tmp_path, capsys, command, glued, value):
+    # argparse would take a spaced "-inf" for a flag; both forms reach the
+    # alpha check
+    alpha = [f"--alpha={value}"] if glued else ["--alpha", value]
+    out = tmp_path / "rows.csv"
+    if command == "distance":
+        argv = ["distance", *alpha, *_zero_distance_files(tmp_path)]
+    else:
+        argv = ["suite", "--name", "calibration", "--q", "3", *alpha, "--out", str(out)]
+    assert main(argv) == 1
+    assert "alpha must be a number with |alpha| <= 16" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_negative_alpha_keeps_the_following_flags(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    argv = ["suite", "--name", "calibration", "--q", "3", "--alpha", "-0.5", "--trials", "1",
+            "--out", str(out)]
+    assert main(argv) in (0, 2)
+    rows = out.read_text().splitlines()
+    assert rows[0].startswith("suite,q,alpha,trial,")
+    assert {ln.split(",")[2:4] == ["-0.5", "0"] for ln in rows[1:]} == {True}
+    files = _zero_distance_files(tmp_path)
+    assert main(["distance", "--alpha", "-0.5", *files]) in (0, 2)
+    assert "measured/value = " in capsys.readouterr().out
+    # a flag where the value should be is not taken for the value
+    assert main(["distance", "--alpha", *files]) == 1
+    assert "--alpha: expected one argument" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("alpha", ["16", "-16"])
 def test_distance_at_the_alpha_limits(tmp_path, capsys, alpha):
     assert main(["distance", "--alpha", alpha, *_zero_distance_files(tmp_path)]) == 2

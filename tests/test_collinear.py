@@ -131,8 +131,9 @@ def test_bisector_collinear_k_matches_pair_loop(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_kernels_agree_in_small_blocks(data):
-    # every kernel splits its pair arrays under PAIR_BLOCK_ELEMENTS; a tiny
-    # budget makes lines, plane pairs and bisector rows straddle blocks
+    # every kernel splits its pair arrays under PAIR_BLOCK_ELEMENTS, and the
+    # plane-pair gram under TABLE_ELEMENTS; tiny budgets make lines, plane
+    # pairs and bisector rows straddle blocks
     fs = data.draw(_fields(ODD))
     E, F = data.draw(bisector_inputs(fs))
     planes = data.draw(plane_sets(fs, F))
@@ -144,6 +145,7 @@ def test_kernels_agree_in_small_blocks(data):
     expected = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", data.draw(st.integers(1, 40)))
+        mp.setattr(ffield, "TABLE_ELEMENTS", data.draw(st.integers(1, 40)))
         assert run() == expected
 
 

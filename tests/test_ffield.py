@@ -296,9 +296,9 @@ TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (5, 4)]
 @settings(max_examples=6)
 @given(data=st.data())
 def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
-    # "tables": q <= |X| and q * |Y| within the budget, so the product tables
-    # serve blocks of q rows; "few_rows" (|X| < q) and "wide_y" (q * |Y|
-    # over the budget) take the per-pair path
+    # "tables": q <= |X| and q * |Y| within the table cap, so the product
+    # tables serve blocks of q rows; "few_rows" (|X| < q) and "wide_y"
+    # (q * |Y| one over the cap, blocks of q - 1 rows) take the per-pair path
     fs = make_field(p, n)
     q = fs.q
     d = data.draw(st.integers(2, 5), label="d")
@@ -314,14 +314,76 @@ def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
     X[0], Y[0] = q - 1, 0  # the largest element and a zero row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", budget)
+        mp.setattr(ffield, "TABLE_ELEMENTS", budget)
         blocks = list(fs.dot_blocks(X, Y))
     step = budget // ny
     assert [len(blk) for blk in blocks] == [min(step, nx - s) for s in range(0, nx, step)]
     got = np.vstack(blocks)
     assert got.min() >= 0 and got.max() < q
-    if shape == "tables" and p == 2:
-        assert all(blk.dtype == np.uint8 for blk in blocks)
+    if p == 2:  # XOR keeps the tables' uint8; the per-pair path returns exp's int32
+        dtype = np.uint8 if shape == "tables" else np.int32
+        assert {blk.dtype for blk in blocks} == {np.dtype(dtype)}
     assert got.tolist() == [[raw_dot(fs, x, y) for y in Y] for x in X]
+
+
+# the prime block is a float64 product reduced through a floor; 1048573 is
+# the largest prime below 2^20, where a d = 5 sum reaches 5 (p - 1)^2 > 2^42
+PRIME_BLOCK_ORDERS = [2, 3, 101, 65521, 1048573]
+
+
+@pytest.mark.parametrize("p", PRIME_BLOCK_ORDERS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_prime_block_matches_python_ints(p, data):
+    fs = make_field(p, 1)
+    d = data.draw(st.integers(1, 5), label="d")
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    vectors = st.lists(st.lists(entry, min_size=d, max_size=d), max_size=12)
+    # rows of all p - 1 (the largest sum) and all 0 always take part
+    X = data.draw(vectors, label="X") + [[p - 1] * d, [0] * d]
+    Y = data.draw(vectors, label="Y") + [[0] * d, [p - 1] * d]
+    blocks = list(fs.dot_blocks(np.array(X), np.array(Y)))
+    assert {blk.dtype for blk in blocks} == {np.dtype(np.int32)}
+    got = np.vstack(blocks).tolist()
+    assert got == [[sum(x * y for x, y in zip(u, v)) % p for v in Y] for u in X]
+
+
+@pytest.mark.parametrize("p", PRIME_BLOCK_ORDERS)
+def test_prime_block_matches_int64_on_many_pairs(p):
+    # 2^18 sums per d against int64 arithmetic, the largest sum (the all
+    # p - 1 row against itself) and the zero row among them
+    fs = make_field(p, 1)
+    rng = np.random.default_rng(p)
+    for d in range(1, 6):
+        X = rng.integers(0, p, size=(512, d))
+        X[0], X[1] = p - 1, 0
+        got = np.vstack(list(fs.dot_blocks(X, X)))
+        assert np.array_equal(got, X @ X.T % p)
+
+
+def test_prime_block_refuses_sums_past_the_exact_range():
+    fs = make_field(1048573, 1)
+    ok = np.ones((2, 2048), dtype=np.int64)  # 2048 * p^2 < 2^51
+    assert np.vstack(list(fs.dot_blocks(ok, ok))).tolist() == [[2048] * 2] * 2
+    with pytest.raises(ValueError, match="exact float range"):
+        next(fs.dot_blocks(np.ones((2, 2049), dtype=np.int64), np.ones((2, 2049), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("p,n", [(101, 1), (2, 4), (3, 4)])
+@pytest.mark.parametrize("ny", [1, 7, 300, ffield.PAIR_BLOCK_ELEMENTS + 5])
+def test_blocks_hold_max_1_budget_over_y_rows(p, n, ny):
+    # at the default constants, on both backends and (for q = 81) both
+    # extension paths: the product tables where q <= |X|, per pair where not
+    fs = make_field(p, n)
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // ny)
+    nx = max(2 * step + 3, 16)
+    rng = np.random.default_rng(ny)
+    X = rng.integers(0, fs.q, size=(nx, 3))
+    Y = rng.integers(0, fs.q, size=(ny, 3))
+    blocks = list(fs.dot_blocks(X, Y))
+    assert [blk.shape for blk in blocks] == [(min(step, nx - s), ny) for s in range(0, nx, step)]
+    if fs.q == 16:  # q * |Y| <= TABLE_ELEMENTS, also past the block: tables, uint8
+        assert {blk.dtype for blk in blocks} == {np.dtype(np.uint8)}
 
 
 # recorded g (the smallest index >= p of order q - 1) for every extension

@@ -86,6 +86,21 @@ def test_bad_flats_rejected(p, n, flat, method):
         count_incidences(fs, [pt], [flat], method)
 
 
+@pytest.mark.parametrize("flats,message", [
+    ([nonvertical(1, 0), Plane3((1, 0, 0), 1)], "expected Line2 flats, got Plane3"),
+    ([nonvertical(1, 0), Line2("W", 1, 0), Line2("X", 1, 0)], "unknown line kind 'W'"),
+    ([vertical(1), nonvertical(8, 0), nonvertical(9, 0)], "line coefficient 8 outside [0, 7)"),
+    ([nonvertical(1, -1)], "line coefficient -1 outside [0, 7)"),
+    ([Line2("N", "x", 0)], "expected 2-coordinate points"),
+])
+def test_bad_lines_name_the_first_fault(flats, message):
+    fs = make_field(7, 1)
+    for method in ("oracle", "fast"):
+        with pytest.raises(FieldMismatch) as exc:
+            count_incidences(fs, [(0, 1)], flats, method)
+        assert str(exc.value) == message
+
+
 def test_full_grid_line_count():
     fs = make_field(5, 1)
     pts = [(x, y) for x in range(5) for y in range(5)]

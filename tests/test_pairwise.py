@@ -1,10 +1,10 @@
 """Differential tests: every pairwise kernel against a plain double loop.
 
 The kernels run over the row blocks of FieldSpec.dot_blocks.  Each test runs
-twice: at the default block budget, and with PAIR_BLOCK_ELEMENTS cut to 50
-entries, so that inputs with more than 50 columns get one row per block and
-smaller ones several rows per block (and the line count walks its
-directions in several chunks).  The references below are the double loops
+twice: at the default block budget, and with PAIR_BLOCK_ELEMENTS and
+TABLE_ELEMENTS cut to 50 entries, so that inputs with more than 50 columns
+get one row per block and smaller ones several rows per block (and the line
+count walks its directions in several chunks).  The references below are the double loops
 over scalar field arithmetic that the kernels replaced.
 """
 
@@ -45,6 +45,7 @@ SHAPES = [(23, 17), (9, 70)]
 def budget(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", request.param)
+        monkeypatch.setattr(ffield, "TABLE_ELEMENTS", request.param)
     return request.param
 
 
@@ -241,11 +242,11 @@ def test_neighborhood_input_rejected(points, planes, side):
         neighborhood_system(fs, points, planes, side)
 
 
-@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
-def test_whole_space_kernels_stay_in_memory_budget(kernel):
-    # every point of GF(16)^3: 4096 x 4096 unit products and 4096 x 4095
-    # point-plane pairs, which a kernel must walk in blocks rather than hold
-    fs = make_field(2, 4)
+def whole_space_peak(fs, kernel):
+    """The traced peak of regular_subset or the plane count over every point
+    of GF(q)^3 (against every plane a . x = 1), after checking the result:
+    every nonzero u has q^2 points x with u . x = 1, so all of them are in
+    U1, and every plane holds q^2 points."""
     space = decode_points(fs.q, range(fs.q**3))
     planes = all_planes_through_one(fs)
     tracemalloc.start()
@@ -257,7 +258,22 @@ def test_whole_space_kernels_stay_in_memory_budget(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # every nonzero u has q^2 points x with u . x = 1: all of them are in U1,
-    # and every plane holds q^2 points
     assert result == (fs.q**3 - 1) * (1 if kernel == "regular_subset" else fs.q**2)
-    assert peak < 8 * 2**20
+    return peak
+
+
+@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
+def test_whole_space_kernels_stay_in_memory_budget(kernel):
+    # GF(16)^3: 4096 x 4096 unit products and 4096 x 4095 point-plane pairs,
+    # which a kernel must walk in blocks rather than hold
+    assert whole_space_peak(make_field(2, 4), kernel) < 8 * 2**20
+
+
+# twice the traced peaks measured over GF(11) with 2^13-entry blocks, 314 KiB
+# and 417 KiB; 2^20-entry int64 blocks peaked at 19 MiB
+PRIME_PEAK_PINS = {"regular_subset": 2 * 321_839, "plane_count": 2 * 427_062}
+
+
+@pytest.mark.parametrize("kernel", list(PRIME_PEAK_PINS))
+def test_whole_space_prime_kernels_stay_in_block_memory(kernel):
+    assert whole_space_peak(make_field(11, 1), kernel) < PRIME_PEAK_PINS[kernel]
