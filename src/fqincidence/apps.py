@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import ffield
-from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, FieldMismatch, InvalidPointSet
+from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (Line3, Plane3, Point3, distinct_points3, dot3, field_array, line_blocks,
                    make_plane, row_keys, unit_rows)
@@ -137,9 +137,7 @@ def bisector_collisions_isotropic(fs: FieldSpec, points) -> bool:
     _require_odd(fs)
     pts = distinct_points3(fs, points)
     norms, n = _norms(fs, pts)[:, 0], len(pts)
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // max(n, 1))
-    for lo in range(0, n, step):
-        apex = np.arange(lo, min(lo + step, n))
+    for apex in ffield.row_blocks(np.arange(n), n):
         d = fs.vadd(pts, fs.vneg(pts[apex, None]))
         unit, scale = unit_rows(fs, d)
         normal = row_keys(fs.q, unit)
@@ -176,14 +174,14 @@ def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
                            fs.vadd(ne[i], fs.vneg(ne[j]))])
     on_f = np.hstack([f, np.ones_like(f[:, :1])])
 
-    def q_blocks(step):  # Q, step rows at a time
-        for lo in range(0, len(i), step):
-            (plane,) = fs.dot_blocks(bisectors[lo:lo + step], on_f)
-            (distance,) = _distance_blocks(fs, e[i[lo:lo + step]], f)
+    def q_blocks(width):  # Q, in the row blocks of a product against width columns
+        for pairs in ffield.row_blocks(np.arange(len(i)), width):
+            (plane,) = fs.dot_blocks(bisectors[pairs], on_f)
+            (distance,) = _distance_blocks(fs, e[i[pairs]], f)
             yield (plane == 0) & (distance != 0)
 
     best, rich = 0, np.zeros(len(f), dtype=bool)
-    for hits in q_blocks(max(1, ffield.PAIR_BLOCK_ELEMENTS // len(f))):
+    for hits in q_blocks(len(f)):
         count = hits.sum(axis=1)
         best = max(best, min(int(count.max()), 2))
         rich |= hits[count > 2].any(axis=0)
@@ -192,7 +190,7 @@ def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
         return best
     (anchor, size, rest), cols = lines, np.flatnonzero(rich)
     starts = np.cumsum(size - 1) - (size - 1)
-    for hits in q_blocks(max(1, ffield.PAIR_BLOCK_ELEMENTS // max(len(f), len(rest)))):
+    for hits in q_blocks(max(len(f), len(rest))):
         on_line = np.add.reduceat(hits[:, cols[rest]], starts, axis=1, dtype=np.int64)
         best = max(best, int((on_line + hits[:, cols[anchor]]).max()))
     return best
@@ -207,10 +205,9 @@ def sphere_line_scan(fs: FieldSpec, r: int) -> list[Line3]:
     of the q + 1 such d gives two lines when -r is a nonzero square, else none.
     """
     _require_odd(fs)
+    r = int(field_array(fs, [[r]], 1, "radius")[0, 0])
     if r == 0:
         raise ValueError("r must be nonzero")
-    if not 0 < r < fs.q:
-        raise FieldMismatch(f"radius {r} outside [0, {fs.q})")
     # the unit directions (1, a, b), a < q, and (0, 1, b); (0, 0, 1) is not isotropic
     a, b = np.divmod(np.arange(fs.q * (fs.q + 1)), fs.q)
     d = np.column_stack([a < fs.q, np.where(a < fs.q, a, 1), b])

@@ -162,13 +162,13 @@ def make_field(p: int, n: int) -> "FieldSpec":
     Memoized on (p, n): every caller shares one instance, so the modulus scan
     and the extension tables are built once per field and process.
     """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
     if not 1 <= n <= MAX_DEGREE:
         raise DegreeOutOfRange(f"extension degree n = {n} outside [1, {MAX_DEGREE}]")
     q = p**n
-    if q > MAX_ORDER:
+    if q > MAX_ORDER:  # before the primality test, whose cost grows with p
         raise DegreeOutOfRange(f"q = p^n = {q} exceeds the cap {MAX_ORDER}")
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
     if n == 1:
         modulus = (0, 1)  # degree-1 placeholder: the class of x
     else:
@@ -298,9 +298,11 @@ def _times(fs: FieldSpec, idx, h: int):
     return digits @ rows % fs.p @ pw
 
 
-def _row_blocks(X, width: int):
+def row_blocks(X, width: int):
     """Consecutive row slices of X with at most PAIR_BLOCK_ELEMENTS entries
-    (and at least one row) each against width columns."""
+    (and at least one row) each against width columns: the block rule of
+    dot_blocks and of every kernel that steps like it (pass np.arange(n)
+    for blocks of row indices)."""
     step = max(1, PAIR_BLOCK_ELEMENTS // max(width, 1))
     return (X[start:start + step] for start in range(0, len(X), step))
 
@@ -333,7 +335,7 @@ def _prime_backend(p: int) -> dict:
         if Y.shape[1] * p * p > _EXACT_FLOAT_DOT:
             raise ValueError(f"{Y.shape[1]} columns over GF({p}) leave the exact float range")
         cols = Y.T.astype(np.float64)
-        for rows in _row_blocks(X, len(Y)):
+        for rows in row_blocks(X, len(Y)):
             v = rows.astype(np.float64) @ cols  # BLAS; exact, see the module docstring
             t = v + 0.5
             t *= inv_p
@@ -452,7 +454,7 @@ def _extension_backend(fs: FieldSpec) -> dict:
         if q > len(X) or q * len(Y) > TABLE_ELEMENTS:
             # fewer rows than elements, or tables over the cap:
             # a log/exp product per pair
-            for rows in _row_blocks(X, len(Y)):
+            for rows in row_blocks(X, len(Y)):
                 acc = vmul(rows[:, None, 0], Y[None, :, 0])
                 for j in range(1, d):
                     acc = vadd(acc, vmul(rows[:, None, j], Y[None, :, j]))
@@ -462,7 +464,7 @@ def _extension_backend(fs: FieldSpec) -> dict:
         # block's products are row gathers from these tables
         a = np.arange(q)[:, None]
         products = [vmul(a, Y[None, :, j]).astype(narrow) for j in range(d)]
-        for rows in _row_blocks(X, len(Y)):
+        for rows in row_blocks(X, len(Y)):
             acc = products[0].take(rows[:, 0], axis=0)
             for j in range(1, d):
                 acc = accumulate(acc, products[j].take(rows[:, j], axis=0))

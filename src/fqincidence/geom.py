@@ -97,25 +97,36 @@ def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
     return [(x, y) for x in a_set for y in b_set]
 
 
-def _check_array(fs: FieldSpec, arr, what: str = "coordinate") -> None:
+def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
+    """A sequence of rows of dim field elements as an int64 (len(rows), dim)
+    array: the one converter from caller input to the kernels' arrays.
+    FieldMismatch naming what for a row that does not hold dim entries, an
+    entry that is not an integer (a float, a string, an int too large for
+    int64) or one outside [0, q).  A flat list of n entries goes in as the
+    one row [flat] with dim n."""
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows
+        arr = np.empty(0)
+    if len(rows) and arr.shape != (len(rows), dim):
+        raise FieldMismatch(f"expected rows of {dim} {what}s")
+    if arr.dtype.kind not in "biu" and arr.size:  # named as given: numpy has cast it
+        bad = next((x for row in rows for x in row
+                    if not (isinstance(x, (int, np.integer)) and 0 <= x < fs.q)), None)
+        if isinstance(bad, (int, np.integer)):  # too large for int64
+            raise FieldMismatch(f"{what} {bad} outside [0, {fs.q})")
+        raise FieldMismatch(f"{what} {bad!r} is not an integer")
     bad = arr[(arr < 0) | (arr >= fs.q)]
     if bad.size:
         raise FieldMismatch(f"{what} {bad[0]} outside [0, {fs.q})")
-
-
-def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
-    """coords_array(rows, dim); FieldMismatch for an entry outside [0, q)."""
-    arr = coords_array(rows, dim)
-    _check_array(fs, arr, what)
-    return arr
+    return arr.astype(np.int64, copy=False).reshape(len(rows), dim)
 
 
 def plane_rows(fs: FieldSpec, planes):
-    """Normals and right-hand sides as int64 arrays; FieldMismatch for a
-    coefficient outside [0, q) or a zero normal."""
-    nrm = coords_array([pl.normal for pl in planes], 3, "plane normals")
-    rhs = np.array([pl.rhs for pl in planes], dtype=np.int64)
-    _check_array(fs, np.column_stack([nrm, rhs]), "plane coefficient")
+    """Normals and right-hand sides as int64 arrays, read by field_array;
+    FieldMismatch for a bad coefficient or a zero normal."""
+    nrm = field_array(fs, [pl.normal for pl in planes], 3, "plane coefficient")
+    rhs = field_array(fs, [[pl.rhs for pl in planes]], len(planes), "plane coefficient")[0]
     if not nrm.any(axis=1).all():
         raise FieldMismatch("plane normal must be nonzero")
     return nrm, rhs
@@ -136,29 +147,16 @@ def check_incidence_input(fs: FieldSpec, points, flats, lines: bool):
 
 def line_rows(fs: FieldSpec, lines):
     """A bool mask of the vertical lines and the (a, b) of every line as an
-    int64 array, read in one pass; FieldMismatch for an unknown kind or a
-    coefficient outside [0, q)."""
+    int64 array, read in one pass; FieldMismatch for an unknown kind, or as
+    field_array for a bad coefficient."""
     flat = list(chain.from_iterable(lines))  # kind_0, a_0, b_0, kind_1, ...
     kinds = flat[::3]
     if kinds.count("N") + kinds.count("V") != len(kinds):
         bad = next(k for k in kinds if k not in ("N", "V"))
         raise FieldMismatch(f"unknown line kind {bad!r}")
     del flat[::3]
-    try:
-        ab = np.array(flat, dtype=np.int64).reshape(-1, 2)
-    except ValueError:  # a coefficient that is not a number
-        raise FieldMismatch("expected 2-coordinate points") from None
-    _check_array(fs, ab, "line coefficient")
+    ab = field_array(fs, [flat], len(flat), "line coefficient").reshape(-1, 2)
     return np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V"), ab
-
-
-def coords_array(rows, dim: int, what: str = "points"):
-    """Points (or other rows of dim field elements) as an int64 (len, dim) array;
-    FieldMismatch when a row does not hold dim coordinates."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-    except ValueError:
-        raise FieldMismatch(f"expected {dim}-coordinate {what}") from None
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -263,9 +261,9 @@ def _as_point3(pt) -> Point3:
 
 def distinct_points3(fs: FieldSpec, points):
     """The distinct points, sorted, as an int64 (n, 3) array; 2-coordinate
-    points are embedded in the z = 0 plane.  FieldMismatch for a coordinate
-    outside [0, q)."""
-    return field_array(fs, sorted({_as_point3(pt) for pt in points}), 3)
+    points are embedded in the z = 0 plane.  FieldMismatch as field_array."""
+    pts = field_array(fs, [_as_point3(pt) for pt in points], 3)
+    return pts[np.unique(row_keys(fs.q, pts), return_index=True)[1]]
 
 
 def unit_rows(fs: FieldSpec, rows):
@@ -303,9 +301,7 @@ def line_blocks(fs: FieldSpec, pts, least: int = 2):
     the rest of each line through it in a run; a block has at most
     PAIR_BLOCK_ELEMENTS pairs."""
     n = len(pts)
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // max(n, 1))
-    for lo in range(0, n, step):
-        anchors = np.arange(lo, min(lo + step, n))
+    for anchors in ffield.row_blocks(np.arange(n), n):
         key = row_keys(fs.q, unit_rows(fs, fs.vadd(pts, fs.vneg(pts[anchors, None])))[0])
         key[np.arange(len(anchors)), anchors] = -1  # sorts first: runs never span rows
         order = np.argsort(key, axis=1, kind="stable")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import apps, bounds, reductions, setsys
-from .errors import BudgetExceeded, EvenCharacteristic, Unrealizable
-from .ffield import FieldSpec, make_field
+from .errors import BudgetExceeded, DegreeOutOfRange, EvenCharacteristic, Unrealizable
+from .ffield import MAX_ORDER, FieldSpec, make_field
 from .geom import (
     Line2,
     Plane3,
@@ -58,7 +58,10 @@ def round_half_up(x: float) -> int:
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p^n or raise."""
+    """Factor q as p^n or raise; the order cap is checked before any trial
+    division, whose cost grows with q."""
+    if q > MAX_ORDER:
+        raise DegreeOutOfRange(f"q = {q} exceeds the cap {MAX_ORDER}")
     for p in range(2, q + 1):
         if q % p == 0:
             n = 0

@@ -33,20 +33,12 @@ from .geom import (
     dot3,
     field_array,
     grid_points,
+    line_rows,
     make_plane,
     max_collinear,
 )
 
 ORACLE_TUPLE_CAP = 10**9
-
-
-def _line_pairs(lines) -> list[tuple[int, int]]:
-    out = []
-    for ln in lines:
-        if ln.kind == "V":
-            raise VerticalLinePresent("the reduction needs non-vertical lines")
-        out.append((ln.a, ln.b))
-    return out
 
 
 def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
@@ -55,11 +47,13 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     "fast" makes one pass over the row blocks of (a, b) . (x, 1) = a*x + b,
     which histograms r(v) = #{(a, b, x) : a*x + b = v}, and returns
     sum r(v)^2; "oracle" enumerates all tuples.  Both agree exactly, and both
-    raise FieldMismatch for a line coefficient or element of A outside [0, q).
+    raise FieldMismatch as geom.line_rows and geom.field_array for a bad line
+    or element of A, and VerticalLinePresent for a vertical line.
     """
-    L = _line_pairs(lines)
+    vert, rows = line_rows(fs, lines)
+    if vert.any():
+        raise VerticalLinePresent("the reduction needs non-vertical lines")
     A = list(a_set)
-    rows = field_array(fs, L, 2, "line coefficient")
     cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
@@ -67,8 +61,9 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
             r += np.bincount(vals.ravel(), minlength=fs.q)
         return sum(v * v for v in r[r > 0].tolist())
     if method == "oracle":
-        if (len(L) * len(A)) ** 2 > ORACLE_TUPLE_CAP:
+        if (len(rows) * len(A)) ** 2 > ORACLE_TUPLE_CAP:
             raise SizeCap("oracle tuple count over 10^9")
+        L, A = rows.tolist(), cols[:, 0].tolist()
         add, mul = fs.add, fs.mul
         vals = [add(mul(a, x), b) for a, b in L for x in A]
         return sum(1 for v in vals for w in vals if v == w)
@@ -90,11 +85,11 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     Both lists keep multiplicity; the defining identity
     I(points3, planes3) == count_solutions(L, A) holds exactly.  A projection
     self-check confirms at most k_bound collinear points in the Oxy shadow.
-    FieldMismatch for a line coefficient or element of A outside [0, q).
+    Raises as count_solutions for a bad line or element of A.
     """
     lines, A = list(lines), list(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
-    L = _line_pairs(lines)
+    L = line_rows(fs, lines)[1].tolist()
     points3 = [(x, ap, bp) for x in A for ap, bp in L]
     neg = fs.neg
     planes3 = [
@@ -134,11 +129,10 @@ class CsUpperReport(NamedTuple):
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
     """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle."""
     lines = list(lines)
-    L = _line_pairs(lines)
     A = list(a_set)
     B = list(b_set)
-    energy = count_solutions(fs, lines, A, method="fast")
+    energy = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     value = math.sqrt(len(B)) * math.sqrt(energy)
-    line_objs = [Line2("N", a, b) for a, b in L]
+    line_objs = [Line2(*ln) for ln in lines]  # count_incidences reads Line2 only
     actual = count_incidences(fs, grid_points(A, B), line_objs, "oracle").count if B else 0
     return CsUpperReport(value, energy, actual, actual <= value + 1e-9)

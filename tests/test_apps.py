@@ -23,8 +23,10 @@ from fqincidence.errors import (
     ToolkitError,
 )
 from fqincidence.ffield import make_field
-from fqincidence.geom import Line2, Line3, dot3, line3_points, make_plane, max_shared_collinear
-from fqincidence.reductions import build_point_plane_sets, count_solutions
+from fqincidence.geom import (Line2, Line3, Plane3, count_incidences, dot3, line3_points,
+                              make_plane, max_collinear, max_shared_collinear)
+from fqincidence.reductions import build_point_plane_sets, count_solutions, cs_upper
+from fqincidence.setsys import neighborhood_system
 from pair_loops import dist
 
 
@@ -430,11 +432,11 @@ def test_trace_classes_bounded_by_shatter_function():
     assert rep.classes <= cap.value + (1 if (0, 0, 0) in U else 0)
 
 
-# -- coordinates outside [0, q) ------------------------------------------------
+# -- entries that are not field elements --------------------------------------
 
 GOOD3 = [(1, 1, 1), (0, 1, 0)]
-# each call passes one coordinate x = q + 2, which wraps mod p over a prime
-# field and indexes past the tables of an extension field
+PLANES = [Plane3((1, 0, 0), 1), Plane3((0, 1, 0), 1)]
+# each call passes one entry x in a coordinate, coefficient, element or radius
 OUT_OF_RANGE = {
     "dot_product_set": lambda fs, x: dot_product_set(fs, [(0, 0, x)], GOOD3),
     "distance_set": lambda fs, x: distance_set(fs, GOOD3, [(x, 0, 0)]),
@@ -449,16 +451,57 @@ OUT_OF_RANGE = {
         fs, [Line2("N", 1, 0), Line2("N", 2, x)], [0, 1]),
     "build_point_plane_sets-A": lambda fs, x: build_point_plane_sets(
         fs, [Line2("N", 1, 0)], [x, 1]),
+    "count_incidences-lines-fast": lambda fs, x: count_incidences(
+        fs, [(0, 1), (x, 0)], [Line2("N", 1, 0)]),
+    "count_incidences-lines-oracle": lambda fs, x: count_incidences(
+        fs, [(0, 1)], [Line2("V", 0, 0), Line2("N", x, 0)], "oracle"),
+    "count_incidences-planes-fast": lambda fs, x: count_incidences(
+        fs, GOOD3, [*PLANES, Plane3((1, 0, 0), x)]),
+    "count_incidences-planes-oracle": lambda fs, x: count_incidences(
+        fs, [*GOOD3, (0, x, 1)], PLANES, "oracle"),
+    "max_collinear": lambda fs, x: max_collinear(fs, [(x, 0), (1, 1)]),
+    "max_shared_collinear": lambda fs, x: max_shared_collinear(fs, [*GOOD3, (0, 0, x)], PLANES),
+    "neighborhood_system": lambda fs, x: neighborhood_system(
+        fs, GOOD3, [*PLANES, Plane3((1, x, 0), 1)], "by_point"),
+    "bisector_collinear_k": lambda fs, x: bisector_collinear_k(fs, GOOD3, [(0, x, 0)]),
+    "cs_upper": lambda fs, x: cs_upper(fs, [Line2("N", 1, 0)], [0, 1], [x]),
+    "sphere_line_scan": lambda fs, x: sphere_line_scan(fs, x),
 }
 # the distance functions refuse even q before they read a coordinate
-DISTANCE_CALLS = {"distance_set", "triple_count_T"}
+DISTANCE_CALLS = {"distance_set", "triple_count_T", "bisector_collinear_k", "sphere_line_scan"}
+# q + 2 wraps mod p over a prime field and indexes past the tables of an
+# extension field; numpy would truncate 1.5, and "1" and 2**70 do not fit int64
+BAD_VALUES = {
+    "q+2": lambda q: q + 2,
+    "float": lambda q: 1.5,
+    "str": lambda q: "1",
+    "huge": lambda q: 2**70,
+}
 
 
-@pytest.mark.parametrize("name,p,n", [
-    (name, p, n) for name in OUT_OF_RANGE for p, n in [(5, 1), (2, 2), (3, 2)]
+@pytest.mark.parametrize("name,p,n,bad", [
+    pytest.param(name, p, n, bad, id=f"{name}-{p}-{n}" + ("" if bad == "q+2" else f"-{bad}"))
+    for bad in BAD_VALUES for name in OUT_OF_RANGE for p, n in [(5, 1), (2, 2), (3, 2)]
     if p != 2 or name not in DISTANCE_CALLS
 ])
-def test_coordinates_outside_the_field_raise_field_mismatch(name, p, n):
+def test_coordinates_outside_the_field_raise_field_mismatch(name, p, n, bad):
     fs = make_field(p, n)
     with pytest.raises(FieldMismatch):
-        OUT_OF_RANGE[name](fs, fs.q + 2)
+        OUT_OF_RANGE[name](fs, BAD_VALUES[bad](fs.q))
+
+
+# "X" is neither "N" nor "V"
+UNKNOWN_KIND = {
+    "count_solutions": lambda fs, ln: count_solutions(fs, [ln], [0, 1]),
+    "count_solutions-oracle": lambda fs, ln: count_solutions(fs, [ln], [0, 1], "oracle"),
+    "build_point_plane_sets": lambda fs, ln: build_point_plane_sets(fs, [ln], [0, 1]),
+    "cs_upper": lambda fs, ln: cs_upper(fs, [ln], [0, 1], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", UNKNOWN_KIND)
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 2)])
+def test_unknown_line_kind_raises_field_mismatch(name, p, n):
+    fs = make_field(p, n)
+    with pytest.raises(FieldMismatch, match="unknown line kind 'X'"):
+        UNKNOWN_KIND[name](fs, Line2("X", 1, 1))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fqincidence.cli import build_parser, main
@@ -506,3 +511,22 @@ def test_suites_run_at_large_and_negative_alpha(capsys, name, q, alpha):
     code = main(["suite", "--name", name, "--q", str(q), "--alpha", alpha, "--trials", "2"])
     assert code in (0, 2)
     assert "0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--name", "vinh-plane", "--q", "1000000007"],
+    ["preset", "--name", "line-1", "--q", "1000000007", "--out", "{tmp}"],
+    ["field-info", "--p", "2305843009213693951", "--n", "1"],
+])
+def test_orders_over_the_cap_exit_one_before_factoring(tmp_path, argv):
+    # a subprocess with a timeout, so a factoring or primality loop that runs
+    # up to q fails this test instead of stalling the run
+    argv = [a.format(tmp=tmp_path / "out") for a in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from fqincidence.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert "exceeds the cap 1048576" in run.stderr

@@ -10,10 +10,10 @@ from fqincidence.geom import (
     Line3,
     Plane3,
     all_planes_through_one,
-    coords_array,
     count_incidences,
     decode_points,
     dot3,
+    field_array,
     grid_points,
     line3_points,
     make_plane,
@@ -91,13 +91,31 @@ def test_bad_flats_rejected(p, n, flat, method):
     ([nonvertical(1, 0), Line2("W", 1, 0), Line2("X", 1, 0)], "unknown line kind 'W'"),
     ([vertical(1), nonvertical(8, 0), nonvertical(9, 0)], "line coefficient 8 outside [0, 7)"),
     ([nonvertical(1, -1)], "line coefficient -1 outside [0, 7)"),
-    ([Line2("N", "x", 0)], "expected 2-coordinate points"),
+    ([Line2("N", "x", 0)], "line coefficient 'x' is not an integer"),
+    ([nonvertical(1, 0), Line2("N", 1.5, 0)], "line coefficient 1.5 is not an integer"),
+    ([Line2("N", 2**70, 0)], "line coefficient 1180591620717411303424 outside [0, 7)"),
 ])
 def test_bad_lines_name_the_first_fault(flats, message):
     fs = make_field(7, 1)
     for method in ("oracle", "fast"):
         with pytest.raises(FieldMismatch) as exc:
             count_incidences(fs, [(0, 1)], flats, method)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("points,flats,message", [
+    ([(0.9, 1.2)], [vertical(0)], "coordinate 0.9 is not an integer"),
+    ([("3", "0")], [vertical(3)], "coordinate '3' is not an integer"),
+    ([(0, 2**63)], [vertical(0)], "coordinate 9223372036854775808 outside [0, 7)"),
+    ([(0, 1, 2)], [vertical(0)], "expected rows of 2 coordinates"),
+    ([(1, 0, 0)], [Plane3((1, 0, 0), 1.7)], "plane coefficient 1.7 is not an integer"),
+    ([(1, 0, 0)], [Plane3((1, 0), 1)], "expected rows of 3 plane coefficients"),
+])
+def test_bad_entries_name_their_input(points, flats, message):
+    fs = make_field(7, 1)
+    for method in ("oracle", "fast"):
+        with pytest.raises(FieldMismatch) as exc:
+            count_incidences(fs, points, flats, method)
         assert str(exc.value) == message
 
 
@@ -322,9 +340,10 @@ def test_all_planes_through_one_are_the_nonzero_normals():
     assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
 
 
-def test_coords_array_rejects_wrong_dimension():
-    assert coords_array([], 3).shape == (0, 3)
-    assert coords_array([(1, 2, 3)], 3).tolist() == [[1, 2, 3]]
+def test_field_array_rejects_wrong_dimension():
+    fs = make_field(7, 1)
+    assert field_array(fs, [], 3).shape == (0, 3)
+    assert field_array(fs, [(1, 2, 3)], 3).tolist() == [[1, 2, 3]]
     for rows in ([(1, 2), (0, 1)], [(1, 2, 3), (1, 2)], [(1, 2, 3, 4)]):
         with pytest.raises(FieldMismatch):
-            coords_array(rows, 3)
+            field_array(fs, rows, 3)
