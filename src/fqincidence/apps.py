@@ -20,7 +20,7 @@ from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (Line3, Plane3, Point3, distinct_points3, dot3, field_array, line_blocks,
-                   make_plane, row_keys, unit_rows)
+                   plane_canonical, row_keys, unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
 BISECTOR_PAIR_BUDGET = 10**7
@@ -120,14 +120,17 @@ def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
 
 
 def bisector_plane(fs: FieldSpec, x, y) -> Plane3:
-    """The plane {u : ||x-u|| = ||y-u||}, i.e. 2(y-x).u = ||y|| - ||x||."""
+    """The plane {u : ||x-u|| = ||y-u||}, i.e. 2d.u = ||y|| - ||x|| = d.(x+y)
+    with d = y - x, in canonical form; x and y are read by field_array."""
     _require_odd(fs)
-    if tuple(x) == tuple(y):
+    (x0, x1, x2), (y0, y1, y2) = field_array(fs, [x, y], 3).tolist()
+    sub, add, mul = fs.sub, fs.add, fs.mul
+    d0, d1, d2 = sub(y0, x0), sub(y1, x1), sub(y2, x2)
+    if not (d0 or d1 or d2):
         raise EqualPoints("bisector needs two distinct points")
-    two = fs.add(1, 1)
-    normal = tuple(fs.mul(two, fs.sub(y[i], x[i])) for i in range(3))
-    rhs = fs.sub(norm3(fs, y), norm3(fs, x))
-    return make_plane(fs, normal, rhs)
+    two = add(1, 1)
+    rhs = add(add(mul(d0, add(x0, y0)), mul(d1, add(x1, y1))), mul(d2, add(x2, y2)))
+    return plane_canonical(fs, Plane3((mul(two, d0), mul(two, d1), mul(two, d2)), rhs))
 
 
 def bisector_collisions_isotropic(fs: FieldSpec, points) -> bool:
@@ -162,10 +165,9 @@ def bisector_collinear_k(fs: FieldSpec, E, F) -> int:
     lines through three or more points of F in rows of three or more.
     """
     _require_odd(fs)
-    E, F = list(set(E)), list(F)
-    if len(E) * (len(E) - 1) // 2 * max(len(F), 1) > BISECTOR_PAIR_BUDGET:
-        raise BudgetExceeded("bisector pair scan over budget")
     e, f = distinct_points3(fs, E), distinct_points3(fs, F)
+    if len(e) * (len(e) - 1) // 2 * max(len(f), 1) > BISECTOR_PAIR_BUDGET:
+        raise BudgetExceeded("bisector pair scan over budget")
     if len(e) < 2 or not len(f):
         return 0
     i, j = np.triu_indices(len(e), 1)
@@ -267,26 +269,21 @@ class RegularSubsetReport:
     neighbor_sizes: dict[Point3, int] = field(repr=False, default_factory=dict)
 
 
-def _unit_dot_counts(fs: FieldSpec, U: list[Point3]) -> list[int]:
-    """For each u in U, the number of u' in U with u . u' = 1."""
-    arr = field_array(fs, U, 3)
-    return [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1).tolist()]
-
-
 def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     """Partition U by unit-product neighborhood size against |U|/(2q) and 2|U|/q.
 
-    U1 keeps the points whose neighborhood size lies strictly between the two
-    thresholds.  The |U| >= 8q^2 hypothesis of the source lemma is recorded
-    as a flag; the partition is returned either way for exploration.
+    The neighborhood of u is every u' in U with u . u' = 1.  U1 keeps the
+    points whose neighborhood size lies strictly between the two thresholds.
+    The |U| >= 8q^2 hypothesis of the source lemma is recorded as a flag; the
+    partition is returned either way for exploration.  U is read by
+    field_array; the parts list its points as tuples, in the order of U.
     """
-    U = list(map(tuple, U))
-    if len(set(U)) != len(U):
+    arr = field_array(fs, list(U), 3)
+    if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
         raise ValueError("U must not contain duplicate points")
-    counts = _unit_dot_counts(fs, U)
-    n = len(U)
-    lo = n / (2 * fs.q)
-    hi = 2 * n / fs.q
+    counts = [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1).tolist()]
+    U, n = list(zip(*arr.T.tolist())), len(arr)
+    lo, hi = n / (2 * fs.q), 2 * n / fs.q
     return RegularSubsetReport(
         U1=[u for u, c in zip(U, counts) if lo < c < hi],
         L_heavy=[u for u, c in zip(U, counts) if c >= hi],
@@ -315,20 +312,21 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     the exact Cauchy-Schwarz floor |U|^2 / #classes always holds, and the
     ratio against |U|^2 / |U'|^3 is reported (that bound is asymptotic).
     """
-    U = list(map(tuple, U))
-    Up = list(map(tuple, Uprime))
-    if not U:
+    U = field_array(fs, list(U), 3)
+    if not len(U):
         raise InvalidPointSet("U must be nonempty")
-    if not set(Up) <= set(U):
+    Up = field_array(fs, list(Uprime), 3)
+    keys, sub = np.sort(row_keys(fs.q, U)), row_keys(fs.q, Up)
+    if (keys[np.searchsorted(keys, sub) % len(keys)] != sub).any():  # each key of U' in U
         raise InvalidPointSet("U' must be a subset of U")
     groups: Counter = Counter()
-    for vals in fs.dot_blocks(field_array(fs, U, 3), field_array(fs, Up, 3)):
+    for vals in fs.dot_blocks(U, Up):
         traces, mult = np.unique(np.packbits(vals == 1, axis=1), axis=0, return_counts=True)
         groups.update(dict(zip(map(bytes, traces), mult.tolist())))
     sizes = sorted(groups.values(), reverse=True)
     pair_count = sum(m * m for m in sizes)
     classes = len(sizes)
-    bound = len(U) ** 2 / len(Up) ** 3 if Up else math.inf
+    bound = len(U) ** 2 / len(Up) ** 3 if len(Up) else math.inf
     cs_lower = len(U) ** 2 / classes
     ratio = pair_count / bound if bound != math.inf else 0.0
     return TracePairReport(sizes, pair_count, classes, bound, cs_lower, ratio)

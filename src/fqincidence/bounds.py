@@ -219,13 +219,12 @@ def eval_ks_distance(q: int, nE: int, nF: int) -> BoundReport:
     return BoundReport(name, val, {"min_branch": float(val)})
 
 
-def eval_distance_dot_lower(
-    q: int, alpha: float, nE: int, k: int
-) -> BoundReport:
+def eval_distance_dot_lower(q: int, alpha: float, nE: int, nF: int, k: int) -> BoundReport:
     """max{k, q^alpha} when nE >= q^(3 alpha), else max{k, nE/q^(2 alpha)}.
 
     Shared conclusion shape of the distance-set and dot-product theorems;
     asymptotic, so callers report measured ratios rather than asserting it.
+    Records the hypothesis |F| > 2 k q^alpha.
     """
     if nE >= q ** (3 * alpha):
         branch = "large_E"
@@ -237,7 +236,7 @@ def eval_distance_dot_lower(
         f"distance_dot_lower[{branch}]",
         val,
         {"max_branch": val},
-        hypotheses={"alpha_in_0_1": _alpha_ok(alpha)},
+        hypotheses={"alpha_in_0_1": _alpha_ok(alpha), "F_over_2kq^a": nF > 2 * k * q**alpha},
     )
 
 

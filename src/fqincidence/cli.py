@@ -173,13 +173,12 @@ def cmd_distance(args) -> int:
         print("hypothesis violated: zero pairs exceed |E||F|/2")
     print(f"bisector collinear k = {k}")
     if args.alpha is not None:
-        low = bounds.eval_distance_dot_lower(fs.q, args.alpha, len(E), k)
-        size_ok = len(F) > 2 * k * fs.q**args.alpha
+        low = bounds.eval_distance_dot_lower(fs.q, args.alpha, len(E), len(F), k)
         print(f"lower-bound branch {low.bound_name}: value = {low.value:.6g}, "
               f"measured/value = {bounds.ratio_of(len(rep.distance_set), low.value):.4g}")
         if k == 0:
             print("note: k = 0 leaves the size condition on |F| unconstrained")
-        elif not size_ok:
+        elif not low.hypotheses["F_over_2kq^a"]:
             violated = True
             print(f"hypothesis violated: |F| = {len(F)} <= 2*k*q^alpha "
                   f"= {2 * k * fs.q ** args.alpha:.6g}")

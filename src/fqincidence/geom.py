@@ -64,9 +64,13 @@ def plane_through_one(normal: Point3) -> Plane3:
 
 
 def make_plane(fs: FieldSpec, normal, rhs: int) -> Plane3:
-    if tuple(normal) == (0, 0, 0):
+    """The canonical plane normal . x = rhs, read by field_array
+    (FieldMismatch for a bad coefficient); ValueError for a zero normal."""
+    normal = tuple(field_array(fs, [normal], 3, "plane coefficient")[0].tolist())
+    rhs = int(field_array(fs, [[rhs]], 1, "plane coefficient")[0, 0])
+    if normal == (0, 0, 0):
         raise ValueError("plane normal must be nonzero")
-    return plane_canonical(fs, Plane3(tuple(normal), rhs, False))
+    return plane_canonical(fs, Plane3(normal, rhs, False))
 
 
 def plane_canonical(fs: FieldSpec, plane: Plane3) -> Plane3:
@@ -116,10 +120,10 @@ def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
         if isinstance(bad, (int, np.integer)):  # too large for int64
             raise FieldMismatch(f"{what} {bad} outside [0, {fs.q})")
         raise FieldMismatch(f"{what} {bad!r} is not an integer")
-    bad = arr[(arr < 0) | (arr >= fs.q)]
-    if bad.size:
-        raise FieldMismatch(f"{what} {bad[0]} outside [0, {fs.q})")
-    return arr.astype(np.int64, copy=False).reshape(len(rows), dim)
+    out = arr.astype(np.int64, copy=False).reshape(len(rows), dim)
+    if np.count_nonzero(out.view(np.uint64) >= fs.q):  # a negative entry wraps past q
+        raise FieldMismatch(f"{what} {arr[(arr < 0) | (arr >= fs.q)][0]} outside [0, {fs.q})")
+    return out
 
 
 def plane_rows(fs: FieldSpec, planes):
@@ -251,18 +255,16 @@ def _count_lines_fast(fs, pts, vert, ab) -> int:
 # collinearity
 # ---------------------------------------------------------------------------
 
-def _as_point3(pt) -> Point3:
-    if len(pt) == 3:
-        return tuple(pt)
-    if len(pt) == 2:
-        return (pt[0], pt[1], 0)
-    raise FieldMismatch("points must have 2 or 3 coordinates")
-
-
 def distinct_points3(fs: FieldSpec, points):
-    """The distinct points, sorted, as an int64 (n, 3) array; 2-coordinate
-    points are embedded in the z = 0 plane.  FieldMismatch as field_array."""
-    pts = field_array(fs, [_as_point3(pt) for pt in points], 3)
+    """The distinct points, sorted, as an int64 (n, 3) array, read by one
+    field_array call: all of 3 coordinates, or all of 2, embedded in the
+    z = 0 plane.  FieldMismatch as field_array."""
+    points = list(points)
+    dim = len(points[0]) if points and hasattr(points[0], "__len__") else 3
+    if dim not in (2, 3):
+        raise FieldMismatch("points must have 2 or 3 coordinates")
+    pts = np.zeros((len(points), 3), dtype=np.int64)
+    pts[:, :dim] = field_array(fs, points, dim)
     return pts[np.unique(row_keys(fs.q, pts), return_index=True)[1]]
 
 

@@ -39,6 +39,14 @@ _MASK64 = (1 << 64) - 1
 
 # The q3mod4-geometry suite's range of odd q (the sphere scan itself has no cap).
 SPHERE_SCAN_MAX_Q = 13
+FULL_SPACE_PAIRS = 10**9  # the full-space suites' cap on q^3 (q^3 - 1): q <= 31
+
+
+def _full_space(q: int) -> list:
+    """Every point of GF(q)^3; BudgetExceeded past FULL_SPACE_PAIRS pairs."""
+    if q**3 * (q**3 - 1) > FULL_SPACE_PAIRS:
+        raise BudgetExceeded(f"full space at q = {q} over 10^9 point pairs")
+    return decode_points(q, range(q**3))
 
 
 def _mix(*parts: int) -> int:
@@ -576,7 +584,7 @@ def suite_q3mod4_geometry(cfg: ExperimentConfig, fs: FieldSpec):
 def suite_regular_subset(cfg: ExperimentConfig, fs: FieldSpec):
     """Thresholded unit-product neighborhoods on sets meeting |U| >= 8q^2."""
     q = fs.q
-    full = decode_points(q, range(q**3))
+    full = _full_space(q)
     rep = apps.regular_subset(fs, full)
     hyp = rep.size_hypothesis_ok
     ok = set(rep.U1) == set(full) - {(0, 0, 0)} if hyp else True
@@ -756,7 +764,7 @@ def suite_preset_audit(cfg: ExperimentConfig, fs: FieldSpec):
 def suite_vinh_plane(cfg: ExperimentConfig, fs: FieldSpec):
     """Full-space configuration: the main term alone matches the exact count."""
     q = fs.q
-    pts = decode_points(q, range(q**3))
+    pts = _full_space(q)
     planes = all_planes_through_one(fs)
     actual = count_incidences(fs, pts, planes, "fast").count
     main = len(pts) * len(planes) / q

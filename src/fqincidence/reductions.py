@@ -25,18 +25,8 @@ import numpy as np
 
 from .errors import InvariantFailure, SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
-from .geom import (
-    Line2,
-    Plane3,
-    Point3,
-    count_incidences,
-    dot3,
-    field_array,
-    grid_points,
-    line_rows,
-    make_plane,
-    max_collinear,
-)
+from .geom import (Line2, Plane3, Point3, count_incidences, dot3, field_array, grid_points,
+                   line_rows, max_collinear, unit_rows)
 
 ORACLE_TUPLE_CAP = 10**9
 
@@ -83,19 +73,23 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
 
     points3 = {(x, a', b')} over A x L; planes3 encode (a, b, x') over L x A.
     Both lists keep multiplicity; the defining identity
-    I(points3, planes3) == count_solutions(L, A) holds exactly.  A projection
-    self-check confirms at most k_bound collinear points in the Oxy shadow.
-    Raises as count_solutions for a bad line or element of A.
+    I(points3, planes3) == count_solutions(L, A) holds exactly.  Each plane
+    is in the canonical form of geom.make_plane, scaled by unit_rows.  A
+    projection self-check confirms at most k_bound collinear points in the
+    Oxy shadow.  Raises as count_solutions for a bad line or element of A.
     """
     lines, A = list(lines), list(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
-    L = line_rows(fs, lines)[1].tolist()
-    points3 = [(x, ap, bp) for x in A for ap, bp in L]
-    neg = fs.neg
-    planes3 = [
-        make_plane(fs, (a, neg(xp), neg(1)), neg(b)) for a, b in L for xp in A
-    ]
-    k_bound = max(len(set(A)), len({a for a, _ in L}), 1)
+    ab, xs = line_rows(fs, lines)[1], field_array(fs, [A], len(A), "element")[0]
+    pts = np.column_stack([np.repeat(xs, len(ab)), np.tile(ab, (len(xs), 1))])
+    nrm, scale = unit_rows(fs, np.column_stack([
+        np.repeat(ab[:, 0], len(xs)), np.tile(fs.vneg(xs), len(ab)),
+        np.full(len(pts), fs.neg(1))]))
+    rhs = fs.vmul(scale[:, 0], np.repeat(fs.vneg(ab[:, 1]), len(xs)))
+    points3 = [tuple(pt) for pt in pts.tolist()]
+    planes3 = [Plane3(tuple(n), r) for n, r in zip(nrm.tolist(), rhs.tolist())]
+    L, A = ab.tolist(), xs.tolist()
+    k_bound = max(np.unique(xs).size, np.unique(ab[:, 0]).size, 1)
     if points3:
         # sign-convention self-check: incidence must track the equation on a
         # sample of (point, plane) parameter tuples, matching or not
@@ -110,8 +104,7 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
                 pl = planes3[qi]
                 if (dot3(fs, pl.normal, points3[pi]) == pl.rhs) != (lhs == rhs):
                     raise InvariantFailure("plane sign convention broke the identity")
-        proj = {(x, ap) for x, ap, _ in points3}
-        k_proj, _ = max_collinear(fs, proj)
+        k_proj, _ = max_collinear(fs, pts[:, :2])
         if k_proj > k_bound:
             raise InvariantFailure(
                 f"projected collinearity {k_proj} exceeds k bound {k_bound}"

@@ -2,10 +2,12 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fqincidence.apps import (
     bisector_collinear_k,
+    bisector_collisions_isotropic,
     bisector_plane,
     distance_set,
     dot_product_set,
@@ -23,8 +25,8 @@ from fqincidence.errors import (
     ToolkitError,
 )
 from fqincidence.ffield import make_field
-from fqincidence.geom import (Line2, Line3, Plane3, count_incidences, dot3, line3_points,
-                              make_plane, max_collinear, max_shared_collinear)
+from fqincidence.geom import (Line2, Line3, Plane3, count_incidences, distinct_points3, dot3,
+                              line3_points, make_plane, max_collinear, max_shared_collinear)
 from fqincidence.reductions import build_point_plane_sets, count_solutions, cs_upper
 from fqincidence.setsys import neighborhood_system
 from pair_loops import dist
@@ -464,11 +466,17 @@ OUT_OF_RANGE = {
     "neighborhood_system": lambda fs, x: neighborhood_system(
         fs, GOOD3, [*PLANES, Plane3((1, x, 0), 1)], "by_point"),
     "bisector_collinear_k": lambda fs, x: bisector_collinear_k(fs, GOOD3, [(0, x, 0)]),
+    "bisector_plane": lambda fs, x: bisector_plane(fs, (0, 0, 0), (1, x, 0)),
+    "bisector_collisions_isotropic": lambda fs, x: bisector_collisions_isotropic(
+        fs, [*GOOD3, (x, 0, 1)]),
+    "make_plane-normal": lambda fs, x: make_plane(fs, (1, 0, x), 1),
+    "make_plane-rhs": lambda fs, x: make_plane(fs, (1, 0, 0), x),
     "cs_upper": lambda fs, x: cs_upper(fs, [Line2("N", 1, 0)], [0, 1], [x]),
     "sphere_line_scan": lambda fs, x: sphere_line_scan(fs, x),
 }
 # the distance functions refuse even q before they read a coordinate
-DISTANCE_CALLS = {"distance_set", "triple_count_T", "bisector_collinear_k", "sphere_line_scan"}
+DISTANCE_CALLS = {"distance_set", "triple_count_T", "bisector_collinear_k", "sphere_line_scan",
+                  "bisector_plane", "bisector_collisions_isotropic"}
 # q + 2 wraps mod p over a prime field and indexes past the tables of an
 # extension field; numpy would truncate 1.5, and "1" and 2**70 do not fit int64
 BAD_VALUES = {
@@ -505,3 +513,69 @@ def test_unknown_line_kind_raises_field_mismatch(name, p, n):
     fs = make_field(p, n)
     with pytest.raises(FieldMismatch, match="unknown line kind 'X'"):
         UNKNOWN_KIND[name](fs, Line2("X", 1, 1))
+
+
+# -- the shapes a point set may take ------------------------------------------
+
+P3 = [(1, 2, 3), (0, 0, 1), (1, 1, 1), (2, 0, 2), (3, 3, 0), (0, 4, 4)]
+P2 = [(0, 1), (1, 2), (2, 3), (0, 0), (4, 1)]
+# each call passes every point set it takes through the shape function
+SHAPES = {
+    "count_incidences-lines": lambda fs, s: count_incidences(
+        fs, s(P2), [Line2("N", 1, 1), Line2("V", 0, 0)]),
+    "count_incidences-planes": lambda fs, s: count_incidences(fs, s(P3), PLANES),
+    "count_incidences-oracle": lambda fs, s: count_incidences(fs, s(P3), PLANES, "oracle"),
+    "distinct_points3": lambda fs, s: distinct_points3(fs, s(P3)).tolist(),
+    "max_collinear-2d": lambda fs, s: max_collinear(fs, s(P2)),
+    "max_collinear-3d": lambda fs, s: max_collinear(fs, s(P3)),
+    "max_shared_collinear": lambda fs, s: max_shared_collinear(fs, s(P3), PLANES),
+    "neighborhood_system": lambda fs, s: neighborhood_system(fs, s(P3), PLANES, "by_point"),
+    "distance_set": lambda fs, s: distance_set(fs, s(P3[:3]), s(P3)),
+    "triple_count_T": lambda fs, s: triple_count_T(fs, s(P3), s(P3[2:])),
+    "dot_product_set": lambda fs, s: dot_product_set(fs, s(P3), s(P3[1:])),
+    "bisector_plane": lambda fs, s: bisector_plane(fs, *s(P3[:2])),
+    "bisector_collisions_isotropic": lambda fs, s: bisector_collisions_isotropic(fs, s(P3)),
+    "bisector_collinear_k": lambda fs, s: bisector_collinear_k(fs, s(P3[:3]), s(P3)),
+    "regular_subset": lambda fs, s: regular_subset(fs, s(P3)),
+    "trace_pairs": lambda fs, s: trace_pairs(fs, s(P3), s(P3[:2])),
+    "make_plane": lambda fs, s: make_plane(fs, *s(P3[:1]), 1),
+}
+SHAPE_OF = {
+    "lists": lambda pts: [list(pt) for pt in pts],
+    "array": np.array,
+    "generator": lambda pts: (pt for pt in pts),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPE_OF)
+@pytest.mark.parametrize("name", SHAPES)
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_point_shapes_give_the_tuple_result(name, shape, p, n):
+    fs = make_field(p, n)
+    assert SHAPES[name](fs, SHAPE_OF[shape]) == SHAPES[name](fs, list)
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_bare_int_points_raise_field_mismatch(name):
+    fs = make_field(5, 1)
+    with pytest.raises(FieldMismatch):
+        SHAPES[name](fs, lambda pts: [1, 2][:len(pts)])
+
+
+def test_side_path_inputs_raise_field_mismatch():
+    fs = make_field(7, 1)
+    rows = [[1, 2, 3], [0, 0, 1]]
+    assert bisector_collinear_k(fs, rows, [(1, 1, 1)]) == bisector_collinear_k(
+        fs, list(map(tuple, rows)), [(1, 1, 1)])
+    for call in (lambda: regular_subset(fs, [1, 2]),
+                 lambda: max_collinear(fs, [1, 2]),
+                 lambda: max_collinear(fs, [(1, 2), (1, 2, 3)]),  # mixed dimensions
+                 lambda: bisector_plane(fs, (0.5, 0, 0), (1, 0, 0)),
+                 lambda: make_plane(fs, (8, 0, 0), 9),
+                 lambda: make_plane(fs, (1.5, 0, 0), 1)):
+        with pytest.raises(FieldMismatch):
+            call()
+    with pytest.raises(FieldMismatch, match="points must have 2 or 3 coordinates"):
+        max_collinear(fs, [(1, 2, 3, 4)])
+    with pytest.raises(ValueError, match="plane normal must be nonzero"):
+        make_plane(fs, (0, 0, 0), 1)

@@ -188,12 +188,14 @@ def test_ks_distance_branches():
 
 
 def test_distance_dot_lower_branches():
-    rep = eval_distance_dot_lower(9, 0.5, nE=30, k=2)
+    rep = eval_distance_dot_lower(9, 0.5, nE=30, nF=20, k=2)
     assert rep.bound_name.endswith("[large_E]")  # 30 >= 9^1.5
     assert rep.value == pytest.approx(max(2, 3.0))
-    rep = eval_distance_dot_lower(9, 0.5, nE=20, k=6)
+    assert rep.hypotheses["F_over_2kq^a"]  # 20 > 2 * 2 * 3
+    rep = eval_distance_dot_lower(9, 0.5, nE=20, nF=20, k=6)
     assert rep.bound_name.endswith("[small_E]")
     assert rep.value == 6.0
+    assert not rep.hypotheses["F_over_2kq^a"]  # 20 <= 2 * 6 * 3
 
 
 def test_regime_report_line_preset_one_is_inconsistent():

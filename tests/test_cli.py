@@ -530,3 +530,18 @@ def test_orders_over_the_cap_exit_one_before_factoring(tmp_path, argv):
     assert run.returncode == 1
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
     assert "exceeds the cap 1048576" in run.stderr
+
+
+@pytest.mark.parametrize("name", ["vinh-plane", "regular-subset"])
+@pytest.mark.parametrize("q", [49, 1048573])
+def test_full_space_suites_refuse_past_the_pair_budget(name, q):
+    # q^3 (q^3 - 1) > 10^9: refused before the whole space is built, which
+    # at q = 49 ran for minutes and at q = 1048573 ran out of memory
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from fqincidence.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "suite", "--name", name, "--q", str(q),
+         "--trials", "1"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert run.returncode == 1
+    assert run.stderr == f"error: full space at q = {q} over 10^9 point pairs\n"

@@ -96,7 +96,7 @@ def test_max_collinear_matches_pair_loop(data):
 def test_max_shared_collinear_matches_pair_loop(data):
     fs = data.draw(_fields(ALL))
     pts = data.draw(point_sets(fs, data.draw(st.sampled_from([2, 3]))))
-    planes = data.draw(plane_sets(fs, [geom._as_point3(pt) for pt in pts]))
+    planes = data.draw(plane_sets(fs, [pair_loops._as_point3(pt) for pt in pts]))
     got = geom.max_shared_collinear(fs, pts, planes)
     assert got == pair_loops.max_shared_collinear(fs, pts, planes)
 

@@ -1,6 +1,7 @@
 import pytest
 
-from fqincidence.errors import Unrealizable
+from fqincidence import harness
+from fqincidence.errors import BudgetExceeded, Unrealizable
 from fqincidence.harness import (
     ExperimentConfig,
     PRESET_NAMES,
@@ -279,3 +280,9 @@ def test_suite_calibration_skips_families_past_the_space(q, alpha):
     # 2 q^(1+alpha) and 4 q^alpha both exceed q^3: only the line family is left
     res = _run("calibration", q, trials=2, alpha=alpha)
     assert [r["bound"] for r in res.rows] == ["thm_line", "thm_line"]
+
+
+def test_full_space_budget_keeps_q31_and_refuses_q32():
+    assert len(harness._full_space(31)) == 31**3  # 29791 * 29790 < 10^9 pairs
+    with pytest.raises(BudgetExceeded):
+        harness._full_space(32)
