@@ -19,8 +19,8 @@ import numpy as np
 from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
-from .geom import (Line3, Plane3, Point3, distinct_points3, dot3, field_array, line_blocks,
-                   plane_canonical, row_keys, unit_rows)
+from .geom import (Line3, Plane3, Point3, as_rows, distinct_points3, dot3, field_array,
+                   line_blocks, plane_canonical, row_keys, unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
 BISECTOR_PAIR_BUDGET = 10**7
@@ -240,7 +240,8 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     if not E or not F:
         raise InvalidPointSet("E and F must be nonempty")
     hist = np.zeros(fs.q, dtype=np.int64)
-    for vals in fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3)):
+    blocks = fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3))
+    for vals in ffield.wide_blocks(blocks, len(F)):  # bincount widens to intp
         hist += np.bincount(vals.ravel(), minlength=fs.q)
     counts = {lam: c for lam, c in enumerate(hist.tolist()) if c}
     # argmax returns the first, i.e. smallest, of the most frequent nonzero values
@@ -278,10 +279,11 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     partition is returned either way for exploration.  U is read by
     field_array; the parts list its points as tuples, in the order of U.
     """
-    arr = field_array(fs, list(U), 3)
+    arr = field_array(fs, as_rows(U), 3)
     if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
         raise ValueError("U must not contain duplicate points")
-    counts = [c for vals in fs.dot_blocks(arr, arr) for c in (vals == 1).sum(axis=1).tolist()]
+    counts = [c for vals in fs.dot_blocks(arr, arr)
+              for c in (vals == 1).sum(axis=1, dtype=np.uint32).tolist()]
     U, n = list(zip(*arr.T.tolist())), len(arr)
     lo, hi = n / (2 * fs.q), 2 * n / fs.q
     return RegularSubsetReport(
@@ -312,10 +314,10 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     the exact Cauchy-Schwarz floor |U|^2 / #classes always holds, and the
     ratio against |U|^2 / |U'|^3 is reported (that bound is asymptotic).
     """
-    U = field_array(fs, list(U), 3)
+    U = field_array(fs, as_rows(U), 3)
     if not len(U):
         raise InvalidPointSet("U must be nonempty")
-    Up = field_array(fs, list(Uprime), 3)
+    Up = field_array(fs, as_rows(Uprime), 3)
     keys, sub = np.sort(row_keys(fs.q, U)), row_keys(fs.q, Up)
     if (keys[np.searchsorted(keys, sub) % len(keys)] != sub).any():  # each key of U' in U
         raise InvalidPointSet("U' must be a subset of U")

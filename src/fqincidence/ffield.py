@@ -30,11 +30,19 @@ closures that read them through memoryviews.  vmul, vadd, vneg and vinv
 work on numpy index arrays.
 
 dot_blocks yields the pairwise dot products x . y of a block of rows X
-against a fixed Y, in row blocks of at most PAIR_BLOCK_ELEMENTS entries.
-That block is the cache unit: at 2^13 entries the widest per-block
-temporary is 64 KiB, so a block stays in L2 and below glibc's default mmap
-threshold.  The tables a call builds are bounded separately, by
-TABLE_ELEMENTS.
+against a fixed Y, in row blocks.  One rule sizes every block, here and in
+the kernels that step like it: a block holds PAIR_BLOCK_ELEMENTS = 2^13
+words of 8 bytes, 64 KiB, of its widest per-entry temporary, a row rounded
+up to whole words.  That block is the cache unit: it stays in L2 and below
+glibc's default mmap threshold.  On the prime float64 path and on every
+path through vmul or vadd (intp table positions) the widest temporary is 8
+bytes per entry, so a block has 2^13 // |Y| rows.  On the GF(2^n)
+product-table path a block stays in the tables' dtype, accumulated by
+in-place XOR, so a uint8 block has 2^13 // ceil(|Y| / 8) rows.  A consumer
+that widens a block (an intp index, a float64 copy) reads it through
+wide_blocks, in row_blocks slices, and the product tables below are built in
+the row blocks of their intp positions, so those temporaries keep to 64 KiB
+too.  The tables a call builds are bounded separately, by TABLE_ELEMENTS.
 
 Prime fields take one float64 BLAS product v = X . Y^T per block and reduce
 it in place to r = v - p * floor((v + 0.5) * fl(1/p)), returned as int32.
@@ -79,8 +87,8 @@ from .errors import DegreeOutOfRange, DivisionByZero, NoIrreducibleFound, NotPri
 MAX_ORDER = 1 << 20
 MAX_DEGREE = 4
 
-# Entries per block of dot_blocks and of the kernels that step like it: the
-# cache unit, 64 KiB per int64 or float64 temporary.
+# 8-byte words per block of dot_blocks and of the kernels that step like it:
+# the cache unit, 64 KiB (see the module docstring).
 PAIR_BLOCK_ELEMENTS = 1 << 13
 
 # Entries of the tables a pairwise call builds once (the extension product
@@ -194,13 +202,13 @@ class FieldSpec:
 
     dot_blocks takes integer arrays X and Y of shape (rows, d) holding
     element indices and yields the |X| x |Y| matrix of x . y in row blocks:
-    consecutive rows of X against every row of Y, max(1,
-    PAIR_BLOCK_ELEMENTS // |Y|) rows per block (the last may have fewer).
-    The block is the cache unit; the memory a call holds beyond its blocks
-    is its tables, at most TABLE_ELEMENTS entries.  A block is an integer
-    array of values in [0, q): int32 for prime fields (exact through float64,
-    see the module docstring; ValueError when d * p^2 > 2^51), possibly as
-    narrow as uint8 for extension fields.
+    consecutive rows of X against every row of Y, in row_blocks: a row
+    takes the 8-byte words of |Y| entries of the block's widest temporary
+    (the last block may have fewer rows).  The block is the cache unit; the memory a call holds
+    beyond its blocks is its tables, at most TABLE_ELEMENTS entries.  A
+    block is an integer array of values in [0, q): int32 for prime fields
+    (exact through float64, see the module docstring; ValueError when
+    d * p^2 > 2^51), as narrow as narrow_dtype(q) on the GF(2^n) table path.
 
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
@@ -299,12 +307,31 @@ def _times(fs: FieldSpec, idx, h: int):
 
 
 def row_blocks(X, width: int):
-    """Consecutive row slices of X with at most PAIR_BLOCK_ELEMENTS entries
-    (and at least one row) each against width columns: the block rule of
-    dot_blocks and of every kernel that steps like it (pass np.arange(n)
-    for blocks of row indices)."""
+    """Consecutive row slices of X, each of at least one row and at most
+    PAIR_BLOCK_ELEMENTS words when a row takes width 8-byte words (width
+    entries of 8 bytes, or fewer words of narrower ones, rounded up): the
+    block rule of dot_blocks and of every kernel that steps like it (pass
+    np.arange(n) for blocks of row indices)."""
     step = max(1, PAIR_BLOCK_ELEMENTS // max(width, 1))
     return (X[start:start + step] for start in range(0, len(X), step))
+
+
+def wide_blocks(blocks, width: int):
+    """The blocks of dot_blocks against width columns for a consumer that
+    widens every entry to 8 bytes: a block past the 8-byte rule (a GF(2^n)
+    block of narrow entries) comes back in its row_blocks slices, any other
+    block whole."""
+    for block in blocks:
+        if len(block) * width <= PAIR_BLOCK_ELEMENTS:
+            yield block
+        else:
+            yield from row_blocks(block, width)
+
+
+def narrow_dtype(q: int):
+    """The narrowest dtype that holds every index of GF(q): the product
+    tables' dtype, and the one to compare blocks with without widening."""
+    return np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int32
 
 
 def _prime_backend(p: int) -> dict:
@@ -446,7 +473,7 @@ def _extension_backend(fs: FieldSpec) -> dict:
                 s = exp[np.add(la, zech[(lb - la) % m], dtype=np.intp)]
                 return np.where(a == 0, b, np.where(b == 0, a, s))
 
-    narrow = np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int32
+    narrow = narrow_dtype(q)
     accumulate = operator.ixor if p == 2 else vadd  # ixor adds in place
 
     def dot_blocks(X, Y):
@@ -461,10 +488,18 @@ def _extension_backend(fs: FieldSpec) -> dict:
                 yield acc
             return
         # products[j][a, c] = a * Y[c, j]: x_j takes only q values, so a
-        # block's products are row gathers from these tables
-        a = np.arange(q)[:, None]
-        products = [vmul(a, Y[None, :, j]).astype(narrow) for j in range(d)]
-        for rows in row_blocks(X, len(Y)):
+        # block's products are row gathers from these tables, which are
+        # built in the row blocks of their intp positions log a + log Y[c, j]
+        log_y = log[Y.T]
+        products = np.empty((d, q, len(Y)), dtype=narrow)
+        for a in row_blocks(range(q), len(Y)):
+            block = slice(a.start, a.stop)
+            for j in range(d):
+                products[j, block] = exp[np.add(log[block, None], log_y[j], dtype=np.intp)]
+        # XOR keeps a block in the tables' dtype, |Y| entries in whole words;
+        # vadd widens it to intp positions, a word per entry
+        width = -(-len(Y) * np.dtype(narrow).itemsize // 8) if p == 2 else len(Y)
+        for rows in row_blocks(X, width):
             acc = products[0].take(rows[:, 0], axis=0)
             for j in range(1, d):
                 acc = accumulate(acc, products[j].take(rows[:, j], axis=0))

@@ -126,6 +126,12 @@ def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
     return out
 
 
+def as_rows(points):
+    """points as field_array reads them: a numpy array whole, any other
+    iterable (a generator, say) as a list."""
+    return points if isinstance(points, np.ndarray) else list(points)
+
+
 def plane_rows(fs: FieldSpec, planes):
     """Normals and right-hand sides as int64 arrays, read by field_array;
     FieldMismatch for a bad coefficient or a zero normal."""
@@ -200,6 +206,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     if lines:
         return IncidenceCount(_count_lines_fast(fs, pts, *rows), "fast")
     nrm, rhs = rows
+    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
     count = sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
     return IncidenceCount(count, "fast")
 
@@ -247,7 +254,8 @@ def _count_lines_fast(fs, pts, vert, ab) -> int:
         first, end = np.searchsorted(keys, [lo * fs.q, (lo + len(chunk)) * fs.q])
         table = np.bincount(keys[first:end] - lo * fs.q, minlength=len(chunk) * fs.q)
         offset = np.arange(len(chunk), dtype=np.int64) * fs.q
-        total += sum(int(table[vals + offset].sum()) for vals in fs.dot_blocks(pts, chunk))
+        blocks = ffield.wide_blocks(fs.dot_blocks(pts, chunk), len(chunk))  # int64 positions
+        total += sum(int(table[vals + offset].sum()) for vals in blocks)
     return total
 
 
@@ -259,8 +267,8 @@ def distinct_points3(fs: FieldSpec, points):
     """The distinct points, sorted, as an int64 (n, 3) array, read by one
     field_array call: all of 3 coordinates, or all of 2, embedded in the
     z = 0 plane.  FieldMismatch as field_array."""
-    points = list(points)
-    dim = len(points[0]) if points and hasattr(points[0], "__len__") else 3
+    points = as_rows(points)
+    dim = len(points[0]) if len(points) and hasattr(points[0], "__len__") else 3
     if dim not in (2, 3):
         raise FieldMismatch("points must have 2 or 3 coordinates")
     pts = np.zeros((len(points), 3), dtype=np.int64)
@@ -300,8 +308,9 @@ def line_blocks(fs: FieldSpec, pts, least: int = 2):
     (n, 3) array), each once, as (anchor, size, rest) per block of anchors:
     per line its lowest point and point count, then all its other points.
     Per anchor, the sorted keys of the unit directions to every point hold
-    the rest of each line through it in a run; a block has at most
-    PAIR_BLOCK_ELEMENTS pairs."""
+    the rest of each line through it in a run; the anchor blocks are the
+    row_blocks of n int64 keys per anchor, at most PAIR_BLOCK_ELEMENTS
+    pairs."""
     n = len(pts)
     for anchors in ffield.row_blocks(np.arange(n), n):
         key = row_keys(fs.q, unit_rows(fs, fs.vadd(pts, fs.vneg(pts[anchors, None])))[0])
@@ -352,12 +361,13 @@ def max_shared_collinear(fs, points, planes) -> int:
     nrm, rhs = plane_rows(fs, planes)
     if not len(pts) or len(planes) < 2:
         return 0
+    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
     key = row_keys(fs.q, unit_rows(fs, nrm)[0])
     step = max(1, ffield.TABLE_ELEMENTS // len(planes))  # gram rows per step
     best = 0
     for lo in range(0, len(planes), step):
         gram = np.zeros((len(key[lo:lo + step]), len(planes)))
-        for vals in fs.dot_blocks(pts, nrm):
+        for vals in ffield.wide_blocks(fs.dot_blocks(pts, nrm), len(planes)):  # float64 copies
             on = (vals == rhs).astype(np.float64)
             gram += on[:, lo:lo + step].T @ on
         gram[key[lo:lo + step, None] == key] = 0

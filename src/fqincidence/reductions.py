@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ffield
 from .errors import InvariantFailure, SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
 from .geom import (Line2, Plane3, Point3, count_incidences, dot3, field_array, grid_points,
@@ -47,7 +48,7 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
-        for vals in fs.dot_blocks(rows, cols):
+        for vals in ffield.wide_blocks(fs.dot_blocks(rows, cols), len(cols)):  # intp bincount
             r += np.bincount(vals.ravel(), minlength=fs.q)
         return sum(v * v for v in r[r > 0].tolist())
     if method == "oracle":

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fqincidence import apps, geom
 from fqincidence.apps import (
     bisector_collinear_k,
     bisector_collisions_isotropic,
@@ -26,7 +27,8 @@ from fqincidence.errors import (
 )
 from fqincidence.ffield import make_field
 from fqincidence.geom import (Line2, Line3, Plane3, count_incidences, distinct_points3, dot3,
-                              line3_points, make_plane, max_collinear, max_shared_collinear)
+                              field_array, line3_points, make_plane, max_collinear,
+                              max_shared_collinear)
 from fqincidence.reductions import build_point_plane_sets, count_solutions, cs_upper
 from fqincidence.setsys import neighborhood_system
 from pair_loops import dist
@@ -553,6 +555,47 @@ SHAPE_OF = {
 def test_point_shapes_give_the_tuple_result(name, shape, p, n):
     fs = make_field(p, n)
     assert SHAPES[name](fs, SHAPE_OF[shape]) == SHAPES[name](fs, list)
+
+
+# the calls that used to split an array into a list of row arrays
+ARRAY_WHOLE = ["distinct_points3", "max_collinear-2d", "regular_subset", "trace_pairs"]
+
+
+@pytest.mark.parametrize("name", ARRAY_WHOLE)
+def test_int64_arrays_reach_field_array_unsplit(name, monkeypatch):
+    fs = make_field(5, 1)
+    made, seen = [], []
+
+    def int64_array(pts):
+        made.append(np.array(pts, dtype=np.int64))
+        return made[-1]
+
+    def spy(fs, rows, *args):
+        seen.append(rows)
+        return field_array(fs, rows, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(geom, "field_array", spy)
+        mp.setattr(apps, "field_array", spy)
+        got = SHAPES[name](fs, int64_array)
+    assert made and all(any(rows is arr for rows in seen) for arr in made)
+    assert got == SHAPES[name](fs, list)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 0, 0]]), np.array([[5, 0, 0]]), np.array([[0, -1, 0]]),
+    np.array([[2**70, 0, 0]], dtype=object), np.array([[1, 0, 0, 0]]), np.array([[1]]),
+], ids=["float", "q", "negative", "past-int64", "width-4", "width-1"])
+@pytest.mark.parametrize("name", ARRAY_WHOLE)
+def test_bad_arrays_get_the_row_list_message(name, bad):
+    fs = make_field(5, 1)
+
+    def message(points):
+        with pytest.raises(FieldMismatch) as info:
+            SHAPES[name](fs, lambda pts: points)
+        return str(info.value)
+
+    assert message(bad) == message(list(bad))
 
 
 @pytest.mark.parametrize("name", SHAPES)

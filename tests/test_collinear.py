@@ -149,6 +149,21 @@ def test_kernels_agree_in_small_blocks(data):
         assert run() == expected
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_max_shared_collinear_agrees_in_small_gf2_slices(data):
+    # with q or more points GF(2^n) takes the product tables, and under a
+    # small budget the float64 copy walks each uint8 block in several slices
+    fs = data.draw(_fields(EVEN_EXT))
+    pts = data.draw(point_sets(fs, min_size=fs.q))
+    planes = data.draw(plane_sets(fs, pts))
+    expected = geom.max_shared_collinear(fs, pts, planes)
+    assert expected == pair_loops.max_shared_collinear(fs, pts, planes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", data.draw(st.integers(1, 40)))
+        assert geom.max_shared_collinear(fs, pts, planes) == expected
+
+
 @pytest.mark.parametrize("F,k", [
     ([(0, 0, 0), (0, 1, 1)], 0),  # no point of F on the bisector x = 1
     ([(1, 0, 0), (0, 1, 1)], 1),

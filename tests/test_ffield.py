@@ -274,14 +274,15 @@ def test_vectorised_ops_match_scalar(p, n):
 
 @pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2), (5, 4)])
 def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
-    # a budget of 50 entries cuts 23 rows against 17 into blocks of 2 rows
+    # a budget of 50 words cuts 23 rows against 17 into blocks of 2 rows of
+    # 17 words, or for GF(8)'s uint8 table blocks of 16 rows of 3 words
     monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", 50)
     fs = make_field(p, n)
     rng = np.random.default_rng(fs.q)
     X = rng.integers(0, fs.q, size=(23, 3))
     Y = rng.integers(0, fs.q, size=(17, 3))
     blocks = list(fs.dot_blocks(X, Y))
-    assert [len(blk) for blk in blocks] == [2] * 11 + [1]
+    assert [len(blk) for blk in blocks] == ([16, 7] if p == 2 else [2] * 11 + [1])
     got = np.vstack(blocks).tolist()
     assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
 
@@ -297,8 +298,10 @@ TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (5, 4)]
 @given(data=st.data())
 def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
     # "tables": q <= |X| and q * |Y| within the table cap, so the product
-    # tables serve blocks of q rows; "few_rows" (|X| < q) and "wide_y"
-    # (q * |Y| one over the cap, blocks of q - 1 rows) take the per-pair path
+    # tables serve blocks of q rows (q |Y| for p = 2, whose uint8 rows of
+    # |Y| <= 6 entries take one word each); "few_rows" (|X| < q) and
+    # "wide_y" (q * |Y| one over the cap, blocks of q - 1 rows) take the
+    # per-pair path
     fs = make_field(p, n)
     q = fs.q
     d = data.draw(st.integers(2, 5), label="d")
@@ -316,7 +319,7 @@ def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
         mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", budget)
         mp.setattr(ffield, "TABLE_ELEMENTS", budget)
         blocks = list(fs.dot_blocks(X, Y))
-    step = budget // ny
+    step = budget // (-(-ny // 8) if p == 2 and shape == "tables" else ny)
     assert [len(blk) for blk in blocks] == [min(step, nx - s) for s in range(0, nx, step)]
     got = np.vstack(blocks)
     assert got.min() >= 0 and got.max() < q
@@ -370,20 +373,24 @@ def test_prime_block_refuses_sums_past_the_exact_range():
 
 
 @pytest.mark.parametrize("p,n", [(101, 1), (2, 4), (3, 4)])
-@pytest.mark.parametrize("ny", [1, 7, 300, ffield.PAIR_BLOCK_ELEMENTS + 5])
+@pytest.mark.parametrize("ny", [1, 7, 300, ffield.PAIR_BLOCK_ELEMENTS + 5,
+                                ffield.TABLE_ELEMENTS // 16 + 1])
 def test_blocks_hold_max_1_budget_over_y_rows(p, n, ny):
-    # at the default constants, on both backends and (for q = 81) both
-    # extension paths: the product tables where q <= |X|, per pair where not
+    # at the default constants, on both backends and both extension paths:
+    # the product tables where q <= |X| and q * |Y| is within the table cap,
+    # per pair where not.  A row takes |Y| words, or ceil(|Y| / 8) in the
+    # uint8 blocks of the GF(16) tables.
     fs = make_field(p, n)
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // ny)
+    tables = fs.q == 16 and fs.q * ny <= ffield.TABLE_ELEMENTS  # and |X| >= 16
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // (-(-ny // 8) if tables else ny))
     nx = max(2 * step + 3, 16)
     rng = np.random.default_rng(ny)
     X = rng.integers(0, fs.q, size=(nx, 3))
     Y = rng.integers(0, fs.q, size=(ny, 3))
     blocks = list(fs.dot_blocks(X, Y))
     assert [blk.shape for blk in blocks] == [(min(step, nx - s), ny) for s in range(0, nx, step)]
-    if fs.q == 16:  # q * |Y| <= TABLE_ELEMENTS, also past the block: tables, uint8
-        assert {blk.dtype for blk in blocks} == {np.dtype(np.uint8)}
+    if fs.q == 16:  # tables: uint8, XOR in place; per pair: exp's int32
+        assert {blk.dtype for blk in blocks} == {np.dtype(np.uint8 if tables else np.int32)}
 
 
 # recorded g (the smallest index >= p of order q - 1) for every extension

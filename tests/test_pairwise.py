@@ -1,11 +1,13 @@
 """Differential tests: every pairwise kernel against a plain double loop.
 
 The kernels run over the row blocks of FieldSpec.dot_blocks.  Each test runs
-twice: at the default block budget, and with PAIR_BLOCK_ELEMENTS and
-TABLE_ELEMENTS cut to 50 entries, so that inputs with more than 50 columns
-get one row per block and smaller ones several rows per block (and the line
-count walks its directions in several chunks).  The references below are the double loops
-over scalar field arithmetic that the kernels replaced.
+three times: at the default block budget; with PAIR_BLOCK_ELEMENTS and
+TABLE_ELEMENTS cut to 50, so that inputs with more than 50 columns get one
+row per block and smaller ones several rows per block (and the line count
+walks its directions in several chunks); and with PAIR_BLOCK_ELEMENTS alone
+cut to 50, so that GF(16) keeps its product tables and the consumers that
+widen its uint8 blocks walk each in several slices.  The references below
+are the double loops over scalar field arithmetic that the kernels replaced.
 """
 
 import random
@@ -41,11 +43,12 @@ ODD_FIELDS = [f for f in FIELDS if f[0] != 2]
 SHAPES = [(23, 17), (9, 70)]
 
 
-@pytest.fixture(params=[None, 50], ids=["default-budget", "budget-50"])
+@pytest.fixture(params=[None, 50, "blocks-50"], ids=["default-budget", "budget-50", "blocks-50"])
 def budget(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", request.param)
-        monkeypatch.setattr(ffield, "TABLE_ELEMENTS", request.param)
+        monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", 50)
+    if request.param == 50:
+        monkeypatch.setattr(ffield, "TABLE_ELEMENTS", 50)
     return request.param
 
 
@@ -243,22 +246,28 @@ def test_neighborhood_input_rejected(points, planes, side):
 
 
 def whole_space_peak(fs, kernel):
-    """The traced peak of regular_subset or the plane count over every point
-    of GF(q)^3 (against every plane a . x = 1), after checking the result:
-    every nonzero u has q^2 points x with u . x = 1, so all of them are in
-    U1, and every plane holds q^2 points."""
-    space = decode_points(fs.q, range(fs.q**3))
+    """The traced peak of regular_subset, the plane count (against every
+    plane a . x = 1) or dot_product_set over every point of GF(q)^3, after
+    checking the result: every nonzero u has q^2 points x with u . x = 1,
+    so all of them are in U1, and every plane holds q^2 points; the zero
+    point and q^2 points per nonzero u have u . x = 0."""
+    q = fs.q
+    space = decode_points(q, range(q**3))
     planes = all_planes_through_one(fs)
     tracemalloc.start()
     try:
         if kernel == "regular_subset":
             result = len(apps.regular_subset(fs, space).U1)
+        elif kernel == "dot_product_set":
+            result = dot_product_set(fs, space, space).orthogonal_pairs
         else:
             result = count_incidences(fs, space, planes).count
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result == (fs.q**3 - 1) * (1 if kernel == "regular_subset" else fs.q**2)
+    expected = {"regular_subset": q**3 - 1, "plane_count": (q**3 - 1) * q**2,
+                "dot_product_set": q**3 + (q**3 - 1) * q**2}
+    assert result == expected[kernel]
     return peak
 
 
@@ -277,3 +286,14 @@ PRIME_PEAK_PINS = {"regular_subset": 2 * 321_839, "plane_count": 2 * 427_062}
 @pytest.mark.parametrize("kernel", list(PRIME_PEAK_PINS))
 def test_whole_space_prime_kernels_stay_in_block_memory(kernel):
     assert whole_space_peak(make_field(11, 1), kernel) < PRIME_PEAK_PINS[kernel]
+
+
+# 1.25 times the traced peak of the whole-space GF(16) dot_product_set, whose
+# bincount widens each 64 KiB uint8 block in row_blocks slices: 708 KB.  An
+# unsliced bincount makes a 512 KiB intp copy of every block and peaks at
+# 1.10 MB.
+GF16_DOT_PEAK_PIN = 885_000
+
+
+def test_whole_space_gf16_dot_products_widen_blocks_in_slices():
+    assert whole_space_peak(make_field(2, 4), "dot_product_set") < GF16_DOT_PEAK_PIN
