@@ -323,9 +323,14 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
         raise InvalidPointSet("U' must be a subset of U")
     groups: Counter = Counter()
     for vals in fs.dot_blocks(U, Up):
-        traces, mult = np.unique(np.packbits(vals == 1, axis=1), axis=0, return_counts=True)
-        groups.update(dict(zip(map(bytes, traces), mult.tolist())))
-    sizes = sorted(groups.values(), reverse=True)
+        packed = np.packbits(vals == 1, axis=1)
+        # one void scalar (the trace's bytes) per row: a 1-D sort, several
+        # times faster than sorting the rows with axis=0
+        traces, mult = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_counts=True)
+        groups.update(dict(zip(traces.tolist(), mult.tolist())))
+    # an empty U' leaves every u the one empty trace, which a void view of
+    # zero bytes per row cannot hold
+    sizes = sorted(groups.values(), reverse=True) if len(Up) else [len(U)]
     pair_count = sum(m * m for m in sizes)
     classes = len(sizes)
     bound = len(U) ** 2 / len(Up) ** 3 if len(Up) else math.inf

@@ -24,19 +24,21 @@ so mul(a, b) = exp[log a + log b] needs no branch for zero.  When p = 2 an
 index packs the GF(2) coefficients as bits and add is XOR; for odd p, add
 uses Zech's logarithm zech[d] = log(1 + g^d), since g^i + g^j =
 g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
-is_square read log.  The tables are O(q) int32 arrays (about 25 MB at
-q = 1021^2), built in numpy blocks with the field; the scalar ops are
-closures that read them through memoryviews.  vmul, vadd, vneg and vinv
-work on numpy index arrays.
+is_square read log.  The tables are O(q) arrays built in numpy blocks
+with the field: exp, log and zech in int32, and for odd p the packed copy
+of exp below, in uint16 or uint32 (about 25 + 17 = 42 MB at q = 1021^2);
+the scalar ops are closures that read them through memoryviews.  vmul,
+vadd, vneg and vinv work on numpy index arrays.
 
 dot_blocks yields the pairwise dot products x . y of a block of rows X
 against a fixed Y, in row blocks.  One rule sizes every block, here and in
 the kernels that step like it: a block holds PAIR_BLOCK_ELEMENTS = 2^13
 words of 8 bytes, 64 KiB, of its widest per-entry temporary, a row rounded
 up to whole words.  That block is the cache unit: it stays in L2 and below
-glibc's default mmap threshold.  On the prime float64 path and on every
-path through vmul or vadd (intp table positions) the widest temporary is 8
-bytes per entry, so a block has 2^13 // |Y| rows.  On the GF(2^n)
+glibc's default mmap threshold.  On the prime float64 path, on every
+per-pair path (intp table positions) and on the odd product-table path
+(reduced through intp positions) the widest temporary is 8 bytes per
+entry, so a block has 2^13 // |Y| rows.  On the GF(2^n)
 product-table path a block stays in the tables' dtype, accumulated by
 in-place XOR, so a uint8 block has 2^13 // ceil(|Y| / 8) rows.  A consumer
 that widens a block (an intp index, a float64 copy) reads it through
@@ -61,16 +63,42 @@ d = 2^11 columns; the kernels here use d <= 5, where:
     the floor is floor(v/p) exactly, and so are p * floor and the
     difference r.
 
-Extension fields, when q <= |X| and q * |Y| <= TABLE_ELEMENTS, build once
-per call the product tables T_j[a, c] = a * Y[c, j] over all a in [0, q);
-since x . y = sum_j T_j[x_j, c], a block is the row gather T_0[X[:, 0]]
-with the gathered rows of every further T_j added in (XOR in place when
-p = 2, vadd for odd p).  The tables hold the narrowest dtype that fits q
-(uint8 to q = 256, uint16 to 2^16, int32 above), so blocks may come back
-that narrow.  With fewer rows than elements the tables would cost more
-products than they save, and tables over the cap would break the memory
-bound; then each block does a log/exp product per pair and coordinate
-instead.
+Extension fields sum the products of a block digit by digit, without
+carries.  When p = 2 an index is its GF(2) digit vector and XOR adds it.
+For odd p, an element's packed form puts its n digits c_i k bits apart in
+one unsigned int, sum(c_i << k i), with k = bit_length(5 (p - 1)); packed
+holds the packed form of exp[j] at j (0 on exp's zero tail), in uint16
+when n k <= 16 (every odd q <= 256) and uint32 otherwise (n k <= 32 for
+every field under the caps).  Integer += then adds d packed products
+exactly:
+
+  * digit i of the sum is the plain integer sum of d digits of [0, p), at
+    most d (p - 1);
+  * while d <= (2^k - 1) // (p - 1), which is at least 5 for every p, that
+    is below 2^k, so no digit carries into the next and the word holds
+    every digit sum exactly;
+  * digit i of x . y is that digit sum mod p.  Five terms is the widest
+    product the kernels take (the distance rows), which is why k is sized
+    for it; past the bound dot_blocks raises ValueError.
+
+A block of sums is reduced once to indices of narrow_dtype(q) (uint8 to
+q = 256, uint16 to 2^16, int32 above) through one table per run of digits
+that fits 16 bits, from the run's packed bits to its share sum c_i p^i of
+the index.  The fewest runs, split evenly, keep every table within 2^16
+entries: every odd q <= 256 takes one table (2^16 entries at GF(3^4)),
+GF(5^4) two of 2^10, GF(31^4) two of 2^16, GF(1021^2) two of 2^13 and
+GF(101^3) three of 2^9.
+
+A block's products come two ways.  When q <= |X| and q * |Y| <=
+TABLE_ELEMENTS, a call builds once the product tables T_j[a, c] =
+a * Y[c, j] over all a in [0, q) from exp[log a + log Y[c, j]] (packed for
+odd p, narrow_dtype(q) for p = 2); since x . y = sum_j T_j[x_j, c], a block
+is the row gather T_0[X[:, 0]] with the gathered rows of every further T_j
+added in place, so GF(2^n) table blocks come back narrow_dtype(q) too.
+With fewer rows than elements the tables would cost more products than
+they save, and tables over the cap would break the memory bound; then each
+product is gathered per pair and coordinate, exp[log x_j + log y_j]
+(packed for odd p; exp's int32 blocks for p = 2).
 """
 
 import functools
@@ -106,6 +134,13 @@ _VADD_TABLE_MAX_Q = 256
 
 # Powers of the primitive element are built this many at a time.
 _POWER_BLOCK = 1 << 16
+
+# The most terms of a pairwise product in the kernels: the distance rows
+# (x, ||x||, 1) . (-2y, 1, ||y||).  Odd packed digits are sized for it.
+_MAX_DOT_TERMS = 5
+
+# Packed bits a reduction table of odd packed sums covers: 2^16 entries.
+_REDUCE_BITS = 16
 
 
 def is_prime(m: int) -> bool:
@@ -208,7 +243,9 @@ class FieldSpec:
     beyond its blocks is its tables, at most TABLE_ELEMENTS entries.  A
     block is an integer array of values in [0, q): int32 for prime fields
     (exact through float64, see the module docstring; ValueError when
-    d * p^2 > 2^51), as narrow as narrow_dtype(q) on the GF(2^n) table path.
+    d * p^2 > 2^51), narrow_dtype(q) for odd extension fields (exact packed
+    digit sums; ValueError when d > (2^k - 1) // (p - 1), at least 5) and on
+    the GF(2^n) table path, int32 on the GF(2^n) per-pair path.
 
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
@@ -329,8 +366,9 @@ def wide_blocks(blocks, width: int):
 
 
 def narrow_dtype(q: int):
-    """The narrowest dtype that holds every index of GF(q): the product
-    tables' dtype, and the one to compare blocks with without widening."""
+    """The narrowest dtype that holds every index of GF(q): the dtype of
+    odd extension blocks and of the GF(2^n) product tables, and the one to
+    compare blocks with without widening."""
     return np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int32
 
 
@@ -377,6 +415,48 @@ def _prime_backend(p: int) -> dict:
                is_square=lambda e: e == 0 or pow(e, half, p) == 1, vinv=vinv,
                dot_blocks=dot_blocks)
     return dict(ops, vadd=ops["add"], vneg=ops["neg"], vmul=ops["mul"])
+
+
+def _packed_sums(fs: FieldSpec, powers):
+    """The carry-free sums of odd characteristic (see the module docstring):
+    exp with the n digits of each index k bits apart, built in _POWER_BLOCK
+    slices; the most terms a sum may take; and the reduction of a block of
+    packed sums to narrow_dtype(q) indices."""
+    p, n, m = fs.p, fs.n, fs.q - 1
+    k = (_MAX_DOT_TERMS * (p - 1)).bit_length()
+    packed = np.zeros(4 * m + 1, dtype=np.uint16 if n * k <= 16 else np.uint32)
+    for start in range(0, m, _POWER_BLOCK):
+        block = slice(start, min(start + _POWER_BLOCK, m))
+        rest, word = powers[block], packed[block]
+        for i in range(n):
+            rest, digit = np.divmod(rest, p)
+            word |= (digit << k * i).astype(packed.dtype)  # int32 holds 30 << 24, the most
+    packed[m:2 * m] = packed[:m]
+    # one table per run of digits within _REDUCE_BITS, from the run's packed
+    # bits to its share of the index: [(shift, mask or None, table)].  The
+    # fewest runs, of equal length, keep the tables small and cache-warm.
+    per_run = -(-n // -(-n // (_REDUCE_BITS // k)))
+    digit_values = np.arange(1 << k) % p  # a packed digit sum, mod p
+    runs = []
+    for lo in range(0, n, per_run):
+        share = np.zeros(1, dtype=np.int64)
+        for i in range(lo, min(lo + per_run, n)):  # digit i above the digits below it
+            share = np.add.outer(digit_values * p**i, share).ravel()
+        mask = len(share) - 1 if lo + per_run < n else None
+        runs.append((k * lo, mask, share.astype(narrow_dtype(fs.q))))
+
+    def to_indices(acc):
+        out = None
+        for shift, mask, share in runs:
+            pos = acc >> shift if shift else acc
+            part = share.take(pos if mask is None else pos & mask)
+            if out is None:
+                out = part
+            else:
+                out += part
+        return out
+
+    return packed, ((1 << k) - 1) // (p - 1), to_indices
 
 
 def _extension_backend(fs: FieldSpec) -> dict:
@@ -437,6 +517,7 @@ def _extension_backend(fs: FieldSpec) -> dict:
         one_more = powers + 1
         one_more[one_more % p == 0] -= p
         zech = tables["_zech"] = log[one_more]
+        del one_more  # 4 MB at q ~ 2^20, freed before the packed table is built
         zech_s = memoryview(zech)
         half = m // 2  # -1 = g^half; log 0 + half lands in the zero tail of exp
 
@@ -474,36 +555,55 @@ def _extension_backend(fs: FieldSpec) -> dict:
                 return np.where(a == 0, b, np.where(b == 0, a, s))
 
     narrow = narrow_dtype(q)
-    accumulate = operator.ixor if p == 2 else vadd  # ixor adds in place
+    if p == 2:
+        # XOR adds digit vectors without carries: an index is its own
+        # packed sum, and any number of terms may be added
+        packed, add_in, most, finish = exp, operator.ixor, math.inf, None
+    else:
+        packed, most, finish = _packed_sums(fs, powers)
+        tables["_packed"] = packed
+        add_in = operator.iadd
+    # the p = 2 tables stay narrow; packed odd sums take packed's dtype
+    table_dtype = narrow if p == 2 else packed.dtype
+
+    def sums(blocks, term, d):
+        # sum_j term(rows, j) per block, in place, then reduced to indices
+        for rows in blocks:
+            acc = term(rows, 0)
+            for j in range(1, d):
+                add_in(acc, term(rows, j))
+            yield acc if finish is None else finish(acc)
 
     def dot_blocks(X, Y):
         d = Y.shape[1]
+        if d > most:
+            raise ValueError(f"{d} columns over GF({p}^{fs.n}) carry past a packed digit")
+        log_y = log[Y.T].astype(np.intp)  # intp positions, as in vmul
         if q > len(X) or q * len(Y) > TABLE_ELEMENTS:
-            # fewer rows than elements, or tables over the cap:
-            # a log/exp product per pair
-            for rows in row_blocks(X, len(Y)):
-                acc = vmul(rows[:, None, 0], Y[None, :, 0])
-                for j in range(1, d):
-                    acc = vadd(acc, vmul(rows[:, None, j], Y[None, :, j]))
-                yield acc
+            # fewer rows than elements, or tables over the cap: a product
+            # per pair, packed[log x_j + log y_j]
+            def per_pair(log_x, j):
+                return packed.take(log_x[:, j, None] + log_y[j])
+
+            log_rows = (log[rows].astype(np.intp) for rows in row_blocks(X, len(Y)))
+            yield from sums(log_rows, per_pair, d)
             return
         # products[j][a, c] = a * Y[c, j]: x_j takes only q values, so a
         # block's products are row gathers from these tables, which are
         # built in the row blocks of their intp positions log a + log Y[c, j]
-        log_y = log[Y.T]
-        products = np.empty((d, q, len(Y)), dtype=narrow)
+        products = np.empty((d, q, len(Y)), dtype=table_dtype)
         for a in row_blocks(range(q), len(Y)):
             block = slice(a.start, a.stop)
             for j in range(d):
-                products[j, block] = exp[np.add(log[block, None], log_y[j], dtype=np.intp)]
+                products[j, block] = packed.take(log[block, None] + log_y[j])
         # XOR keeps a block in the tables' dtype, |Y| entries in whole words;
-        # vadd widens it to intp positions, a word per entry
+        # an odd block is reduced through intp positions, a word per entry
         width = -(-len(Y) * np.dtype(narrow).itemsize // 8) if p == 2 else len(Y)
-        for rows in row_blocks(X, width):
-            acc = products[0].take(rows[:, 0], axis=0)
-            for j in range(1, d):
-                acc = accumulate(acc, products[j].take(rows[:, j], axis=0))
-            yield acc
+
+        def gathered(rows, j):
+            return products[j].take(rows[:, j], axis=0)
+
+        yield from sums(row_blocks(X, width), gathered, d)
 
     return dict(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow=power,
                 is_square=is_square, vmul=vmul, vadd=vadd, vneg=vneg, vinv=vinv,

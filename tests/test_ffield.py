@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,9 +288,11 @@ def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
     assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
 
 
-# extension fields of both characteristics whose product tables are uint8
-# (q <= 256) or uint16 (q = 625)
-TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (5, 4)]
+# extension fields of both characteristics: GF(2^n) product tables in uint8;
+# odd tables of packed digits in uint16 (GF(3^4) and GF(7^2), uint8 blocks;
+# GF(17^2), uint16 blocks) or uint32 (GF(5^4), uint16 blocks, two
+# reduction tables)
+TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (17, 2), (5, 4)]
 
 
 @pytest.mark.parametrize("shape", ["tables", "few_rows", "wide_y"])
@@ -327,6 +330,54 @@ def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
         dtype = np.uint8 if shape == "tables" else np.int32
         assert {blk.dtype for blk in blocks} == {np.dtype(dtype)}
     assert got.tolist() == [[raw_dot(fs, x, y) for y in Y] for x in X]
+
+
+# odd fields by their reduction tables: one (GF(3^4), all 16 packed bits),
+# two (GF(5^4), GF(31^4) and GF(1021^2)) and three (GF(101^3))
+CARRY_FIELDS = [(3, 4), (5, 4), (101, 3), (31, 4), (1021, 2)]
+
+
+@pytest.mark.parametrize("p,n", CARRY_FIELDS)
+def test_packed_sums_carry_no_digit_at_the_largest_sums(p, n):
+    # x_j * y_j = q - 1, whose digits are all p - 1, so every digit of a
+    # packed sum reaches d (p - 1), its largest value; most is the last d
+    # whose digit sums stay below 2^k
+    fs = make_field(p, n)
+    q = fs.q
+    k = (5 * (p - 1)).bit_length()
+    most = ((1 << k) - 1) // (p - 1)
+    rng = np.random.default_rng(q)
+    for d in [1, 2, 3, 4, 5, most]:
+        A = rng.integers(1, q, size=(4, d))
+        B = fs.vmul(fs.vinv(A), q - 1)
+        top = raw_dot(fs, A[0], B[0])
+        assert top == fs.from_coeffs([-d % p] * n)  # d (p - 1) = -d mod p per digit
+        # per pair (|X| < q): every row of A against every row of B and zero
+        Y = np.vstack([B, np.zeros((1, d), dtype=np.int64)])
+        blocks = list(fs.dot_blocks(A, Y))
+        assert {blk.dtype for blk in blocks} == {np.dtype(ffield.narrow_dtype(q))}
+        assert np.vstack(blocks).tolist() == [[raw_dot(fs, x, y) for y in Y] for x in A]
+        # product tables (q rows against one): q copies of A[0] against B[0]
+        blocks = list(fs.dot_blocks(np.broadcast_to(A[0], (q, d)), B[:1]))
+        assert sum(map(len, blocks)) == q and all((blk == top).all() for blk in blocks)
+    wide = np.ones((2, most + 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="carry past a packed digit"):
+        next(fs.dot_blocks(wide, wide))
+
+
+def test_table_build_holds_its_peak():
+    # GF(1021^2), the largest table build: exp, log, zech and packed hold
+    # 41.7 MB, and the build peaks at 42.8 MB because the packed copy is
+    # built in _POWER_BLOCK slices (in one pass it peaked at 58 MB)
+    fs = make_field(1021, 2)
+    tracemalloc.start()
+    try:
+        built = FieldSpec(fs.p, fs.n, fs.modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(getattr(built, t).nbytes for t in ("_exp", "_log", "_zech", "_packed")) < 42e6
+    assert peak < 48 << 20
 
 
 # the prime block is a float64 product reduced through a floor; 1048573 is

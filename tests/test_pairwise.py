@@ -288,6 +288,25 @@ def test_whole_space_prime_kernels_stay_in_block_memory(kernel):
     assert whole_space_peak(make_field(11, 1), kernel) < PRIME_PEAK_PINS[kernel]
 
 
+# twice the traced peak of regular_subset on 520 seeded points of GF(81)^3,
+# 468 KB: its uint16 packed product tables (3 x 81 x 520 entries) and blocks
+# of 15 rows, reduced through 64 KiB of intp positions
+GF81_REGULAR_PEAK_PIN = 2 * 468_136
+
+
+def test_gf81_regular_subset_stays_in_block_memory():
+    fs = make_field(3, 4)
+    U = decode_points(fs.q, random.Random(81).sample(range(fs.q**3), 520))
+    tracemalloc.start()
+    try:
+        rep = apps.regular_subset(fs, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(rep.U1), len(rep.L_heavy), len(rep.R_light)) == (463, 5, 52)
+    assert peak < GF81_REGULAR_PEAK_PIN
+
+
 # 1.25 times the traced peak of the whole-space GF(16) dot_product_set, whose
 # bincount widens each 64 KiB uint8 block in row_blocks slices: 708 KB.  An
 # unsliced bincount makes a 512 KiB intp copy of every block and peaks at
