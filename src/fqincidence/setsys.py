@@ -6,7 +6,7 @@ repeat).  All exponential searches carry explicit budgets.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, islice
 from math import comb
 from typing import NamedTuple
@@ -102,11 +102,13 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     """Exact VC dimension capped at d_max.
 
     Search budget: sum of C(ground_size, i) for i <= d_max must stay within
-    10^7.  Candidate d-sets are drawn from subsets of members (a shattered
-    set must realize its full trace), or plainly when that is fewer, and go
-    through the trace kernel _max_traces in blocks of about TRACE_BLOCK words
-    up to the first shattered set; the answer is exact, as if is_shattered
-    ran on every set.  The empty family is assigned dimension 0.
+    10^7.  Only elements some member holds and some avoids (the shattered
+    singletons) take part.  Each level d >= 2 asks _shattered for a
+    shattered d-set among the d-subsets of members (a shattered set realizes
+    its full trace, so lies in a member), or among all d-sets of singletons
+    when those are fewer; the members' element rows are built once per call.
+    The answer is exact, as if is_shattered ran on every set.  The empty
+    family is assigned dimension 0.
     """
     if not 1 <= d_max <= 6:
         raise ValueError("d_max must be in [1, 6]")
@@ -115,18 +117,11 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
         raise BudgetExceeded("subset search over 10^7 combinations")
     members = sorted(set(system.family))
     inc, cols, ncols = _columns(members, n)
-    # level 1: an element shatters iff some member holds it and some avoids it
-    singles = np.flatnonzero(np.isin(inc.sum(axis=0), (0, len(members)), invert=True))
-    inc = inc[:, singles]  # members restricted to the shattered singletons
-    sizes = inc.sum(axis=1)
+    singles, rows = _member_rows(inc)
     best = min(1, singles.size)
     for d in range(2, d_max + 1):
-        groups = [singles[None]]
-        if sum(comb(k, d) for k in sizes.tolist()) <= comb(singles.size, d):
-            groups = [singles[np.nonzero(inc[sizes == k])[1]].reshape(-1, k)
-                      for k in np.unique(sizes[sizes >= d]).tolist()]
-        if all(_max_traces(cols, ncols, c, (1 << d) - 1) < 1 << d
-               for c in _subsets(groups, d, cols.shape[1])):
+        groups = _member_groups(rows, d, singles.size)
+        if not _shattered(cols, ncols, [singles[None]] if groups is None else groups, d):
             break
         best = d
     return VcResult(best, best == d_max)
@@ -146,24 +141,94 @@ def _columns(members, n):
     return inc, cols, ~cols & cols[n]
 
 
+def _member_rows(inc):
+    """The shattered singletons (elements some member holds and some avoids)
+    and each member's elements among them, as one (members, k) array of
+    element rows per member size k, built once per search."""
+    held = inc.sum(axis=0)
+    singles = np.flatnonzero((held > 0) & (held < len(inc)))
+    inc = inc[:, singles]
+    sizes = inc.sum(axis=1, dtype=np.intp)
+    flat = singles[np.nonzero(inc[np.argsort(sizes, kind="stable")])[1]]
+    counts = np.bincount(sizes).tolist()
+    rows, end = [], 0
+    for k, c in enumerate(counts):
+        if c:
+            rows.append(flat[end : end + c * k].reshape(c, k))
+            end += c * k
+    return singles, rows
+
+
+def _member_groups(rows, d, n):
+    """The member rows with d-subsets, or None when they hold more d-subsets
+    than the C(n, d) of a plain search over the n shattered singletons."""
+    groups = [es for es in rows if es.shape[1] >= d]
+    if sum(len(es) * comb(es.shape[1], d) for es in groups) <= comb(n, d):
+        return groups
+    return None
+
+
+def _shattered(cols, ncols, groups, d) -> bool:
+    """True iff some d-subset of a row of groups is shattered: the level search
+    of vc_dimension and the first pass of shatter_function."""
+    full = 1 << d
+    return any(_max_traces(cols, ncols, c, full - 1) == full
+               for c in _subsets(groups, d, cols.shape[1]))
+
+
 def _subsets(groups, d, words):
     """Every d-subset of every row of each group (2-D arrays of element rows
-    of one length k, expanded by a streamed combinations(range(k), d)) as
-    index blocks, growing from 256 sets to about TRACE_BLOCK atom words.
+    of one length k) as index blocks, each filled to its size, growing from
+    256 sets to about TRACE_BLOCK atom words.
+
+    A group's table combinations(range(k), d) comes whole from _table, and
+    its rows expand through it with one gather; a table longer than a block
+    (as on the plain route over a large ground set) streams in slices of one
+    block instead.
     """
     rows = max(1, TRACE_BLOCK // (words * min(1 << d, 64 * words)))  # atoms <= members
-    size, parts = min(256, rows), []
-    for es in groups:
-        flat = chain.from_iterable(combinations(range(es.shape[1]), d))
-        while len(t := np.fromiter(islice(flat, size * d), np.intp).reshape(-1, d)):
-            step = max(1, size // len(t))
-            for i in range(0, len(es), step):
-                parts.append(es[i : i + step][:, t].reshape(-1, d))
-                if sum(map(len, parts)) >= size:
-                    yield np.concatenate(parts)
-                    size, parts = min(4 * size, rows), []
-    if parts:
+    size, parts, have = min(256, rows), [], 0
+    for part in _expand(groups, d, rows):
+        parts.append(part)
+        have += len(part)
+        while have >= size:
+            block = np.concatenate(parts)
+            yield block[:size]
+            parts, have = [block[size:]], have - size
+            size = min(4 * size, rows)
+    if have:
         yield np.concatenate(parts)
+
+
+@lru_cache(maxsize=32)
+def _table(k, d):
+    """combinations(range(k), d) as a read-only (C(k, d), d) index array.
+
+    Kept across calls, at most 32 of them.  _expand asks only for a table
+    no longer than one candidate block, rows * d index words of 8 bytes with
+    rows * min(2^d, 64) <= TRACE_BLOCK, so each is at most max(256, 8 d) KiB
+    and the cache holds at most 8 MiB while d <= 32.
+    """
+    t = np.fromiter(chain.from_iterable(combinations(range(k), d)), np.intp, comb(k, d) * d)
+    t.flags.writeable = False
+    return t.reshape(-1, d)
+
+
+def _expand(groups, d, rows):
+    """The d-subsets of each group's rows in pieces of at most rows sets."""
+    for es in groups:
+        k = es.shape[1]
+        if comb(k, d) <= rows:
+            table = _table(k, d)
+            step = rows // len(table)
+            for i in range(0, len(es), step):
+                yield es[i : i + step, table].reshape(-1, d)
+        else:  # slices grow as the blocks do, so an early stop builds little
+            flat, step = chain.from_iterable(combinations(range(k), d)), min(256, rows)
+            while len(t := np.fromiter(islice(flat, step * d), np.intp).reshape(-1, d)):
+                for e in es:
+                    yield e[t]
+                step = min(4 * step, rows)
 
 
 def _max_traces(cols, ncols, cands, floor: int) -> int:
@@ -199,9 +264,14 @@ class ShatterValue(NamedTuple):
 def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     """Max number of distinct traces of the family on a z-element ground subset.
 
-    Runs all C(ground_size, z) subsets (budget 10^6) through the trace kernel
-    in lexicographic blocks of about TRACE_BLOCK words, stopping after the
-    first block that reaches min(2^z, distinct members); the value is exact.
+    A shattered z-set lies inside a member, so first, when the members hold
+    no more z-subsets than there are z-sets of shattered singletons (the
+    rule of vc_dimension), those go through _shattered, and a shattered one
+    gives 2^z.  Otherwise all C(ground_size, z) subsets (budget 10^6) run
+    through the trace kernel in lexicographic blocks of about TRACE_BLOCK
+    words, stopping after the first block that reaches min(2^z, distinct
+    members), or min(2^z - 1, distinct members) once the first pass found
+    no shattered set; the value is exact.
     """
     n = system.ground_size
     if not 0 <= z <= n:
@@ -211,11 +281,19 @@ def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     if comb(n, z) > SHATTER_EXACT_BUDGET:
         raise BudgetExceeded("exact shatter function over 10^6 subsets")
     members = sorted(set(system.family))
-    _, cols, ncols = _columns(members, n)
+    inc, cols, ncols = _columns(members, n)
+    most = min(1 << z, len(members))  # no set has more traces
+    if most == 1 << z:
+        singles, rows = _member_rows(inc)
+        groups = _member_groups(rows, z, singles.size)
+        if groups is not None:
+            if _shattered(cols, ncols, groups, z):
+                return ShatterValue(most)
+            most -= 1
     best = 0
     for cands in _subsets([np.arange(n)[None]], z, cols.shape[1]):
-        if (best := _max_traces(cols, ncols, cands, best)) == min(1 << z, len(members)):
-            break  # no set has more traces than 2^z or the distinct members
+        if (best := _max_traces(cols, ncols, cands, best)) == most:
+            break
     return ShatterValue(best)
 
 

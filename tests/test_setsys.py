@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqincidence import setsys
 from fqincidence.errors import BudgetExceeded, SubsetTooLarge
 from fqincidence.ffield import make_field
 from fqincidence.geom import (
@@ -329,3 +330,138 @@ def test_full_configuration_sides_share_vc_dimension(p, n):
         for side in ("by_point", "by_plane")
     }
     assert dims["by_point"] == dims["by_plane"] == (3, False)
+
+
+# The two phases of shatter_function: the z-subsets of members first (a
+# shattered z-set realizes its full trace, so lies in a member), then the
+# lexicographic scan, which may stop at 2^z - 1 once the first found none.
+
+
+def brute_shatter(system, z):
+    return int(brute_trace_counts(system, z).max(initial=0))
+
+
+def test_shatter_function_finds_a_set_shattered_only_in_the_last_member():
+    # chains of triples below 7 hold no shattered set; {7, 8, 9} is the
+    # largest member by mask and among the largest by size
+    sets = [(), (7,), (8,), (9,), (7, 8), (7, 9), (8, 9)]
+    sets += [(i, i + 1, i + 2) for i in range(5)] + [(7, 8, 9)]
+    system = SetSystem.from_sets(10, sets)
+    counts = brute_trace_counts(system, 3)
+    assert list(combinations(range(10), 3))[int(counts.argmax())] == (7, 8, 9)
+    assert (counts == 8).sum() == 1
+    assert shatter_function(system, 3).value == 8
+    assert vc_dimension(system, 4) == (brute_vc_by_counts(system, 4), False) == (3, False)
+
+
+@pytest.mark.parametrize("ground", [40, 150])
+def test_shatter_function_one_short_outside_every_member(ground):
+    # the proper subsets of T, the last triple, give it 7 = 2^3 - 1 traces,
+    # and T lies in no member; the first triple {0, 1, 2} has 6
+    t = tuple(range(ground - 3, ground))
+    sets = [s for r in range(3) for s in combinations(t, r)]
+    sets += [(0,), (1,), (2,), (0, 1), (0, 2)]
+    system = SetSystem.from_sets(ground, sets)
+    counts = brute_trace_counts(system, 3)
+    assert int(counts[0]) == 6
+    assert [s for s, c in zip(combinations(range(ground), 3), counts) if c == 7] == [t]
+    assert shatter_function(system, 3).value == 7
+    assert shatter_function(system, 2).value == 4 == brute_shatter(system, 2)
+    assert vc_dimension(system, 3) == (2, False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shatter_function_with_z_past_every_member(seed):
+    rng = random.Random(seed)
+    sets = [rng.sample(range(9), rng.randint(0, 2)) for _ in range(30)]
+    system = SetSystem.from_sets(9, sets)
+    for z in (3, 4, 5):
+        assert shatter_function(system, z).value == brute_shatter(system, z)
+
+
+@pytest.mark.parametrize("sets", [
+    [(), (), (1, 2), (1, 2), (1,), (2,)],
+    [(), (0, 1, 2), (0, 1, 2)],
+    [(0, 3), (0, 3), (0,), (3,), (), (), (0, 1, 2, 3)],
+    [(), ()],
+    [(4,), (4,), (4,)],
+])
+def test_shatter_function_duplicate_and_empty_members(sets):
+    system = SetSystem.from_sets(5, sets)
+    for z in range(1, 6):
+        assert shatter_function(system, z).value == brute_shatter(system, z)
+    expect = brute_vc_by_counts(system, 4)
+    assert vc_dimension(system, 4) == (expect, expect == 4)
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("side", ["by_point", "by_plane"])
+def test_search_matches_brute_counts_at_benchmark_shape(p, n, side):
+    # 40 nonzero points and 40 planes a . x = 1, as in random VC workloads
+    fs = make_field(p, n)
+    for seed in range(2):
+        rng = random.Random(f"{fs.q}/{side}/{seed}")
+        points = decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))
+        planes = [plane_through_one(a)
+                  for a in decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))]
+        system = neighborhood_system(fs, points, planes, side)
+        expect = brute_vc_by_counts(system, 4)
+        assert vc_dimension(system, 4) == (expect, expect == 4)
+        assert shatter_function(system, 3).value == brute_shatter(system, 3)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ground=st.integers(4, 28),
+    n_members=st.integers(0, 90),
+    density=st.sampled_from([0.03, 0.08, 0.15]),
+    extras=st.sets(st.sampled_from(["dup", "empty", "full"])),
+)
+def test_search_matches_brute_counts_on_sparse_families(
+    seed, ground, n_members, density, extras
+):
+    system = wide_system(seed, ground, n_members, density, extras)
+    expect = brute_vc_by_counts(system, 4)
+    assert vc_dimension(system, 4) == (expect, expect == 4)
+    for z in (3, 4):
+        assert shatter_function(system, z).value == brute_shatter(system, z)
+
+
+def test_shatter_function_scans_nothing_past_a_member_that_shatters(monkeypatch):
+    sets = [(), (30,), (31,), (32,), (30, 31), (30, 32), (31, 32), (30, 31, 32)]
+    sets += [tuple(range(i, i + 5)) for i in range(0, 25, 5)]
+    system = SetSystem.from_sets(40, sets)
+    handed = []
+
+    def counting(cols, ncols, cands, floor):
+        handed.append(len(cands))
+        return kernel(cols, ncols, cands, floor)
+
+    kernel = setsys._max_traces
+    monkeypatch.setattr(setsys, "_max_traces", counting)
+    assert shatter_function(system, 3).value == 8
+    assert 0 < sum(handed) <= sum(comb(len(s), 3) for s in set(sets)) < comb(40, 3)
+
+
+def test_combination_tables_stay_within_the_cache_bound(monkeypatch):
+    built = []
+
+    def recording(k, d):
+        t = table(k, d)
+        built.append(t.nbytes)
+        assert not t.flags.writeable
+        assert (t == np.array(list(combinations(range(k), d)), np.intp).reshape(-1, d)).all()
+        return t
+
+    table = setsys._table
+    monkeypatch.setattr(setsys, "_table", recording)
+    assert table.cache_info().maxsize == 32
+    shatter_function(SetSystem(30000, [1, 2, 4]), 1)  # one row of 30000 sets
+    shatter_function(SetSystem(12, [5, 9, 17]), 6)
+    shatter_function(SetSystem(33, [3, 5]), 32)
+    for seed in range(3):
+        system = wide_system(seed, 70, 140, 0.1, {"dup"})
+        vc_dimension(system, 3)
+        shatter_function(system, 2)
+    assert built and max(built) <= 256 * 1024
