@@ -20,7 +20,8 @@ from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (Line3, Plane3, Point3, as_rows, distinct_points3, dot3, field_array,
-                   line_blocks, plane_canonical, row_keys, unit_rows)
+                   flat_counts, grouping_pays, line_blocks, plane_canonical, plane_groups,
+                   row_keys, unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
 BISECTOR_PAIR_BUDGET = 10**7
@@ -278,12 +279,21 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     The |U| >= 8q^2 hypothesis of the source lemma is recorded as a flag; the
     partition is returned either way for exploration.  U is read by
     field_array; the parts list its points as tuples, in the order of U.
+
+    The counts are those of the planes u' . x = 1 over the rows of
+    dot_blocks(U, U), one column per point, or, when geom.grouping_pays,
+    one column per direction of plane_groups: u . u' = 1 with u' = c w, w
+    the unit row of u', is u . w = c^-1.  The zero point has no direction
+    and stays out of the table; its own count is 0.
     """
     arr = field_array(fs, as_rows(U), 3)
     if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
         raise ValueError("U must not contain duplicate points")
-    counts = [c for vals in fs.dot_blocks(arr, arr)
-              for c in (vals == 1).sum(axis=1, dtype=np.uint32).tolist()]
+    if grouping_pays(fs, len(arr), len(arr)):  # the planes u' . x = 1
+        counts = flat_counts(fs, arr, *plane_groups(fs, arr, np.ones(len(arr), np.int64))).tolist()
+    else:
+        counts = [c for vals in fs.dot_blocks(arr, arr)
+                  for c in (vals == 1).sum(axis=1, dtype=np.uint32).tolist()]
     U, n = list(zip(*arr.T.tolist())), len(arr)
     lo, hi = n / (2 * fs.q), 2 * n / fs.q
     return RegularSubsetReport(

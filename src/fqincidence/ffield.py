@@ -120,7 +120,7 @@ MAX_DEGREE = 4
 PAIR_BLOCK_ELEMENTS = 1 << 13
 
 # Entries of the tables a pairwise call builds once (the extension product
-# tables, the line count's bucket table, the plane-pair gram rows): the
+# tables, the dense table of geom.flat_counts, the plane-pair gram rows): the
 # memory bound of every pairwise kernel.
 TABLE_ELEMENTS = 1 << 20
 

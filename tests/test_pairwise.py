@@ -3,8 +3,8 @@
 The kernels run over the row blocks of FieldSpec.dot_blocks.  Each test runs
 three times: at the default block budget; with PAIR_BLOCK_ELEMENTS and
 TABLE_ELEMENTS cut to 50, so that inputs with more than 50 columns get one
-row per block and smaller ones several rows per block (and the line count
-walks its directions in several chunks); and with PAIR_BLOCK_ELEMENTS alone
+row per block and smaller ones several rows per block (and flat_counts
+takes its sorted-key form on every field); and with PAIR_BLOCK_ELEMENTS alone
 cut to 50, so that GF(16) keeps its product tables and the consumers that
 widen its uint8 blocks walk each in several slices.  The references below
 are the double loops over scalar field arithmetic that the kernels replaced.
@@ -14,6 +14,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fqincidence import apps, ffield
@@ -32,6 +33,9 @@ from fqincidence.geom import (
     count_incidences,
     decode_points,
     dot3,
+    flat_counts,
+    grouping_pays,
+    plane_groups,
 )
 from fqincidence.reductions import count_solutions
 from fqincidence.setsys import SetSystem, neighborhood_system
@@ -39,6 +43,8 @@ from fqincidence.setsys import SetSystem, neighborhood_system
 # a prime field, q = 9, p = 2 (q = 16) and q = 625
 FIELDS = [(101, 1), (3, 2), (2, 4), (5, 4)]
 ODD_FIELDS = [f for f in FIELDS if f[0] != 2]
+# and q > 2^16, where flat_counts sorts its keys from 16 directions on
+GROUPED_FIELDS = FIELDS + [(257, 2)]
 # (rows, columns) of the pair matrix: several rows per block, one row per block
 SHAPES = [(23, 17), (9, 70)]
 
@@ -101,7 +107,7 @@ def ref_neighborhoods(fs, points, planes, side):
     return SetSystem.from_sets(len(points), cols)
 
 
-@pytest.mark.parametrize("p,n", FIELDS)
+@pytest.mark.parametrize("p,n", GROUPED_FIELDS)
 @pytest.mark.parametrize("n_points,n_lines", SHAPES + [(40, 3)])
 def test_line_count_matches_double_loop(p, n, n_points, n_lines, budget):
     fs = make_field(p, n)
@@ -316,3 +322,197 @@ GF16_DOT_PEAK_PIN = 885_000
 
 def test_whole_space_gf16_dot_products_widen_blocks_in_slices():
     assert whole_space_peak(make_field(2, 4), "dot_product_set") < GF16_DOT_PEAK_PIN
+
+
+# ---------------------------------------------------------------------------
+# grouped flat counts: many flats per direction
+# ---------------------------------------------------------------------------
+
+def scaled_planes(fs, rng, normals, count):
+    """count planes (c n, c r, c), plane k over normal n = normals[k %
+    len(normals)], a random plane n . x = r under a random scaling c != 0:
+    the same plane many times over, and parallel ones."""
+    out = []
+    for k in range(count):
+        nrm, r, c = normals[k % len(normals)], rng.randrange(fs.q), rng.randrange(1, fs.q)
+        out.append(([fs.mul(c, x) for x in nrm], fs.mul(c, r), c))
+    return out
+
+
+def distinct_normals(fs, rng, count):
+    """count normals, no two parallel: (c, c a, c b) for distinct (a, b)
+    and random c != 0, and (0, 0, c)."""
+    out = [(0, 0, rng.randrange(1, fs.q))]
+    for k in rng.sample(range(fs.q**2), count - 1):
+        c = rng.randrange(1, fs.q)
+        out.append((c, fs.mul(c, k // fs.q), fs.mul(c, k % fs.q)))
+    return out
+
+
+def ref_plane_rows(fs, points, planes):
+    return [sum(dot3(fs, x, nrm) == r for nrm, r, _ in planes) for x in points]
+
+
+@pytest.mark.parametrize("p,n", GROUPED_FIELDS)
+@pytest.mark.parametrize("n_normals", [3, 20])
+def test_grouped_planes_match_double_loop(p, n, n_normals, budget):
+    # 20 normals put GF(257^2) past TABLE_ELEMENTS: the sorted-key form
+    fs = make_field(p, n)
+    rng = random.Random(fs.q + n_normals)
+    normals = distinct_normals(fs, rng, n_normals)
+    planes = scaled_planes(fs, rng, normals, 4 * len(normals))
+    points = points3(rng, fs.q, 23) + [(0, 0, 0)]
+    for nrm, r, _ in planes[:6]:  # points on some of the planes
+        i = next(i for i in range(3) if nrm[i])
+        x = [rng.randrange(fs.q) for _ in range(3)]
+        x[i] = 0
+        x[i] = fs.mul(fs.sub(r, dot3(fs, x, nrm)), fs.inv(nrm[i]))
+        points.append(tuple(x))
+    X = np.array(points)
+    nrm = np.array([pl[0] for pl in planes])
+    rhs = np.array([pl[1] for pl in planes])
+    D, dir_id, val = plane_groups(fs, nrm, rhs)
+    assert len(D) == len(normals)
+    got = flat_counts(fs, X, D, dir_id, val)
+    assert got.tolist() == ref_plane_rows(fs, points, planes)
+    assert got.sum() > 0
+
+
+@pytest.mark.parametrize("p,n", GROUPED_FIELDS)
+def test_grouped_unit_products_match_double_loop(p, n, budget):
+    # unit products u . u' = 1 over U, the zero point in U: scaled copies c w
+    # of a few directions w share a column
+    fs = make_field(p, n)
+    rng = random.Random(fs.q + 3)
+    dirs = points3(rng, fs.q, 5)
+    U = [(0, 0, 0)] + [tuple(fs.mul(rng.randrange(1, fs.q), x) for x in w)
+                       for w in dirs for _ in range(4)]
+    u = U[1]
+    for k in range(3):  # points with u . x = 1
+        x = [rng.randrange(fs.q), rng.randrange(fs.q), 0]
+        i = next(i for i in range(3) if u[i])
+        x[i] = 0
+        x[i] = fs.mul(fs.sub(1, dot3(fs, x, u)), fs.inv(u[i]))
+        U.append(tuple(x))
+    U = list(dict.fromkeys(U))
+    X = np.array(U)
+    got = flat_counts(fs, X, *plane_groups(fs, X, np.ones(len(U), dtype=np.int64)))
+    want = [sum(dot3(fs, x, y) == 1 for y in U) for x in U]
+    assert got.tolist() == want
+    assert got[0] == 0 and got.sum() >= 6
+
+
+@pytest.mark.parametrize("p,n", GROUPED_FIELDS)
+def test_grouped_lines_match_double_loop(p, n, budget):
+    # 20 slopes with several intercepts each and repeated vertical lines: 21
+    # directions, past TABLE_ELEMENTS over GF(257^2)
+    fs = make_field(p, n)
+    rng = random.Random(fs.q + 20)
+    slopes = rng.sample(range(fs.q), min(fs.q, 20))
+    lines = [Line2("N", a, rng.randrange(fs.q)) for a in slopes for _ in range(3)]
+    lines += [Line2("V", c, 0) for c in rng.choices(range(fs.q), k=4) * 2]
+    points = [(rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(20)]
+    points += [(x, fs.add(fs.mul(ln.a, x), ln.b)) for ln, (x, _) in zip(lines, points)]
+    points += [(ln.a, rng.randrange(fs.q)) for ln in lines[-3:]]
+    got = count_incidences(fs, points, lines).count
+    assert got == ref_lines(fs, points, lines) >= len(points) - 20
+
+
+# The plane count and regular_subset both sides of grouping_pays: GF(7),
+# GF(9) and GF(4) (whose threshold is 8 (q^2 + q + 1) flats).
+RULE_FIELDS = [(7, 1), (3, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("p,n", RULE_FIELDS)
+@pytest.mark.parametrize("side", [-1, 0])
+def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget):
+    fs = make_field(p, n)
+    rng = random.Random(fs.q)
+    share = 8 if p == 2 else 2
+    count = share * (fs.q**2 + fs.q + 1) + side  # at 800 points
+    assert grouping_pays(fs, 800, count) == (side == 0)
+    normals = [(rng.randrange(1, fs.q), rng.randrange(fs.q), rng.randrange(fs.q))
+               for _ in range(count // 8)]
+    planes = scaled_planes(fs, rng, normals, count)
+    points = points3(rng, fs.q, 800)
+    # a reference over the base normals: x . (c n) = c (x . n)
+    base = [[dot3(fs, x, nrm) for nrm in normals] for x in points]
+    want = sum(fs.mul(c, row[k % len(normals)]) == r
+               for row in base for k, (_, r, c) in enumerate(planes))
+    got = count_incidences(fs, points, [Plane3(tuple(nrm), r) for nrm, r, _ in planes])
+    assert got == (want, "fast")
+
+
+@pytest.mark.parametrize("p,n,size", [(7, 1, 343), (7, 1, 200), (3, 2, 600), (3, 2, 300)])
+def test_regular_subset_both_sides_of_the_grouping_rule(p, n, size, budget):
+    # the whole GF(7)^3 and 600 of GF(9)^3 are grouped, 200 and 300 points not
+    fs = make_field(p, n)
+    idx = [0] + random.Random(size).sample(range(1, fs.q**3), size - 1)
+    U = decode_points(fs.q, idx)
+    assert grouping_pays(fs, size, size) == (size >= 343)
+    counts = apps.regular_subset(fs, U).neighbor_sizes
+    ones = Counter()
+    for i, x in enumerate(U):
+        for y in U[i:]:
+            if dot3(fs, x, y) == 1:
+                ones[x] += 1
+                ones[y] += x != y
+    assert counts == {u: ones[u] for u in U}
+    assert counts[(0, 0, 0)] == 0
+
+
+def dot_block_columns(monkeypatch, fs):
+    """The column count of every dot_blocks call fs makes from here on."""
+    seen, blocks = [], fs.dot_blocks
+
+    def spy(X, Y):
+        seen.append(len(Y))
+        return blocks(X, Y)
+
+    monkeypatch.setitem(fs.__dict__, "dot_blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
+def test_whole_space_counts_take_a_column_per_direction(kernel, monkeypatch):
+    fs = make_field(2, 4)
+    space = decode_points(fs.q, range(fs.q**3))
+    seen = dot_block_columns(monkeypatch, fs)
+    if kernel == "regular_subset":
+        assert len(apps.regular_subset(fs, space).U1) == fs.q**3 - 1
+    else:
+        planes = all_planes_through_one(fs)
+        assert count_incidences(fs, space, planes).count == (fs.q**3 - 1) * fs.q**2
+    assert seen and max(seen) <= fs.q**2 + fs.q + 1
+
+
+def test_random_gf81_regular_subset_keeps_a_column_per_point(monkeypatch):
+    fs = make_field(3, 4)
+    U = decode_points(fs.q, random.Random(81).sample(range(fs.q**3), 520))
+    seen = dot_block_columns(monkeypatch, fs)
+    apps.regular_subset(fs, U)
+    assert seen == [520]
+
+
+# twice the traced peak of 10^4 random lines against 1000 random points over
+# GF(1021^2), 1.29 MB: 10^4 directions, so flat_counts sorts its keys and
+# counts each block by searchsorted.  A bucket table of q entries per
+# direction peaked at 18.4 MB and took 5-7 s.
+LARGE_LINE_PEAK_PIN = 2 * 1_288_159
+
+
+def test_large_field_line_count_sorts_its_keys_in_block_memory():
+    fs = make_field(1021, 2)
+    rng = random.Random(1021)
+    points = [(rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(1000)]
+    lines = [Line2("N", rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(10**4)]
+    lines[:20] = [Line2("N", 5, fs.sub(y, fs.mul(5, x))) for x, y in points[:20]]
+    tracemalloc.start()
+    try:
+        got = count_incidences(fs, points, lines).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref_lines(fs, points[:50], lines) + count_incidences(fs, points[50:], lines).count
+    assert got >= 20
+    assert peak < LARGE_LINE_PEAK_PIN
