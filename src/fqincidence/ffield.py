@@ -21,12 +21,12 @@ element g, the smallest index >= p of order m = q - 1 (Lidl & Niederreiter,
     log[g^k] = k for k < m, log[0] = 2m,
 
 so mul(a, b) = exp[log a + log b] needs no branch for zero.  When p = 2 an
-index packs the GF(2) coefficients as bits and add is XOR; for odd p, add
-uses Zech's logarithm zech[d] = log(1 + g^d), since g^i + g^j =
-g^(i + zech[j - i]) (K. Huber, IEEE Trans. IT 36, 1990).  neg, inv, pow and
-is_square read log.  The tables are O(q) arrays built in numpy blocks
-with the field: exp, log and zech in int32, and for odd p the packed copy
-of exp below, in uint16 or uint32 (about 25 + 17 = 42 MB at q = 1021^2);
+index packs the GF(2) coefficients as bits and add is XOR; for odd p, a + b
+is the two-term case of the carry-free sums below, packed[log a] +
+packed[log b] reduced to an index, and sub(a, b) = add(a, neg b).  neg, inv,
+pow and is_square read log.  The tables are O(q) arrays built in numpy
+blocks with the field: exp and log in int32, and for odd p the packed copy
+of exp below, in uint16 or uint32 (about 21 + 17 = 38 MB at q = 1021^2);
 the scalar ops are closures that read them through memoryviews.  vmul,
 vadd, vneg and vinv work on numpy index arrays.
 
@@ -79,15 +79,17 @@ exactly:
     every digit sum exactly;
   * digit i of x . y is that digit sum mod p.  Five terms is the widest
     product the kernels take (the distance rows), which is why k is sized
-    for it; past the bound dot_blocks raises ValueError.
+    for it; past the bound dot_blocks raises ValueError.  add and vadd take
+    two terms.
 
 A block of sums is reduced once to indices of narrow_dtype(q) (uint8 to
 q = 256, uint16 to 2^16, int32 above) through one table per run of digits
 that fits 16 bits, from the run's packed bits to its share sum c_i p^i of
-the index.  The fewest runs, split evenly, keep every table within 2^16
-entries: every odd q <= 256 takes one table (2^16 entries at GF(3^4)),
-GF(5^4) two of 2^10, GF(31^4) two of 2^16, GF(1021^2) two of 2^13 and
-GF(101^3) three of 2^9.
+the index; vadd's sums take the same path, and add reads the same tables
+through memoryviews.  The fewest runs, split evenly, keep every table
+within 2^16 entries: every odd q <= 256 takes one table (2^16 entries at
+GF(3^4)), GF(5^4) two of 2^10, GF(31^4) two of 2^16, GF(1021^2) two of 2^13
+and GF(101^3) three of 2^9.
 
 A block's products come two ways.  When q <= |X| and q * |Y| <=
 TABLE_ELEMENTS, a call builds once the product tables T_j[a, c] =
@@ -127,10 +129,6 @@ TABLE_ELEMENTS = 1 << 20
 # The prime block's floating-point reduction is exact while d * p^2 stays
 # within this (see the module docstring).
 _EXACT_FLOAT_DOT = 1 << 51
-
-# Odd extension fields up to this order add arrays through a q x q table in
-# vadd, which beats the masked Zech path on small tables.
-_VADD_TABLE_MAX_Q = 256
 
 # Powers of the primitive element are built this many at a time.
 _POWER_BLOCK = 1 << 16
@@ -198,13 +196,9 @@ def _is_irreducible(coeffs: list[int], p: int, n: int) -> bool:
     return True
 
 
-@functools.cache
-def make_field(p: int, n: int) -> "FieldSpec":
-    """Construct GF(p^n) with the canonical (lexicographically smallest) modulus.
-
-    Memoized on (p, n): every caller shares one instance, so the modulus scan
-    and the extension tables are built once per field and process.
-    """
+def _check_order(p: int, n: int) -> None:
+    """DegreeOutOfRange for a degree or order past the caps, NotPrime for p:
+    the checks make_field and FieldSpec share."""
     if not 1 <= n <= MAX_DEGREE:
         raise DegreeOutOfRange(f"extension degree n = {n} outside [1, {MAX_DEGREE}]")
     q = p**n
@@ -212,6 +206,16 @@ def make_field(p: int, n: int) -> "FieldSpec":
         raise DegreeOutOfRange(f"q = p^n = {q} exceeds the cap {MAX_ORDER}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
+
+
+@functools.cache
+def make_field(p: int, n: int) -> "FieldSpec":
+    """Construct GF(p^n) with the canonical (lexicographically smallest) modulus.
+
+    Memoized on (p, n): every caller shares one instance, so the modulus scan
+    and the extension tables are built once per field and process.
+    """
+    _check_order(p, n)
     if n == 1:
         modulus = (0, 1)  # degree-1 placeholder: the class of x
     else:
@@ -247,9 +251,21 @@ class FieldSpec:
     digit sums; ValueError when d > (2^k - 1) // (p - 1), at least 5) and on
     the GF(2^n) table path, int32 on the GF(2^n) per-pair path.
 
+    The vector ops return, over extension fields, exp's int32 from vmul,
+    vinv and the odd vneg, and narrow_dtype(q) from the odd vadd (unsigned
+    up to q = 2^16); GF(2^n) vadd and vneg keep the inputs' dtype (XOR and
+    the identity).  Tables read indices of any integer dtype.  Prime fields
+    compute in the inputs' dtype (vinv in int64), so their inputs must be
+    signed and hold p^2: -a wraps in an unsigned dtype.  A caller that
+    subtracts, negates or multiplies a result by q widens it first.
+
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
     field: for 0, and for every element when p = 2.
+
+    Construction checks the field as make_field does: DegreeOutOfRange past
+    the caps, NotPrime for p, ValueError unless the modulus is monic and
+    irreducible of degree n with coefficients in [0, p).
     """
 
     p: int
@@ -259,12 +275,15 @@ class FieldSpec:
     q_mod4: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        q = self.p**self.n
+        p, n, mod = self.p, self.n, self.modulus
+        _check_order(p, n)
+        if (len(mod) != n + 1 or mod[-1] != 1 or not all(0 <= c < p for c in mod)
+                or n > 1 and not _is_irreducible(list(mod), p, n)):
+            raise ValueError("modulus must be monic and irreducible of degree n over GF(p)")
+        q = p**n
         # frozen: the derived attributes and the ops go straight into __dict__
         self.__dict__.update(q=q, q_mod4=q % 4)
-        self.__dict__.update(_prime_backend(self.p) if self.n == 1 else _extension_backend(self))
+        self.__dict__.update(_prime_backend(p) if n == 1 else _extension_backend(self))
 
     # -- element encoding -------------------------------------------------
 
@@ -417,11 +436,12 @@ def _prime_backend(p: int) -> dict:
     return dict(ops, vadd=ops["add"], vneg=ops["neg"], vmul=ops["mul"])
 
 
-def _packed_sums(fs: FieldSpec, powers):
+def _packed_sums(fs: FieldSpec, powers, log):
     """The carry-free sums of odd characteristic (see the module docstring):
     exp with the n digits of each index k bits apart, built in _POWER_BLOCK
-    slices; the most terms a sum may take; and the reduction of a block of
-    packed sums to narrow_dtype(q) indices."""
+    slices; the most terms a sum may take; the reduction of a block of
+    packed sums to narrow_dtype(q) indices; and add on ints, the two-term
+    sum reduced through the same tables."""
     p, n, m = fs.p, fs.n, fs.q - 1
     k = (_MAX_DOT_TERMS * (p - 1)).bit_length()
     packed = np.zeros(4 * m + 1, dtype=np.uint16 if n * k <= 16 else np.uint32)
@@ -456,7 +476,23 @@ def _packed_sums(fs: FieldSpec, powers):
                 out += part
         return out
 
-    return packed, ((1 << k) - 1) // (p - 1), to_indices
+    # a + b on ints reads the same tables through memoryviews; a sum has no
+    # bits above the last run, so its table's size masks it too
+    packed_s, log_s = memoryview(packed), memoryview(log)
+    views = [(shift, len(share) - 1, memoryview(share)) for shift, _, share in runs]
+    if len(views) == 1:  # every odd q <= 256
+        whole = views[0][2]
+
+        def add(a, b):
+            return whole[packed_s[log_s[a]] + packed_s[log_s[b]]]
+    else:
+        def add(a, b):
+            s, out = packed_s[log_s[a]] + packed_s[log_s[b]], 0
+            for shift, mask, share in views:
+                out += share[s >> shift & mask]
+            return out
+
+    return packed, ((1 << k) - 1) // (p - 1), to_indices, add
 
 
 def _extension_backend(fs: FieldSpec) -> dict:
@@ -507,27 +543,22 @@ def _extension_backend(fs: FieldSpec) -> dict:
             raise DivisionByZero("inverse of 0")
         return exp[np.subtract(m, log[a], dtype=np.intp)]
 
+    narrow = narrow_dtype(q)
     if p == 2:
-        # an index packs the GF(2) coefficients as bits; every element is a square
+        # an index packs the GF(2) coefficients as bits, so XOR adds digit
+        # vectors without carries: an index is its own packed sum, any number
+        # of terms may be added, and the tables stay narrow.  Every element
+        # is a square.
         add = sub = vadd = operator.xor
         neg = vneg = lambda a: a
         is_square = lambda e: True
+        packed, add_in, most, finish, table_dtype = exp, operator.ixor, math.inf, None, narrow
     else:
-        # 1 + g^d adds 1 to the constant coefficient, which wraps at p
-        one_more = powers + 1
-        one_more[one_more % p == 0] -= p
-        zech = tables["_zech"] = log[one_more]
-        del one_more  # 4 MB at q ~ 2^20, freed before the packed table is built
-        zech_s = memoryview(zech)
+        # a + b is the two-term packed sum, reduced like a block of dot_blocks
+        packed, most, finish, add = _packed_sums(fs, powers, log)
+        tables["_packed"] = packed
+        add_in, table_dtype = operator.iadd, packed.dtype
         half = m // 2  # -1 = g^half; log 0 + half lands in the zero tail of exp
-
-        def add(a, b):
-            if not a:
-                return b
-            if not b:
-                return a
-            la = log_s[a]
-            return exp_s[la + zech_s[(log_s[b] - la) % m]]
 
         def neg(a):
             return exp_s[log_s[a] + half]
@@ -541,30 +572,8 @@ def _extension_backend(fs: FieldSpec) -> dict:
         def vneg(a):
             return exp[np.add(log[a], half, dtype=np.intp)]
 
-        if q <= _VADD_TABLE_MAX_Q:
-            pw = p ** np.arange(fs.n)
-            digits = np.arange(q)[:, None] // pw % p
-            addq = ((digits[:, None, :] + digits[None, :, :]) % p @ pw).astype(np.int32).ravel()
-
-            def vadd(a, b):
-                return addq[np.multiply(a, q, dtype=np.intp) + b]  # a + b at a * q + b
-        else:
-            def vadd(a, b):
-                la, lb = log[a], log[b]
-                s = exp[np.add(la, zech[(lb - la) % m], dtype=np.intp)]
-                return np.where(a == 0, b, np.where(b == 0, a, s))
-
-    narrow = narrow_dtype(q)
-    if p == 2:
-        # XOR adds digit vectors without carries: an index is its own
-        # packed sum, and any number of terms may be added
-        packed, add_in, most, finish = exp, operator.ixor, math.inf, None
-    else:
-        packed, most, finish = _packed_sums(fs, powers)
-        tables["_packed"] = packed
-        add_in = operator.iadd
-    # the p = 2 tables stay narrow; packed odd sums take packed's dtype
-    table_dtype = narrow if p == 2 else packed.dtype
+        def vadd(a, b):
+            return finish(packed.take(log.take(a)) + packed.take(log.take(b)))
 
     def sums(blocks, term, d):
         # sum_j term(rows, j) per block, in place, then reduced to indices
