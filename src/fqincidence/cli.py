@@ -264,6 +264,17 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _trials(text: str) -> int:
+    """The --trials flag: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"trials must be an integer >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("dotprod", cmd_dotprod, e={}, f={})
     add("traces", cmd_traces, u={}, uprime={})
     add("suite", cmd_suite, name={"choices": list(harness.SUITE_NAMES)}, q={"type": int},
-        alpha={"type": _alpha, "default": 0.5}, trials={"type": int, "default": 10},
+        alpha={"type": _alpha, "default": 0.5}, trials={"type": _trials, "default": 10},
         seed={"type": int, "default": 0}, out={})
     add("preset", cmd_preset, name={"choices": list(harness.PRESET_NAMES)}, q={"type": int},
         seed={"type": int, "default": 0}, out={})

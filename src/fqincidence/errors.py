@@ -49,10 +49,6 @@ class VerticalLinePresent(ToolkitError):
     pass
 
 
-class InvariantFailure(ToolkitError):
-    """An internal self-check failed; indicates a bug, not bad input."""
-
-
 # -- norm/dot applications --
 
 class EvenCharacteristic(ToolkitError):

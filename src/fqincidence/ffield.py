@@ -255,9 +255,8 @@ class FieldSpec:
     vinv and the odd vneg, and narrow_dtype(q) from the odd vadd (unsigned
     up to q = 2^16); GF(2^n) vadd and vneg keep the inputs' dtype (XOR and
     the identity).  Tables read indices of any integer dtype.  Prime fields
-    compute in the inputs' dtype (vinv in int64), so their inputs must be
-    signed and hold p^2: -a wraps in an unsigned dtype.  A caller that
-    subtracts, negates or multiplies a result by q widens it first.
+    take any integer dtype and return int64.  A caller that subtracts,
+    negates or multiplies a result by q widens it first.
 
     inv and vinv raise DivisionByZero on 0.  pow(a, e) raises ValueError for
     e < 0 (0**0 == 1).  is_square(e) is True iff e has a square root in the
@@ -392,7 +391,7 @@ def narrow_dtype(q: int):
 
 
 def _prime_backend(p: int) -> dict:
-    """The ops of GF(p), inline mod p; add, neg and mul serve arrays too."""
+    """The ops of GF(p), inline mod p; the vector ops compute in int64."""
 
     def inv(a):
         if a == 0:
@@ -429,11 +428,13 @@ def _prime_backend(p: int) -> dict:
             yield v.astype(np.int32)
 
     half = (p - 1) // 2  # Euler's criterion; every element of GF(2) passes
-    ops = dict(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
-               neg=lambda a: -a % p, mul=lambda a, b: a * b % p, inv=inv, pow=power,
-               is_square=lambda e: e == 0 or pow(e, half, p) == 1, vinv=vinv,
-               dot_blocks=dot_blocks)
-    return dict(ops, vadd=ops["add"], vneg=ops["neg"], vmul=ops["mul"])
+    return dict(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+                neg=lambda a: -a % p, mul=lambda a, b: a * b % p, inv=inv, pow=power,
+                is_square=lambda e: e == 0 or pow(e, half, p) == 1,
+                vadd=lambda a, b: np.add(a, b, dtype=np.int64) % p,
+                vneg=lambda a: np.negative(a, dtype=np.int64) % p,
+                vmul=lambda a, b: np.multiply(a, b, dtype=np.int64) % p,
+                vinv=vinv, dot_blocks=dot_blocks)
 
 
 def _packed_sums(fs: FieldSpec, powers, log):

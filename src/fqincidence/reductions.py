@@ -9,9 +9,9 @@ Each solution is an incidence between the 3D point (x, a', b') and the plane
 with normal (a, -x', -1) and right-hand side -b: substituting gives
 a*x - x'*a' - b' = -b, i.e. exactly a*x + b = a'*x' + b'.  (Taking the sign
 of the third normal coordinate as +1 instead would encode
-a*x + b = a'*x' - b', which fails the defining identity; the constructor
-self-checks the identity on a sample and raises InvariantFailure if the
-convention is ever wrong.)
+a*x + b = a'*x' - b', which fails the defining identity;
+tests/test_reductions.py::test_plane_sign_convention checks the convention on
+every (point, plane) pair of every lift the tests build.)
 
 Duplicate lines in L are permitted and counted with multiplicity; energy
 counts are multiset counts.
@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ffield
-from .errors import InvariantFailure, SizeCap, VerticalLinePresent
+from .errors import SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
-from .geom import (Line2, Plane3, Point3, count_incidences, dot3, field_array, grid_points,
-                   line_rows, max_collinear, unit_rows)
+from .geom import (Line2, Plane3, Point3, count_incidences, field_array, grid_points, line_rows,
+                   unit_rows)
 
 ORACLE_TUPLE_CAP = 10**9
 
@@ -75,9 +75,8 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     points3 = {(x, a', b')} over A x L; planes3 encode (a, b, x') over L x A.
     Both lists keep multiplicity; the defining identity
     I(points3, planes3) == count_solutions(L, A) holds exactly.  Each plane
-    is in the canonical form of geom.make_plane, scaled by unit_rows.  A
-    projection self-check confirms at most k_bound collinear points in the
-    Oxy shadow.  Raises as count_solutions for a bad line or element of A.
+    is in the canonical form of geom.make_plane, scaled by unit_rows.
+    Raises as count_solutions for a bad line or element of A.
     """
     lines, A = list(lines), list(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
@@ -89,27 +88,7 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     rhs = fs.vmul(scale[:, 0], np.repeat(fs.vneg(ab[:, 1]), len(xs)))
     points3 = [tuple(pt) for pt in pts.tolist()]
     planes3 = [Plane3(tuple(n), r) for n, r in zip(nrm.tolist(), rhs.tolist())]
-    L, A = ab.tolist(), xs.tolist()
     k_bound = max(np.unique(xs).size, np.unique(ab[:, 0]).size, 1)
-    if points3:
-        # sign-convention self-check: incidence must track the equation on a
-        # sample of (point, plane) parameter tuples, matching or not
-        add, mul = fs.add, fs.mul
-        for pi in range(min(4, len(points3))):
-            x, (ap, bp) = A[pi // len(L)], L[pi % len(L)]
-            for qi in range(min(4, len(planes3))):
-                a, b = L[qi // len(A)]
-                xp = A[qi % len(A)]
-                lhs = add(mul(a, x), b)
-                rhs = add(mul(ap, xp), bp)
-                pl = planes3[qi]
-                if (dot3(fs, pl.normal, points3[pi]) == pl.rhs) != (lhs == rhs):
-                    raise InvariantFailure("plane sign convention broke the identity")
-        k_proj, _ = max_collinear(fs, pts[:, :2])
-        if k_proj > k_bound:
-            raise InvariantFailure(
-                f"projected collinearity {k_proj} exceeds k bound {k_bound}"
-            )
     return ReductionOutput(points3, planes3, k_bound, count)
 
 

@@ -296,6 +296,7 @@ def test_config_choice_checked_for_flag_with_default(gf5_files, tmp_path, capsys
     ["vcdim", "--max-d", "x"],
     ["suite", "--name", "bogus", "--q", "3"],
     ["suite", "--q", "3", "--unknown", "1"],
+    ["suite", "--name", "calibration", "--q", "7", "--trials", "-3"],
     ["nope"],
 ])
 def test_usage_errors_exit_one_with_one_line(argv, capsys):

@@ -274,9 +274,9 @@ def test_tables_match_raw_arithmetic_sampled(p, n):
 
 # odd extension fields by the reduction tables of vadd and add: one (GF(3^2),
 # GF(3^4)), two (GF(5^4), GF(31^2), GF(1021^2), the last with q > 2^16) and
-# three (GF(101^3))
-@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (2, 4), (3, 2), (3, 4), (5, 4), (31, 2),
-                                 (101, 3), (1021, 2)])
+# three (GF(101^3)); GF(1048573), whose products overflow int32
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (1048573, 1), (2, 4), (3, 2), (3, 4), (5, 4),
+                                 (31, 2), (101, 3), (1021, 2)])
 def test_vectorised_ops_match_scalar(p, n):
     fs = make_field(p, n)
     rng = np.random.default_rng(fs.q)
@@ -289,9 +289,8 @@ def test_vectorised_ops_match_scalar(p, n):
     pairs = list(zip(a.tolist(), b.tolist()))
     assert [fs.add(x, y) for x, y in pairs] == [fs._add_raw(x, y) for x, y in pairs]
     assert [fs.sub(x, y) for x, y in pairs] == [fs._add_raw(x, raw_neg(fs, y)) for x, y in pairs]
-    # tables read indices of any integer dtype that holds them; prime fields
-    # compute in the inputs' dtype, where -a wraps when it is unsigned
-    dtypes = [np.int64, np.int32, np.uint16, np.uint8][:2 if n == 1 else 4]
+    # every field reads indices of any integer dtype that holds them
+    dtypes = [np.int64, np.int32, np.uint16, np.uint8]
     for dtype in [t for t in dtypes if fs.q <= np.iinfo(t).max + 1]:
         a, b = a.astype(dtype), b.astype(dtype)
         assert fs.vmul(a, b).tolist() == [fs.mul(x, y) for x, y in pairs]
@@ -305,6 +304,8 @@ def test_vectorised_ops_match_scalar(p, n):
         assert cube.ravel().tolist() == [fs.add(x, y) for x, y in zip(a[:24].tolist(), b[:4].tolist() * 6)]
         if p > 2 and n > 1:  # odd extension sums come back as narrow indices
             assert {table.dtype, cube.dtype} == {np.dtype(ffield.narrow_dtype(fs.q))}
+        if n == 1:  # prime fields compute in int64
+            assert {fs.vmul(a, b).dtype, table.dtype, fs.vneg(a).dtype} == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2), (5, 4)])

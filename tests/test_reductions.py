@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from fqincidence import geom
 from fqincidence.errors import VerticalLinePresent
 from fqincidence.ffield import make_field
-from fqincidence.geom import Line2, count_incidences, grid_points, vertical
+from fqincidence.geom import Line2, count_incidences, dot3, grid_points, max_collinear, vertical
 from fqincidence.reductions import (
     build_point_plane_sets,
     count_solutions,
@@ -28,6 +29,28 @@ def brute_six_tuples(fs, lines, a_set):
 
 def random_nonvertical(rng, q, count):
     return [Line2("N", i // q, i % q) for i in rng.sample(range(q * q), count)]
+
+
+def on_plane_vs_equation(fs, lines, a_set, out):
+    """Per (point, plane) pair of a lift: whether the point lies on the plane,
+    and whether a*x + b = a'*x' + b' for the point (x, a', b') over A x L and
+    the plane of (a, b, x') over L x A."""
+    pts = [(x, ap, bp) for x in a_set for _, ap, bp in lines]
+    assert out.points3 == pts
+    params = [(a, b, xp) for _, a, b in lines for xp in a_set]
+    add, mul = fs.add, fs.mul
+    return [(dot3(fs, pl.normal, (x, ap, bp)) == pl.rhs,
+             add(mul(a, x), b) == add(mul(ap, xp), bp))
+            for x, ap, bp in pts for pl, (a, b, xp) in zip(out.planes3, params)]
+
+
+def lift(fs, lines, a_set):
+    """build_point_plane_sets, with the sign convention checked on every
+    (point, plane) pair and the (x, a') shadow's collinearity against k_bound."""
+    out = build_point_plane_sets(fs, lines, a_set)
+    assert all(on == eq for on, eq in on_plane_vs_equation(fs, lines, a_set, out))
+    assert max_collinear(fs, [pt[:2] for pt in out.points3])[0] <= out.k_bound
+    return out
 
 
 def test_single_line_two_points():
@@ -74,7 +97,7 @@ def test_vertical_lines_rejected():
 
 def test_build_single_tuple():
     fs = make_field(5, 1)
-    out = build_point_plane_sets(fs, [Line2("N", 1, 0)], [0])
+    out = lift(fs, [Line2("N", 1, 0)], [0])
     assert len(out.points3) == len(out.planes3) == 1
     assert out.solution_count == 1
     inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
@@ -88,20 +111,20 @@ def test_build_identity_random():
         rng = random.Random(90 + trial)
         lines = random_nonvertical(rng, 5, 4)
         a_set = sorted(rng.sample(range(5), 3))
-        out = build_point_plane_sets(fs, lines, a_set)
+        out = lift(fs, lines, a_set)
         assert len(out.points3) == len(out.planes3) == 12
         inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
         assert inc == out.solution_count
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 4), (5, 4)])
 def test_build_identity_across_fields(p, n):
     fs = make_field(p, n)
     q = fs.q
     rng = random.Random(1000 * q)
     lines = random_nonvertical(rng, q, min(8, q * q))
     a_set = sorted(rng.sample(range(q), min(4, q)))
-    out = build_point_plane_sets(fs, lines, a_set)
+    out = lift(fs, lines, a_set)
     inc = count_incidences(fs, out.points3, out.planes3, "oracle").count
     assert inc == out.solution_count == count_solutions(fs, lines, a_set, "oracle")
 
@@ -109,14 +132,14 @@ def test_build_identity_across_fields(p, n):
 def test_k_bound_is_max():
     fs = make_field(7, 1)
     lines = [Line2("N", 1, 0), Line2("N", 1, 2), Line2("N", 2, 0)]  # two slopes
-    out = build_point_plane_sets(fs, lines, [0, 1, 4])
+    out = lift(fs, lines, [0, 1, 4])
     assert out.k_bound == 3  # max(|A| = 3, |slopes| = 2)
 
 
 def test_duplicates_counted():
     fs = make_field(5, 1)
     lines = [Line2("N", 1, 0), Line2("N", 1, 0)]
-    out = build_point_plane_sets(fs, lines, [0, 1])
+    out = lift(fs, lines, [0, 1])
     assert len(out.points3) == 4
     # multiset energy: each of the 2 diagonal solutions x = x' appears once
     # per ordered pair of line copies, so 2 * (2*2) = 8
@@ -176,5 +199,34 @@ def test_projection_collinearity_within_k_bound():
         rng = random.Random(200 + trial)
         lines = random_nonvertical(rng, 7, rng.randint(2, 10))
         a_set = sorted(rng.sample(range(7), rng.randint(2, 6)))
-        out = build_point_plane_sets(fs, lines, a_set)  # raises on violation
+        out = lift(fs, lines, a_set)
+        shadow = [pt[:2] for pt in out.points3]
+        assert max_collinear(fs, shadow)[0] <= out.k_bound
         assert out.k_bound >= max(len(a_set), len({ln.a for ln in lines}))
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (2, 3), (3, 2)])
+def test_plane_sign_convention(p, n):
+    # lift checks incidence against the equation on every pair; both
+    # outcomes occur here, so that check is not vacuous
+    fs = make_field(p, n)
+    rng = random.Random(300 + fs.q)
+    lines = random_nonvertical(rng, fs.q, 6)
+    a_set = rng.sample(range(fs.q), 3)
+    out = lift(fs, lines, a_set)
+    assert {eq for _, eq in on_plane_vs_equation(fs, lines, a_set, out)} == {True, False}
+
+
+def test_build_runs_no_collinearity_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("collinearity scan")
+
+    fs = make_field(7, 1)
+    rng = random.Random(5)
+    lines, a_set = random_nonvertical(rng, 7, 10), [0, 2, 3, 6]
+    monkeypatch.setattr(geom, "line_blocks", refuse)
+    out = build_point_plane_sets(fs, lines, a_set)
+    with pytest.raises(AssertionError, match="collinearity scan"):
+        max_collinear(fs, [pt[:2] for pt in out.points3])
+    monkeypatch.undo()
+    assert lift(fs, lines, a_set) == out
