@@ -8,7 +8,6 @@ long flags; they are checked like flags, and explicit flags win.
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -229,7 +228,7 @@ def cmd_preset(args) -> int:
     fs = harness.field_for_order(args.q)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    meta = [f"name={pc.name}", f"q={pc.q}", f"alpha={pc.alpha}", f"seed={pc.seed}"]
+    meta = [f"name={pc.name}", f"q={pc.q}", f"alpha={float(pc.alpha)}", f"seed={pc.seed}"]
     for key, val in sorted(pc.sizes.items()):
         meta.append(f"size_{key}={val}")
     if pc.kind == "line":
@@ -246,21 +245,15 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
-# |alpha| <= 16 keeps every scale q^(c * alpha) the bounds and suites take,
-# |c| <= 3, a finite nonzero double at every q <= MAX_ORDER = 2^20:
-# 2^(20 * (3 * 16 + 1)) < 2^1023.
-ALPHA_LIMIT = 16.0
-
-
 def _alpha(text: str) -> float:
-    """The --alpha flag: a float with |alpha| <= ALPHA_LIMIT (so not nan or inf)."""
+    """The --alpha flag: a number that bounds.exact_alpha accepts."""
     try:
         value = float(text)
+        bounds.exact_alpha(value)
     except ValueError:
-        value = math.nan
-    if not abs(value) <= ALPHA_LIMIT:  # nan compares false, so it lands here too
         raise argparse.ArgumentTypeError(
-            f"alpha must be a number with |alpha| <= {ALPHA_LIMIT:g}, got {text!r}")
+            f"alpha must be a number with |alpha| <= {bounds.ALPHA_LIMIT} and a denominator "
+            f"of at most {bounds.ALPHA_MAX_DENOMINATOR}, got {text!r}") from None
     return value
 
 

@@ -13,11 +13,11 @@ violations, and writes the CSV.
 """
 
 import csv
-import math
 import os
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction as F
 from typing import Optional
 
 from . import apps, bounds, reductions, setsys
@@ -61,8 +61,15 @@ def rng_for(seed: int, *parts: int) -> random.Random:
     return random.Random(_mix(seed, *parts))
 
 
-def round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def _rounded(q: int, u, c=1) -> int:
+    """c * q^u rounded half up, decided exactly: (floor(2 c q^u) + 1) // 2."""
+    return (bounds.floor_scale(2 * c, q, u)[0] + 1) // 2
+
+
+def _ceil(q: int, u, c=1) -> int:
+    """The least integer n >= c * q^u, decided exactly."""
+    n, exact = bounds.floor_scale(c, q, u)
+    return n + (not exact)
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -171,31 +178,22 @@ def random_config(fs: FieldSpec, kind: str, sizes: dict, seed: int) -> dict:
 # presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "line-1",
-    "line-2",
-    "plane-1",
-    "plane-2",
-    "plane-3",
-    "light-1",
-    "light-2",
-)
-
 _LINE_PRESETS = {
     # alpha, slope-count exponent, total-line exponent, |A| exponent, |B| exponent
-    "line-1": (1 / 4, 1 / 2, 5 / 8, 1 / 12, 2 / 3),
-    "line-2": (2 / 5, 4 / 5, 1.0, 4 / 15, 3 / 4),
+    "line-1": (F(1, 4), F(1, 2), F(5, 8), F(1, 12), F(2, 3)),
+    "line-2": (F(2, 5), F(4, 5), 1, F(4, 15), F(3, 4)),
 }
 
 _PLANE_PRESETS = {
     # alpha, plane exponent, point exponent, point factor, collinearity cap
-    "plane-1": (1 / 5, 5 / 4, 1.0, 1.0, None),
-    "plane-2": (1 / 5, 5 / 4, 4 / 3, 1.0, None),
-    "plane-3": (1 / 3, 3 / 2, 11 / 10, 1.0, None),
-    "light-1": (1 / 3, 8 / 9, 1 / 2, 1.0, "q^1/8"),
-    "light-2": (1 / 3, 5 / 4, 4 / 3, 2.0, "q"),
+    "plane-1": (F(1, 5), F(5, 4), 1, 1, None),
+    "plane-2": (F(1, 5), F(5, 4), F(4, 3), 1, None),
+    "plane-3": (F(1, 3), F(3, 2), F(11, 10), 1, None),
+    "light-1": (F(1, 3), F(8, 9), F(1, 2), 1, "q^1/8"),
+    "light-2": (F(1, 3), F(5, 4), F(4, 3), 2, "q"),
 }
 
+PRESET_NAMES = (*_LINE_PRESETS, *_PLANE_PRESETS)
 _LIGHT1_ATTEMPTS = 500
 
 
@@ -203,7 +201,7 @@ _LIGHT1_ATTEMPTS = 500
 class PresetConfig:
     name: str
     q: int
-    alpha: float
+    alpha: F
     kind: str  # "line" | "plane"
     sizes: dict[str, int]
     seed: int
@@ -233,15 +231,15 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
     rng = rng_for(seed, hash_name(name), q)
     if name in _LINE_PRESETS:
         alpha, se, le, ae, be = _LINE_PRESETS[name]
-        n_slopes = round_half_up(q**se)
+        n_slopes = _rounded(q, se)
         if n_slopes > q - 1:
             raise Unrealizable(f"preset {name}: {n_slopes} slopes exceed q-1")
-        n_lines = round_half_up(q**le)
+        n_lines = _rounded(q, le)
         per_slope = -(-n_lines // n_slopes)
         if per_slope > q:
             raise Unrealizable(f"preset {name}: {per_slope} lines per slope exceed q")
-        n_a = round_half_up(q**ae)
-        n_b = round_half_up(q**be)
+        n_a = _rounded(q, ae)
+        n_b = _rounded(q, be)
         if n_a > q:
             raise Unrealizable(f"preset {name}: |A| = {n_a} exceeds q")
         if n_b > q:
@@ -272,15 +270,15 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
             b_set=b_set,
         )
     alpha, pie, pe, pf, kcap = _PLANE_PRESETS[name]
-    n_pi = round_half_up(q**pie)
+    n_pi = _rounded(q, pie)
     if n_pi > q**3 - 1:
         raise Unrealizable(f"preset {name}: {n_pi} planes exceed q^3-1")
-    n_p = round_half_up(pf * q**pe)
+    n_p = _rounded(q, pe, pf)
     if n_p > q**3:
         raise Unrealizable(f"preset {name}: {n_p} points exceed q^3")
     planes = sample_planes_one(rng, fs, n_pi)
     if kcap == "q^1/8":
-        k = round_half_up(q ** (1 / 8))
+        k = _rounded(q, F(1, 8))
         points = None
         for _ in range(_LIGHT1_ATTEMPTS):
             cand = sample_points3(rng, fs, n_p)
@@ -452,9 +450,8 @@ def suite_unconditional(cfg: ExperimentConfig, fs: FieldSpec):
         pts3 = sample_points3(rng, fs, n_p3)
         pls = sample_planes_one(rng, fs, n_pi)
         actual = count_incidences(fs, pts3, pls, "oracle").count
-        rep = bounds.eval_plane_bounds(
-            bounds.RegimeParams(q=q, alpha=cfg.alpha, nP=n_p3, nPi=n_pi),
-            actual=actual)["plane_vinh"]
+        rep = bounds.eval_bound(
+            "plane_vinh", bounds.RegimeParams(q=q, alpha=cfg.alpha, nP=n_p3, nPi=n_pi), actual)
         yield t, *row("vinh_plane", f"P={n_p3};Pi={n_pi}", actual, rep.value,
                       rep.satisfied())
 
@@ -631,11 +628,11 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
     The thm14 and thm_line samples are redrawn until the size hypothesis
     their bound report records holds (or the attempts run out).
     """
-    q, alpha = fs.q, cfg.alpha
+    q, alpha = fs.q, bounds.exact_alpha(cfg.alpha)
     # the size floors of the thm13 and thm14 families; a floor past the
     # space skips its family
-    need13 = math.ceil(2 * q ** (1 + alpha))
-    need14 = max(1, math.ceil(4 * q**alpha))
+    need13 = _ceil(q, 1 + alpha, 2)
+    need14 = max(1, _ceil(q, alpha, 4))
     for t in range(cfg.trials):
         rng = _trial_rng(cfg, t)
 
@@ -645,9 +642,8 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             pls = sample_planes_one(rng, fs, n_pi)
             pts = sample_points3(rng, fs, n_p)
             actual = count_incidences(fs, pts, pls, "fast").count
-            rep = bounds.eval_plane_bounds(
-                bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi),
-                actual=actual)["thm13_by_planes"]
+            rep = bounds.eval_bound("thm13_by_planes",
+                                    bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi), actual)
             yield t, *_calibrated(f"P={n_p};Pi={n_pi}", rep)
 
         if need13 <= q**3:
@@ -656,9 +652,8 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             pts = sample_points3(rng, fs, n_p)
             pls = sample_planes_one(rng, fs, n_pi)
             actual = count_incidences(fs, pts, pls, "fast").count
-            rep = bounds.eval_plane_bounds(
-                bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi),
-                actual=actual)["thm13_by_points"]
+            rep = bounds.eval_bound("thm13_by_points",
+                                    bounds.RegimeParams(q=q, alpha=alpha, nP=n_p, nPi=n_pi), actual)
             yield t, *_calibrated(f"P={n_p};Pi={n_pi}", rep)
 
         if need14 <= q**3:
@@ -672,12 +667,11 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
                 return pts, bounds.RegimeParams(q=q, alpha=alpha, nP=len(pts), nPi=n_pi, k=k)
 
             def size_ok(c):
-                return bounds.eval_plane_bounds(c[1])["thm14"].hypotheses["points_at_least_2kq^a"]
+                return bounds.holds("thm14", "points_at_least_2kq^a", c[1])
 
             pts, params = _retry(rng, build, size_ok)
             actual = count_incidences(fs, pts, pls, "fast").count
-            rep = bounds.eval_plane_bounds(
-                params, actual=actual, max_shared_collinear=params.k - 1)["thm14"]
+            rep = bounds.eval_bound("thm14", params, actual, params.k - 1)
             yield t, *_calibrated(f"P={params.nP};Pi={n_pi};k={params.k}", rep)
 
         def build_line(r):
@@ -693,7 +687,7 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
 
         lns, a_set, b_set, params = _retry(
             rng, build_line,
-            lambda c: bounds.eval_thm_line(c[3]).hypotheses["size_condition"])
+            lambda c: bounds.holds("thm_line", "size_condition", c[3]))
         actual = count_incidences(
             fs, grid_points(a_set, b_set), lns, "fast").count
         rep = bounds.eval_thm_line(params, actual=actual)
@@ -785,6 +779,8 @@ def run_suite(cfg: ExperimentConfig) -> SuiteResult:
     """
     if cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; pick one of {SUITE_NAMES}")
+    if cfg.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {cfg.trials}")
     suite, columns = _SUITES[cfg.suite]
     result = SuiteResult(cfg.suite, columns, [])
     fresh = cfg.out and not os.path.exists(cfg.out)

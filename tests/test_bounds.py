@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqincidence.bounds import (
     BoundReport,
@@ -12,6 +15,7 @@ from fqincidence.bounds import (
     eval_plane_bounds,
     eval_thm_line,
     eval_vinh_line,
+    holds,
     ratio_of,
     regime_report,
 )
@@ -143,8 +147,8 @@ def test_one_name_per_plane_bound():
     for _ in range(20):
         q = rng.choice([3, 4, 5, 9])
         k = rng.choice([None, rng.randint(1, 5)])
-        params = RegimeParams(q=q, alpha=rng.uniform(0.1, 0.9), nP=rng.randint(0, 60),
-                              nPi=rng.randint(0, 60), k=k)
+        params = RegimeParams(q=q, alpha=Fraction(rng.randint(10, 90), 100),
+                              nP=rng.randint(0, 60), nPi=rng.randint(0, 60), k=k)
         reps = eval_plane_bounds(params, actual=7, max_shared_collinear=2)
         assert set(reps) == set(regime_report(params, actual=7).bounds)
         assert set(reps) - {"thm14"} == {
@@ -159,7 +163,7 @@ def test_evaluators_monotone_in_each_size():
     rng = random.Random(99)
     for _ in range(50):
         q = rng.choice([3, 5, 9, 16])
-        a = rng.uniform(0.1, 0.9)
+        a = Fraction(rng.randint(10, 90), 100)
         sizes = [rng.randint(1, 50) for _ in range(4)]
         nL, nA, nB, nLx = sizes
         base = eval_thm_line(RegimeParams(q=q, alpha=a, nL=nL, nA=nA, nB=nB, nLx=nLx))
@@ -218,7 +222,7 @@ def test_regime_report_plane_example_flags():
     # alpha = 1/3 with |Pi| = q^{3/2}, |P| = q^{11/10}
     q = 9
     params = RegimeParams(
-        q=q, alpha=1 / 3, nP=round(q ** 1.1), nPi=round(q ** 1.5))
+        q=q, alpha=Fraction(1, 3), nP=round(q ** 1.1), nPi=round(q ** 1.5))
     rep = regime_report(params)
     assert rep.kind == "plane"
     assert set(rep.flags) >= {"case1_P_between_q3a_q1p2a", "case2_PPi_below_q4"}
@@ -230,7 +234,7 @@ def test_regime_report_winner_is_argmin():
     for _ in range(20):
         q = rng.choice([5, 9, 13])
         params = RegimeParams(
-            q=q, alpha=rng.uniform(0.1, 0.9),
+            q=q, alpha=Fraction(rng.randint(10, 90), 100),
             nP=rng.randint(1, 200), nPi=rng.randint(1, 200), k=rng.randint(1, 5))
         rep = regime_report(params)
         assert rep.bounds[rep.winner].value == min(
@@ -259,3 +263,111 @@ def test_regime_params_validation():
     params = RegimeParams(q=5, alpha=0.5)
     with pytest.raises(ValueError):
         params.require("nP")
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 10), 0.3])
+def test_size_condition_is_exact_at_q1024(alpha):
+    # 1024^0.3 is 7.999999999999999 as a double; exactly, 8 * 2 > 8 * 2 is false
+    params = RegimeParams(q=1024, alpha=alpha, nL=8, nA=2, nB=3, nLx=2)
+    assert eval_thm_line(params).hypotheses["size_condition"] is False
+    assert regime_report(params).flags["hyp_size_condition"] is False
+
+
+def test_size_condition_is_exact_at_q4096():
+    # 4096^(1/6) is 3.9999999999999996 as a double; exactly, 4 > 4 is false
+    params = RegimeParams(q=4096, alpha=Fraction(1, 6), nL=4, nA=1, nB=1, nLx=1)
+    assert eval_thm_line(params).hypotheses["size_condition"] is False
+
+
+def test_alpha_is_read_exactly_and_capped():
+    assert RegimeParams(q=5, alpha=0.3).alpha == Fraction(3, 10)
+    assert RegimeParams(q=5, alpha=-16).alpha == -16
+    for alpha in (0.1234, 1e-300, Fraction(1, 1001), 16.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RegimeParams(q=5, alpha=alpha)
+        with pytest.raises(ValueError):
+            eval_distance_dot_lower(5, alpha, nE=3, nF=3, k=1)
+
+
+# perfect powers, where q^alpha is often an integer that a double misses
+POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 27: (3, 3), 32: (2, 5), 64: (2, 6),
+          81: (3, 4), 125: (5, 3), 1024: (2, 10), 4096: (2, 12)}
+
+
+def _sign(x, c, q, u):
+    """Oracle: the sign of x - c * q^u, by raising both sides to u's denominator."""
+    lhs = Fraction(x) ** u.denominator
+    rhs = Fraction(c) ** u.denominator * Fraction(q) ** u.numerator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+@st.composite
+def _cells(draw):
+    q = draw(st.sampled_from(sorted(POWERS)))
+    p, m = POWERS[q]
+    den = draw(st.integers(1, 24))
+    alpha = Fraction(draw(st.integers(-den, 2 * den)), den)
+    # sizes are mostly powers of p, so that many tests land on an exact tie
+    size = st.one_of(st.integers(0, 3000), st.integers(0, 3 * m).map(lambda e: p**e))
+    return q, alpha, {name: draw(size) for name in ("L", "A", "B", "Lx", "P", "Pi", "k", "s")}
+
+
+@settings(max_examples=400)
+@given(_cells())
+def test_hypotheses_and_flags_match_a_fraction_oracle(cell):
+    q, a, n = cell
+    L, A, B, Lx, P, Pi, k, s = (n[x] for x in ("L", "A", "B", "Lx", "P", "Pi", "k", "s"))
+
+    def lt(x, c, u):  # x < c * q^u
+        return _sign(x, c, q, Fraction(u)) < 0
+
+    def gt(x, c, u):  # x > c * q^u
+        return _sign(x, c, q, Fraction(u)) > 0
+
+    def ge(x, c, u):
+        return not lt(x, c, u)
+
+    alpha_ok = 0 < a < 1
+    size = gt(L * A, A, a) and gt(L * A, Lx, a)
+    line = RegimeParams(q=q, alpha=a, nL=L, nA=A, nB=B, nLx=Lx)
+    assert eval_thm_line(line).hypotheses == {"alpha_in_0_1": alpha_ok, "size_condition": size}
+    assert holds("thm_line", "size_condition", line) == size
+    assert regime_report(line).flags == {
+        "hyp_size_condition": size,
+        "case1_alpha_below_half": a < Fraction(1, 2),
+        "case1_LA_below_q3a": size and lt(L * A, 1, 3 * a),
+        "case1_L_above_q2a": gt(L, 1, 2 * a),
+        "case1_AB_above_Lq2a": gt(A * B, L, 2 * a),
+        "case2_LA_above_q3a": size and gt(L * A, 1, 3 * a),
+        "case2_LA_below_q1a": lt(L * A, 1, 1 + a),
+        "case2_A_below_qa": lt(A, 1, a),
+        "case2_L_below_qaB": lt(L, B, a),
+    }
+    plane = RegimeParams(q=q, alpha=a, nP=P, nPi=Pi, k=k)
+    hyps = {name: rep.hypotheses for name, rep in
+            eval_plane_bounds(plane, max_shared_collinear=s).items()}
+    assert hyps == {
+        "plane_vinh": {}, "plane_cs": {},
+        "thm13_by_planes": {"alpha_in_0_1": alpha_ok,
+                            "planes_at_least_2q^(1+a)": ge(Pi, 2, 1 + a)},
+        "thm13_by_points": {"alpha_in_0_1": alpha_ok,
+                            "points_at_least_2q^(1+a)": ge(P, 2, 1 + a)},
+        "thm14": {"alpha_in_0_1": alpha_ok, "points_at_least_2kq^a": ge(P, 2 * k, a),
+                  "no_k_rich_shared_line": s < k},
+    }
+    assert holds("thm14", "points_at_least_2kq^a", plane) == ge(P, 2 * k, a)
+    assert regime_report(plane).flags == {
+        "case1_alpha_below_half": a < Fraction(1, 2),
+        "case1_P_between_q3a_q1p2a": gt(P, 1, 3 * a) and lt(P, 1, 1 + 2 * a),
+        "case1_Pi_between_q1pa_q1p2a": gt(Pi, 1, 1 + a) and lt(Pi, 1, 1 + 2 * a),
+        "case1_PPi_below_q2p2a": lt(P * Pi, 1, 2 + 2 * a),
+        "case1_PPi_below_q4": P * Pi < q**4,
+        "case2_P_between_q4am1_q3a": gt(P, 1, 4 * a - 1) and lt(P, 1, 3 * a),
+        "case2_Pi_above_q1pa": gt(Pi, 1, 1 + a),
+        "case2_Pi_below_min": lt(Pi, P * P, 1 - 4 * a) and lt(Pi, P, 2 - 4 * a),
+        "case2_PPi_below_q4": P * Pi < q**4,
+    }
+    low = eval_distance_dot_lower(q, a, nE=P, nF=Pi, k=k)
+    branch = "large_E" if ge(P, 1, 3 * a) else "small_E"
+    assert low.bound_name == f"distance_dot_lower[{branch}]"
+    assert low.hypotheses == {"alpha_in_0_1": alpha_ok, "F_over_2kq^a": gt(Pi, 2 * k, a)}

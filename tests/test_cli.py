@@ -451,12 +451,19 @@ def _zero_distance_files(tmp_path):
     ["suite", "--name", "calibration", "--q", "3", "--alpha", "1000"],
     ["suite", "--name", "vc-plane", "--q", "3", "--alpha", "nan"],
     ["suite", "--name", "vc-plane", "--q", "3", "--alpha", "x"],
+    # exact tests past a denominator of 1000 would cost over a millisecond each
+    ["distance", "--alpha", "0.1234"],
+    ["distance", "--alpha", "1e-300"],
+    ["suite", "--name", "calibration", "--q", "3", "--alpha", "0.1234"],
+    ["suite", "--name", "calibration", "--q", "3", "--alpha", "1e-300"],
 ])
 def test_alpha_outside_double_range_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "rows.csv"
     extra = _zero_distance_files(tmp_path) if argv[0] == "distance" else ["--out", str(out)]
     assert main(argv + extra) == 1
-    assert "alpha must be a number with |alpha| <= 16" in _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    assert "alpha must be a number with |alpha| <= 16" in line
+    assert f"and a denominator of at most 1000, got {argv[-1]!r}" in line
     assert not out.exists()
 
 

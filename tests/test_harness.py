@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fqincidence import harness
@@ -10,7 +12,6 @@ from fqincidence.harness import (
     preset,
     random_config,
     rng_for,
-    round_half_up,
     run_suite,
     sample_field_subset,
     sample_lines,
@@ -29,10 +30,17 @@ def test_split_prime_power():
         split_prime_power(12)
 
 
-def test_round_half_up():
-    assert round_half_up(1.5) == 2
-    assert round_half_up(2.4999) == 2
-    assert round_half_up(2.5) == 3
+def test_scales_round_exactly():
+    # 4096^(1/6) = 4 and 1024^(3/10) = 8 exactly, while the doubles read
+    # 3.9999999999999996 and 7.999999999999999
+    assert harness._rounded(4096, Fraction(1, 6)) == 4
+    assert harness._rounded(3, 1, Fraction(1, 2)) == 2  # 1.5 rounds half up
+    assert harness._rounded(9, Fraction(1, 8)) == 1
+    assert harness._ceil(4096, Fraction(7, 6), 2) == 32768
+    assert harness._ceil(1024, Fraction(3, 10)) == 8
+    assert harness._ceil(9, Fraction(1, 2), 4) == 12
+    assert harness._ceil(9, Fraction(3, 2), 2) == 54
+    assert harness._ceil(9, Fraction(3, 2) + Fraction(1, 1000), 2) == 55
 
 
 def test_rng_determinism():
@@ -89,14 +97,14 @@ def test_preset_plane3_q9_sizes():
 
 def test_preset_light_presets():
     pc = preset("light-1", 9)
-    assert pc.k == round_half_up(9 ** 0.125)
+    assert pc.k == 1  # 9^(1/8) = 1.316...
     from fqincidence.geom import max_shared_collinear
 
     fs = field_for_order(9)
     assert max_shared_collinear(fs, pc.points, pc.planes) <= pc.k
     pc2 = preset("light-2", 5)
     assert pc2.k == 5
-    assert pc2.sizes["points"] == round_half_up(2 * 5 ** (4 / 3))
+    assert pc2.sizes["points"] == 17  # 2 * 5^(4/3) = 17.09...
 
 
 def test_preset_q2_unrealizable():
@@ -232,6 +240,14 @@ def test_suite_writes_csv(tmp_path):
     text = out.read_text().splitlines()
     assert text[0].startswith("suite,q,alpha,trial,seed")
     assert len(text) == 2
+
+
+def test_run_suite_refuses_negative_trials_before_touching_out(tmp_path):
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="trials"):
+        run_suite(ExperimentConfig(7, 1, "calibration", trials=-3, out=str(out)))
+    assert not out.exists()
+    assert run_suite(ExperimentConfig(7, 1, "calibration", trials=0)).rows == []
 
 
 def test_suite_rows_deterministic_modulo_elapsed():
