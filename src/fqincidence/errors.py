@@ -15,10 +15,6 @@ class DegreeOutOfRange(ToolkitError):
     pass
 
 
-class NoIrreducibleFound(ToolkitError):
-    """No irreducible modulus exists; unreachable for valid (p, n)."""
-
-
 class DivisionByZero(ToolkitError, ZeroDivisionError):
     pass
 

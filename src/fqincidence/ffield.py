@@ -111,7 +111,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DivisionByZero, NoIrreducibleFound, NotPrime
+from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
 
 # Desk-scale caps.
 MAX_ORDER = 1 << 20
@@ -220,10 +220,9 @@ def make_field(p: int, n: int) -> "FieldSpec":
         modulus = (0, 1)  # degree-1 placeholder: the class of x
     else:
         # Lexicographic scan: the constant coefficient is the most significant.
-        modulus = next((c + (1,) for c in product(range(p), repeat=n)
-                        if _is_irreducible(list(c) + [1], p, n)), None)
-        if modulus is None:
-            raise NoIrreducibleFound(f"no irreducible modulus for GF({p}^{n})")
+        # GF(p) has a monic irreducible of every degree, so the scan ends.
+        modulus = next(c + (1,) for c in product(range(p), repeat=n)
+                       if _is_irreducible(list(c) + [1], p, n))
     return FieldSpec(p, n, modulus)
 
 

@@ -13,6 +13,7 @@ violations, and writes the CSV.
 """
 
 import csv
+import math
 import os
 import random
 import time
@@ -74,20 +75,19 @@ def _ceil(q: int, u, c=1) -> int:
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """Factor q as p^n or raise; the order cap is checked before any trial
-    division, whose cost grows with q."""
+    division, which stops at sqrt(q): a q with no divisor up to there is prime."""
     if q > MAX_ORDER:
         raise DegreeOutOfRange(f"q = {q} exceeds the cap {MAX_ORDER}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m == 1:
-                return p, n
-            raise Unrealizable(f"q = {q} is not a prime power")
-    raise Unrealizable(f"q = {q} is not a prime power")
+    if q < 2:
+        raise Unrealizable(f"q = {q} is not a prime power")
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    n, m = 0, q
+    while m % p == 0:
+        m //= p
+        n += 1
+    if m != 1:
+        raise Unrealizable(f"q = {q} is not a prime power")
+    return p, n
 
 
 def field_for_order(q: int) -> FieldSpec:

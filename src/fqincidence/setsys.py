@@ -102,78 +102,77 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     """Exact VC dimension capped at d_max.
 
     Search budget: sum of C(ground_size, i) for i <= d_max must stay within
-    10^7.  Only elements some member holds and some avoids (the shattered
-    singletons) take part.  Each level d >= 2 asks _shattered for a
-    shattered d-set among the d-subsets of members (a shattered set realizes
-    its full trace, so lies in a member), or among all d-sets of singletons
-    when those are fewer; the members' element rows are built once per call.
-    The answer is exact, as if is_shattered ran on every set.  The empty
-    family is assigned dimension 0.
+    10^7.  Each level d >= 2 asks the system's search state (_Search, built
+    once per system and shared with shatter_function) whether a d-set is
+    shattered.  The answer is exact, as if is_shattered ran on every set.
+    The empty family is assigned dimension 0.
     """
     if not 1 <= d_max <= 6:
         raise ValueError("d_max must be in [1, 6]")
     n = system.ground_size
     if sum(comb(n, i) for i in range(1, d_max + 1)) > VC_BUDGET:
         raise BudgetExceeded("subset search over 10^7 combinations")
-    members = sorted(set(system.family))
-    inc, cols, ncols = _columns(members, n)
-    singles, rows = _member_rows(inc)
-    best = min(1, singles.size)
-    for d in range(2, d_max + 1):
-        groups = _member_groups(rows, d, singles.size)
-        if not _shattered(cols, ncols, [singles[None]] if groups is None else groups, d):
-            break
-        best = d
+    state = _search(n, tuple(sorted(set(system.family))))
+    best = min(1, state.singles.size)
+    while best < d_max and state.shattered(best + 1):
+        best += 1
     return VcResult(best, best == d_max)
 
 
-def _columns(members, n):
-    """Bit-sliced members: inc[i, e] = 1 iff member i holds e, cols[e] packs
-    column e into uint64 words (bit i = member i), ncols = ~cols in those bits."""
-    nbytes, words = (n + 7) // 8, max(1, -(-len(members) // 64))
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in members)
-    inc = np.frombuffer(raw, np.uint8).reshape(len(members), nbytes)
-    inc = np.unpackbits(inc, axis=1, count=n, bitorder="little")
-    every = np.ones((1, len(members)), np.uint8)  # row n: every member's bit
-    bits = np.packbits(np.vstack((inc.T, every)), axis=1, bitorder="little")
-    cols = np.zeros((n + 1, words), np.uint64)
-    cols.view(np.uint8)[:, : bits.shape[1]] = bits
-    return inc, cols, ~cols & cols[n]
+class _Search:
+    """One system's search state: cols[e] packs column e of the distinct
+    members into uint64 words (bit i = member i; row n: every member's bit),
+    ncols = ~cols in those bits; the shattered singletons (elements some
+    member holds and some avoids); each member's elements among them, one
+    (members, k) array of rows per size k; each level's answer, once asked."""
+
+    def __init__(self, n, members):
+        nbytes, words = (n + 7) // 8, max(1, -(-len(members) // 64))
+        raw = b"".join(m.to_bytes(nbytes, "little") for m in members)
+        inc = np.frombuffer(raw, np.uint8).reshape(len(members), nbytes)
+        inc = np.unpackbits(inc, axis=1, count=n, bitorder="little")
+        every = np.ones((1, len(members)), np.uint8)
+        bits = np.packbits(np.vstack((inc.T, every)), axis=1, bitorder="little")
+        self.cols = np.zeros((n + 1, words), np.uint64)
+        self.cols.view(np.uint8)[:, : bits.shape[1]] = bits
+        self.ncols = ~self.cols & self.cols[n]
+        held = inc.sum(axis=0)
+        self.singles = np.flatnonzero((held > 0) & (held < len(members)))
+        inc = inc[:, self.singles]
+        sizes = inc.sum(axis=1, dtype=np.intp)
+        flat = self.singles[np.nonzero(inc[np.argsort(sizes, kind="stable")])[1]]
+        self.rows, end = [], 0
+        for k, c in enumerate(np.bincount(sizes).tolist()):
+            if c:
+                self.rows.append(flat[end : end + c * k].reshape(c, k))
+                end += c * k
+        self.answers = {}
+
+    def route(self, d):
+        """The member rows with d-subsets, or None when they hold more d-subsets
+        than the C(n, d) of a plain search over the n shattered singletons."""
+        groups = [es for es in self.rows if es.shape[1] >= d]
+        if sum(len(es) * comb(es.shape[1], d) for es in groups) <= comb(self.singles.size, d):
+            return groups
+        return None
+
+    def shattered(self, d) -> bool:
+        """True iff a d-subset of a member row (a shattered set realizes its
+        full trace, so lies in a member), or of the singletons, is shattered."""
+        if d not in self.answers:
+            groups, full = self.route(d), 1 << d
+            cands = _subsets([self.singles[None]] if groups is None else groups, d,
+                             self.cols.shape[1])
+            self.answers[d] = any(
+                _max_traces(self.cols, self.ncols, c, full - 1) == full for c in cands)
+        return self.answers[d]
 
 
-def _member_rows(inc):
-    """The shattered singletons (elements some member holds and some avoids)
-    and each member's elements among them, as one (members, k) array of
-    element rows per member size k, built once per search."""
-    held = inc.sum(axis=0)
-    singles = np.flatnonzero((held > 0) & (held < len(inc)))
-    inc = inc[:, singles]
-    sizes = inc.sum(axis=1, dtype=np.intp)
-    flat = singles[np.nonzero(inc[np.argsort(sizes, kind="stable")])[1]]
-    counts = np.bincount(sizes).tolist()
-    rows, end = [], 0
-    for k, c in enumerate(counts):
-        if c:
-            rows.append(flat[end : end + c * k].reshape(c, k))
-            end += c * k
-    return singles, rows
-
-
-def _member_groups(rows, d, n):
-    """The member rows with d-subsets, or None when they hold more d-subsets
-    than the C(n, d) of a plain search over the n shattered singletons."""
-    groups = [es for es in rows if es.shape[1] >= d]
-    if sum(len(es) * comb(es.shape[1], d) for es in groups) <= comb(n, d):
-        return groups
-    return None
-
-
-def _shattered(cols, ncols, groups, d) -> bool:
-    """True iff some d-subset of a row of groups is shattered: the level search
-    of vc_dimension and the first pass of shatter_function."""
-    full = 1 << d
-    return any(_max_traces(cols, ncols, c, full - 1) == full
-               for c in _subsets(groups, d, cols.shape[1]))
+@lru_cache(maxsize=1)
+def _search(n, members):
+    """The _Search of the last system asked for, keyed by its ground size and
+    sorted distinct members, so a changed family never reads a stale state."""
+    return _Search(n, members)
 
 
 def _subsets(groups, d, words):
@@ -264,10 +263,9 @@ class ShatterValue(NamedTuple):
 def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     """Max number of distinct traces of the family on a z-element ground subset.
 
-    A shattered z-set lies inside a member, so first, when the members hold
-    no more z-subsets than there are z-sets of shattered singletons (the
-    rule of vc_dimension), those go through _shattered, and a shattered one
-    gives 2^z.  Otherwise all C(ground_size, z) subsets (budget 10^6) run
+    First, when the system's search state has answered level z, or the
+    members hold no more z-subsets than there are z-sets of shattered
+    singletons, a shattered z-set found by the state gives 2^z.  Otherwise all C(ground_size, z) subsets (budget 10^6) run
     through the trace kernel in lexicographic blocks of about TRACE_BLOCK
     words, stopping after the first block that reaches min(2^z, distinct
     members), or min(2^z - 1, distinct members) once the first pass found
@@ -280,19 +278,16 @@ def shatter_function(system: SetSystem, z: int) -> ShatterValue:
         return ShatterValue(1 if system.family else 0)
     if comb(n, z) > SHATTER_EXACT_BUDGET:
         raise BudgetExceeded("exact shatter function over 10^6 subsets")
-    members = sorted(set(system.family))
-    inc, cols, ncols = _columns(members, n)
+    members = tuple(sorted(set(system.family)))
+    state = _search(n, members)
     most = min(1 << z, len(members))  # no set has more traces
-    if most == 1 << z:
-        singles, rows = _member_rows(inc)
-        groups = _member_groups(rows, z, singles.size)
-        if groups is not None:
-            if _shattered(cols, ncols, groups, z):
-                return ShatterValue(most)
-            most -= 1
+    if most == 1 << z and (z in state.answers or state.route(z) is not None):
+        if state.shattered(z):
+            return ShatterValue(most)
+        most -= 1
     best = 0
-    for cands in _subsets([np.arange(n)[None]], z, cols.shape[1]):
-        if (best := _max_traces(cols, ncols, cands, best)) == most:
+    for cands in _subsets([np.arange(n)[None]], z, state.cols.shape[1]):
+        if (best := _max_traces(state.cols, state.ncols, cands, best)) == most:
             break
     return ShatterValue(best)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fqincidence import geom
 from fqincidence.cli import build_parser, main
 from fqincidence.ffield import make_field
 from fqincidence.fileio import save_lines, save_planes, save_points
@@ -45,6 +46,17 @@ def test_count_oracle_method(gf5_files, capsys):
                  "--method", "oracle"])
     assert code == 0
     assert "method=oracle" in capsys.readouterr().out
+
+
+def test_count_oracle_past_its_cap_exits_one(gf5_files, capsys, monkeypatch):
+    pts, lns = gf5_files
+    monkeypatch.setattr(geom, "ORACLE_PAIR_CAP", 25 * 25 - 1)
+    code = main(["count", "--points", str(pts), "--lines", str(lns),
+                 "--method", "oracle"])
+    assert code == 1
+    assert "oracle pair count" in _one_error_line(capsys)
+    assert main(["count", "--points", str(pts), "--lines", str(lns)]) == 0
+    assert "incidences = 125" in capsys.readouterr().out
 
 
 def test_count_requires_one_flat_kind(gf5_files, capsys):

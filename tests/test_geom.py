@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from fqincidence.errors import FieldMismatch
+from fqincidence import geom
+from fqincidence.errors import FieldMismatch, SizeCap
 from fqincidence.ffield import make_field
 from fqincidence.geom import (
     Line2,
@@ -347,3 +348,13 @@ def test_field_array_rejects_wrong_dimension():
     for rows in ([(1, 2), (0, 1)], [(1, 2, 3), (1, 2)], [(1, 2, 3, 4)]):
         with pytest.raises(FieldMismatch):
             field_array(fs, rows, 3)
+
+
+def test_oracle_refuses_past_its_pair_cap(monkeypatch):
+    fs = make_field(5, 1)
+    pts = [(x, y) for x in range(5) for y in range(5)]
+    lines = [Line2("N", a, b) for a in range(5) for b in range(5)]
+    monkeypatch.setattr(geom, "ORACLE_PAIR_CAP", len(pts) * len(lines) - 1)
+    with pytest.raises(SizeCap):
+        count_incidences(fs, pts, lines, "oracle")
+    assert count_incidences(fs, pts, lines, "fast").count == 125

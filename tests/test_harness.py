@@ -26,8 +26,11 @@ def test_split_prime_power():
     assert split_prime_power(9) == (3, 2)
     assert split_prime_power(8) == (2, 3)
     assert split_prime_power(13) == (13, 1)
-    with pytest.raises(Unrealizable):
-        split_prime_power(12)
+    assert split_prime_power(1048573) == (1048573, 1)
+    assert split_prime_power(2**20) == (2, 20)
+    for q in (12, 1021 * 1019, 1, 0):
+        with pytest.raises(Unrealizable):
+            split_prime_power(q)
 
 
 def test_scales_round_exactly():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from fqincidence import geom
-from fqincidence.errors import VerticalLinePresent
+from fqincidence import geom, reductions
+from fqincidence.errors import SizeCap, VerticalLinePresent
 from fqincidence.ffield import make_field
 from fqincidence.geom import Line2, count_incidences, dot3, grid_points, max_collinear, vertical
 from fqincidence.reductions import (
@@ -65,6 +65,15 @@ def test_full_family_uniform():
         count = count_solutions(fs, lines, list(range(p)), "fast")
         assert count == p**5
         assert count_solutions(fs, lines, list(range(p)), "oracle") == p**5
+
+
+def test_oracle_refuses_past_its_tuple_cap(monkeypatch):
+    fs = make_field(3, 1)
+    lines = [Line2("N", a, b) for a in range(3) for b in range(3)]
+    monkeypatch.setattr(reductions, "ORACLE_TUPLE_CAP", (9 * 3) ** 2 - 1)
+    with pytest.raises(SizeCap):
+        count_solutions(fs, lines, [0, 1, 2], "oracle")
+    assert count_solutions(fs, lines, [0, 1, 2], "fast") == 3**5
 
 
 def test_fast_matches_oracle_and_brute_force():

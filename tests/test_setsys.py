@@ -465,3 +465,39 @@ def test_combination_tables_stay_within_the_cache_bound(monkeypatch):
         vc_dimension(system, 3)
         shatter_function(system, 2)
     assert built and max(built) <= 256 * 1024
+
+
+def test_shatter_function_reuses_the_level_vc_dimension_searched(monkeypatch):
+    # a 40 x 40 plane system over GF(7), as in the random VC workloads
+    fs = make_field(7, 1)
+    rng = random.Random(0)
+    points = decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))
+    planes = [plane_through_one(a)
+              for a in decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))]
+    system = neighborhood_system(fs, points, planes, "by_point")
+    handed = []
+
+    def counting(cols, ncols, cands, floor):
+        handed.append(len(cands))
+        return kernel(cols, ncols, cands, floor)
+
+    kernel = setsys._max_traces
+    monkeypatch.setattr(setsys, "_max_traces", counting)
+    assert vc_dimension(system, 4) == (3, False)
+    assert sum(handed) > 0
+    handed.clear()
+    assert shatter_function(system, 3).value == 8
+    assert handed == []
+
+
+def test_searches_follow_a_family_changed_in_place():
+    # every proper subset of {0, 1, 2, 3}: VC 3 until the full set joins
+    system = SetSystem.from_sets(6, [s for r in range(4) for s in combinations(range(4), r)])
+    assert vc_dimension(system, 4) == (3, False)
+    assert shatter_function(system, 4).value == 15
+    system.family.append(0b1111)
+    assert vc_dimension(system, 4) == (brute_vc_by_counts(system, 4), True) == (4, True)
+    assert shatter_function(system, 4).value == brute_shatter(system, 4) == 16
+    system.family[-1] = 0b110000
+    assert vc_dimension(system, 4) == (brute_vc_by_counts(system, 4), False)
+    assert shatter_function(system, 4).value == brute_shatter(system, 4)

@@ -1,0 +1,69 @@
+"""Source hygiene of src/fqincidence, read with ast (no linter is needed).
+
+Two checks: every private module-level function, class or constant is
+referenced somewhere in src/ outside its own definition, and every name a
+module imports is used in that module (a package's __all__ counts as a use).
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "fqincidence"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _references(tree):
+    """Every name read, attribute taken or name imported in tree, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_module_names_are_referenced(path):
+    everywhere = Counter(name for p in MODULES for name in _references(_tree(p)))
+    unused = [name for name, node in _private_definitions(_tree(path))
+              if everywhere[name] == Counter(_references(node))[name]]
+    assert not unused, f"{path.name}: {unused} are never referenced in src/"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # a package re-exports what __all__ names
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
