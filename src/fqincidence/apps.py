@@ -65,8 +65,8 @@ def distance_set(fs: FieldSpec, E, F) -> DistanceReport:
     TRIPLE_BUDGET (10^9) pairs, also when only the distance set is wanted.
     """
     _require_odd(fs)
-    E, F = list(E), list(F)
-    if not E or not F:
+    E, F = as_rows(E), as_rows(F)
+    if not len(E) or not len(F):
         raise InvalidPointSet("E and F must be nonempty")
     if len(E) * len(F) > TRIPLE_BUDGET:
         raise BudgetExceeded("distance scan over 10^9 pairs")
@@ -108,7 +108,7 @@ def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
     and, when zero_pairs <= |E||F|/2, the derived lower bound
     |distance set| >= |E|^2 |F| / (4T).
     """
-    E, F = list(E), list(F)
+    E, F = as_rows(E), as_rows(F)
     rep = distance_set(fs, E, F)
     nonzero_pairs = len(E) * len(F) - rep.zero_pairs
     rep.chain_lhs = float(nonzero_pairs) ** 2
@@ -237,12 +237,11 @@ class DotReport:
 
 def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     """Exact dot-product value set and the per-value pair counts."""
-    E, F = list(E), list(F)
-    if not E or not F:
+    E, F = as_rows(E), as_rows(F)
+    if not len(E) or not len(F):
         raise InvalidPointSet("E and F must be nonempty")
     hist = np.zeros(fs.q, dtype=np.int64)
-    blocks = fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3))
-    for vals in ffield.wide_blocks(blocks, len(F)):  # bincount widens to intp
+    for vals in fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3)):  # intp bincount
         hist += np.bincount(vals.ravel(), minlength=fs.q)
     counts = {lam: c for lam, c in enumerate(hist.tolist()) if c}
     # argmax returns the first, i.e. smallest, of the most frequent nonzero values

@@ -34,6 +34,14 @@ def exact_alpha(alpha) -> Fraction:
     return a
 
 
+def _integer(x, what: str):
+    """x as a Python int by operator.index, None as None; else ValueError naming what."""
+    try:
+        return x if x is None else operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _sign(x: int, y: int, q: int, a: int, b: int) -> int:
     """The sign of x - y * q^(a/b) for integers x, y >= 0 and b > 0, as
     x^b against y^b * q^a, a negative power of q moved to the other side."""
@@ -46,7 +54,7 @@ def _sign(x: int, y: int, q: int, a: int, b: int) -> int:
 def floor_scale(c, q: int, u) -> tuple[int, bool]:
     """floor(c * q^u) for rationals c >= 0 and u, and whether c * q^u is that
     integer, found by bisection on exact tests."""
-    c, u = Fraction(c), Fraction(u)
+    c, q, u = Fraction(c), _integer(q, "q"), Fraction(u)
     if u.denominator > ALPHA_MAX_DENOMINATOR:
         raise ValueError(f"the exponent {u} has a denominator over {ALPHA_MAX_DENOMINATOR}")
     cd, cn, a, b = c.denominator, c.numerator, u.numerator, u.denominator
@@ -254,7 +262,8 @@ def ratio_of(actual: int, value: float) -> float:
 @dataclass
 class RegimeParams:
     """Sizes and scales a bound evaluation needs; fill what applies.  alpha
-    is read by exact_alpha, so it is a Fraction once constructed."""
+    is read by exact_alpha, so it is a Fraction once constructed, and q and
+    every size by operator.index, as ints (a float: ValueError naming it)."""
 
     q: int
     alpha: Fraction
@@ -267,8 +276,9 @@ class RegimeParams:
     k: Optional[int] = None
 
     def __post_init__(self):
-        self.alpha = exact_alpha(self.alpha)
+        self.q, self.alpha = _integer(self.q, "q"), exact_alpha(self.alpha)
         for name in ("nP", "nL", "nA", "nB", "nPi", "nLx", "k"):
+            setattr(self, name, _integer(getattr(self, name), name))
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -283,7 +293,7 @@ def eval_bound(name: str, params: RegimeParams, actual: Optional[int] = None,
     """BOUNDS[name] at the sizes of params, with max_shared_collinear as the
     size 'shared'."""
     params.require(*BOUNDS[name][2])
-    n = {**vars(params), "shared": max_shared_collinear}
+    n = {**vars(params), "shared": _integer(max_shared_collinear, "max_shared_collinear")}
     return _report(name, params.q, params.alpha, n, actual)
 
 
@@ -309,12 +319,12 @@ def _report(name: str, q: int, alpha: Fraction, n: dict, actual=None) -> BoundRe
 
 def eval_vinh_line(q: int, nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
     """Main term nP*nL/q plus the deviation allowance C*sqrt(q*nP*nL), C = 2."""
-    return _report("vinh_line", q, Fraction(0), {"nP": nP, "nL": nL}, actual)
+    return eval_bound("vinh_line", RegimeParams(q, 0, nP=nP, nL=nL), actual)
 
 
 def eval_cs_line(nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
     """min{ sqrt(nP)*nL + nP, nP*sqrt(nL) + nL }; unconditional."""
-    return _report("cs_line", 1, Fraction(0), {"nP": nP, "nL": nL}, actual)
+    return eval_bound("cs_line", RegimeParams(1, 0, nP=nP, nL=nL), actual)
 
 
 def eval_thm_line(params: RegimeParams, actual: Optional[int] = None) -> BoundReport:
@@ -347,7 +357,8 @@ def eval_plane_bounds(params: RegimeParams, actual: Optional[int] = None,
 def eval_ks_distance(q: int, nE: int, nF: int) -> BoundReport:
     """The three-branch comparison lower bound for |distance set|, d = 3: the
     guaranteed size (a lower bound, not an upper bound on a count)."""
-    branch, val = _branch(KS_DISTANCE, q, (0, 1), {"nE": nE, "nF": nF}, min)
+    n = {"nE": _integer(nE, "nE"), "nF": _integer(nF, "nF")}
+    branch, val = _branch(KS_DISTANCE, _integer(q, "q"), (0, 1), n, min)
     return BoundReport(f"ks[{branch}]", val, {"min_branch": val})
 
 
@@ -355,7 +366,8 @@ def eval_distance_dot_lower(q: int, alpha, nE: int, nF: int, k: int) -> BoundRep
     """max{k, q^alpha} when nE >= q^(3 alpha), else max{k, nE/q^(2 alpha)}: the
     conclusion shape of the distance-set and dot-product theorems, asymptotic,
     so callers report measured ratios.  Records |F| > 2 k q^alpha."""
-    alpha, n = exact_alpha(alpha), {"nE": nE, "nF": nF, "k": k}
+    q, alpha = _integer(q, "q"), exact_alpha(alpha)
+    n = {"nE": _integer(nE, "nE"), "nF": _integer(nF, "nF"), "k": _integer(k, "k")}
     al = alpha.numerator, alpha.denominator
     branch, val = _branch(DISTANCE_DOT, q, al, n, max)
     return BoundReport(f"distance_dot_lower[{branch}]", val, {"max_branch": val},

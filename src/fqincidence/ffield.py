@@ -32,19 +32,12 @@ vadd, vneg and vinv work on numpy index arrays.
 
 dot_blocks yields the pairwise dot products x . y of a block of rows X
 against a fixed Y, in row blocks.  One rule sizes every block, here and in
-the kernels that step like it: a block holds PAIR_BLOCK_ELEMENTS = 2^13
-words of 8 bytes, 64 KiB, of its widest per-entry temporary, a row rounded
-up to whole words.  That block is the cache unit: it stays in L2 and below
-glibc's default mmap threshold.  On the prime float64 path, on every
-per-pair path (intp table positions) and on the odd product-table path
-(reduced through intp positions) the widest temporary is 8 bytes per
-entry, so a block has 2^13 // |Y| rows.  On the GF(2^n)
-product-table path a block stays in the tables' dtype, accumulated by
-in-place XOR, so a uint8 block has 2^13 // ceil(|Y| / 8) rows.  A consumer
-that widens a block (an intp index, a float64 copy) reads it through
-wide_blocks, in row_blocks slices, and the product tables below are built in
-the row blocks of their intp positions, so those temporaries keep to 64 KiB
-too.  The tables a call builds are bounded separately, by TABLE_ELEMENTS.
+the kernels that step like it: a block holds at most PAIR_BLOCK_ELEMENTS =
+2^13 entries, 2^13 // |Y| rows, on every path and field class.  At 8 bytes
+an entry, the widest of any path or of any consumer that widens a block
+(float64, intp), it is 64 KiB, the cache unit: it stays in L2 and below
+glibc's default mmap threshold.  The product tables below are built in row
+blocks of their intp positions and bounded by TABLE_ELEMENTS.
 
 Prime fields take one float64 BLAS product v = X . Y^T per block and reduce
 it in place to r = v - p * floor((v + 0.5) * fl(1/p)), returned as int32.
@@ -117,8 +110,8 @@ from .errors import DegreeOutOfRange, DivisionByZero, NotPrime
 MAX_ORDER = 1 << 20
 MAX_DEGREE = 4
 
-# 8-byte words per block of dot_blocks and of the kernels that step like it:
-# the cache unit, 64 KiB (see the module docstring).
+# Entries per block of dot_blocks and of the kernels that step like it: at
+# 8 bytes an entry, the cache unit, 64 KiB (see the module docstring).
 PAIR_BLOCK_ELEMENTS = 1 << 13
 
 # Entries of the tables a pairwise call builds once (the extension product
@@ -240,9 +233,9 @@ class FieldSpec:
 
     dot_blocks takes integer arrays X and Y of shape (rows, d) holding
     element indices and yields the |X| x |Y| matrix of x . y in row blocks:
-    consecutive rows of X against every row of Y, in row_blocks: a row
-    takes the 8-byte words of |Y| entries of the block's widest temporary
-    (the last block may have fewer rows).  The block is the cache unit; the memory a call holds
+    consecutive rows of X against every row of Y, in row_blocks(X, |Y|),
+    at most PAIR_BLOCK_ELEMENTS entries each (the last block may have fewer
+    rows).  The block is the cache unit; the memory a call holds
     beyond its blocks is its tables, at most TABLE_ELEMENTS entries.  A
     block is an integer array of values in [0, q): int32 for prime fields
     (exact through float64, see the module docstring; ValueError when
@@ -362,24 +355,11 @@ def _times(fs: FieldSpec, idx, h: int):
 
 def row_blocks(X, width: int):
     """Consecutive row slices of X, each of at least one row and at most
-    PAIR_BLOCK_ELEMENTS words when a row takes width 8-byte words (width
-    entries of 8 bytes, or fewer words of narrower ones, rounded up): the
-    block rule of dot_blocks and of every kernel that steps like it (pass
+    PAIR_BLOCK_ELEMENTS entries when a row takes width entries: the block
+    rule of dot_blocks and of every kernel that steps like it (pass
     np.arange(n) for blocks of row indices)."""
     step = max(1, PAIR_BLOCK_ELEMENTS // max(width, 1))
     return (X[start:start + step] for start in range(0, len(X), step))
-
-
-def wide_blocks(blocks, width: int):
-    """The blocks of dot_blocks against width columns for a consumer that
-    widens every entry to 8 bytes: a block past the 8-byte rule (a GF(2^n)
-    block of narrow entries) comes back in its row_blocks slices, any other
-    block whole."""
-    for block in blocks:
-        if len(block) * width <= PAIR_BLOCK_ELEMENTS:
-            yield block
-        else:
-            yield from row_blocks(block, width)
 
 
 def narrow_dtype(q: int):
@@ -543,7 +523,6 @@ def _extension_backend(fs: FieldSpec) -> dict:
             raise DivisionByZero("inverse of 0")
         return exp[np.subtract(m, log[a], dtype=np.intp)]
 
-    narrow = narrow_dtype(q)
     if p == 2:
         # an index packs the GF(2) coefficients as bits, so XOR adds digit
         # vectors without carries: an index is its own packed sum, any number
@@ -552,7 +531,8 @@ def _extension_backend(fs: FieldSpec) -> dict:
         add = sub = vadd = operator.xor
         neg = vneg = lambda a: a
         is_square = lambda e: True
-        packed, add_in, most, finish, table_dtype = exp, operator.ixor, math.inf, None, narrow
+        packed, add_in, most, finish = exp, operator.ixor, math.inf, None
+        table_dtype = narrow_dtype(q)
     else:
         # a + b is the two-term packed sum, reduced like a block of dot_blocks
         packed, most, finish, add = _packed_sums(fs, powers, log)
@@ -605,14 +585,11 @@ def _extension_backend(fs: FieldSpec) -> dict:
             block = slice(a.start, a.stop)
             for j in range(d):
                 products[j, block] = packed.take(log[block, None] + log_y[j])
-        # XOR keeps a block in the tables' dtype, |Y| entries in whole words;
-        # an odd block is reduced through intp positions, a word per entry
-        width = -(-len(Y) * np.dtype(narrow).itemsize // 8) if p == 2 else len(Y)
 
         def gathered(rows, j):
             return products[j].take(rows[:, j], axis=0)
 
-        yield from sums(row_blocks(X, width), gathered, d)
+        yield from sums(row_blocks(X, len(Y)), gathered, d)
 
     return dict(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow=power,
                 is_square=is_square, vmul=vmul, vadd=vadd, vneg=vneg, vinv=vinv,

@@ -6,8 +6,9 @@ are stored as (normal, rhs) for {x : normal . x = rhs}; the affine_one flag
 marks planes kept in the normalized form normal . x = 1 instead of the
 scaled canonical form.
 
-Everything here is affine and exact; there is no projective geometry and no
-floating point.
+Everything here is affine and exact; there is no projective geometry, and
+the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
+2^53) and of every prime-field dot_blocks block (see ffield) is exact.
 """
 
 from itertools import chain
@@ -196,16 +197,16 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    points = list(points)
+    points = as_rows(points)
     flats = list(flats)
-    if not points or not flats:
+    if not len(points) or not flats:
         return IncidenceCount(0, method)
     lines = isinstance(flats[0], Line2)
     pts, rows = check_incidence_input(fs, points, flats, lines)
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
-        return IncidenceCount(_count_oracle(fs, points, flats, lines), "oracle")
+        return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, lines), "oracle")
     if lines:
         return IncidenceCount(_count_lines_fast(fs, pts, *rows), "fast")
     nrm, rhs = rows
@@ -274,7 +275,7 @@ def flat_counts(fs: FieldSpec, X, D, dir_id, val):
 
     counts = np.zeros(len(X), dtype=np.int64)
     start = 0
-    for vals in ffield.wide_blocks(fs.dot_blocks(X, D), len(D)):  # gathered at intp positions
+    for vals in fs.dot_blocks(X, D):  # gathered at intp positions
         counts[start:start + len(vals)] = hits(vals + offset).sum(axis=1, dtype=np.uint32)
         start += len(vals)
     return counts
@@ -422,7 +423,7 @@ def max_shared_collinear(fs, points, planes) -> int:
     best = 0
     for lo in range(0, len(planes), step):
         gram = np.zeros((len(key[lo:lo + step]), len(planes)))
-        for vals in ffield.wide_blocks(fs.dot_blocks(pts, nrm), len(planes)):  # float64 copies
+        for vals in fs.dot_blocks(pts, nrm):  # float64 copies
             on = (vals == rhs).astype(np.float64)
             gram += on[:, lo:lo + step].T @ on
         gram[key[lo:lo + step, None] == key] = 0

@@ -5,6 +5,7 @@ family is a multiset (duplicates preserved, since neighborhood families can
 repeat).  All exponential searches carry explicit budgets.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, islice
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SubsetTooLarge
 from .ffield import FieldSpec
-from .geom import check_incidence_input
+from .geom import as_rows, check_incidence_input
 
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
@@ -25,13 +26,15 @@ TRACE_BLOCK = 1 << 16  # atom words per candidate block of the trace kernel
 
 @dataclass
 class SetSystem:
-    """Ground set [0, ground_size) plus a multiset family of subsets."""
+    """Ground set [0, ground_size) plus a multiset family of subsets; members
+    and elements are read by operator.index, so a float is a ValueError."""
 
     ground_size: int
     family: list[int]  # one bitmask per member
 
     def __post_init__(self):
         limit = 1 << self.ground_size
+        self.family = [_integer(m, "family member") for m in self.family]
         for m in self.family:
             if not 0 <= m < limit:
                 raise ValueError("family member outside the ground set")
@@ -41,7 +44,7 @@ class SetSystem:
         masks = []
         for s in sets:
             m = 0
-            for e in s:
+            for e in map(_integer, s):
                 if not 0 <= e < ground_size:
                     raise ValueError(f"element {e} outside ground set")
                 m |= 1 << e
@@ -51,6 +54,14 @@ class SetSystem:
     def member_elements(self, i: int) -> tuple[int, ...]:
         m = self.family[i]
         return tuple(e for e in range(m.bit_length()) if m >> e & 1)
+
+
+def _integer(x, what: str = "element") -> int:
+    """x as a Python int; ValueError naming what for a non-integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
@@ -64,7 +75,7 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
     """
     if side not in ("by_point", "by_plane"):
         raise ValueError(f"side must be by_point or by_plane, got {side!r}")
-    points = list(points)
+    points = as_rows(points)
     planes = list(planes)
     pts, (nrm, rhs) = check_incidence_input(fs, points, planes, lines=False)
     pts = np.column_stack([pts, np.ones(len(pts), dtype=np.int64)])
@@ -80,7 +91,7 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
 
 def is_shattered(system: SetSystem, subset) -> bool:
     """True iff every one of the 2^|S| traces A & S is realized by the family."""
-    s = sorted(set(subset))
+    s = sorted(set(map(_integer, subset)))
     if len(s) > SHATTER_SUBSET_CAP:
         raise SubsetTooLarge(f"|S| = {len(s)} exceeds {SHATTER_SUBSET_CAP}")
     for e in s:

@@ -558,7 +558,9 @@ def test_point_shapes_give_the_tuple_result(name, shape, p, n):
 
 
 # the calls that used to split an array into a list of row arrays
-ARRAY_WHOLE = ["distinct_points3", "max_collinear-2d", "regular_subset", "trace_pairs"]
+ARRAY_WHOLE = ["count_incidences-lines", "count_incidences-planes", "count_incidences-oracle",
+               "distinct_points3", "max_collinear-2d", "neighborhood_system", "distance_set",
+               "triple_count_T", "dot_product_set", "regular_subset", "trace_pairs"]
 
 
 @pytest.mark.parametrize("name", ARRAY_WHOLE)
@@ -580,6 +582,14 @@ def test_int64_arrays_reach_field_array_unsplit(name, monkeypatch):
         got = SHAPES[name](fs, int64_array)
     assert made and all(any(rows is arr for rows in seen) for arr in made)
     assert got == SHAPES[name](fs, list)
+
+
+def test_oracle_counts_an_array_in_python_ints():
+    fs = make_field(5, 1)
+    for points, flats in ((P3, PLANES), (P2, [Line2("N", 1, 1), Line2("V", 0, 0)])):
+        got = count_incidences(fs, np.array(points), flats, "oracle")
+        assert type(got.count) is int
+        assert got == count_incidences(fs, points, flats, "fast")._replace(method="oracle")
 
 
 @pytest.mark.parametrize("bad", [

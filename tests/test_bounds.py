@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,13 @@ from fqincidence.bounds import (
     BoundReport,
     RegimeParams,
     eval_cs_line,
+    eval_bound,
     eval_distance_dot_lower,
     eval_ks_distance,
     eval_plane_bounds,
     eval_thm_line,
     eval_vinh_line,
+    floor_scale,
     holds,
     ratio_of,
     regime_report,
@@ -263,6 +266,50 @@ def test_regime_params_validation():
     params = RegimeParams(q=5, alpha=0.5)
     with pytest.raises(ValueError):
         params.require("nP")
+
+
+def _integer_calls(n):
+    """Every exact entry point of bounds, with q and each size made by n."""
+    line = RegimeParams(q=n(1021), alpha=0.3, nL=n(500), nA=n(20), nB=n(300), nLx=n(40))
+    plane = RegimeParams(q=n(101), alpha=0.5, nP=n(3000), nPi=n(3000), k=n(5))
+    return [
+        regime_report(line),
+        regime_report(plane, max_shared_collinear=n(3)),
+        eval_bound("thm13_by_points", plane),
+        eval_bound("thm14", plane, max_shared_collinear=n(3)),
+        eval_plane_bounds(plane, max_shared_collinear=n(3)),
+        eval_vinh_line(n(101), n(3000), n(2000)),
+        eval_cs_line(n(3000), n(2000)),
+        eval_ks_distance(n(101), n(5), n(7)),
+        eval_distance_dot_lower(n(101), 0.5, n(3000), n(40), n(5)),
+        floor_scale(1, n(1021), 0.5),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_numpy_integers_are_read_as_ints(dtype):
+    # values, hypotheses, flags and winner as for Python ints, decided in
+    # Python ints: a numpy comparison would return numpy booleans
+    assert _integer_calls(dtype) == _integer_calls(int)
+    params = RegimeParams(q=dtype(101), alpha=0.5, nP=dtype(7), nPi=dtype(9))
+    assert {type(params.q), type(params.nP), type(params.nPi)} == {int}
+
+
+def test_non_integer_sizes_are_refused():
+    for kwargs in ({"nP": 2.5}, {"nPi": 2.5}, {"q": 101.0}, {"k": "3"}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RegimeParams(**{"q": 101, "alpha": 0.5, "nP": 3, "nPi": 3, **kwargs})
+    plane = RegimeParams(q=101, alpha=0.5, nP=3000, nPi=3000, k=5)
+    calls = [lambda: eval_bound("thm14", plane, max_shared_collinear=2.5),
+             lambda: eval_plane_bounds(plane, max_shared_collinear=2.5),
+             lambda: regime_report(plane, max_shared_collinear=2.5),
+             lambda: eval_vinh_line(101, 2.5, 3), lambda: eval_vinh_line(101.0, 2, 3),
+             lambda: eval_cs_line(2, 2.5), lambda: eval_ks_distance(101, 2.5, 7),
+             lambda: eval_distance_dot_lower(101, 0.5, 3, 4, 2.5),
+             lambda: floor_scale(1, 2.5, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3, 10), 0.3])

@@ -153,7 +153,7 @@ def test_kernels_agree_in_small_blocks(data):
 @given(st.data())
 def test_max_shared_collinear_agrees_in_small_gf2_slices(data):
     # with q or more points GF(2^n) takes the product tables, and under a
-    # small budget the float64 copy walks each uint8 block in several slices
+    # small budget its uint8 blocks, copied to float64, take a few rows each
     fs = data.draw(_fields(EVEN_EXT))
     pts = data.draw(point_sets(fs, min_size=fs.q))
     planes = data.draw(plane_sets(fs, pts))

@@ -310,15 +310,15 @@ def test_vectorised_ops_match_scalar(p, n):
 
 @pytest.mark.parametrize("p,n", [(7, 1), (2, 3), (3, 2), (5, 4)])
 def test_dot_blocks_match_raw_dot(p, n, monkeypatch):
-    # a budget of 50 words cuts 23 rows against 17 into blocks of 2 rows of
-    # 17 words, or for GF(8)'s uint8 table blocks of 16 rows of 3 words
+    # a budget of 50 entries cuts 23 rows against 17 into blocks of 2 rows,
+    # GF(8)'s uint8 table blocks included
     monkeypatch.setattr(ffield, "PAIR_BLOCK_ELEMENTS", 50)
     fs = make_field(p, n)
     rng = np.random.default_rng(fs.q)
     X = rng.integers(0, fs.q, size=(23, 3))
     Y = rng.integers(0, fs.q, size=(17, 3))
     blocks = list(fs.dot_blocks(X, Y))
-    assert [len(blk) for blk in blocks] == ([16, 7] if p == 2 else [2] * 11 + [1])
+    assert [len(blk) for blk in blocks] == [2] * 11 + [1]
     got = np.vstack(blocks).tolist()
     assert got == [[raw_dot(fs, x, y) for y in Y] for x in X]
 
@@ -336,8 +336,7 @@ TABLE_FIELDS = [(2, 3), (2, 4), (3, 4), (7, 2), (17, 2), (5, 4)]
 @given(data=st.data())
 def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
     # "tables": q <= |X| and q * |Y| within the table cap, so the product
-    # tables serve blocks of q rows (q |Y| for p = 2, whose uint8 rows of
-    # |Y| <= 6 entries take one word each); "few_rows" (|X| < q) and
+    # tables serve blocks of q rows; "few_rows" (|X| < q) and
     # "wide_y" (q * |Y| one over the cap, blocks of q - 1 rows) take the
     # per-pair path
     fs = make_field(p, n)
@@ -357,7 +356,7 @@ def test_dot_blocks_both_paths_match_raw_dot(p, n, shape, data):
         mp.setattr(ffield, "PAIR_BLOCK_ELEMENTS", budget)
         mp.setattr(ffield, "TABLE_ELEMENTS", budget)
         blocks = list(fs.dot_blocks(X, Y))
-    step = budget // (-(-ny // 8) if p == 2 and shape == "tables" else ny)
+    step = budget // ny
     assert [len(blk) for blk in blocks] == [min(step, nx - s) for s in range(0, nx, step)]
     got = np.vstack(blocks)
     assert got.min() >= 0 and got.max() < q
@@ -466,11 +465,10 @@ def test_prime_block_refuses_sums_past_the_exact_range():
 def test_blocks_hold_max_1_budget_over_y_rows(p, n, ny):
     # at the default constants, on both backends and both extension paths:
     # the product tables where q <= |X| and q * |Y| is within the table cap,
-    # per pair where not.  A row takes |Y| words, or ceil(|Y| / 8) in the
-    # uint8 blocks of the GF(16) tables.
+    # per pair where not.  A block holds 2^13 // |Y| rows on every path.
     fs = make_field(p, n)
     tables = fs.q == 16 and fs.q * ny <= ffield.TABLE_ELEMENTS  # and |X| >= 16
-    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // (-(-ny // 8) if tables else ny))
+    step = max(1, ffield.PAIR_BLOCK_ELEMENTS // ny)
     nx = max(2 * step + 3, 16)
     rng = np.random.default_rng(ny)
     X = rng.integers(0, fs.q, size=(nx, 3))

@@ -5,8 +5,8 @@ three times: at the default block budget; with PAIR_BLOCK_ELEMENTS and
 TABLE_ELEMENTS cut to 50, so that inputs with more than 50 columns get one
 row per block and smaller ones several rows per block (and flat_counts
 takes its sorted-key form on every field); and with PAIR_BLOCK_ELEMENTS alone
-cut to 50, so that GF(16) keeps its product tables and the consumers that
-widen its uint8 blocks walk each in several slices.  The references below
+cut to 50, so that GF(16) keeps its product tables and its uint8 blocks,
+widened by the consumers, take a few rows each.  The references below
 are the double loops over scalar field arithmetic that the kernels replaced.
 """
 
@@ -314,8 +314,9 @@ def test_gf81_regular_subset_stays_in_block_memory():
 
 
 # 1.25 times the traced peak of the whole-space GF(16) dot_product_set, whose
-# bincount widens each 64 KiB uint8 block in row_blocks slices: 708 KB.  An
-# unsliced bincount makes a 512 KiB intp copy of every block and peaks at
+# bincount widens each uint8 block of at most 2^13 entries to 64 KiB of intp:
+# 708 KB, and 757 KB once GF(2^n) blocks took the one block rule.  A bincount
+# of 64 KiB uint8 blocks makes a 512 KiB intp copy of each and peaks at
 # 1.10 MB.
 GF16_DOT_PEAK_PIN = 885_000
 

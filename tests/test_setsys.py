@@ -47,6 +47,37 @@ def test_from_sets_roundtrip_and_sizes():
         SetSystem.from_sets(3, [[3]])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_numpy_members_and_elements_read_as_ints(dtype):
+    # 1 << np.int64(70) is 0 in numpy, so element 70 must be shifted as an int
+    sets = [[70, 71], [70], [71], [], [0, 70, 99], [5, 71, 3]]
+    lists = SetSystem.from_sets(100, sets)
+    rows = SetSystem.from_sets(100, [np.array(s, dtype=dtype) for s in sets])
+    assert rows.family == lists.family and lists.family[1] == 1 << 70
+    assert {type(m) for m in rows.family} == {int}
+    assert vc_dimension(rows, 3) == vc_dimension(lists, 3) == (2, False)
+    assert shatter_function(rows, 2) == shatter_function(lists, 2)
+    for subset in ([70, 71], [0, 70], [3, 5, 71]):
+        assert is_shattered(lists, np.array(subset, dtype=dtype)) == is_shattered(lists, subset)
+    assert is_shattered(lists, np.array([70, 71], dtype=dtype)) is True
+    # members given as numpy integers
+    members = list(np.array([0, 1, 2, 3, 5], dtype=dtype))
+    masks, plain = SetSystem(4, members), SetSystem(4, [0, 1, 2, 3, 5])
+    assert masks.family == plain.family and {type(m) for m in masks.family} == {int}
+    assert vc_dimension(masks, 3) == vc_dimension(plain, 3)
+    assert shatter_function(masks, 2) == shatter_function(plain, 2)
+    assert masks.member_elements(4) == (0, 2)
+
+
+def test_non_integer_members_and_elements_are_refused():
+    with pytest.raises(ValueError, match="family member 1.0 is not an integer"):
+        SetSystem(4, [1.0, 2])
+    with pytest.raises(ValueError, match="element 1.0 is not an integer"):
+        SetSystem.from_sets(4, [[1.0]])
+    with pytest.raises(ValueError, match="not an integer"):
+        is_shattered(powerset_system(3), [0, 1.5])
+
+
 def test_neighborhood_sizes_gf3():
     fs = make_field(3, 1)
     planes = all_planes_through_one(fs)
