@@ -34,12 +34,19 @@ def exact_alpha(alpha) -> Fraction:
     return a
 
 
-def _integer(x, what: str):
-    """x as a Python int by operator.index, None as None; else ValueError naming what."""
+def _integer(x, what: str) -> int:
+    """x as a Python int by operator.index; else ValueError naming what."""
     try:
-        return x if x is None else operator.index(x)
+        return operator.index(x)
     except TypeError:
         raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
+def _order(q) -> int:
+    """q as a Python int; ValueError naming q for a non-integer or q < 2."""
+    if (q := _integer(q, "q")) < 2:
+        raise ValueError(f"the order q = {q} is below 2")
+    return q
 
 
 def _sign(x: int, y: int, q: int, a: int, b: int) -> int:
@@ -54,7 +61,7 @@ def _sign(x: int, y: int, q: int, a: int, b: int) -> int:
 def floor_scale(c, q: int, u) -> tuple[int, bool]:
     """floor(c * q^u) for rationals c >= 0 and u, and whether c * q^u is that
     integer, found by bisection on exact tests."""
-    c, q, u = Fraction(c), _integer(q, "q"), Fraction(u)
+    c, q, u = Fraction(c), _order(q), Fraction(u)
     if u.denominator > ALPHA_MAX_DENOMINATOR:
         raise ValueError(f"the exponent {u} has a denominator over {ALPHA_MAX_DENOMINATOR}")
     cd, cn, a, b = c.denominator, c.numerator, u.numerator, u.denominator
@@ -263,7 +270,8 @@ def ratio_of(actual: int, value: float) -> float:
 class RegimeParams:
     """Sizes and scales a bound evaluation needs; fill what applies.  alpha
     is read by exact_alpha, so it is a Fraction once constructed, and q and
-    every size by operator.index, as ints (a float: ValueError naming it)."""
+    every size by operator.index, as ints (a float: ValueError naming it);
+    q < 2 and a negative size are ValueErrors too."""
 
     q: int
     alpha: Fraction
@@ -276,11 +284,12 @@ class RegimeParams:
     k: Optional[int] = None
 
     def __post_init__(self):
-        self.q, self.alpha = _integer(self.q, "q"), exact_alpha(self.alpha)
+        self.q, self.alpha = _order(self.q), exact_alpha(self.alpha)
         for name in ("nP", "nL", "nA", "nB", "nPi", "nLx", "k"):
-            setattr(self, name, _integer(getattr(self, name), name))
-            if (getattr(self, name) or 0) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if (n := getattr(self, name)) is not None:
+                if (n := _integer(n, name)) < 0:
+                    raise ValueError(f"{name} must be nonnegative")
+                setattr(self, name, n)
 
     def require(self, *names) -> None:
         missing = [n for n in names if getattr(self, n) is None]
@@ -293,7 +302,9 @@ def eval_bound(name: str, params: RegimeParams, actual: Optional[int] = None,
     """BOUNDS[name] at the sizes of params, with max_shared_collinear as the
     size 'shared'."""
     params.require(*BOUNDS[name][2])
-    n = {**vars(params), "shared": _integer(max_shared_collinear, "max_shared_collinear")}
+    shared = max_shared_collinear
+    shared = shared if shared is None else _integer(shared, "max_shared_collinear")
+    n = {**vars(params), "shared": shared}
     return _report(name, params.q, params.alpha, n, actual)
 
 
@@ -324,7 +335,7 @@ def eval_vinh_line(q: int, nP: int, nL: int, actual: Optional[int] = None) -> Bo
 
 def eval_cs_line(nP: int, nL: int, actual: Optional[int] = None) -> BoundReport:
     """min{ sqrt(nP)*nL + nP, nP*sqrt(nL) + nL }; unconditional."""
-    return eval_bound("cs_line", RegimeParams(1, 0, nP=nP, nL=nL), actual)
+    return eval_bound("cs_line", RegimeParams(2, 0, nP=nP, nL=nL), actual)  # no q term
 
 
 def eval_thm_line(params: RegimeParams, actual: Optional[int] = None) -> BoundReport:
@@ -358,7 +369,7 @@ def eval_ks_distance(q: int, nE: int, nF: int) -> BoundReport:
     """The three-branch comparison lower bound for |distance set|, d = 3: the
     guaranteed size (a lower bound, not an upper bound on a count)."""
     n = {"nE": _integer(nE, "nE"), "nF": _integer(nF, "nF")}
-    branch, val = _branch(KS_DISTANCE, _integer(q, "q"), (0, 1), n, min)
+    branch, val = _branch(KS_DISTANCE, _order(q), (0, 1), n, min)
     return BoundReport(f"ks[{branch}]", val, {"min_branch": val})
 
 
@@ -366,7 +377,7 @@ def eval_distance_dot_lower(q: int, alpha, nE: int, nF: int, k: int) -> BoundRep
     """max{k, q^alpha} when nE >= q^(3 alpha), else max{k, nE/q^(2 alpha)}: the
     conclusion shape of the distance-set and dot-product theorems, asymptotic,
     so callers report measured ratios.  Records |F| > 2 k q^alpha."""
-    q, alpha = _integer(q, "q"), exact_alpha(alpha)
+    q, alpha = _order(q), exact_alpha(alpha)
     n = {"nE": _integer(nE, "nE"), "nF": _integer(nF, "nF"), "k": _integer(k, "k")}
     al = alpha.numerator, alpha.denominator
     branch, val = _branch(DISTANCE_DOT, q, al, n, max)

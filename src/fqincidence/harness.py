@@ -185,16 +185,17 @@ _LINE_PRESETS = {
 }
 
 _PLANE_PRESETS = {
-    # alpha, plane exponent, point exponent, point factor, collinearity cap
+    # alpha, plane exponent, point exponent, point factor, e of the cap k = q^e
     "plane-1": (F(1, 5), F(5, 4), 1, 1, None),
     "plane-2": (F(1, 5), F(5, 4), F(4, 3), 1, None),
     "plane-3": (F(1, 3), F(3, 2), F(11, 10), 1, None),
-    "light-1": (F(1, 3), F(8, 9), F(1, 2), 1, "q^1/8"),
-    "light-2": (F(1, 3), F(5, 4), F(4, 3), 2, "q"),
+    "light-1": (F(1, 3), F(8, 9), F(1, 2), 1, F(1, 8)),
+    "light-2": (F(1, 3), F(5, 4), F(4, 3), 2, 1),
 }
 
 PRESET_NAMES = (*_LINE_PRESETS, *_PLANE_PRESETS)
-_LIGHT1_ATTEMPTS = 500
+_PRESET_MIN_Q = 3
+_CAP_ATTEMPTS = 500
 
 
 @dataclass
@@ -217,16 +218,16 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
     """Deterministic seeded construction of one named configuration at order q.
 
     Sizes are round-half-up of the preset's nominal q-powers; structural
-    constraints (distinct slopes, the collinearity cap of light-1) are
-    enforced by rejection on the seed stream.  Raises Unrealizable naming
-    the first failing size when q is too small.  q = 2 is rejected outright:
-    its single slanted slope and single nonzero scalar degenerate every
-    preset's structured sampling.
+    constraints (distinct slopes, a collinearity cap k = q^e < q, as a line
+    holds q points) are enforced by rejection on the seed stream.  Raises
+    Unrealizable naming the first failing size when q is too small; every
+    preset builds at q = _PRESET_MIN_Q = 3, and a smaller q is refused: q = 2
+    has one slanted slope and one nonzero scalar, which degenerate them all.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; pick one of {PRESET_NAMES}")
-    if q < 3:
-        raise Unrealizable(f"preset {name}: q = {q} too small (need q >= 3)")
+    if q < _PRESET_MIN_Q:
+        raise Unrealizable(f"preset {name}: q = {q} too small (need q >= {_PRESET_MIN_Q})")
     fs = field_for_order(q)
     rng = rng_for(seed, hash_name(name), q)
     if name in _LINE_PRESETS:
@@ -269,7 +270,7 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
             a_set=a_set,
             b_set=b_set,
         )
-    alpha, pie, pe, pf, kcap = _PLANE_PRESETS[name]
+    alpha, pie, pe, pf, cap = _PLANE_PRESETS[name]
     n_pi = _rounded(q, pie)
     if n_pi > q**3 - 1:
         raise Unrealizable(f"preset {name}: {n_pi} planes exceed q^3-1")
@@ -277,21 +278,13 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
     if n_p > q**3:
         raise Unrealizable(f"preset {name}: {n_p} points exceed q^3")
     planes = sample_planes_one(rng, fs, n_pi)
-    if kcap == "q^1/8":
-        k = _rounded(q, F(1, 8))
-        points = None
-        for _ in range(_LIGHT1_ATTEMPTS):
-            cand = sample_points3(rng, fs, n_p)
-            if max_shared_collinear(fs, cand, planes) <= k:
-                points = cand
-                break
-        if points is None:
-            raise Unrealizable(
-                f"preset {name}: no point set met the collinearity cap k = {k}"
-            )
-    else:
-        k = q if kcap == "q" else None
+    k = None if cap is None else _rounded(q, cap)
+    for _ in range(_CAP_ATTEMPTS):
         points = sample_points3(rng, fs, n_p)
+        if k is None or k >= q or max_shared_collinear(fs, points, planes) <= k:
+            break
+    else:
+        raise Unrealizable(f"preset {name}: no point set met the collinearity cap k = {k}")
     sizes = {"points": n_p, "planes": n_pi}
     if k is not None:
         sizes["k"] = k
@@ -306,23 +299,6 @@ def hash_name(name: str) -> int:
     for ch in name:
         h = (h * 131 + ord(ch)) & _MASK64
     return h
-
-
-_PRESET_Q_MAX = 64
-
-
-def smallest_realizable_q(name: str) -> int:
-    for q in range(2, _PRESET_Q_MAX + 1):
-        try:
-            split_prime_power(q)
-        except Unrealizable:
-            continue
-        try:
-            preset(name, q)
-        except Unrealizable:
-            continue
-        return q
-    raise Unrealizable(f"preset {name}: nothing realizable up to q = {_PRESET_Q_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +702,10 @@ def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
 @_suite("preset-audit", "preset", "preset_q", "sizes", "actual", "winner",
         "hypothesis_ok", "flags")
 def suite_preset_audit(cfg: ExperimentConfig, fs: FieldSpec):
-    """Regime flags for all seven presets at their smallest realizable q."""
+    """Regime flags for all seven presets at q = _PRESET_MIN_Q, where each builds."""
+    q, pfs = _PRESET_MIN_Q, field_for_order(_PRESET_MIN_Q)
     for t, name in enumerate(PRESET_NAMES):
-        q = smallest_realizable_q(name)
         pc = preset(name, q, seed=cfg.seed)
-        pfs = field_for_order(q)
         if pc.kind == "line":
             actual = count_incidences(
                 pfs, grid_points(pc.a_set, pc.b_set), pc.lines, "fast").count

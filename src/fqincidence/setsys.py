@@ -5,7 +5,6 @@ family is a multiset (duplicates preserved, since neighborhood families can
 repeat).  All exponential searches carry explicit budgets.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, islice
@@ -14,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import _integer
 from .errors import BudgetExceeded, SubsetTooLarge
 from .ffield import FieldSpec
 from .geom import as_rows, check_incidence_input
@@ -26,14 +26,17 @@ TRACE_BLOCK = 1 << 16  # atom words per candidate block of the trace kernel
 
 @dataclass
 class SetSystem:
-    """Ground set [0, ground_size) plus a multiset family of subsets; members
-    and elements are read by operator.index, so a float is a ValueError."""
+    """Ground set [0, ground_size) plus a multiset family of subsets; the
+    ground size, members and elements are read by operator.index, so a float
+    is a ValueError, as is a negative ground size."""
 
     ground_size: int
     family: list[int]  # one bitmask per member
 
     def __post_init__(self):
-        limit = 1 << self.ground_size
+        if (n := _integer(self.ground_size, "ground size")) < 0:
+            raise ValueError(f"ground size {n} is negative")
+        self.ground_size, limit = n, 1 << n
         self.family = [_integer(m, "family member") for m in self.family]
         for m in self.family:
             if not 0 <= m < limit:
@@ -44,7 +47,8 @@ class SetSystem:
         masks = []
         for s in sets:
             m = 0
-            for e in map(_integer, s):
+            for e in s:
+                e = _integer(e, "element")
                 if not 0 <= e < ground_size:
                     raise ValueError(f"element {e} outside ground set")
                 m |= 1 << e
@@ -54,14 +58,6 @@ class SetSystem:
     def member_elements(self, i: int) -> tuple[int, ...]:
         m = self.family[i]
         return tuple(e for e in range(m.bit_length()) if m >> e & 1)
-
-
-def _integer(x, what: str = "element") -> int:
-    """x as a Python int; ValueError naming what for a non-integer."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
@@ -91,7 +87,7 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
 
 def is_shattered(system: SetSystem, subset) -> bool:
     """True iff every one of the 2^|S| traces A & S is realized by the family."""
-    s = sorted(set(map(_integer, subset)))
+    s = sorted({_integer(e, "element") for e in subset})
     if len(s) > SHATTER_SUBSET_CAP:
         raise SubsetTooLarge(f"|S| = {len(s)} exceeds {SHATTER_SUBSET_CAP}")
     for e in s:

@@ -79,6 +79,19 @@ def test_cs_line_upper_bounds_oracle_counts():
         assert actual <= rep.value * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("nP, nL", [(1, 10), (16, 16), (7, 40), (40, 7), (0, 5)])
+def test_cs_line_reports_do_not_depend_on_q(nP, nL):
+    # eval_cs_line passes a placeholder order: no cs_line term has a q factor
+    point = {"sqrtP_L": math.sqrt(nP) * nL, "P": nP}
+    line = {"P_sqrtL": nP * math.sqrt(nL), "L": nL}
+    terms = min(point, line, key=lambda t: sum(t.values()))
+    side = "point" if terms is point else "line"
+    rep = eval_cs_line(nP, nL, actual=3)
+    assert (rep.bound_name, rep.terms) == (f"cs_line[{side}-side]", terms)
+    for q in (2, 3, 101, 2**20):
+        assert eval_bound("cs_line", RegimeParams(q, 0, nP=nP, nL=nL), 3) == rep
+
+
 def test_thm_line_empty_b():
     params = RegimeParams(q=9, alpha=0.5, nL=5, nA=3, nB=0, nLx=2)
     assert eval_thm_line(params).value == 0
@@ -309,6 +322,16 @@ def test_non_integer_sizes_are_refused():
              lambda: floor_scale(1, 2.5, 0.5)]
     for call in calls:
         with pytest.raises(ValueError, match="is not an integer"):
+            call()
+
+
+def test_orders_below_two_are_refused():
+    calls = [lambda: eval_vinh_line(0, 3, 3), lambda: eval_ks_distance(0, 1, 1),
+             lambda: eval_vinh_line(-5, 3, 3),
+             lambda: regime_report(RegimeParams(q=1, alpha=0.5, nP=3, nPi=4)),
+             lambda: eval_distance_dot_lower(1, 0.5, 3, 3, 1), lambda: floor_scale(1, 1, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"q = -?\d is below 2"):
             call()
 
 

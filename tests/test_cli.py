@@ -62,6 +62,9 @@ def test_count_oracle_past_its_cap_exits_one(gf5_files, capsys, monkeypatch):
 def test_count_requires_one_flat_kind(gf5_files, capsys):
     pts, lns = gf5_files
     assert main(["count", "--points", str(pts)]) == 1
+    assert "pass exactly one of --lines or --planes" in _one_error_line(capsys)
+    assert main(["count", "--points", str(pts), "--lines", str(lns), "--planes", str(lns)]) == 1
+    assert "pass exactly one of --lines or --planes" in _one_error_line(capsys)
 
 
 def test_count_planes(tmp_path, capsys):
@@ -126,6 +129,31 @@ def test_dotprod(tmp_path, capsys):
     assert "|dot set| = 1" in capsys.readouterr().out
 
 
+def _gf5_frame(tmp_path):
+    """The origin, the unit vectors and (1, 1, 1) over GF(5), as a points file."""
+    path = tmp_path / "frame.txt"
+    save_points(path, make_field(5, 1), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    return str(path)
+
+
+def test_dotprod_exits_two_past_half_orthogonal_pairs(tmp_path, capsys):
+    frame = _gf5_frame(tmp_path)
+    assert main(["dotprod", "--e", frame, "--f", frame]) == 2
+    out = capsys.readouterr().out
+    assert "orthogonal pairs = 15" in out  # over |E||F|/2 = 12.5
+    assert "hypothesis violated: orthogonal pairs exceed |E||F|/2" in out
+
+
+def test_distance_alpha_exits_two_when_f_is_too_small(tmp_path, capsys):
+    frame = _gf5_frame(tmp_path)
+    assert main(["distance", "--e", frame, "--f", frame]) == 0
+    capsys.readouterr()
+    assert main(["distance", "--e", frame, "--f", frame, "--alpha", "0.5"]) == 2
+    out = capsys.readouterr().out
+    assert "bisector collinear k = 2" in out
+    assert "hypothesis violated: |F| = 5 <= 2*k*q^alpha = 8.94427" in out
+
+
 def test_traces(tmp_path, capsys):
     fs = make_field(3, 1)
     u = tmp_path / "u.txt"
@@ -178,6 +206,13 @@ def test_config_file_merging(tmp_path, capsys):
     # explicit flags win over the file
     assert main(["field-info", "--config", str(conf), "--p", "5", "--n", "1"]) == 0
     assert "q = 5" in capsys.readouterr().out
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("# the field of order 9\n\n  p = 3\n   \nn=2\n# n=5\n")
+    assert main(["field-info", "--config", str(conf)]) == 0
+    assert "q = 9" in capsys.readouterr().out
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -287,12 +322,20 @@ def test_config_method_reaches_count(gf5_files, tmp_path, capsys):
     assert "method=oracle" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line", ["name=bogus", "trials=x"])
+# the words an error line must hold, where a table row pins them
+_ERROR_WORDS = {
+    "trials 5": "config line without '='",
+    ("field-info",): "missing required option(s): p, n",
+    ("field-info", "--p", "3"): "missing required option(s): n",
+}
+
+
+@pytest.mark.parametrize("line", ["name=bogus", "trials=x", "trials 5"])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, line):
     conf = tmp_path / "run.conf"
     conf.write_text(f"name=vinh-plane\nq=3\n{line}\n")
     assert main(["suite", "--config", str(conf)]) == 1
-    _one_error_line(capsys)
+    assert _ERROR_WORDS.get(line, "") in _one_error_line(capsys)
 
 
 def test_config_choice_checked_for_flag_with_default(gf5_files, tmp_path, capsys):
@@ -310,10 +353,12 @@ def test_config_choice_checked_for_flag_with_default(gf5_files, tmp_path, capsys
     ["suite", "--q", "3", "--unknown", "1"],
     ["suite", "--name", "calibration", "--q", "7", "--trials", "-3"],
     ["nope"],
+    ["field-info"],
+    ["field-info", "--p", "3"],
 ])
 def test_usage_errors_exit_one_with_one_line(argv, capsys):
     assert main(argv) == 1
-    _one_error_line(capsys)
+    assert _ERROR_WORDS.get(tuple(argv), "") in _one_error_line(capsys)
 
 
 def test_help_still_exits_zero(capsys):

@@ -101,12 +101,25 @@ def test_saves_are_deterministic(tmp_path):
     (load_planes, "P 0 8 0 1\n"),
     (load_planes, "P 0 0 0 0\n"),  # zero normal
     (load_planes, "P 1 0 0 1.5\n"),
+    (load_points, "1,2,3,4\n"),  # four coordinates
+    (load_lines, "N 1\n"),  # a slanted line needs a and b
+    (load_planes, "Q 1 0 0 1\n"),  # not a plane record
 ])
 def test_malformed_records_rejected(tmp_path, loader, body):
     path = tmp_path / "bad.txt"
     path.write_text("# field 7 1\n" + body)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         loader(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("loader", [load_points, load_lines, load_planes])
+def test_empty_geometry_file_rejected(tmp_path, loader):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    with pytest.raises(FormatError, match="empty file") as info:
+        loader(path)
+    assert str(path) in str(info.value)
 
 
 def test_non_integer_header_and_ground_rejected(tmp_path):
@@ -123,6 +136,10 @@ def test_non_integer_header_and_ground_rejected(tmp_path):
     ("ground 3\n0 5\n", "'0 5'"),  # element outside the ground set
     ("ground 3\n0 1\n\n2 -1\n", "'2 -1'"),
     ("ground -1\n", "negative"),
+    ("", "empty file"),
+    ("\n", "expected header 'ground N'"),
+    ("ground\n0\n", "expected header 'ground N'"),
+    ("grounds 3\n0\n", "expected header 'ground N'"),
 ])
 def test_setsystem_element_outside_ground_rejected(tmp_path, body, where):
     path = tmp_path / "bad.txt"

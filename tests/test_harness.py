@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,8 @@ from fqincidence.harness import (
     sample_field_subset,
     sample_lines,
     sample_planes_one,
+    sample_points2,
     sample_points3,
-    smallest_realizable_q,
     split_prime_power,
 )
 
@@ -74,6 +75,22 @@ def test_samplers_reject_oversize():
         random_config(fs, "plane", {"points": 5, "planes": 27}, seed=0)
 
 
+@pytest.mark.parametrize("sample,space", [
+    (sample_field_subset, lambda q: q),
+    (sample_points2, lambda q: q * q),
+    (sample_lines, lambda q: q * q + q),
+    (partial(sample_lines, slanted_only=True), lambda q: (q - 1) * q),
+    (partial(sample_lines, with_vertical=False), lambda q: q * q),
+], ids=["field", "points2", "lines", "slanted", "no-vertical"])
+@pytest.mark.parametrize("q", [4, 5])
+def test_samplers_take_their_whole_space_and_refuse_one_more(sample, space, q):
+    fs = field_for_order(q)
+    drawn = sample(rng_for(q), fs, space(q))
+    assert len(set(drawn)) == len(drawn) == space(q)
+    with pytest.raises(Unrealizable):
+        sample(rng_for(q), fs, space(q) + 1)
+
+
 def test_random_config_reproducible():
     fs = field_for_order(7)
     a = random_config(fs, "line", {"lines": 5, "A": 3, "B": 4}, seed=9)
@@ -122,9 +139,33 @@ def test_preset_deterministic():
     assert a.points == b.points and a.planes == b.planes
 
 
-def test_smallest_realizable_q_is_three():
+def test_every_preset_builds_at_q3():
     for name in PRESET_NAMES:
-        assert smallest_realizable_q(name) == 3
+        assert preset(name, 3).sizes
+
+
+def _counting(monkeypatch, name):
+    """Patch harness.name with a wrapper that records each call; the list."""
+    calls, real = [], getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_preset_audit_builds_each_preset_once(monkeypatch):
+    calls = _counting(monkeypatch, "preset")
+    _run("preset-audit", 7, seed=1)
+    assert [(name, q) for name, q in calls] == [(name, 3) for name in PRESET_NAMES]
+
+
+@pytest.mark.parametrize("q", [3, 7, 9, 11])
+def test_preset_checks_a_collinearity_cap_only_below_q(monkeypatch, q):
+    # light-1's cap q^(1/8) is below q; light-2's cap q cannot bind, as a
+    # line holds q points, so only light-1 measures its draws
+    calls = _counting(monkeypatch, "max_shared_collinear")
+    for name in ("plane-1", "plane-2", "plane-3", "light-1", "light-2"):
+        calls.clear()
+        preset(name, q, seed=2)
+        assert bool(calls) == (name == "light-1"), name
 
 
 def test_emit_deterministic_and_header_only(tmp_path):

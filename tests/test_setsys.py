@@ -78,6 +78,26 @@ def test_non_integer_members_and_elements_are_refused():
         is_shattered(powerset_system(3), [0, 1.5])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_numpy_ground_sizes_read_as_ints(dtype):
+    # 1 << np.int64(n) is 0 once n >= 64, which wrapped the member range check
+    pairs = [(SetSystem(dtype(100), [1 << 70, 5]), SetSystem(100, [1 << 70, 5])),
+             (SetSystem.from_sets(dtype(64), [[63], [0, 63]]),
+              SetSystem.from_sets(64, [[63], [0, 63]]))]
+    for numpy_sized, int_sized in pairs:
+        assert numpy_sized == int_sized and type(numpy_sized.ground_size) is int
+        assert vc_dimension(numpy_sized, 3) == vc_dimension(int_sized, 3)
+
+
+def test_non_integer_and_negative_ground_sizes_are_refused():
+    with pytest.raises(ValueError, match="ground size 2.0 is not an integer"):
+        SetSystem(2.0, [1])
+    with pytest.raises(ValueError, match="ground size 2.0 is not an integer"):
+        SetSystem.from_sets(2.0, [[1]])
+    with pytest.raises(ValueError, match="ground size -1 is negative"):
+        SetSystem(-1, [])
+
+
 def test_neighborhood_sizes_gf3():
     fs = make_field(3, 1)
     planes = all_planes_through_one(fs)

@@ -1,8 +1,9 @@
 """Source hygiene of src/fqincidence, read with ast (no linter is needed).
 
-Two checks: every private module-level function, class or constant is
-referenced somewhere in src/ outside its own definition, and every name a
-module imports is used in that module (a package's __all__ counts as a use).
+Three checks: every private module-level function, class or constant is
+referenced somewhere in src/ outside its own definition, every name a module
+imports is used in that module (a package's __all__ counts as a use), and no
+module-level function or class name is defined in two modules.
 """
 
 import ast
@@ -67,3 +68,13 @@ def test_imported_names_are_used(path):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
     assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
+
+
+def test_function_and_class_names_are_defined_in_one_module():
+    modules = {}
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                modules.setdefault(node.name, []).append(path.name)
+    twice = {name: where for name, where in modules.items() if len(where) > 1}
+    assert not twice, f"defined in more than one module: {twice}"
