@@ -110,9 +110,9 @@ def _load_same_field(fs: FieldSpec, path, load, path2):
 
 def cmd_count(args) -> int:
     _require(args, "points")
-    fs, pts = fileio.load_points(args.points)
     if bool(args.lines) == bool(args.planes):
         raise ToolkitError("pass exactly one of --lines or --planes")
+    fs, pts = fileio.load_points(args.points)
     load = fileio.load_lines if args.lines else fileio.load_planes
     flats = _load_same_field(fs, args.points, load, args.lines or args.planes)
     res = count_incidences(fs, pts, flats, args.method)
@@ -236,7 +236,8 @@ def cmd_preset(args) -> int:
         fileio.save_points(outdir / "a.txt", fs, pc.a_set)
         fileio.save_points(outdir / "b.txt", fs, pc.b_set)
     else:
-        fileio.save_points(outdir / "points.txt", fs, pc.points)
+        # as Python ints: str() of a numpy int64 is slower
+        fileio.save_points(outdir / "points.txt", fs, pc.points.tolist())
         fileio.save_planes(outdir / "planes.txt", fs, pc.planes)
     (outdir / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
     print(f"preset {pc.name} at q = {pc.q}: wrote {outdir}")

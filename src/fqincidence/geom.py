@@ -1,17 +1,19 @@
 """Affine points, lines, and planes over GF(q) with exact incidence counting.
 
-Points are plain tuples of field-element indices.  Lines in the plane are a
-tagged union: "N" for y = a*x + b (a may be zero) and "V" for x = c.  Planes
-are stored as (normal, rhs) for {x : normal . x = rhs}; the affine_one flag
-marks planes kept in the normalized form normal . x = 1 instead of the
-scaled canonical form.
+Points are tuples of field-element indices, or the rows of an int64 array.
+Lines in the plane are a tagged union: "N" for y = a*x + b (a may be zero)
+and "V" for x = c.  Planes are stored as (normal, rhs) for
+{x : normal . x = rhs}; the affine_one flag marks planes kept in the
+normalized form normal . x = 1 instead of the scaled canonical form.
+Line2 and Plane3 are the scalar types; Lines and Planes hold many flats as
+arrays, read once, and are what the samplers make and the kernels count.
 
 Everything here is affine and exact; there is no projective geometry, and
 the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 2^53) and of every prime-field dot_blocks block (see ffield) is exact.
 """
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -84,17 +86,24 @@ def plane_canonical(fs: FieldSpec, plane: Plane3) -> Plane3:
     return Plane3(tuple(fs.mul(s, c) for c in nrm), fs.mul(s, plane.rhs), False)
 
 
+def decode_rows(q: int, idxs, dim: int = 3):
+    """The points with the given indices, in order, as an int64 (len, dim)
+    array: the one point-index codec.  (x_0, ..., x_{dim-1}) has index
+    x_0 + x_1 q + ... + x_{dim-1} q^(dim-1), so range(q**dim) lists the whole
+    space and range(1, q**dim) every nonzero point."""
+    idx = np.asarray(as_rows(idxs), dtype=np.int64)
+    return idx[:, None] // q ** np.arange(dim, dtype=np.int64) % q
+
+
 def decode_points(q: int, idxs, dim: int = 3) -> list[tuple[int, ...]]:
-    """The points with the given indices, in order: (x_0, ..., x_{dim-1}) has
-    index x_0 + x_1 q + ... + x_{dim-1} q^(dim-1), so range(q**dim) lists
-    the whole space and range(1, q**dim) every nonzero point."""
-    idxs = list(idxs)
-    return list(zip(*[[idx // s % q for idx in idxs] for s in (q**i for i in range(dim))]))
+    """decode_rows as a list of tuples."""
+    return list(map(tuple, decode_rows(q, idxs, dim).tolist()))
 
 
-def all_planes_through_one(fs: FieldSpec) -> list[Plane3]:
+def all_planes_through_one(fs: FieldSpec) -> "Planes":
     """Every plane of the form a . x = 1, a nonzero: q^3 - 1 planes."""
-    return [plane_through_one(a) for a in decode_points(fs.q, range(1, fs.q**3))]
+    return Planes(fs, decode_rows(fs.q, np.arange(1, fs.q**3)), np.ones(fs.q**3 - 1, np.int64),
+                  affine_one=True)
 
 
 def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
@@ -118,7 +127,9 @@ def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
     if arr.dtype.kind not in "biu" and arr.size:  # named as given: numpy has cast it
         bad = next((x for row in rows for x in row
                     if not (isinstance(x, (int, np.integer)) and 0 <= x < fs.q)), None)
-        if isinstance(bad, (int, np.integer)):  # too large for int64
+        if isinstance(bad, np.generic):  # an entry of a numpy array, named as a Python value
+            bad = bad.item()
+        if isinstance(bad, int):  # too large for int64
             raise FieldMismatch(f"{what} {bad} outside [0, {fs.q})")
         raise FieldMismatch(f"{what} {bad!r} is not an integer")
     out = arr.astype(np.int64, copy=False).reshape(len(rows), dim)
@@ -128,38 +139,140 @@ def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
 
 
 def as_rows(points):
-    """points as field_array reads them: a numpy array whole, any other
-    iterable (a generator, say) as a list."""
-    return points if isinstance(points, np.ndarray) else list(points)
+    """points (or flats) as field_array reads them: a list, numpy array,
+    Lines or Planes whole, any other iterable (a generator, say) as a list."""
+    return points if isinstance(points, (list, np.ndarray, _FlatRows)) else list(points)
 
 
-def plane_rows(fs: FieldSpec, planes):
-    """Normals and right-hand sides as int64 arrays, read by field_array;
-    FieldMismatch for a bad coefficient or a zero normal."""
-    nrm = field_array(fs, [pl.normal for pl in planes], 3, "plane coefficient")
-    rhs = field_array(fs, [[pl.rhs for pl in planes]], len(planes), "plane coefficient")[0]
-    if not nrm.any(axis=1).all():
-        raise FieldMismatch("plane normal must be nonzero")
-    return nrm, rhs
+class _FlatRows:
+    """What Lines and Planes share: the order q their rows were read for,
+    then one read-only array per field of the flats, named by __slots__.
+    Both are sequences (len, [k], iteration); a slice is a container of the
+    same kind, and equality compares the arrays."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            setattr(self, name, value)
+        return self
+
+    @classmethod
+    def _of(cls, *values):
+        """A container of rows already read for order values[0]."""
+        return object.__new__(cls)._fill(*values)
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[1]))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self._of(*(v[k] if isinstance(v, np.ndarray) else v for v in self._values()))
+        return self._item(k)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._values(), other._values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(q={self.q}, {len(self)} flats)"
+
+
+class Lines(_FlatRows):
+    """Lines of the plane as arrays: vertical, a bool mask of the lines x = a,
+    and ab, the int64 (n, 2) rows (a, b).  The constructor reads ab through
+    field_array for the order of fs (FieldMismatch as there), once: kernels
+    take a Lines of their order as it is.  As a sequence a Lines holds the
+    Line2 of its rows, so the oracles and fileio.save_lines read it as a list.
+    """
+
+    __slots__ = ("q", "vertical", "ab")
+    item_type = Line2
+
+    def __init__(self, fs: FieldSpec, vertical, ab):
+        ab = field_array(fs, as_rows(ab), 2, "line coefficient")
+        vertical = np.array(vertical, dtype=bool)
+        if vertical.shape != (len(ab),):
+            raise FieldMismatch("expected one vertical flag per line")
+        self._fill(fs.q, vertical, ab)
+
+    def _item(self, k) -> Line2:
+        a, b = self.ab[k].tolist()
+        return Line2("V" if self.vertical[k] else "N", a, b)
+
+    def __iter__(self):
+        return map(Line2, np.where(self.vertical, "V", "N").tolist(), *self.ab.T.tolist())
+
+
+class Planes(_FlatRows):
+    """Planes as arrays: normals, the int64 (n, 3) rows, and rhs, the int64
+    right-hand sides, with one affine_one flag for all.  The constructor reads
+    both through field_array for the order of fs, once (FieldMismatch as
+    there, and for a zero normal): kernels take a Planes of their order as it
+    is.  As a sequence a Planes holds the Plane3 of its rows, so the oracles
+    and fileio.save_planes read it as a list."""
+
+    __slots__ = ("q", "normals", "rhs", "affine_one")
+    item_type = Plane3
+
+    def __init__(self, fs: FieldSpec, normals, rhs, affine_one: bool = False):
+        nrm = field_array(fs, as_rows(normals), 3, "plane coefficient")
+        rhs = field_array(fs, [as_rows(rhs)], len(nrm), "plane coefficient")[0]
+        if not nrm.any(axis=1).all():
+            raise FieldMismatch("plane normal must be nonzero")
+        self._fill(fs.q, nrm, rhs, bool(affine_one))
+
+    def _item(self, k) -> Plane3:
+        return Plane3(tuple(self.normals[k].tolist()), int(self.rhs[k]), self.affine_one)
+
+    def __iter__(self):
+        return map(Plane3, map(tuple, self.normals.tolist()), self.rhs.tolist(),
+                   repeat(self.affine_one))
+
+
+def plane_rows(fs: FieldSpec, planes) -> Planes:
+    """planes as a Planes of the order of fs: a Planes of that order as it is,
+    one of another order read again, and Plane3 by the Planes constructor,
+    so FieldMismatch for a bad coefficient or a zero normal."""
+    if isinstance(planes, Planes):
+        if planes.q == fs.q:
+            return planes
+        return Planes(fs, planes.normals, planes.rhs, planes.affine_one)
+    return Planes(fs, [pl.normal for pl in planes], [pl.rhs for pl in planes])
 
 
 def check_incidence_input(fs: FieldSpec, points, flats, lines: bool):
     """Every flat a valid Line2 (lines) or Plane3, every point of matching
     dimension with coordinates in [0, q); FieldMismatch otherwise.  Returns
-    the points as an int64 array and the flats as rows: line_rows of the
-    lines, or plane_rows of the planes."""
+    the points as an int64 array and the flats as the Lines of line_rows or
+    the Planes of plane_rows."""
     kind = Line2 if lines else Plane3
-    if not all(issubclass(t, kind) for t in set(map(type, flats))):
-        bad = next(f for f in flats if not isinstance(f, kind))
-        raise FieldMismatch(f"expected {kind.__name__} flats, got {type(bad).__name__}")
+    if isinstance(flats, _FlatRows):
+        bad = None if flats.item_type is kind else flats.item_type
+    elif all(issubclass(t, kind) for t in set(map(type, flats))):
+        bad = None
+    else:
+        bad = type(next(f for f in flats if not isinstance(f, kind)))
+    if bad is not None:
+        raise FieldMismatch(f"expected {kind.__name__} flats, got {bad.__name__}")
     rows = line_rows(fs, flats) if lines else plane_rows(fs, flats)
     return field_array(fs, points, 2 if lines else 3), rows
 
 
-def line_rows(fs: FieldSpec, lines):
-    """A bool mask of the vertical lines and the (a, b) of every line as an
-    int64 array, read in one pass; FieldMismatch for an unknown kind, or as
+def line_rows(fs: FieldSpec, lines) -> Lines:
+    """lines as a Lines of the order of fs: a Lines of that order as it is,
+    one of another order read again, and Line2 (or plain (kind, a, b)
+    tuples) in one pass; FieldMismatch for an unknown kind, or as
     field_array for a bad coefficient."""
+    if isinstance(lines, Lines):
+        return lines if lines.q == fs.q else Lines(fs, lines.vertical, lines.ab)
     flat = list(chain.from_iterable(lines))  # kind_0, a_0, b_0, kind_1, ...
     kinds = flat[::3]
     if kinds.count("N") + kinds.count("V") != len(kinds):
@@ -167,7 +280,7 @@ def line_rows(fs: FieldSpec, lines):
         raise FieldMismatch(f"unknown line kind {bad!r}")
     del flat[::3]
     ab = field_array(fs, [flat], len(flat), "line coefficient").reshape(-1, 2)
-    return np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V"), ab
+    return Lines._of(fs.q, np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V"), ab)
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -184,11 +297,14 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     """Exact I(P, L) or I(P, Pi).
 
     "oracle" is the plain double loop over all (point, flat) pairs and is the
-    reference everything else is checked against.  "fast" runs over the row
-    blocks of FieldSpec.dot_blocks.  Lines always go through flat_counts,
-    one column per distinct direction: (x, y) . (-a, 1) = y - a*x against
-    the intercepts of the lines of slope a, and x = c as (x, y) . (1, 0) =
-    c.  Planes are point . normal against the right-hand side, one column
+    reference everything else is checked against.  The flats are a Lines or
+    Planes, or a sequence of Line2 or Plane3 that line_rows or plane_rows
+    reads into one; the oracle loops over their Line2 or Plane3 items.
+    "fast" runs over the row blocks of FieldSpec.dot_blocks.  Lines always
+    go through flat_counts, one column per distinct direction:
+    (x, y) . (-a, 1) = y - a*x against the intercepts of the lines of slope
+    a, and x = c as (x, y) . (1, 0) = c.  Planes are point . normal against
+    the right-hand side, one column
     per plane, unless grouping_pays finds them numerous enough to share
     unit normals; then flat_counts takes one column per unit normal of
     plane_groups.  Both methods return identical counts.  Both raise
@@ -197,19 +313,19 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    points = as_rows(points)
-    flats = list(flats)
-    if not len(points) or not flats:
+    points, flats = as_rows(points), as_rows(flats)
+    if not len(points) or not len(flats):
         return IncidenceCount(0, method)
-    lines = isinstance(flats[0], Line2)
+    lines = issubclass(flats.item_type if isinstance(flats, _FlatRows) else type(flats[0]), Line2)
     pts, rows = check_incidence_input(fs, points, flats, lines)
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
+        flats = list(flats)  # a Lines or Planes builds its items once, not once per point
         return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, lines), "oracle")
     if lines:
-        return IncidenceCount(_count_lines_fast(fs, pts, *rows), "fast")
-    nrm, rhs = rows
+        return IncidenceCount(_count_lines_fast(fs, pts, rows.vertical, rows.ab), "fast")
+    nrm, rhs = rows.normals, rows.rhs
     if grouping_pays(fs, len(pts), len(nrm)):
         count = flat_counts(fs, pts, *plane_groups(fs, nrm, rhs)).sum()
         return IncidenceCount(int(count), "fast")
@@ -414,7 +530,8 @@ def max_shared_collinear(fs, points, planes) -> int:
     plane pairs with different unit normals (parallel planes share no line).
     FieldMismatch for a coordinate outside [0, q) or a zero plane normal."""
     pts = distinct_points3(fs, points)
-    nrm, rhs = plane_rows(fs, planes)
+    planes = plane_rows(fs, planes)
+    nrm, rhs = planes.normals, planes.rhs
     if not len(pts) or len(planes) < 2:
         return 0
     rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype

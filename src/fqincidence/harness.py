@@ -21,19 +21,22 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Optional
 
+import numpy as np
+
 from . import apps, bounds, reductions, setsys
 from .errors import BudgetExceeded, DegreeOutOfRange, EvenCharacteristic, Unrealizable
 from .ffield import MAX_ORDER, FieldSpec, make_field
 from .geom import (
     Line2,
-    Plane3,
+    Lines,
+    Planes,
     all_planes_through_one,
     count_incidences,
     decode_points,
+    decode_rows,
     grid_points,
     line3_points,
     max_shared_collinear,
-    plane_through_one,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -43,11 +46,12 @@ SPHERE_SCAN_MAX_Q = 13
 FULL_SPACE_PAIRS = 10**9  # the full-space suites' cap on q^3 (q^3 - 1): q <= 31
 
 
-def _full_space(q: int) -> list:
-    """Every point of GF(q)^3; BudgetExceeded past FULL_SPACE_PAIRS pairs."""
+def _full_space(q: int):
+    """Every point of GF(q)^3 as an int64 array, in index order;
+    BudgetExceeded past FULL_SPACE_PAIRS pairs."""
     if q**3 * (q**3 - 1) > FULL_SPACE_PAIRS:
         raise BudgetExceeded(f"full space at q = {q} over 10^9 point pairs")
-    return decode_points(q, range(q**3))
+    return decode_rows(q, np.arange(q**3))
 
 
 def _mix(*parts: int) -> int:
@@ -98,6 +102,10 @@ def field_for_order(q: int) -> FieldSpec:
 # ---------------------------------------------------------------------------
 # samplers (uniform without replacement over the ambient object space)
 # ---------------------------------------------------------------------------
+#
+# Each sampler draws one rng.sample over an index range and sorts it; all
+# but sample_field_subset then decode the indices with numpy: points into an
+# int64 array by geom.decode_rows, planes and lines into a Planes or Lines.
 
 def sample_field_subset(rng, fs, size: int) -> list[int]:
     if size > fs.q:
@@ -105,29 +113,34 @@ def sample_field_subset(rng, fs, size: int) -> list[int]:
     return sorted(rng.sample(range(fs.q), size))
 
 
-def sample_points2(rng, fs, size: int) -> list[tuple[int, int]]:
+def sample_points2(rng, fs, size: int):
+    """size distinct points of GF(q)^2 as an int64 (size, 2) array."""
     if size > fs.q**2:
         raise Unrealizable(f"{size} points exceed the plane size {fs.q ** 2}")
-    return decode_points(fs.q, sorted(rng.sample(range(fs.q**2), size)), 2)
+    return decode_rows(fs.q, sorted(rng.sample(range(fs.q**2), size)), 2)
 
 
-def sample_points3(rng, fs, size: int, nonzero: bool = False) -> list:
+def sample_points3(rng, fs, size: int, nonzero: bool = False):
+    """size distinct points of GF(q)^3 (nonzero ones if nonzero) as an int64
+    (size, 3) array."""
     lo = 1 if nonzero else 0
     space = fs.q**3 - lo
     if size > space:
         raise Unrealizable(f"{size} points exceed the space size {space}")
-    return decode_points(fs.q, sorted(rng.sample(range(lo, fs.q**3), size)))
+    return decode_rows(fs.q, sorted(rng.sample(range(lo, fs.q**3), size)))
 
 
-def sample_planes_one(rng, fs, size: int) -> list[Plane3]:
+def sample_planes_one(rng, fs, size: int) -> Planes:
     """Distinct planes of the form a . x = 1, drawn as their nonzero normals."""
-    return [plane_through_one(a) for a in sample_points3(rng, fs, size, nonzero=True)]
+    normals = sample_points3(rng, fs, size, nonzero=True)
+    return Planes(fs, normals, np.ones(size, np.int64), affine_one=True)
 
 
 def sample_lines(
     rng, fs, size: int, slanted_only: bool = False, with_vertical: bool = True
-) -> list[Line2]:
-    """Distinct lines; index space is non-vertical pairs plus the vertical block."""
+) -> Lines:
+    """Distinct lines; index i < q^2 is y = (i // q) x + i % q (slope 1 + i // q
+    when slanted_only), and q^2 + c is x = c."""
     q = fs.q
     if slanted_only:
         space = (q - 1) * q
@@ -135,19 +148,18 @@ def sample_lines(
         space = q * q + (q if with_vertical else 0)
     if size > space:
         raise Unrealizable(f"{size} lines exceed the family size {space}")
-    out = []
-    for i in sorted(rng.sample(range(space), size)):
-        if slanted_only:
-            out.append(Line2("N", 1 + i // q, i % q))
-        elif i < q * q:
-            out.append(Line2("N", i // q, i % q))
-        else:
-            out.append(Line2("V", i - q * q, 0))
-    return out
+    idx = np.array(sorted(rng.sample(range(space), size)), dtype=np.int64)
+    a, b = np.divmod(idx, q)
+    if slanted_only:
+        a += 1
+    vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q
+    return Lines(fs, vert, np.column_stack([np.where(vert, b, a), np.where(vert, 0, b)]))
 
 
-def all_nonvertical_lines(fs) -> list[Line2]:
-    return [Line2("N", a, b) for a in range(fs.q) for b in range(fs.q)]
+def all_nonvertical_lines(fs) -> Lines:
+    """Every line y = a x + b, ordered by (a, b)."""
+    a, b = np.divmod(np.arange(fs.q**2), fs.q)
+    return Lines(fs, np.zeros(fs.q**2, dtype=bool), np.column_stack([a, b]))
 
 
 def random_config(fs: FieldSpec, kind: str, sizes: dict, seed: int) -> dict:
@@ -209,8 +221,8 @@ class PresetConfig:
     lines: Optional[list[Line2]] = None
     a_set: Optional[list[int]] = None
     b_set: Optional[list[int]] = None
-    points: Optional[list] = None
-    planes: Optional[list[Plane3]] = None
+    points: Optional[np.ndarray] = None
+    planes: Optional[Planes] = None
     k: Optional[int] = None
 
 
@@ -452,7 +464,7 @@ def suite_unconditional(cfg: ExperimentConfig, fs: FieldSpec):
         n_u = rng.randint(2, min(q**3, 40))
         U = sample_points3(rng, fs, n_u)
         n_up = rng.randint(1, min(n_u, 4))
-        Up = [U[i] for i in sorted(rng.sample(range(n_u), n_up))]
+        Up = U[sorted(rng.sample(range(n_u), n_up))]
         rep = apps.trace_pairs(fs, U, Up)
         yield t, *row("trace_pairs", f"U={n_u};Uprime={n_up}", rep.pair_count,
                       rep.cs_lower, rep.pair_count >= rep.cs_lower - 1e-9)
@@ -502,7 +514,7 @@ def suite_vc_plane(cfg: ExperimentConfig, fs: FieldSpec):
     exhaustive = q <= 5
     for t in range(1 if exhaustive else cfg.trials):
         if exhaustive:
-            by_point = decode_points(q, range(q**3))
+            by_point = decode_rows(q, np.arange(q**3))
             by_plane, planes = by_point[1:], all_planes_through_one(fs)
         else:
             rng = _trial_rng(cfg, t)
@@ -560,7 +572,7 @@ def suite_regular_subset(cfg: ExperimentConfig, fs: FieldSpec):
     full = _full_space(q)
     rep = apps.regular_subset(fs, full)
     hyp = rep.size_hypothesis_ok
-    ok = set(rep.U1) == set(full) - {(0, 0, 0)} if hyp else True
+    ok = rep.U1 == decode_points(q, range(1, q**3)) if hyp else True  # U1 in the order of U
     yield 0, dict(case="full_space", n_u=len(full), n_u1=len(rep.U1),
                   hypothesis_ok=hyp, ok=ok), not ok, not hyp
     if 8 * q * q < q**3:
@@ -657,7 +669,7 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             lns = sample_lines(r, fs, n_l, slanted_only=True)
             a_set = sample_field_subset(r, fs, n_a)
             b_set = sample_field_subset(r, fs, n_b)
-            n_lx = len({ln.a for ln in lns})
+            n_lx = np.unique(lns.ab[:, 0]).size
             return lns, a_set, b_set, bounds.RegimeParams(
                 q=q, alpha=alpha, nL=len(lns), nA=len(a_set), nB=len(b_set), nLx=n_lx)
 
@@ -685,7 +697,7 @@ def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
             n_u = rng.randint(2, min(q**3, 60))
             U = sample_points3(rng, fs, n_u)
             n_up = rng.randint(1, min(n_u, 4))
-            yield t + 1, "random", U, [U[i] for i in sorted(rng.sample(range(n_u), n_up))]
+            yield t + 1, "random", U, U[sorted(rng.sample(range(n_u), n_up))]
 
     for t, case, U, Up in cases():
         rep = apps.trace_pairs(fs, U, Up)
@@ -702,7 +714,11 @@ def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
 @_suite("preset-audit", "preset", "preset_q", "sizes", "actual", "winner",
         "hypothesis_ok", "flags")
 def suite_preset_audit(cfg: ExperimentConfig, fs: FieldSpec):
-    """Regime flags for all seven presets at q = _PRESET_MIN_Q, where each builds."""
+    """Regime flags for all seven presets at q = _PRESET_MIN_Q, where each builds.
+
+    Every row is computed at q = 3 whatever the suite's order is: the rows at
+    any order are equal but for the q column, and preset_q names the order
+    they were computed at."""
     q, pfs = _PRESET_MIN_Q, field_for_order(_PRESET_MIN_Q)
     for t, name in enumerate(PRESET_NAMES):
         pc = preset(name, q, seed=cfg.seed)

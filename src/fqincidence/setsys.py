@@ -71,11 +71,9 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
     """
     if side not in ("by_point", "by_plane"):
         raise ValueError(f"side must be by_point or by_plane, got {side!r}")
-    points = as_rows(points)
-    planes = list(planes)
-    pts, (nrm, rhs) = check_incidence_input(fs, points, planes, lines=False)
+    pts, planes = check_incidence_input(fs, as_rows(points), as_rows(planes), lines=False)
     pts = np.column_stack([pts, np.ones(len(pts), dtype=np.int64)])
-    pls = np.column_stack([nrm, fs.vneg(rhs)])
+    pls = np.column_stack([planes.normals, fs.vneg(planes.rhs)])
     members, ground = (pts, pls) if side == "by_point" else (pls, pts)
     masks = [
         int.from_bytes(row.tobytes(), "little")

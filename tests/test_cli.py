@@ -67,6 +67,17 @@ def test_count_requires_one_flat_kind(gf5_files, capsys):
     assert "pass exactly one of --lines or --planes" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flats", [[], ["--lines", "l.txt", "--planes", "p.txt"]],
+                         ids=["neither", "both"])
+def test_count_checks_its_flags_before_reading_points(tmp_path, capsys, flats):
+    # the points file does not exist: the usage error must come first
+    missing = str(tmp_path / "nope.txt")
+    assert main(["count", "--points", missing, *flats]) == 1
+    line = _one_error_line(capsys)
+    assert "pass exactly one of --lines or --planes" in line
+    assert "No such file" not in line
+
+
 def test_count_planes(tmp_path, capsys):
     fs = make_field(3, 1)
     pts = tmp_path / "p3.txt"

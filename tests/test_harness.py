@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from fqincidence import harness
 from fqincidence.errors import BudgetExceeded, Unrealizable
+from fqincidence.geom import Line2, Plane3
 from fqincidence.harness import (
     ExperimentConfig,
     PRESET_NAMES,
@@ -58,8 +60,8 @@ def test_samplers_distinct_and_deterministic():
     fs = field_for_order(7)
     r1 = sample_points3(rng_for(5), fs, 50)
     r2 = sample_points3(rng_for(5), fs, 50)
-    assert r1 == r2
-    assert len(set(r1)) == 50
+    assert np.array_equal(r1, r2)
+    assert len(set(map(tuple, r1.tolist()))) == 50
     lines = sample_lines(rng_for(5), fs, 20, slanted_only=True)
     assert all(ln.kind == "N" and ln.a != 0 for ln in lines)
     planes = sample_planes_one(rng_for(5), fs, 10)
@@ -86,6 +88,7 @@ def test_samplers_reject_oversize():
 def test_samplers_take_their_whole_space_and_refuse_one_more(sample, space, q):
     fs = field_for_order(q)
     drawn = sample(rng_for(q), fs, space(q))
+    drawn = list(map(tuple, drawn.tolist())) if isinstance(drawn, np.ndarray) else list(drawn)
     assert len(set(drawn)) == len(drawn) == space(q)
     with pytest.raises(Unrealizable):
         sample(rng_for(q), fs, space(q) + 1)
@@ -136,7 +139,7 @@ def test_preset_q2_unrealizable():
 def test_preset_deterministic():
     a = preset("plane-1", 5, seed=3)
     b = preset("plane-1", 5, seed=3)
-    assert a.points == b.points and a.planes == b.planes
+    assert np.array_equal(a.points, b.points) and a.planes == b.planes
 
 
 def test_every_preset_builds_at_q3():
@@ -307,7 +310,7 @@ def test_sample_planes_one_maps_nonzero_points():
     fs = field_for_order(5)
     planes = sample_planes_one(rng_for(3), fs, 30)
     normals = sample_points3(rng_for(3), fs, 30, nonzero=True)
-    assert [pl.normal for pl in planes] == normals
+    assert [pl.normal for pl in planes] == list(map(tuple, normals.tolist()))
     assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
     with pytest.raises(Unrealizable):
         sample_planes_one(rng_for(3), fs, 5**3)
@@ -346,3 +349,68 @@ def test_full_space_budget_keeps_q31_and_refuses_q32():
     assert len(harness._full_space(31)) == 31**3  # 29791 * 29790 < 10^9 pairs
     with pytest.raises(BudgetExceeded):
         harness._full_space(32)
+
+
+# -- the samplers' random stream ----------------------------------------------
+
+def _digits(i, q, dim):
+    return tuple(i // q**d % q for d in range(dim))
+
+
+# sampler, its index range at order q, and the object an index stands for
+SAMPLER_STREAMS = {
+    "field": (sample_field_subset, lambda q: range(q), lambda i, q: i),
+    "points2": (sample_points2, lambda q: range(q * q), lambda i, q: _digits(i, q, 2)),
+    "points3": (sample_points3, lambda q: range(q**3), lambda i, q: _digits(i, q, 3)),
+    "points3-nonzero": (partial(sample_points3, nonzero=True), lambda q: range(1, q**3),
+                        lambda i, q: _digits(i, q, 3)),
+    "planes": (sample_planes_one, lambda q: range(1, q**3),
+               lambda i, q: Plane3(_digits(i, q, 3), 1, True)),
+    "lines": (sample_lines, lambda q: range(q * q + q),
+              lambda i, q: Line2("N", i // q, i % q) if i < q * q else Line2("V", i - q * q, 0)),
+    "slanted": (partial(sample_lines, slanted_only=True), lambda q: range((q - 1) * q),
+                lambda i, q: Line2("N", 1 + i // q, i % q)),
+    "no-vertical": (partial(sample_lines, with_vertical=False), lambda q: range(q * q),
+                    lambda i, q: Line2("N", i // q, i % q)),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 2024])
+@pytest.mark.parametrize("q", [7, 16, 81, 625])
+@pytest.mark.parametrize("name", SAMPLER_STREAMS)
+def test_samplers_keep_the_stream_of_a_sorted_sample(name, q, seed):
+    # the reference draws sorted(rng.sample(...)) and decodes it by integer
+    # arithmetic; each sampler must return those rows and leave the same state
+    sample, space, item = SAMPLER_STREAMS[name]
+    fs = field_for_order(q)
+    for size in sorted({0, 1, min(len(space(q)), 40), min(len(space(q)), 300)}):
+        ref = rng_for(seed, size)
+        want = [item(i, q) for i in sorted(ref.sample(space(q), size))]
+        rng = rng_for(seed, size)
+        got = sample(rng, fs, size)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.int64 and got.ndim == 2 and len(got) == size
+            got = list(map(tuple, got.tolist()))
+        assert list(got) == want
+        assert rng.getstate() == ref.getstate()
+
+
+def test_calibration_builds_no_flat_per_drawn_plane(monkeypatch):
+    # every Plane3 or Line2 built anywhere goes through its class's __new__;
+    # the calibration suite at q = 11 draws thousands of planes and should
+    # count them as arrays, so none is built
+    made = []
+    for cls in (Plane3, Line2):
+        real = cls.__new__
+
+        def counting(kind, *args, _real=real, **kwargs):
+            made.append(kind.__name__)
+            return _real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    Plane3((1, 0, 0), 1), Line2("N", 0, 0)
+    assert made == ["Plane3", "Line2"]  # the patch sees a construction
+    made.clear()
+    res = _run("calibration", 11)
+    assert len(res.rows) == 40 and res.failures == 0
+    assert made == []

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fqincidence import geom, reductions
@@ -36,7 +37,7 @@ def on_plane_vs_equation(fs, lines, a_set, out):
     and whether a*x + b = a'*x' + b' for the point (x, a', b') over A x L and
     the plane of (a, b, x') over L x A."""
     pts = [(x, ap, bp) for x in a_set for _, ap, bp in lines]
-    assert out.points3 == pts
+    assert out.points3.tolist() == [list(pt) for pt in pts]
     params = [(a, b, xp) for _, a, b in lines for xp in a_set]
     add, mul = fs.add, fs.mul
     return [(dot3(fs, pl.normal, (x, ap, bp)) == pl.rhs,
@@ -238,4 +239,6 @@ def test_build_runs_no_collinearity_scan(monkeypatch):
     with pytest.raises(AssertionError, match="collinearity scan"):
         max_collinear(fs, [pt[:2] for pt in out.points3])
     monkeypatch.undo()
-    assert lift(fs, lines, a_set) == out
+    again = lift(fs, lines, a_set)
+    assert np.array_equal(again.points3, out.points3) and again.planes3 == out.planes3
+    assert (again.k_bound, again.solution_count) == (out.k_bound, out.solution_count)
