@@ -13,6 +13,7 @@ the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 2^53) and of every prime-field dot_blocks block (see ffield) is exact.
 """
 
+import math
 from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -300,11 +301,15 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     reference everything else is checked against.  The flats are a Lines or
     Planes, or a sequence of Line2 or Plane3 that line_rows or plane_rows
     reads into one; the oracle loops over their Line2 or Plane3 items.
-    "fast" runs over the row blocks of FieldSpec.dot_blocks.  Lines always
-    go through flat_counts, one column per distinct direction:
-    (x, y) . (-a, 1) = y - a*x against the intercepts of the lines of slope
-    a, and x = c as (x, y) . (1, 0) = c.  Planes are point . normal against
-    the right-hand side, one column
+    "fast" runs over the row blocks of FieldSpec.dot_blocks.  Lines go
+    through flat_counts from the cheaper side of the join, as x_join_pays
+    picks it from the sizes: the points as rows against one column per
+    distinct line direction, (x, y) . (-a, 1) = y - a*x against the
+    intercepts of the lines of slope a and x = c as (x, y) . (1, 0) = c; or
+    the non-vertical lines as rows against one column per distinct x of
+    the points, (a, b) . (x, 1) = a*x + b against the y of the points at x,
+    with the lines x = c counted from the points at each x.  Planes are
+    point . normal against the right-hand side, one column
     per plane, unless grouping_pays finds them numerous enough to share
     unit normals; then flat_counts takes one column per unit normal of
     plane_groups.  Both methods return identical counts.  Both raise
@@ -357,18 +362,88 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
 
 def _count_lines_fast(fs, pts, vert, ab) -> int:
     # (x, y) lies on x = a iff (x, y) . (1, 0) = a, and on y = a*x + b iff
-    # (x, y) . (-a, 1) = b.  A direction packs into one int in [0, q], q for
-    # (1, 0) and -a for (-a, 1).
+    # (x, y) . (-a, 1) = b, that is (a, b) . (x, 1) = y.
     a, b = ab[:, 0], ab[:, 1]
-    dirs, dir_id = np.unique(np.where(vert, fs.q, fs.vneg(a)), return_inverse=True)
+    if x_join_pays(fs, len(pts), len(ab), len(ab) - int(np.count_nonzero(vert))):
+        # each point is a flat: direction its x, value its y
+        xs, x_id = _numbered(pts[:, 0], fs.q)
+        D = np.column_stack([xs, np.ones_like(xs)])
+        count = int(flat_counts(fs, ab[~vert], D, x_id, pts[:, 1]).sum())
+        c = a[vert]
+        if len(c):  # the points at x = c
+            at = np.searchsorted(xs, c).clip(max=len(xs) - 1)
+            count += int(np.bincount(x_id)[at][xs[at] == c].sum())
+        return count
+    # a direction packs into one int in [0, q], q for (1, 0) and -a for (-a, 1)
+    dirs, dir_id = _numbered(np.where(vert, fs.q, fs.vneg(a)), fs.q + 1)
     D = np.column_stack([np.where(dirs == fs.q, 1, dirs), dirs < fs.q])
     return int(flat_counts(fs, pts, D, dir_id, np.where(vert, a, b)).sum())
+
+
+def _numbered(keys, size: int):
+    """The distinct keys (integers in [0, size)), sorted, and the index of
+    each key among them: from a size-slot mask while size is at most the
+    number of keys, where it is O(len(keys)) and cheaper than the sort of
+    np.unique, which takes the rest."""
+    if size > len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+def x_join_pays(fs: FieldSpec, points: int, lines: int, nonvertical: int) -> bool:
+    """Whether points rows meet lines lines (nonvertical of them not x = c)
+    sooner with the non-vertical lines as the rows of flat_counts, against
+    one column per distinct x of the points, than with the points as rows
+    against one column per distinct line direction.
+
+    The rule reads sizes only, and bounds the distinct columns by min(q,
+    points) x values and min(q + 1, lines) directions, so neither side pays
+    for numbering the other's.  A side of r rows, c columns and k keyed
+    flats costs r c block entries plus c q / 5 for its dense table while
+    c q <= TABLE_ELEMENTS; beyond that each entry pays two searchsorted
+    calls over the k keys, log2(k + 1) / 2 entries.  The x side is taken
+    when its cost times 6/5 is below the other's.
+
+    It comes from timing both sides on random points and lines, 20 to 3000
+    of each, over GF(13), GF(101), GF(1021), GF(16), GF(81), GF(625) and
+    GF(1048573) (2-CPU host, min of 14, interleaved).  Block entries cost
+    about the same on both sides, ~7 ns at q = 101.  Where the points or
+    the lines number fewer than q, the bounded entry counts tie and the
+    dense table decides: its bincount costs 0.5-0.8 ns an entry, and
+    weights from 1/10 to 3/10 fit the timings equally well.  At GF(1021),
+    20 points against 300 lines took 355 us by directions and 111 us by x;
+    1500 points against 20 lines, 313 us against 884 us.  Past
+    TABLE_ELEMENTS the side with fewer keys won the tie: at GF(1048573),
+    20 points against 3000 lines took 3.05 ms against 1.75 ms, and at
+    GF(1021^2) 150 against 1500 took 17 ms against 14 ms.  At equal costs
+    the x side lost by 5-20%, for its vertical lookup and its x numbering,
+    hence the 6/5: 1500 x 1500 at GF(101) took 1.09 ms by directions and
+    1.19 ms by x.  The benchmark shapes fall clear of the threshold: 1500
+    points against 600 lines at GF(101) took 1.09 ms by directions and
+    0.52 ms by x, and 150 against 300 at GF(81) 120 us against 163 us.
+    Over all 392 shapes of a second pass, including GF(1021^2), the rule's
+    picks took 1.02 times the faster side's total, and directions alone
+    1.06 times.
+    """
+    def cost(rows: int, cols: int, keys: int) -> float:
+        if cols * fs.q <= ffield.TABLE_ELEMENTS:
+            return rows * cols + cols * fs.q / 5
+        return rows * cols * math.log2(keys + 1) / 2
+
+    return 6 * cost(nonvertical, min(fs.q, points), points) < 5 * cost(
+        points, min(fs.q + 1, lines), lines)
 
 
 def flat_counts(fs: FieldSpec, X, D, dir_id, val):
     """For each row x of X, the number of flats k with x . D[dir_id[k]] ==
     val[k], as an int64 array; D holds the distinct directions, dir_id
-    (integers) and val (field elements) one entry per flat.
+    (integers) and val (field elements) one entry per flat, repeats counted
+    each time.  Either side of an incidence join can be the flats: planes
+    grouped by unit normal against points, lines grouped by direction
+    against points, or points grouped by x against non-vertical lines, the
+    point (x, y) being the flat (a, b) . (x, 1) = y.
 
     The counts run over the row blocks of dot_blocks(X, D), whose entry
     x . D[j] sits at key j q + x . D[j] among the flats' keys dir_id q +

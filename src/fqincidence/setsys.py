@@ -7,7 +7,6 @@ repeat).  All exponential searches carry explicit budgets.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -213,9 +212,44 @@ def _table(k, d):
     rows * min(2^d, 64) <= TRACE_BLOCK, so each is at most max(256, 8 d) KiB
     and the cache holds at most 8 MiB while d <= 32.
     """
-    t = np.fromiter(chain.from_iterable(combinations(range(k), d)), np.intp, comb(k, d) * d)
+    t = _ranked(k, d)(np.arange(comb(k, d)))
     t.flags.writeable = False
-    return t.reshape(-1, d)
+    return t
+
+
+def _ranked(k, d):
+    """The map from lexicographic ranks (an int64 array) to the d-subsets of
+    range(k) they rank in combinations(range(k), d), as intp rows.
+
+    Entry j of a subset is found from the rank left after entries 0..j-1 by
+    one searchsorted over first[j]: first[j][c - j] counts the ways to
+    complete entries j.. with entry j below c, C(k - j, d - j) - C(k - c,
+    d - j), whatever entries came before; every count is at most C(k, d).
+    """
+    first = [comb(k - j, d - j) - np.array([comb(k - c, d - j) for c in range(j, k - d + j + 2)],
+                                           dtype=np.int64) for j in range(d)]
+
+    def rows(ranks):
+        out = np.empty((len(ranks), d), dtype=np.intp)
+        prev, left = np.full(len(ranks), -1), ranks
+        for j, f in enumerate(first):
+            at = f[prev + 1 - j] + left  # among completions with entry j past prev
+            prev = out[:, j] = np.searchsorted(f, at, "right") + j - 1
+            left = at - f[prev - j]
+        return out
+
+    return rows
+
+
+def _slices(k, d, rows):
+    """combinations(range(k), d) in lexicographic order as index arrays of
+    256 rows (at most rows), then 4 times as many each time up to rows; the
+    last may be shorter.  Each slice is unranked on its own, so an early
+    stop builds no more than it used."""
+    rows_of, total, start, step = _ranked(k, d), comb(k, d), 0, min(256, rows)
+    while start < total:
+        yield rows_of(np.arange(start, min(start + step, total)))
+        start, step = start + step, min(4 * step, rows)
 
 
 def _expand(groups, d, rows):
@@ -228,11 +262,9 @@ def _expand(groups, d, rows):
             for i in range(0, len(es), step):
                 yield es[i : i + step, table].reshape(-1, d)
         else:  # slices grow as the blocks do, so an early stop builds little
-            flat, step = chain.from_iterable(combinations(range(k), d)), min(256, rows)
-            while len(t := np.fromiter(islice(flat, step * d), np.intp).reshape(-1, d)):
+            for t in _slices(k, d, rows):
                 for e in es:
                     yield e[t]
-                step = min(4 * step, rows)
 
 
 def _max_traces(cols, ncols, cands, floor: int) -> int:
@@ -248,6 +280,8 @@ def _max_traces(cols, ncols, cands, floor: int) -> int:
     for i in range(d if floor >= (1 << d) - 1 else 0):
         others = (cols[cands[:, j]] for j in range(d) if j != i)
         cands = cands[reduce(np.bitwise_and, others, ncols[cands[:, i]]).any(axis=1)]
+    if not len(cands):
+        return floor
     owner = np.arange(len(cands))  # candidate row of each atom
     atoms = np.repeat(cols[-1:], len(cands), axis=0)
     for i in range(d):

@@ -16,8 +16,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fqincidence import apps, ffield
+from fqincidence import apps, ffield, geom
 from fqincidence.apps import (
     distance_set,
     dot_product_set,
@@ -419,6 +421,130 @@ def test_grouped_lines_match_double_loop(p, n, budget):
     assert got == ref_lines(fs, points, lines) >= len(points) - 20
 
 
+# Both sides of the fast line count: the points as rows against the line
+# directions, or the non-vertical lines as rows against the distinct x of the
+# points, each forced on the same inputs.
+LINE_CASES = ["mixed", "no-vertical", "all-vertical", "one-point", "no-points", "no-lines"]
+
+
+def line_inputs(fs, rng, case, n_lines=30):
+    """Random lines, six of them vertical, with repeats; random points, some
+    on the lines, with repeats; then cut down to the case."""
+    q = fs.q
+    lines = [Line2("N", rng.randrange(q), rng.randrange(q)) for _ in range(n_lines)]
+    lines += [Line2("V", rng.randrange(q), 0) for _ in range(6)]
+    lines += lines[:3] + lines[-2:]  # repeated lines count each time
+    points = [(rng.randrange(q), rng.randrange(q)) for _ in range(25)]
+    points += [(x, fs.add(fs.mul(ln.a, x), ln.b)) for ln, (x, _) in zip(lines[:10], points)]
+    points += [(ln.a, rng.randrange(q)) for ln in lines[n_lines:n_lines + 3]]
+    points += points[-4:]  # repeated points count each time
+    if case in ("no-vertical", "all-vertical"):
+        lines = [ln for ln in lines if (ln.kind == "V") == (case == "all-vertical")]
+    if case in ("one-point", "no-points"):
+        points = points[-1:] if case == "one-point" else []
+    return points, [] if case == "no-lines" else lines
+
+
+def flat_count_rows(monkeypatch):
+    """The rows X and the number of directions D of every flat_counts call
+    the line count makes from here on."""
+    seen, counts = [], geom.flat_counts
+
+    def spy(fs, X, D, *rest):
+        seen.append((np.array(X), len(D)))
+        return counts(fs, X, D, *rest)
+
+    monkeypatch.setattr(geom, "flat_counts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+@pytest.mark.parametrize("case", LINE_CASES)
+@pytest.mark.parametrize("by_x", [False, True], ids=["by-direction", "by-x"])
+def test_line_count_sides_match_double_loop(p, n, case, by_x, budget, monkeypatch):
+    fs = make_field(p, n)
+    points, lines = line_inputs(fs, random.Random(fs.q + len(case)), case)
+    monkeypatch.setattr(geom, "x_join_pays", lambda *sizes: by_x)
+    want = ref_lines(fs, points, lines)
+    assert count_incidences(fs, points, lines) == (want, "fast")
+    assert count_incidences(fs, points, lines, "oracle").count == want
+    assert want >= {"mixed": 13, "no-vertical": 10, "all-vertical": 3}.get(case, 0)
+
+
+# |X(P)| q past TABLE_ELEMENTS: the x side's keys are sorted, one per point
+LARGE_LINE_FIELDS = [(1048573, 1), (1021, 2), (101, 3), (31, 4)]
+
+
+@pytest.mark.parametrize("p,n", LARGE_LINE_FIELDS)
+def test_large_field_x_side_sorts_the_point_keys(p, n, monkeypatch):
+    fs = make_field(p, n)
+    points, lines = line_inputs(fs, random.Random(p), "mixed", n_lines=200)
+    nonvertical = [(ln.a, ln.b) for ln in lines if ln.kind == "N"]
+    assert geom.x_join_pays(fs, len(points), len(lines), len(nonvertical))
+    seen = flat_count_rows(monkeypatch)
+    got = count_incidences(fs, points, lines)
+    assert got == (ref_lines(fs, points, lines), "fast")
+    assert got.count >= 13
+    [(X, n_columns)] = seen
+    assert np.array_equal(X, nonvertical)
+    assert n_columns == len({x for x, _ in points})
+    assert n_columns * fs.q > ffield.TABLE_ELEMENTS
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_line_count_both_sides_of_the_x_rule(data):
+    # the first non-vertical line count at which the rule changes side, and
+    # one line fewer: both counts match the double loop, from the side taken
+    p, n = data.draw(st.sampled_from([(7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]))
+    fs = make_field(p, n)
+    n_points = data.draw(st.integers(1, 5 * fs.q))
+    n_vertical = data.draw(st.integers(0, 4))
+    flips = [k for k in range(1, 6 * fs.q) if geom.x_join_pays(
+        fs, n_points, k + n_vertical, k) != geom.x_join_pays(fs, n_points, k - 1 + n_vertical, k - 1)]
+    assume(flips)
+    k = data.draw(st.sampled_from(flips))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    points = [(rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(n_points)]
+    for nonvertical in (k - 1, k):
+        lines = [Line2("N", rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(nonvertical)]
+        lines += [Line2("V", points[i % n_points][0], 0) for i in range(n_vertical)]
+        by_x = geom.x_join_pays(fs, len(points), len(lines), nonvertical)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = flat_count_rows(mp)
+            assert count_incidences(fs, points, lines).count == ref_lines(fs, points, lines)
+        rows = [(ln.a, ln.b) for ln in lines if ln.kind == "N"] if by_x else points
+        [(X, _)] = seen
+        assert np.array_equal(X.reshape(-1, 2), np.reshape(rows, (-1, 2)))
+
+
+def bench_line_input(fs, n_points, n_lines, seed):
+    """Points and lines drawn as the benchmark's line jobs draw them."""
+    rng, q = random.Random(seed), fs.q
+    points = [(i % q, i // q) for i in rng.sample(range(q * q), n_points)]
+    lines = [Line2("N", i // q, i % q) if i < q * q else Line2("V", i - q * q, 0)
+             for i in rng.sample(range(q * q + q), n_lines)]
+    return points, lines
+
+
+@pytest.mark.parametrize("p,n,n_points,n_lines,by_x", [
+    (101, 1, 1500, 600, True),  # 597 x 101 bounded entries against 1500 x 102
+    (3, 4, 150, 300, False),  # 296 x 81 against 150 x 82
+    (2, 4, 200, 200, False),  # 190 x 16 against 200 x 17: within the 6/5
+])
+def test_line_count_joins_from_the_cheaper_side(p, n, n_points, n_lines, by_x, monkeypatch):
+    fs = make_field(p, n)
+    points, lines = bench_line_input(fs, n_points, n_lines, fs.q)
+    seen = flat_count_rows(monkeypatch)
+    got = count_incidences(fs, points, lines).count
+    nonvertical = [(ln.a, ln.b) for ln in lines if ln.kind == "N"]
+    [(X, _)] = seen
+    assert np.array_equal(X, nonvertical if by_x else points)
+    monkeypatch.setattr(geom, "x_join_pays", lambda *sizes: not by_x)
+    assert count_incidences(fs, points, lines).count == got
+    assert got == ref_lines(fs, points[:40], lines) + count_incidences(fs, points[40:], lines).count
+
+
 # The plane count and regular_subset both sides of grouping_pays: GF(7),
 # GF(9) and GF(4) (whose threshold is 8 (q^2 + q + 1) flats).
 RULE_FIELDS = [(7, 1), (3, 2), (2, 2)]
@@ -496,18 +622,36 @@ def test_random_gf81_regular_subset_keeps_a_column_per_point(monkeypatch):
 
 
 # twice the traced peak of 10^4 random lines against 1000 random points over
-# GF(1021^2), 1.29 MB: 10^4 directions, so flat_counts sorts its keys and
+# GF(1021^2), 1.29 MB when the points were the rows against 10^4 directions
+# (1.19 MB now, and 0.82 MB with the lines as rows against the 1000 distinct
+# x, the side x_join_pays takes): either way flat_counts sorts its keys and
 # counts each block by searchsorted.  A bucket table of q entries per
 # direction peaked at 18.4 MB and took 5-7 s.
 LARGE_LINE_PEAK_PIN = 2 * 1_288_159
 
 
-def test_large_field_line_count_sorts_its_keys_in_block_memory():
+def large_line_input():
     fs = make_field(1021, 2)
     rng = random.Random(1021)
     points = [(rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(1000)]
     lines = [Line2("N", rng.randrange(fs.q), rng.randrange(fs.q)) for _ in range(10**4)]
     lines[:20] = [Line2("N", 5, fs.sub(y, fs.mul(5, x))) for x, y in points[:20]]
+    return fs, points, lines
+
+
+def test_large_field_line_count_sorts_its_keys_in_block_memory():
+    assert_large_line_count_in_block_memory(*large_line_input())
+
+
+def test_large_field_line_count_by_direction_stays_in_block_memory(monkeypatch):
+    # the same input with the points as rows, the side the rule declines
+    fs, points, lines = large_line_input()
+    assert geom.x_join_pays(fs, len(points), len(lines), len(lines))
+    monkeypatch.setattr(geom, "x_join_pays", lambda *sizes: False)
+    assert_large_line_count_in_block_memory(fs, points, lines)
+
+
+def assert_large_line_count_in_block_memory(fs, points, lines):
     tracemalloc.start()
     try:
         got = count_incidences(fs, points, lines).count

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -516,6 +516,22 @@ def test_combination_tables_stay_within_the_cache_bound(monkeypatch):
         vc_dimension(system, 3)
         shatter_function(system, 2)
     assert built and max(built) <= 256 * 1024
+
+
+@pytest.mark.parametrize("k,d,rows", [(40, 2, 256), (12, 4, 7), (30, 26, 64), (1500, 1, 1000)])
+def test_streamed_slices_match_combinations(k, d, rows):
+    # a table longer than one block streams in slices of 256 rows (at most
+    # rows), each 4 times the last up to rows, in itertools' order
+    assert comb(k, d) > rows
+    want = np.fromiter(chain.from_iterable(combinations(range(k), d)), np.intp).reshape(-1, d)
+    slices = list(setsys._slices(k, d, rows))
+    assert np.array_equal(np.concatenate(slices), want)
+    sizes, step = [], min(256, rows)
+    while sum(sizes) < len(want):
+        sizes.append(min(step, len(want) - sum(sizes)))
+        step = min(4 * step, rows)
+    assert [len(t) for t in slices] == sizes
+    assert np.array_equal(setsys._table.__wrapped__(k, d), want)
 
 
 def test_shatter_function_reuses_the_level_vc_dimension_searched(monkeypatch):
