@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ToolkitError
 from .ffield import FieldSpec, make_field
-from .geom import Line2, Plane3
+from .geom import Line2, Plane3, flat_rows
 from .setsys import SetSystem
 
 
@@ -89,12 +89,11 @@ def load_points(path) -> tuple[FieldSpec, list[tuple[int, ...]]]:
 
 
 def save_lines(path, fs: FieldSpec, lines) -> None:
-    out = [_header(fs)]
-    for ln in lines:
-        if ln.kind == "V":
-            out.append(f"V {ln.a}")
-        else:
-            out.append(f"N {ln.a} {ln.b}")
+    """The lines, read by geom.flat_rows, written from its array columns."""
+    lines = flat_rows(fs, lines, 2)
+    a = fs.vneg(lines.normals[:, 0]).tolist()  # of y = a*x + b; x = c has n_1 = 0
+    out = [_header(fs), *(f"N {a} {b}" if n1 else f"V {b}" for n1, a, b
+                          in zip(lines.normals[:, 1].tolist(), a, lines.rhs.tolist()))]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -111,10 +110,10 @@ def load_lines(path) -> tuple[FieldSpec, list[Line2]]:
 
 
 def save_planes(path, fs: FieldSpec, planes) -> None:
-    out = [_header(fs)]
-    for pl in planes:
-        n = pl.normal
-        out.append(f"P {n[0]} {n[1]} {n[2]} {pl.rhs}")
+    """The planes, read by geom.flat_rows, written from its array columns."""
+    planes = flat_rows(fs, planes, 3)
+    out = [_header(fs), *(f"P {n0} {n1} {n2} {r}" for (n0, n1, n2), r
+                          in zip(planes.normals.tolist(), planes.rhs.tolist()))]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -5,8 +5,10 @@ Lines in the plane are a tagged union: "N" for y = a*x + b (a may be zero)
 and "V" for x = c.  Planes are stored as (normal, rhs) for
 {x : normal . x = rhs}; the affine_one flag marks planes kept in the
 normalized form normal . x = 1 instead of the scaled canonical form.
-Line2 and Plane3 are the scalar types; Lines and Planes hold many flats as
-arrays, read once, and are what the samplers make and the kernels count.
+Line2 and Plane3 are the scalar types.  A Flats holds many lines or planes
+as one kind of object, the hyperplanes n . x = r of GF(q)^2 or GF(q)^3,
+in arrays read once; it is what the samplers make and the kernels count,
+and flat_rows reads every caller's flats into one.
 
 Everything here is affine and exact; there is no projective geometry, and
 the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
@@ -14,7 +16,7 @@ the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 """
 
 import math
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -101,10 +103,9 @@ def decode_points(q: int, idxs, dim: int = 3) -> list[tuple[int, ...]]:
     return list(map(tuple, decode_rows(q, idxs, dim).tolist()))
 
 
-def all_planes_through_one(fs: FieldSpec) -> "Planes":
+def all_planes_through_one(fs: FieldSpec) -> "Flats":
     """Every plane of the form a . x = 1, a nonzero: q^3 - 1 planes."""
-    return Planes(fs, decode_rows(fs.q, np.arange(1, fs.q**3)), np.ones(fs.q**3 - 1, np.int64),
-                  affine_one=True)
+    return Flats(fs, decode_rows(fs.q, np.arange(1, fs.q**3)), np.ones(fs.q**3 - 1, np.int64))
 
 
 def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
@@ -140,148 +141,112 @@ def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
 
 
 def as_rows(points):
-    """points (or flats) as field_array reads them: a list, numpy array,
-    Lines or Planes whole, any other iterable (a generator, say) as a list."""
-    return points if isinstance(points, (list, np.ndarray, _FlatRows)) else list(points)
+    """points (or flats) as field_array reads them: a list, numpy array or
+    Flats whole, any other iterable (a generator, say) as a list."""
+    return points if isinstance(points, (list, np.ndarray, Flats)) else list(points)
 
 
-class _FlatRows:
-    """What Lines and Planes share: the order q their rows were read for,
-    then one read-only array per field of the flats, named by __slots__.
-    Both are sequences (len, [k], iteration); a slice is a container of the
-    same kind, and equality compares the arrays."""
+class Flats:
+    """Flats as hyperplanes n . x = r of GF(q)^d: normals, the int64 (n, d)
+    rows, and rhs, the int64 right-hand sides, with d = 2 for lines and 3 for
+    planes, the width of the normals.  A line is kept in slope form: y = a*x
+    + b as (-a, 1) with rhs b, and x = c as (1, 0) with rhs c.  A plane is
+    kept as given.  The constructor reads both arrays through field_array
+    for the field fs, once (FieldMismatch as there, for a width other than 2
+    or 3, a line not in slope form or a zero plane normal): kernels take a
+    Flats of their order as it is.  As a sequence a Flats holds the Line2 or
+    Plane3 of its rows, so the oracles and fileio read it as a list; a slice
+    is a Flats, and equality compares the order and the arrays."""
 
-    __slots__ = ()
+    __slots__ = ("fs", "normals", "rhs")
     __hash__ = None
 
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            setattr(self, name, value)
+    def __init__(self, fs: FieldSpec, normals, rhs):
+        normals = as_rows(normals)
+        dim = len(normals[0]) if len(normals) else np.shape(normals)[-1]
+        if dim not in (2, 3):
+            raise FieldMismatch("expected flats of 2 or 3 coordinates")
+        what = ("line", "plane")[dim - 2]
+        nrm = field_array(fs, normals, dim, f"{what} coefficient")
+        rhs = field_array(fs, [as_rows(rhs)], len(nrm), f"{what} coefficient")[0]
+        if dim == 2:
+            slope = (nrm[:, 1] == 1) | (nrm[:, 1] == 0) & (nrm[:, 0] == 1)
+            if not slope.all():
+                bad = tuple(nrm[~slope][0].tolist())
+                raise FieldMismatch(f"line normal {bad} is not (-a, 1) or (1, 0)")
+        elif not nrm.any(axis=1).all():
+            raise FieldMismatch("plane normal must be nonzero")
+        self._fill(fs, nrm, rhs)
+
+    def _fill(self, fs, normals, rhs):
+        normals.setflags(write=False)
+        rhs.setflags(write=False)
+        self.fs, self.normals, self.rhs = fs, normals, rhs
         return self
 
     @classmethod
-    def _of(cls, *values):
-        """A container of rows already read for order values[0]."""
-        return object.__new__(cls)._fill(*values)
-
-    def _values(self) -> list:
-        return [getattr(self, name) for name in self.__slots__]
+    def _of(cls, fs, normals, rhs):
+        """A Flats of int64 rows already read for fs."""
+        return object.__new__(cls)._fill(fs, normals, rhs)
 
     def __len__(self) -> int:
-        return len(getattr(self, self.__slots__[1]))
+        return len(self.rhs)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return self._of(*(v[k] if isinstance(v, np.ndarray) else v for v in self._values()))
-        return self._item(k)
+            return self._of(self.fs, self.normals[k], self.rhs[k])
+        return next(iter(self._of(self.fs, self.normals[k, None], self.rhs[k, None])))
+
+    def __iter__(self):
+        if self.normals.shape[1] == 3:
+            return map(Plane3, map(tuple, self.normals.tolist()), self.rhs.tolist())
+        vert = self.normals[:, 1] == 0
+        return map(Line2, np.where(vert, "V", "N").tolist(),
+                   np.where(vert, self.rhs, self.fs.vneg(self.normals[:, 0])).tolist(),
+                   np.where(vert, 0, self.rhs).tolist())
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not Flats:
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self._values(), other._values()))
+        return (self.fs.q == other.fs.q and np.array_equal(self.normals, other.normals)
+                and np.array_equal(self.rhs, other.rhs))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(q={self.q}, {len(self)} flats)"
+        return f"Flats(q={self.fs.q}, {len(self)} flats of {self.normals.shape[1]} coordinates)"
 
 
-class Lines(_FlatRows):
-    """Lines of the plane as arrays: vertical, a bool mask of the lines x = a,
-    and ab, the int64 (n, 2) rows (a, b).  The constructor reads ab through
-    field_array for the order of fs (FieldMismatch as there), once: kernels
-    take a Lines of their order as it is.  As a sequence a Lines holds the
-    Line2 of its rows, so the oracles and fileio.save_lines read it as a list.
-    """
-
-    __slots__ = ("q", "vertical", "ab")
-    item_type = Line2
-
-    def __init__(self, fs: FieldSpec, vertical, ab):
-        ab = field_array(fs, as_rows(ab), 2, "line coefficient")
-        vertical = np.array(vertical, dtype=bool)
-        if vertical.shape != (len(ab),):
-            raise FieldMismatch("expected one vertical flag per line")
-        self._fill(fs.q, vertical, ab)
-
-    def _item(self, k) -> Line2:
-        a, b = self.ab[k].tolist()
-        return Line2("V" if self.vertical[k] else "N", a, b)
-
-    def __iter__(self):
-        return map(Line2, np.where(self.vertical, "V", "N").tolist(), *self.ab.T.tolist())
-
-
-class Planes(_FlatRows):
-    """Planes as arrays: normals, the int64 (n, 3) rows, and rhs, the int64
-    right-hand sides, with one affine_one flag for all.  The constructor reads
-    both through field_array for the order of fs, once (FieldMismatch as
-    there, and for a zero normal): kernels take a Planes of their order as it
-    is.  As a sequence a Planes holds the Plane3 of its rows, so the oracles
-    and fileio.save_planes read it as a list."""
-
-    __slots__ = ("q", "normals", "rhs", "affine_one")
-    item_type = Plane3
-
-    def __init__(self, fs: FieldSpec, normals, rhs, affine_one: bool = False):
-        nrm = field_array(fs, as_rows(normals), 3, "plane coefficient")
-        rhs = field_array(fs, [as_rows(rhs)], len(nrm), "plane coefficient")[0]
-        if not nrm.any(axis=1).all():
-            raise FieldMismatch("plane normal must be nonzero")
-        self._fill(fs.q, nrm, rhs, bool(affine_one))
-
-    def _item(self, k) -> Plane3:
-        return Plane3(tuple(self.normals[k].tolist()), int(self.rhs[k]), self.affine_one)
-
-    def __iter__(self):
-        return map(Plane3, map(tuple, self.normals.tolist()), self.rhs.tolist(),
-                   repeat(self.affine_one))
-
-
-def plane_rows(fs: FieldSpec, planes) -> Planes:
-    """planes as a Planes of the order of fs: a Planes of that order as it is,
-    one of another order read again, and Plane3 by the Planes constructor,
-    so FieldMismatch for a bad coefficient or a zero normal."""
-    if isinstance(planes, Planes):
-        if planes.q == fs.q:
-            return planes
-        return Planes(fs, planes.normals, planes.rhs, planes.affine_one)
-    return Planes(fs, [pl.normal for pl in planes], [pl.rhs for pl in planes])
-
-
-def check_incidence_input(fs: FieldSpec, points, flats, lines: bool):
-    """Every flat a valid Line2 (lines) or Plane3, every point of matching
-    dimension with coordinates in [0, q); FieldMismatch otherwise.  Returns
-    the points as an int64 array and the flats as the Lines of line_rows or
-    the Planes of plane_rows."""
-    kind = Line2 if lines else Plane3
-    if isinstance(flats, _FlatRows):
-        bad = None if flats.item_type is kind else flats.item_type
-    elif all(issubclass(t, kind) for t in set(map(type, flats))):
-        bad = None
-    else:
-        bad = type(next(f for f in flats if not isinstance(f, kind)))
-    if bad is not None:
-        raise FieldMismatch(f"expected {kind.__name__} flats, got {bad.__name__}")
-    rows = line_rows(fs, flats) if lines else plane_rows(fs, flats)
-    return field_array(fs, points, 2 if lines else 3), rows
-
-
-def line_rows(fs: FieldSpec, lines) -> Lines:
-    """lines as a Lines of the order of fs: a Lines of that order as it is,
-    one of another order read again, and Line2 (or plain (kind, a, b)
-    tuples) in one pass; FieldMismatch for an unknown kind, or as
+def flat_rows(fs: FieldSpec, flats, dim: Optional[int] = None) -> Flats:
+    """flats as a Flats of the order of fs: a Flats of that order and of
+    dimension dim as it is, and Line2 or Plane3 items in one pass; a Flats
+    of another order or dimension is read again from its items.  dim is 2
+    for lines and 3 for planes; without it the flats are of the kind of the
+    first.  FieldMismatch for a flat of the other kind ("expected Plane3
+    flats, got Line2"), an unknown line kind, a zero plane normal, or as
     field_array for a bad coefficient."""
-    if isinstance(lines, Lines):
-        return lines if lines.q == fs.q else Lines(fs, lines.vertical, lines.ab)
-    flat = list(chain.from_iterable(lines))  # kind_0, a_0, b_0, kind_1, ...
+    flats = as_rows(flats)
+    if isinstance(flats, Flats):
+        if flats.fs.q == fs.q and dim in (None, flats.normals.shape[1]):
+            return flats
+        flats = list(flats)
+    if dim is None:
+        dim = 2 if len(flats) and isinstance(flats[0], Line2) else 3
+    kind = (Line2, Plane3)[dim - 2]
+    if not all(issubclass(t, kind) for t in set(map(type, flats))):
+        bad = type(next(f for f in flats if not isinstance(f, kind)))
+        raise FieldMismatch(f"expected {kind.__name__} flats, got {bad.__name__}")
+    if dim == 3:
+        return Flats(fs, field_array(fs, [pl.normal for pl in flats], 3, "plane coefficient"),
+                     [pl.rhs for pl in flats])
+    flat = list(chain.from_iterable(flats))  # kind_0, a_0, b_0, kind_1, ...
     kinds = flat[::3]
     if kinds.count("N") + kinds.count("V") != len(kinds):
         bad = next(k for k in kinds if k not in ("N", "V"))
         raise FieldMismatch(f"unknown line kind {bad!r}")
     del flat[::3]
-    ab = field_array(fs, [flat], len(flat), "line coefficient").reshape(-1, 2)
-    return Lines._of(fs.q, np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V"), ab)
+    a, b = field_array(fs, [flat], len(flat), "line coefficient").reshape(-1, 2).T
+    vert = np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V")
+    nrm = np.column_stack([np.where(vert, 1, fs.vneg(a)), ~vert]).astype(np.int64)
+    return Flats._of(fs, nrm, np.where(vert, a, b))
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -298,45 +263,37 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     """Exact I(P, L) or I(P, Pi).
 
     "oracle" is the plain double loop over all (point, flat) pairs and is the
-    reference everything else is checked against.  The flats are a Lines or
-    Planes, or a sequence of Line2 or Plane3 that line_rows or plane_rows
-    reads into one; the oracle loops over their Line2 or Plane3 items.
-    "fast" runs over the row blocks of FieldSpec.dot_blocks.  Lines go
-    through flat_counts from the cheaper side of the join, as x_join_pays
-    picks it from the sizes: the points as rows against one column per
-    distinct line direction, (x, y) . (-a, 1) = y - a*x against the
-    intercepts of the lines of slope a and x = c as (x, y) . (1, 0) = c; or
-    the non-vertical lines as rows against one column per distinct x of
-    the points, (a, b) . (x, 1) = a*x + b against the y of the points at x,
-    with the lines x = c counted from the points at each x.  Planes are
-    point . normal against the right-hand side, one column
-    per plane, unless grouping_pays finds them numerous enough to share
-    unit normals; then flat_counts takes one column per unit normal of
-    plane_groups.  Both methods return identical counts.  Both raise
-    FieldMismatch for a coordinate or flat coefficient outside [0, q), an
-    unknown line kind or a zero plane normal.
+    reference everything else is checked against.  The flats are a Flats, or
+    a sequence of Line2 or Plane3 that flat_rows reads into one, and the
+    points have its dimension; the oracle loops over their Line2 or Plane3
+    items.  "fast" runs over the row blocks of FieldSpec.dot_blocks on the
+    hyperplanes n . x = r of the Flats.  Lines go through flat_counts from
+    the cheaper side of the join, as x_join_pays picks it from the sizes:
+    the points as rows against one column per distinct normal, (-a, 1) or
+    (1, 0), against the right-hand sides; or the non-vertical lines as rows
+    against one column per distinct x of the points, (a, b) . (x, 1) = a*x
+    + b with a = -n_0 against the y of the points at x, with the lines x = c
+    counted from the points at each x.  Planes are the sum of plane_counts.
+    Both methods return identical counts.  Both raise FieldMismatch for a
+    coordinate or flat coefficient outside [0, q), an unknown line kind or a
+    zero plane normal.
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
     points, flats = as_rows(points), as_rows(flats)
     if not len(points) or not len(flats):
         return IncidenceCount(0, method)
-    lines = issubclass(flats.item_type if isinstance(flats, _FlatRows) else type(flats[0]), Line2)
-    pts, rows = check_incidence_input(fs, points, flats, lines)
+    rows = flat_rows(fs, flats)
+    lines = rows.normals.shape[1] == 2
+    pts = field_array(fs, points, rows.normals.shape[1])
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
-        flats = list(flats)  # a Lines or Planes builds its items once, not once per point
+        flats = list(flats)  # a Flats builds its items once, not once per point
         return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, lines), "oracle")
     if lines:
-        return IncidenceCount(_count_lines_fast(fs, pts, rows.vertical, rows.ab), "fast")
-    nrm, rhs = rows.normals, rows.rhs
-    if grouping_pays(fs, len(pts), len(nrm)):
-        count = flat_counts(fs, pts, *plane_groups(fs, nrm, rhs)).sum()
-        return IncidenceCount(int(count), "fast")
-    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
-    count = sum(int(np.count_nonzero(vals == rhs)) for vals in fs.dot_blocks(pts, nrm))
-    return IncidenceCount(count, "fast")
+        return IncidenceCount(_count_lines_fast(fs, pts, rows.normals, rows.rhs), "fast")
+    return IncidenceCount(int(plane_counts(fs, pts, rows.normals, rows.rhs).sum()), "fast")
 
 
 def _count_oracle(fs, points, flats, lines: bool) -> int:
@@ -360,24 +317,25 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
     return total
 
 
-def _count_lines_fast(fs, pts, vert, ab) -> int:
-    # (x, y) lies on x = a iff (x, y) . (1, 0) = a, and on y = a*x + b iff
+def _count_lines_fast(fs, pts, nrm, rhs) -> int:
+    # (x, y) lies on x = c iff (x, y) . (1, 0) = c, and on y = a*x + b iff
     # (x, y) . (-a, 1) = b, that is (a, b) . (x, 1) = y.
-    a, b = ab[:, 0], ab[:, 1]
-    if x_join_pays(fs, len(pts), len(ab), len(ab) - int(np.count_nonzero(vert))):
+    vert = nrm[:, 1] == 0
+    if x_join_pays(fs, len(pts), len(nrm), len(nrm) - int(np.count_nonzero(vert))):
         # each point is a flat: direction its x, value its y
         xs, x_id = _numbered(pts[:, 0], fs.q)
         D = np.column_stack([xs, np.ones_like(xs)])
-        count = int(flat_counts(fs, ab[~vert], D, x_id, pts[:, 1]).sum())
-        c = a[vert]
+        ab = np.column_stack([fs.vneg(nrm[~vert, 0]), rhs[~vert]])
+        count = int(flat_counts(fs, ab, D, x_id, pts[:, 1]).sum())
+        c = rhs[vert]
         if len(c):  # the points at x = c
             at = np.searchsorted(xs, c).clip(max=len(xs) - 1)
             count += int(np.bincount(x_id)[at][xs[at] == c].sum())
         return count
-    # a direction packs into one int in [0, q], q for (1, 0) and -a for (-a, 1)
-    dirs, dir_id = _numbered(np.where(vert, fs.q, fs.vneg(a)), fs.q + 1)
+    # a normal packs into one int in [0, q], q for (1, 0) and n_0 for (n_0, 1)
+    dirs, dir_id = _numbered(np.where(vert, fs.q, nrm[:, 0]), fs.q + 1)
     D = np.column_stack([np.where(dirs == fs.q, 1, dirs), dirs < fs.q])
-    return int(flat_counts(fs, pts, D, dir_id, np.where(vert, a, b)).sum())
+    return int(flat_counts(fs, pts, D, dir_id, rhs).sum())
 
 
 def _numbered(keys, size: int):
@@ -495,6 +453,23 @@ def grouping_pays(fs: FieldSpec, points: int, flats: int) -> bool:
     return flats >= share * (fs.q**2 + fs.q + 1) * max(1, 800 / max(points, 1))
 
 
+def plane_counts(fs: FieldSpec, X, normals, rhs):
+    """For each row x of X, the number of planes k with x . normals[k] ==
+    rhs[k], as an int64 array: one dot_blocks column per plane, or, when
+    grouping_pays finds the planes numerous enough to share unit normals,
+    flat_counts with one column per unit normal of plane_groups.  A zero
+    normal meets no x if its rhs is nonzero."""
+    if grouping_pays(fs, len(X), len(normals)):
+        return flat_counts(fs, X, *plane_groups(fs, normals, rhs))
+    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
+    counts = np.zeros(len(X), dtype=np.int64)
+    start = 0
+    for vals in fs.dot_blocks(X, normals):
+        counts[start:start + len(vals)] = (vals == rhs).sum(axis=1, dtype=np.uint32)
+        start += len(vals)
+    return counts
+
+
 def plane_groups(fs: FieldSpec, nrm, rhs):
     """The flats x . nrm[k] = rhs[k] as flat_counts takes them, grouped by
     unit normal: flat k is (s nrm[k]) . x = s rhs[k], s the inverse of its
@@ -605,7 +580,7 @@ def max_shared_collinear(fs, points, planes) -> int:
     plane pairs with different unit normals (parallel planes share no line).
     FieldMismatch for a coordinate outside [0, q) or a zero plane normal."""
     pts = distinct_points3(fs, points)
-    planes = plane_rows(fs, planes)
+    planes = flat_rows(fs, planes, 3)
     nrm, rhs = planes.normals, planes.rhs
     if not len(pts) or len(planes) < 2:
         return 0

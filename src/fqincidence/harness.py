@@ -27,9 +27,7 @@ from . import apps, bounds, reductions, setsys
 from .errors import BudgetExceeded, DegreeOutOfRange, EvenCharacteristic, Unrealizable
 from .ffield import MAX_ORDER, FieldSpec, make_field
 from .geom import (
-    Line2,
-    Lines,
-    Planes,
+    Flats,
     all_planes_through_one,
     count_incidences,
     decode_points,
@@ -105,7 +103,7 @@ def field_for_order(q: int) -> FieldSpec:
 #
 # Each sampler draws one rng.sample over an index range and sorts it; all
 # but sample_field_subset then decode the indices with numpy: points into an
-# int64 array by geom.decode_rows, planes and lines into a Planes or Lines.
+# int64 array by geom.decode_rows, planes and lines into a geom.Flats.
 
 def sample_field_subset(rng, fs, size: int) -> list[int]:
     if size > fs.q:
@@ -130,17 +128,18 @@ def sample_points3(rng, fs, size: int, nonzero: bool = False):
     return decode_rows(fs.q, sorted(rng.sample(range(lo, fs.q**3), size)))
 
 
-def sample_planes_one(rng, fs, size: int) -> Planes:
+def sample_planes_one(rng, fs, size: int) -> Flats:
     """Distinct planes of the form a . x = 1, drawn as their nonzero normals."""
     normals = sample_points3(rng, fs, size, nonzero=True)
-    return Planes(fs, normals, np.ones(size, np.int64), affine_one=True)
+    return Flats(fs, normals, np.ones(size, np.int64))
 
 
 def sample_lines(
     rng, fs, size: int, slanted_only: bool = False, with_vertical: bool = True
-) -> Lines:
+) -> Flats:
     """Distinct lines; index i < q^2 is y = (i // q) x + i % q (slope 1 + i // q
-    when slanted_only), and q^2 + c is x = c."""
+    when slanted_only), and q^2 + c is x = c: in slope form, normal (-a, 1)
+    or (1, 0), and the right-hand side i % q either way."""
     q = fs.q
     if slanted_only:
         space = (q - 1) * q
@@ -152,14 +151,14 @@ def sample_lines(
     a, b = np.divmod(idx, q)
     if slanted_only:
         a += 1
-    vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q
-    return Lines(fs, vert, np.column_stack([np.where(vert, b, a), np.where(vert, 0, b)]))
+    vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q (its i // q is q)
+    return Flats(fs, np.column_stack([np.where(vert, 1, fs.vneg(a % q)), ~vert]), b)
 
 
-def all_nonvertical_lines(fs) -> Lines:
+def all_nonvertical_lines(fs) -> Flats:
     """Every line y = a x + b, ordered by (a, b)."""
     a, b = np.divmod(np.arange(fs.q**2), fs.q)
-    return Lines(fs, np.zeros(fs.q**2, dtype=bool), np.column_stack([a, b]))
+    return Flats(fs, np.column_stack([fs.vneg(a), np.ones_like(a)]), b)
 
 
 def random_config(fs: FieldSpec, kind: str, sizes: dict, seed: int) -> dict:
@@ -218,11 +217,11 @@ class PresetConfig:
     kind: str  # "line" | "plane"
     sizes: dict[str, int]
     seed: int
-    lines: Optional[list[Line2]] = None
+    lines: Optional[Flats] = None
     a_set: Optional[list[int]] = None
     b_set: Optional[list[int]] = None
     points: Optional[np.ndarray] = None
-    planes: Optional[Planes] = None
+    planes: Optional[Flats] = None
     k: Optional[int] = None
 
 
@@ -258,14 +257,13 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
         if n_b > q:
             raise Unrealizable(f"preset {name}: |B| = {n_b} exceeds q")
         slopes = sorted(rng.sample(range(1, q), n_slopes))
-        lines: list[Line2] = []
-        for j, a in enumerate(slopes):
-            cnt = n_lines // n_slopes + (1 if j < n_lines % n_slopes else 0)
-            for b in sorted(rng.sample(range(q), cnt)):
-                lines.append(Line2("N", a, b))
+        counts = [n_lines // n_slopes + (j < n_lines % n_slopes) for j in range(n_slopes)]
+        rhs = [b for cnt in counts for b in sorted(rng.sample(range(q), cnt))]
+        a = np.repeat(np.array(slopes, dtype=np.int64), counts)
+        lines = Flats(fs, np.column_stack([fs.vneg(a), np.ones_like(a)]), rhs)
         a_set = sample_field_subset(rng, fs, n_a)
         b_set = sample_field_subset(rng, fs, n_b)
-        realized_slopes = len({ln.a for ln in lines})
+        realized_slopes = n_slopes - counts.count(0)
         return PresetConfig(
             name,
             q,
@@ -669,7 +667,7 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             lns = sample_lines(r, fs, n_l, slanted_only=True)
             a_set = sample_field_subset(r, fs, n_a)
             b_set = sample_field_subset(r, fs, n_b)
-            n_lx = np.unique(lns.ab[:, 0]).size
+            n_lx = np.unique(lns.normals[:, 0]).size
             return lns, a_set, b_set, bounds.RegimeParams(
                 q=q, alpha=alpha, nL=len(lns), nA=len(a_set), nB=len(b_set), nLx=n_lx)
 

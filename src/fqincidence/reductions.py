@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
-from .geom import Planes, count_incidences, field_array, grid_points, line_rows, unit_rows
+from .geom import Flats, count_incidences, field_array, flat_rows, grid_points, unit_rows
 
 ORACLE_TUPLE_CAP = 10**9
 
@@ -35,16 +35,13 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
 
     "fast" makes one pass over the row blocks of (a, b) . (x, 1) = a*x + b,
     which histograms r(v) = #{(a, b, x) : a*x + b = v}, and returns
-    sum r(v)^2; "oracle" enumerates all tuples.  The lines are a geom.Lines
-    or a sequence of Line2, read by geom.line_rows.  Both methods agree
-    exactly, and both raise FieldMismatch as geom.line_rows and
-    geom.field_array for a bad line or element of A, and VerticalLinePresent
-    for a vertical line.
+    sum r(v)^2; "oracle" enumerates all tuples.  The lines are a geom.Flats
+    or a sequence of Line2, read by geom.flat_rows, and (a, b) is taken
+    from the slope form (-a, 1), b.  Both methods agree exactly, and both
+    raise FieldMismatch as geom.flat_rows and geom.field_array for a bad
+    line or element of A, and VerticalLinePresent for a vertical line.
     """
-    lines = line_rows(fs, lines)
-    if lines.vertical.any():
-        raise VerticalLinePresent("the reduction needs non-vertical lines")
-    rows, A = lines.ab, list(a_set)
+    rows, A = _slopes(fs, lines), list(a_set)
     cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
@@ -61,10 +58,19 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _slopes(fs: FieldSpec, lines):
+    """The int64 (a, b) rows of the lines y = a*x + b; VerticalLinePresent
+    for a line x = c."""
+    lines = flat_rows(fs, lines, 2)
+    if not lines.normals[:, 1].all():
+        raise VerticalLinePresent("the reduction needs non-vertical lines")
+    return np.column_stack([fs.vneg(lines.normals[:, 0]), lines.rhs])
+
+
 @dataclass
 class ReductionOutput:
     points3: np.ndarray  # int64 (|A| |L|, 3)
-    planes3: Planes
+    planes3: Flats
     k_bound: int  # max(|distinct A|, |distinct slopes|)
     solution_count: int
 
@@ -72,22 +78,22 @@ class ReductionOutput:
 def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     """Materialize the 3D point and plane sets whose incidence count is the energy.
 
-    points3 = {(x, a', b')} over A x L, an int64 array; planes3, a Planes,
+    points3 = {(x, a', b')} over A x L, an int64 array; planes3, a Flats,
     encode (a, b, x') over L x A.  Both keep multiplicity; the defining
     identity I(points3, planes3) == count_solutions(L, A) holds exactly.
     Each plane is in the canonical form of geom.make_plane, scaled by
     unit_rows.  Raises as count_solutions for a bad line or element of A.
     """
-    lines, A = line_rows(fs, lines), list(a_set)
+    lines, A = flat_rows(fs, lines, 2), list(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
-    ab, xs = lines.ab, field_array(fs, [A], len(A), "element")[0]
+    ab, xs = _slopes(fs, lines), field_array(fs, [A], len(A), "element")[0]
     pts = np.column_stack([np.repeat(xs, len(ab)), np.tile(ab, (len(xs), 1))])
     nrm, scale = unit_rows(fs, np.column_stack([
         np.repeat(ab[:, 0], len(xs)), np.tile(fs.vneg(xs), len(ab)),
         np.full(len(pts), fs.neg(1))]))
     rhs = fs.vmul(scale[:, 0], np.repeat(fs.vneg(ab[:, 1]), len(xs)))
     k_bound = max(np.unique(xs).size, np.unique(ab[:, 0]).size, 1)
-    return ReductionOutput(pts, Planes(fs, nrm, rhs), k_bound, count)
+    return ReductionOutput(pts, Flats(fs, nrm, rhs), k_bound, count)
 
 
 class CsUpperReport(NamedTuple):
@@ -99,7 +105,7 @@ class CsUpperReport(NamedTuple):
 
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
     """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle."""
-    lines, A, B = line_rows(fs, lines), list(a_set), list(b_set)
+    lines, A, B = flat_rows(fs, lines, 2), list(a_set), list(b_set)
     energy = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     value = math.sqrt(len(B)) * math.sqrt(energy)
     actual = count_incidences(fs, grid_points(A, B), lines, "oracle").count if B else 0

@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import _integer
 from .errors import BudgetExceeded, SubsetTooLarge
 from .ffield import FieldSpec
-from .geom import as_rows, check_incidence_input
+from .geom import as_rows, field_array, flat_rows
 
 VC_BUDGET = 10**7
 SHATTER_EXACT_BUDGET = 10**6
@@ -70,7 +70,8 @@ def neighborhood_system(fs: FieldSpec, points, planes, side: str) -> SetSystem:
     """
     if side not in ("by_point", "by_plane"):
         raise ValueError(f"side must be by_point or by_plane, got {side!r}")
-    pts, planes = check_incidence_input(fs, as_rows(points), as_rows(planes), lines=False)
+    planes = flat_rows(fs, planes, 3)
+    pts = field_array(fs, as_rows(points), 3)
     pts = np.column_stack([pts, np.ones(len(pts), dtype=np.int64)])
     pls = np.column_stack([planes.normals, fs.vneg(planes.rhs)])
     members, ground = (pts, pls) if side == "by_point" else (pls, pts)

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fqincidence import apps, geom
+from fqincidence import apps, geom, setsys
 from fqincidence.apps import (
     bisector_collinear_k,
     bisector_collisions_isotropic,
@@ -579,6 +579,7 @@ def test_int64_arrays_reach_field_array_unsplit(name, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(geom, "field_array", spy)
         mp.setattr(apps, "field_array", spy)
+        mp.setattr(setsys, "field_array", spy)
         got = SHAPES[name](fs, int64_array)
     assert made and all(any(rows is arr for rows in seen) for arr in made)
     assert got == SHAPES[name](fs, list)

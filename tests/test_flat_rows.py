@@ -1,37 +1,47 @@
-"""Lines and Planes against the Line2 and Plane3 lists they stand for.
+"""Flats against the Line2 and Plane3 lists they stand for.
 
-A container and the equivalent list must give the same results in every
-kernel that takes flats, by both methods where there are two, and bad input
-must get the same FieldMismatch message either way: from the container's
-constructor, from a container read for another order, or from the list in
-the kernel.
+A Flats and the equivalent list must give the same results in every kernel
+that takes flats, by both methods where there are two, and bad input must
+get the same FieldMismatch message either way: from the constructor, from a
+Flats read for another order, or from the list in the kernel.  Lines are
+kept in slope form, y = a*x + b as the normal (-a, 1) with rhs b and x = c
+as (1, 0) with rhs c; a 2-D row in any other form is refused.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqincidence.errors import FieldMismatch
 from fqincidence.ffield import make_field
-from fqincidence.geom import (Line2, Lines, Plane3, Planes, count_incidences, decode_rows,
-                              line_rows, max_shared_collinear, plane_rows)
+from fqincidence.geom import (Flats, Line2, Plane3, count_incidences, decode_rows, flat_rows,
+                              max_shared_collinear)
 from fqincidence.reductions import count_solutions
 from fqincidence.setsys import neighborhood_system
 
 FIELDS = [(13, 1), (2, 4), (3, 4), (5, 4)]  # prime, GF(16), GF(81), GF(625)
+ROUND_TRIP_FIELDS = [(7, 1), (2, 4), (3, 4), (5, 4)]  # GF(7), GF(16), GF(81), GF(625)
 
 
 def _points(rng, q, count, dim):
     return decode_rows(q, rng.sample(range(q**dim), count), dim)
 
 
+def _slope_form(fs, lines):
+    """The normals and right-hand sides of Line2 items in slope form."""
+    return ([(1, 0) if ln.kind == "V" else (fs.neg(ln.a), 1) for ln in lines],
+            [ln.a if ln.kind == "V" else ln.b for ln in lines])
+
+
 def _lines(rng, fs, count, vertical=True):
-    """count random lines as a Line2 list and as the equivalent Lines."""
+    """count random lines as a Line2 list and as the equivalent Flats."""
     q = fs.q
     out = [Line2("V", rng.randrange(q), 0) if vertical and rng.random() < 0.2
            else Line2("N", rng.randrange(q), rng.randrange(q)) for _ in range(count)]
-    return out, Lines(fs, [ln.kind == "V" for ln in out], [(ln.a, ln.b) for ln in out])
+    return out, Flats(fs, *_slope_form(fs, out))
 
 
 def _planes(rng, fs, count):
@@ -40,11 +50,11 @@ def _planes(rng, fs, count):
     normals = decode_rows(q, [rng.randrange(1, q**3) for _ in range(count)])
     rhs = [rng.randrange(q) for _ in range(count)]
     planes = [Plane3(tuple(n), r) for n, r in zip(normals.tolist(), rhs)]
-    return planes, Planes(fs, normals, np.array(rhs))
+    return planes, Flats(fs, normals, np.array(rhs))
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
-def test_containers_count_as_their_lists(p, n):
+def test_flats_count_as_their_lists(p, n):
     fs = make_field(p, n)
     rng = random.Random(fs.q)
     pts2, pts3 = _points(rng, fs.q, 60, 2), _points(rng, fs.q, 50, 3)
@@ -67,7 +77,7 @@ def test_containers_count_as_their_lists(p, n):
                 == count_solutions(fs, line_list, a_set, method))
 
 
-def test_grouped_plane_count_takes_a_container():
+def test_grouped_plane_count_takes_flats():
     # enough planes over GF(13) for grouping_pays: the plane_groups path
     fs = make_field(13, 1)
     rng = random.Random(7)
@@ -76,48 +86,51 @@ def test_grouped_plane_count_takes_a_container():
     assert count_incidences(fs, pts, planes) == count_incidences(fs, pts, plane_list)
 
 
-def test_containers_are_read_only_sequences():
+def test_flats_are_read_only_sequences():
     fs = make_field(7, 1)
     line_list, lines = _lines(random.Random(1), fs, 12)
     plane_list, planes = _planes(random.Random(2), fs, 9)
     for rows, items in ((lines, line_list), (planes, plane_list)):
         assert len(rows) == len(items)
         assert rows[0] == items[0] and rows[-1] == items[-1]
-        assert list(rows[2:7]) == items[2:7] and type(rows[2:7]) is type(rows)
+        assert list(rows[2:7]) == items[2:7] and type(rows[2:7]) is Flats
         assert rows[2:7] == rows[2:7] and rows[2:7] != rows[3:8]
         with pytest.raises(IndexError):
             rows[len(items)]
-    for arr in (lines.vertical, lines.ab, planes.normals, planes.rhs):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    assert lines.ab.dtype == planes.normals.dtype == planes.rhs.dtype == np.int64
-    assert line_rows(fs, lines) is lines and plane_rows(fs, planes) is planes
-    assert line_rows(fs, line_list) == lines and plane_rows(fs, plane_list) == planes
+        for arr in (rows.normals, rows.rhs):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert lines.normals.shape == (12, 2) and planes.normals.shape == (9, 3)
+    assert flat_rows(fs, lines) is lines and flat_rows(fs, planes, 3) is planes
+    assert flat_rows(fs, line_list) == lines and flat_rows(fs, plane_list, 3) == planes
+    assert lines != planes and lines[:0] != planes[:0]
 
 
-def test_a_container_of_another_order_is_read_again():
+def test_flats_of_another_order_are_read_again():
     small, large = make_field(5, 1), make_field(7, 1)
-    lines = Lines(large, [False, True], [(1, 2), (4, 0)])
-    assert line_rows(small, lines).q == 5 and line_rows(small, lines) == Lines(
-        small, [False, True], [(1, 2), (4, 0)])
+    lines = Flats(large, [(6, 1), (1, 0)], [2, 4])  # y = x + 2, x = 4
+    assert flat_rows(small, lines).fs is small and flat_rows(small, lines) == Flats(
+        small, [(4, 1), (1, 0)], [2, 4])
     with pytest.raises(FieldMismatch, match=r"line coefficient 6 outside \[0, 5\)"):
-        line_rows(small, Lines(large, [False], [(1, 6)]))
+        flat_rows(small, Flats(large, [(6, 1)], [6]))
     with pytest.raises(FieldMismatch, match=r"plane coefficient 5 outside \[0, 5\)"):
-        plane_rows(small, Planes(large, [(1, 0, 0)], [5]))
+        flat_rows(small, Flats(large, [(1, 0, 0)], [5]))
 
 
-def test_a_vertical_mask_must_match_the_rows():
+def test_flats_take_two_or_three_coordinates_and_one_rhs_per_row():
     fs = make_field(5, 1)
-    with pytest.raises(FieldMismatch, match="one vertical flag per line"):
-        Lines(fs, [False], [(1, 2), (3, 4)])
+    with pytest.raises(FieldMismatch, match="expected flats of 2 or 3 coordinates"):
+        Flats(fs, [(1, 0, 0, 1)], [1])
+    with pytest.raises(FieldMismatch, match="expected rows of 1 line coefficients"):
+        Flats(fs, [(1, 0)], [1, 2])
 
 
-# each bad flat as a Line2 or Plane3, and the rows of the same flat
+# each bad flat as a Line2, and as the slope-form row and rhs of the same flat
 BAD_LINES = {
-    "at-q": ("N", 1, 7),
-    "negative": ("N", -1, 0),
-    "float": ("N", 1.5, 0),
+    "at-q": (("N", 1, 7), (6, 1), 7),
+    "negative": (("N", -1, 0), (-1, 1), 0),
+    "float": (("N", 1.5, 0), (1.5, 1), 0),
 }
 BAD_PLANES = {
     "normal-at-q": ((1, 7, 0), 1),
@@ -138,16 +151,18 @@ def _message(call) -> str:
 @pytest.mark.parametrize("bad", BAD_LINES)
 def test_bad_lines_get_one_message_either_way(bad):
     fs = make_field(7, 1)
-    kind, a, b = BAD_LINES[bad]
+    (kind, a, b), normal, rhs = BAD_LINES[bad]
     listed = [Line2("N", 1, 1), Line2(kind, a, b)]
     want = _message(lambda: count_incidences(fs, [(0, 0)], listed))
     assert _message(lambda: count_incidences(fs, [(0, 0)], listed, "oracle")) == want
     assert _message(lambda: count_solutions(fs, listed, [0, 1])) == want
-    assert _message(lambda: Lines(fs, [False, False], [(1, 1), (a, b)])) == want
+    assert _message(lambda: flat_rows(fs, listed, 2)) == want
+    assert _message(lambda: Flats(fs, [(6, 1), normal], [1, rhs])) == want
     if bad != "float":  # numpy reads every entry of a float array as a float
-        assert _message(lambda: Lines(fs, np.zeros(2, bool), np.array([(1, 1), (a, b)]))) == want
-        # an int64 container read for a smaller order
-        wide = Lines(make_field(11, 1), [False, False], [(1, 1), (a % 11, b % 11)])
+        assert _message(lambda: Flats(fs, np.array([(6, 1), normal]), np.array([1, rhs]))) == want
+        # an int64 Flats read for a smaller order
+        wide = Flats(make_field(11, 1), *_slope_form(make_field(11, 1), [
+            Line2("N", 1, 1), Line2("N", a % 11, b % 11)]))
         assert _message(lambda: count_incidences(fs, [(0, 0)], wide)) == _message(
             lambda: count_incidences(fs, [(0, 0)], list(wide)))
 
@@ -162,22 +177,105 @@ def test_bad_planes_get_one_message_either_way(bad):
     assert _message(lambda: count_incidences(fs, pts, listed, "oracle")) == want
     assert _message(lambda: max_shared_collinear(fs, pts, listed)) == want
     assert _message(lambda: neighborhood_system(fs, pts, listed, "by_point")) == want
-    assert _message(lambda: Planes(fs, [(1, 1, 1), normal], [0, rhs])) == want
+    assert _message(lambda: Flats(fs, [(1, 1, 1), normal], [0, rhs])) == want
     if "float" not in bad:  # numpy reads every entry of a float array as a float
-        assert _message(lambda: Planes(fs, np.array([(1, 1, 1), normal]),
-                                       np.array([0, rhs]))) == want
+        assert _message(lambda: Flats(fs, np.array([(1, 1, 1), normal]),
+                                      np.array([0, rhs]))) == want
 
 
 def test_a_float_array_is_named_by_its_first_entry():
     fs = make_field(7, 1)
-    assert _message(lambda: Planes(fs, np.array([(1.0, 2.0, 0.5)]), [1])) == (
+    assert _message(lambda: Flats(fs, np.array([(1.0, 2.0, 0.5)]), [1])) == (
         "plane coefficient 1.0 is not an integer")
 
 
-def test_a_container_of_the_other_kind_is_refused_as_its_list_is():
+def test_flats_of_the_other_kind_are_refused_as_their_lists_are():
     fs = make_field(5, 1)
-    line_list, lines = _lines(random.Random(3), fs, 4)
+    line_list, lines = _lines(random.Random(3), fs, 4, vertical=False)
+    plane_list, planes = _planes(random.Random(4), fs, 4)
     pts = [(0, 0, 0)]
     assert (_message(lambda: neighborhood_system(fs, pts, lines, "by_point"))
             == _message(lambda: neighborhood_system(fs, pts, line_list, "by_point"))
+            == _message(lambda: max_shared_collinear(fs, pts, lines))
             == "expected Plane3 flats, got Line2")
+    assert (_message(lambda: count_solutions(fs, planes, [0]))
+            == _message(lambda: count_solutions(fs, plane_list, [0]))
+            == "expected Line2 flats, got Plane3")
+
+
+# -- round trips over every field class (hypothesis) ---------------------------
+
+def _line_items(q):
+    """Line2 items: x = c, y = a*x + b with any a (a = 0 included)."""
+    element = st.integers(0, q - 1)
+    return st.one_of(st.builds(Line2, st.just("V"), element, st.just(0)),
+                     st.builds(Line2, st.just("N"), st.just(0), element),
+                     st.builds(Line2, st.just("N"), element, element))
+
+
+def _plane_items(q):
+    element = st.integers(0, q - 1)
+    normal = st.tuples(element, element, element).filter(any)
+    return st.builds(Plane3, normal, element, st.just(False))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_flat_items_round_trip_through_flats(data):
+    fs = make_field(*data.draw(st.sampled_from(ROUND_TRIP_FIELDS)))
+    items = data.draw(st.lists(_line_items(fs.q), max_size=12)
+                      if data.draw(st.booleans()) else st.lists(_plane_items(fs.q), max_size=12))
+    dim = 3 if items and isinstance(items[0], Plane3) else 2
+    flats = flat_rows(fs, items, dim)
+    assert list(flats) == items and len(flats) == len(items)
+    assert flats.normals.shape == (len(items), dim)
+    assert all(flats[k] == item for k, item in enumerate(items))
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, len(items)), min_size=2, max_size=2)))
+    assert type(flats[lo:hi]) is Flats and list(flats[lo:hi]) == items[lo:hi]
+    built = (Flats(fs, *_slope_form(fs, items)) if dim == 2 and items else
+             Flats(fs, [pl.normal for pl in items] or np.zeros((0, dim), np.int64),
+                   [pl.rhs for pl in items]))
+    assert built == flats
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_flats_and_lists_count_alike(data):
+    fs = make_field(*data.draw(st.sampled_from(ROUND_TRIP_FIELDS)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    lines = data.draw(st.lists(_line_items(fs.q), min_size=1, max_size=20))
+    planes = data.draw(st.lists(_plane_items(fs.q), min_size=1, max_size=20))
+    for items, dim in ((lines, 2), (planes, 3)):
+        pts = _points(rng, fs.q, min(30, fs.q**dim), dim)
+        flats = flat_rows(fs, items, dim)
+        for method in ("fast", "oracle"):
+            assert (count_incidences(fs, pts, flats, method)
+                    == count_incidences(fs, pts, items, method))
+        assert (count_incidences(fs, pts, items, "oracle").count
+                == count_incidences(fs, pts, flats).count)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_flats_of_the_wrong_dimension_get_the_kind_text(data):
+    fs = make_field(*data.draw(st.sampled_from(ROUND_TRIP_FIELDS)))
+    lines = flat_rows(fs, data.draw(st.lists(_line_items(fs.q), min_size=1, max_size=6)), 2)
+    planes = flat_rows(fs, data.draw(st.lists(_plane_items(fs.q), min_size=1, max_size=6)), 3)
+    with pytest.raises(FieldMismatch, match="^expected Plane3 flats, got Line2$"):
+        neighborhood_system(fs, [(0, 0, 0)], lines, "by_plane")
+    with pytest.raises(FieldMismatch, match="^expected Plane3 flats, got Line2$"):
+        max_shared_collinear(fs, [(0, 0, 0), (1, 0, 0)], lines)
+    with pytest.raises(FieldMismatch, match="^expected Line2 flats, got Plane3$"):
+        count_solutions(fs, planes, [0])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_a_line_not_in_slope_form_is_refused(data):
+    fs = make_field(*data.draw(st.sampled_from(ROUND_TRIP_FIELDS)))
+    element = st.integers(0, fs.q - 1)
+    normal = data.draw(st.tuples(element, element).filter(lambda n: n[1] > 1 or n == (0, 0)
+                                                          or n[1] == 0 and n[0] != 1))
+    with pytest.raises(FieldMismatch, match=rf"^line normal \({normal[0]}, {normal[1]}\) is "
+                                            r"not \(-a, 1\) or \(1, 0\)$"):
+        Flats(fs, [(1, 0), normal], [0, data.draw(element)])

@@ -338,7 +338,7 @@ def test_all_planes_through_one_are_the_nonzero_normals():
     fs = make_field(3, 1)
     planes = all_planes_through_one(fs)
     assert [pl.normal for pl in planes] == decode_points(3, range(1, 27))
-    assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
+    assert (planes.rhs == 1).all() and planes.normals.any(axis=1).all()
 
 
 def test_field_array_rejects_wrong_dimension():

@@ -311,7 +311,7 @@ def test_sample_planes_one_maps_nonzero_points():
     planes = sample_planes_one(rng_for(3), fs, 30)
     normals = sample_points3(rng_for(3), fs, 30, nonzero=True)
     assert [pl.normal for pl in planes] == list(map(tuple, normals.tolist()))
-    assert all(pl.rhs == 1 and pl.affine_one for pl in planes)
+    assert (planes.rhs == 1).all() and planes.normals.any(axis=1).all()
     with pytest.raises(Unrealizable):
         sample_planes_one(rng_for(3), fs, 5**3)
 
@@ -365,7 +365,7 @@ SAMPLER_STREAMS = {
     "points3-nonzero": (partial(sample_points3, nonzero=True), lambda q: range(1, q**3),
                         lambda i, q: _digits(i, q, 3)),
     "planes": (sample_planes_one, lambda q: range(1, q**3),
-               lambda i, q: Plane3(_digits(i, q, 3), 1, True)),
+               lambda i, q: Plane3(_digits(i, q, 3), 1)),
     "lines": (sample_lines, lambda q: range(q * q + q),
               lambda i, q: Line2("N", i // q, i % q) if i < q * q else Line2("V", i - q * q, 0)),
     "slanted": (partial(sample_lines, slanted_only=True), lambda q: range((q - 1) * q),
