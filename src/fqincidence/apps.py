@@ -12,6 +12,7 @@ reported as measured ratios, never asserted with a constant.
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -242,7 +243,8 @@ def dot_product_set(fs: FieldSpec, E, F) -> DotReport:
     hist = np.zeros(fs.q, dtype=np.int64)
     for vals in fs.dot_blocks(field_array(fs, E, 3), field_array(fs, F, 3)):  # intp bincount
         hist += np.bincount(vals.ravel(), minlength=fs.q)
-    counts = {lam: c for lam, c in enumerate(hist.tolist()) if c}
+    lams = np.flatnonzero(hist)
+    counts = dict(zip(lams.tolist(), hist[lams].tolist()))
     # argmax returns the first, i.e. smallest, of the most frequent nonzero values
     best = int(np.argmax(hist[1:])) + 1 if hist[1:].any() else None
     return DotReport(
@@ -286,17 +288,17 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     arr = field_array(fs, as_rows(U), 3)
     if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
         raise ValueError("U must not contain duplicate points")
-    counts = plane_counts(fs, arr, arr, np.ones(len(arr), np.int64)).tolist()
+    counts = plane_counts(fs, arr, arr, np.ones(len(arr), np.int64))
     U, n = list(zip(*arr.T.tolist())), len(arr)
-    lo, hi = n / (2 * fs.q), 2 * n / fs.q
+    lo, hi = n / (2 * fs.q), 2 * n / fs.q  # counts are below 2^53: compared exactly
     return RegularSubsetReport(
-        U1=[u for u, c in zip(U, counts) if lo < c < hi],
-        L_heavy=[u for u, c in zip(U, counts) if c >= hi],
-        R_light=[u for u, c in zip(U, counts) if c <= lo],
+        U1=list(compress(U, ((lo < counts) & (counts < hi)).tolist())),
+        L_heavy=list(compress(U, (counts >= hi).tolist())),
+        R_light=list(compress(U, (counts <= lo).tolist())),
         lower_threshold=lo,
         upper_threshold=hi,
         size_hypothesis_ok=n >= 8 * fs.q**2,
-        neighbor_sizes=dict(zip(U, counts)),
+        neighbor_sizes=dict(zip(U, counts.tolist())),
     )
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
-from .geom import Flats, count_incidences, field_array, flat_rows, grid_points, unit_rows
+from .geom import (Flats, as_rows, count_incidences, field_array, flat_rows, grid_points,
+                   unit_rows)
 
 ORACLE_TUPLE_CAP = 10**9
 
@@ -41,7 +42,7 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     raise FieldMismatch as geom.flat_rows and geom.field_array for a bad
     line or element of A, and VerticalLinePresent for a vertical line.
     """
-    rows, A = _slopes(fs, lines), list(a_set)
+    rows, A = _slopes(fs, lines), as_rows(a_set)
     cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
@@ -84,7 +85,7 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     Each plane is in the canonical form of geom.make_plane, scaled by
     unit_rows.  Raises as count_solutions for a bad line or element of A.
     """
-    lines, A = flat_rows(fs, lines, 2), list(a_set)
+    lines, A = flat_rows(fs, lines, 2), as_rows(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     ab, xs = _slopes(fs, lines), field_array(fs, [A], len(A), "element")[0]
     pts = np.column_stack([np.repeat(xs, len(ab)), np.tile(ab, (len(xs), 1))])
@@ -105,8 +106,8 @@ class CsUpperReport(NamedTuple):
 
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
     """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle."""
-    lines, A, B = flat_rows(fs, lines, 2), list(a_set), list(b_set)
+    lines, A, B = flat_rows(fs, lines, 2), as_rows(a_set), as_rows(b_set)
     energy = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     value = math.sqrt(len(B)) * math.sqrt(energy)
-    actual = count_incidences(fs, grid_points(A, B), lines, "oracle").count if B else 0
+    actual = count_incidences(fs, grid_points(A, B), lines, "oracle").count if len(B) else 0
     return CsUpperReport(value, energy, actual, actual <= value + 1e-9)

@@ -616,6 +616,28 @@ def test_bare_int_points_raise_field_mismatch(name):
         SHAPES[name](fs, lambda pts: [1, 2][:len(pts)])
 
 
+NOT_SEQUENCES = {"int": 3, "numpy-int": np.int64(3), "0-d-array": np.array(3)}
+# every set a call takes whole: bisector_plane and make_plane unpack theirs
+# into points, and test_bare_int_points_raise_field_mismatch covers those
+WHOLE_SETS = {
+    **{name: call for name, call in SHAPES.items() if name not in ("bisector_plane", "make_plane")},
+    "count_incidences-flats": lambda fs, s: count_incidences(fs, P2, s(P2)),
+    "count_solutions-a_set": lambda fs, s: count_solutions(fs, [Line2("N", 1, 1)], s([0, 1])),
+    "count_solutions-oracle": lambda fs, s: count_solutions(fs, [Line2("N", 1, 1)], s([0]),
+                                                            "oracle"),
+    "cs_upper-b_set": lambda fs, s: cs_upper(fs, [Line2("N", 1, 1)], [0], s([0])),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_SEQUENCES)
+@pytest.mark.parametrize("name", WHOLE_SETS)
+def test_sets_that_are_no_sequence_raise_field_mismatch(name, bad):
+    fs = make_field(5, 1)
+    bad = NOT_SEQUENCES[bad]
+    with pytest.raises(FieldMismatch, match=f"^expected a sequence, got {type(bad).__name__}$"):
+        WHOLE_SETS[name](fs, lambda pts: bad)
+
+
 def test_side_path_inputs_raise_field_mismatch():
     fs = make_field(7, 1)
     rows = [[1, 2, 3], [0, 0, 1]]

@@ -1,16 +1,21 @@
-"""The benchmark's kernel jobs that hand flats to geom match their references.
+"""The benchmark's kernel jobs match their references.
 
 perfbench/run.py checks every kernel job against perfbench/reference.py,
-which rebuilds the field arithmetic in numpy and calls nothing here.  The
-lines, planes, energy and vc_random jobs pass Line2, Plane3 and
-plane_through_one lists to count_incidences, count_solutions and
-neighborhood_system, so this replays the smallest job of each of those kinds
-in kernels-prime, kernels-ext and vc-search (smallest by the product of its
-input sizes), and a reader that miscounts them fails here first.  It reads
-perfbench/ and changes nothing there; suites-cli is replayed by
-test_bench_digests.py.
+which rebuilds the field arithmetic in numpy and calls nothing here, and the
+exhaustive vc-plane suite against its digest in perfbench/expected.json.
+This replays the smallest job (by the product of its input sizes) of each
+kind in each of kernels-prime, kernels-ext and vc-search: the counts that
+take Line2, Plane3 and plane_through_one lists (lines, planes, energy,
+vc_random), the reports that apps builds from point sets (dot, distance,
+traces, regular) and the vc-plane suite, so an input reader or report part
+that goes wrong fails here first.  The kinds come from the job lists
+themselves, so a new kind fails test_every_kind_is_replayed until it is in
+CASES.  Only the full_* kinds are left out: each counts the whole space at
+q = 16 (~0.7-1.2 s and ~670 MB).  It reads perfbench/ and changes nothing
+there; suites-cli is replayed by test_bench_digests.py.
 """
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -24,16 +29,17 @@ from perfbench import jobs  # noqa: E402
 
 from fqincidence.ffield import make_field  # noqa: E402
 
-KINDS = ("lines", "planes", "energy", "vc_random")
-INPUTS = ("points", "lines", "planes", "a_set", "normals")
+WORKLOADS = ("kernels-prime", "kernels-ext", "vc-search")
+INPUTS = ("points", "lines", "planes", "a_set", "normals", "E", "F", "U", "Up")
 SEED = 1
+RECORDED = json.loads((ROOT / "perfbench" / "expected.json").read_text())
 
 
 def _smallest(workload: str) -> dict:
-    """The smallest job of each kind in KINDS of one pass of workload."""
+    """The smallest job of each kind, but full_*, of one pass of workload."""
     out = {}
     for job in jobs.make_jobs(workload, SEED):
-        if job["kind"] in KINDS:
+        if not job["kind"].startswith("full_"):
             size = math.prod(len(job[key]) for key in INPUTS if key in job)
             if job["kind"] not in out or size < out[job["kind"]][0]:
                 out[job["kind"]] = (size, job)
@@ -41,12 +47,12 @@ def _smallest(workload: str) -> dict:
 
 
 CASES = [(workload, kind, job)
-         for workload in ("kernels-prime", "kernels-ext", "vc-search")
-         for kind, job in sorted(_smallest(workload).items())]
+         for workload in WORKLOADS for kind, job in sorted(_smallest(workload).items())]
 
 
 def test_every_kind_is_replayed():
-    assert {kind for _, kind, _ in CASES} == set(KINDS)
+    kinds = {job["kind"] for workload in WORKLOADS for job in jobs.make_jobs(workload, SEED)}
+    assert {kind for _, kind, _ in CASES} == {k for k in kinds if not k.startswith("full_")}
 
 
 @pytest.mark.parametrize("workload,kind,job", CASES,
@@ -54,4 +60,4 @@ def test_every_kind_is_replayed():
 def test_kernel_job_matches_its_reference(workload, kind, job, tmp_path):
     fs = make_field(*job["field"])
     call, canon = jobs.materialize(job, {tuple(job["field"]): fs}, tmp_path)
-    assert canon(call()) == jobs.expected_output(job, fs, {}, {})
+    assert canon(call()) == jobs.expected_output(job, fs, {}, RECORDED)

@@ -122,7 +122,8 @@ def test_flats_take_two_or_three_coordinates_and_one_rhs_per_row():
     fs = make_field(5, 1)
     with pytest.raises(FieldMismatch, match="expected flats of 2 or 3 coordinates"):
         Flats(fs, [(1, 0, 0, 1)], [1])
-    with pytest.raises(FieldMismatch, match="expected rows of 1 line coefficients"):
+    with pytest.raises(FieldMismatch,
+                       match="^expected one right-hand side per line normal, got 2 for 1$"):
         Flats(fs, [(1, 0)], [1, 2])
 
 
