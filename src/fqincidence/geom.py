@@ -16,6 +16,7 @@ the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 """
 
 import math
+import operator
 import struct
 from itertools import chain, starmap
 from typing import NamedTuple, Optional, Sequence
@@ -117,48 +118,39 @@ def grid_points(a_set: Sequence[int], b_set: Sequence[int]) -> list[Point2]:
 def field_array(fs: FieldSpec, rows, dim: int, what: str = "coordinate"):
     """A sequence of rows of dim field elements as an int64 (len(rows), dim)
     array: the one converter from caller input to the kernels' arrays.
+    An entry is an integer when it is a numpy bool or has __index__: an int
+    or bool, a numpy integer, a 0-d integer array or any object struct packs
+    as one.
     FieldMismatch naming what for a row that does not hold dim entries, an
-    entry that is not an integer (a float, a string, an int too large for
-    int64) or one outside [0, q).  A flat list of n entries goes in as the
-    one row [flat] with dim n."""
+    entry that is not an integer (a float, a string, None) or one outside
+    [0, q).  A flat list of n entries goes in as the one row [flat] with
+    dim n."""
     try:
         arr = _read_rows(rows, dim)
     except ValueError:  # ragged rows
         arr = np.empty(0)
     if len(rows) and arr.shape != (len(rows), dim):
         raise FieldMismatch(f"expected rows of {dim} {what}s")
-    if arr.dtype.kind not in "biu" and arr.size:  # named as given: numpy has cast it
-        bad = next((x for row in rows for x in row
-                    if not (isinstance(x, (int, np.integer)) and 0 <= x < fs.q)), None)
-        if isinstance(bad, np.generic):  # an entry of a numpy array, named as a Python value
-            bad = bad.item()
-        if isinstance(bad, int):  # too large for int64
-            raise FieldMismatch(f"{what} {bad} outside [0, {fs.q})")
-        raise FieldMismatch(f"{what} {bad!r} is not an integer")
+    if arr.dtype.kind not in "biu" and arr.size:  # numpy has cast it: read each entry again
+        arr = np.fromiter(_field_ints(rows, fs.q, what), np.int64, arr.size)
     out = arr.astype(np.int64, copy=False).reshape(len(rows), dim)
     if np.count_nonzero(out.view(np.uint64) >= fs.q):  # a negative entry wraps past q
         raise FieldMismatch(f"{what} {arr[(arr < 0) | (arr >= fs.q)][0]} outside [0, {fs.q})")
     return out
 
 
-# the fewest entries in all that field_array packs (see _read_rows)
-_PACK_ENTRIES = 64
-
-
 def _read_rows(rows, dim: int):
     """rows as one array for field_array to check.  Tuple and list rows
-    (namedtuples included) of _PACK_ENTRIES entries or more are packed by
-    one struct of dim int64s each into one flat buffer, which costs about
-    half of numpy's walk of the nested rows from ~100 entries on, but has a
-    fixed cost that makes it the slower below 40-60 (1500 x 2: 128 against
-    243 us, 200 x 3: 23 against 41 us, 2 x 3: 4.2 against 2.6 us; 2-CPU
-    host, min of 25 interleaved runs).  Rows that do not pack (a row of
-    another length, an entry that is not an integer in int64 range),
-    smaller sets and rows of any other type (ndarray rows, range, or a
-    dict, set, str or bytes, which is no row at all) are read by
-    np.array(rows), which infers the dtype that field_array then checks."""
-    if (not isinstance(rows, np.ndarray) and len(rows) * dim >= _PACK_ENTRIES
-            and all(issubclass(t, (tuple, list)) for t in set(map(type, rows)))):
+    (namedtuples included) are packed by one struct of dim int64s each into
+    one flat buffer, which costs about half of numpy's walk of the nested
+    rows from ~100 entries on (1500 x 2: 128 against 243 us, 200 x 3: 23
+    against 41 us; 2-CPU host, min of 25 interleaved runs).  Rows that do
+    not pack (a row of another length, an entry that is not an integer in
+    int64 range) and rows of any other type (ndarray rows, range, or a dict,
+    set, str or bytes, which is no row at all) are read by np.array(rows),
+    which infers the dtype that field_array then checks."""
+    if not isinstance(rows, np.ndarray) and all(
+            issubclass(t, (tuple, list)) for t in set(map(type, rows))):
         try:
             flat = bytearray().join(starmap(struct.Struct(f"{dim}q").pack, rows))
         except (struct.error, TypeError):
@@ -166,6 +158,23 @@ def _read_rows(rows, dim: int):
         else:
             return np.frombuffer(flat, np.int64).reshape(len(rows), dim)
     return np.array(rows)
+
+
+def _field_ints(rows, q: int, what: str):
+    """Each entry of rows as the int its __index__ gives, as struct packs it
+    (a numpy scalar as its Python value first, so a numpy bool reads as the
+    bool): FieldMismatch for the first that is not an integer or lies
+    outside [0, q)."""
+    for x in chain.from_iterable(rows):
+        if isinstance(x, np.generic):
+            x = x.item()
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise FieldMismatch(f"{what} {x!r} is not an integer") from None
+        if not 0 <= x < q:
+            raise FieldMismatch(f"{what} {x} outside [0, {q})")
+        yield x
 
 
 def as_rows(points):
