@@ -21,7 +21,8 @@ from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (Line3, Plane3, Point3, as_rows, distinct_points3, dot3, field_array,
-                   line_blocks, plane_canonical, plane_counts, row_keys, unit_rows)
+                   line_blocks, plane_canonical, plane_counts, plane_spectrum, row_keys,
+                   unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
 BISECTOR_PAIR_BUDGET = 10**7
@@ -280,15 +281,22 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     partition is returned either way for exploration.  U is read by
     field_array; the parts list its points as tuples, in the order of U.
 
-    The counts are those of the planes u' . x = 1 by geom.plane_counts:
-    one dot_blocks column per point, or, when grouping pays, one column per
-    unit normal w, u . u' = 1 with u' = c w being u . w = c^-1.  The zero
-    point has no direction and stays out of the table; its own count is 0.
+    The count of u is the number of points u' of U on the plane u . x = 1,
+    by the symmetry of u . u' = 1: geom.plane_spectrum reads it from one
+    transform of U, at the histogram of the unit normal w of u = c w and
+    the value c^-1, when geom.spectrum_pays, and if the transform is not
+    exact or does not pay, geom.plane_counts counts the planes u' . x = 1
+    through each u: one dot_blocks column per point, or, when grouping
+    pays, one column per unit normal.  The zero point has no direction and
+    counts 0.  InvalidPointSet (a ValueError) for a point given twice.
     """
     arr = field_array(fs, as_rows(U), 3)
     if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
-        raise ValueError("U must not contain duplicate points")
-    counts = plane_counts(fs, arr, arr, np.ones(len(arr), np.int64))
+        raise InvalidPointSet("U must not contain duplicate points")
+    ones = np.ones(len(arr), np.int64)
+    counts = plane_spectrum(fs, arr, arr, ones)  # the points on plane u, by symmetry
+    if counts is None:
+        counts = plane_counts(fs, arr, arr, ones)
     U, n = list(zip(*arr.T.tolist())), len(arr)
     lo, hi = n / (2 * fs.q), 2 * n / fs.q  # counts are below 2^53: compared exactly
     return RegularSubsetReport(

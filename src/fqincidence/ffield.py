@@ -94,6 +94,29 @@ With fewer rows than elements the tables would cost more products than
 they save, and tables over the cap would break the memory bound; then each
 product is gathered per pair and coordinate, exp[log x_j + log y_j]
 (packed for odd p; exp's int32 blocks for p = 2).
+
+forward3 and inverse1 are the transform pair of geom's spectral plane
+count, set once per field like dot_blocks.  GF(q)^3 is (Z_p)^(3n) by the
+digits of the point index x_0 + x_1 q + x_2 q^2, and GF(q) is (Z_p)^n by
+the digits of an index.  forward3 takes the q^3 values of a function in
+that index order to F(c) = sum_x f(x) omega^-(c . x), omega = e^(2 pi i/p),
+and inverse1 takes rows of q values S(e) on the last axis back to
+h(r) = q^-1 sum_e S(e) omega^(e . r), so inverse1 inverts the same
+transform over GF(q).
+
+  * For p = 2, omega^(c . x) = (-1)^popcount(c & x), so both are integer
+    Walsh-Hadamard butterflies in int64, one per bit: exact while the sums
+    stay below 2^63.  inverse1 shifts right by n, an exact division of the
+    q h(r) that the butterflies give for integer h.
+  * For odd p, forward3 is numpy.fft.fftn over the 3n axes of length p
+    (the (q, q, q) array for prime q) and inverse1 numpy.fft.ifftn over n
+    axes, in complex128, so the histograms come back with rounding errors.
+    geom rounds every entry and takes the count only when each lies within
+    1/4 of an integer in both its real and imaginary parts; otherwise the
+    count falls back to the pairwise sides.  The values the transforms
+    sum are at most |P| in size, for |P| points, and a floating-point FFT
+    errs by O(log q) units of 2^-53 relative to them, so an error of 1/4
+    takes |P| far beyond 2^40; the check keeps the count exact either way.
 """
 
 import functools
@@ -230,6 +253,9 @@ class FieldSpec:
         vmul, vadd, vneg, vinv                     elementwise on numpy index
                                                    arrays, broadcasting
         dot_blocks(X, Y)                           pairwise dot products
+        forward3(f), inverse1(S)                   the transforms over GF(q)^3
+                                                   and over GF(q) (see the
+                                                   module docstring)
 
     dot_blocks takes integer arrays X and Y of shape (rows, d) holding
     element indices and yields the |X| x |Y| matrix of x . y in row blocks:
@@ -413,7 +439,37 @@ def _prime_backend(p: int) -> dict:
                 vadd=lambda a, b: np.add(a, b, dtype=np.int64) % p,
                 vneg=lambda a: np.negative(a, dtype=np.int64) % p,
                 vmul=lambda a, b: np.multiply(a, b, dtype=np.int64) % p,
-                vinv=vinv, dot_blocks=dot_blocks)
+                vinv=vinv, dot_blocks=dot_blocks, **_transforms(p, 1))
+
+
+def _walsh(a):
+    """The integer Walsh-Hadamard transform of a over its last axis, of
+    length 2^k: k constant-geometry butterflies, each writing the sum and
+    the difference of the entries 2i and 2i + 1 to i and i + 2^(k-1), in
+    int64 between two buffers."""
+    a = np.array(a, dtype=np.int64)
+    out, half = np.empty_like(a), a.shape[-1] // 2
+    for _ in range(half.bit_length()):
+        x, y = a[..., 0::2], a[..., 1::2]
+        np.add(x, y, out=out[..., :half])
+        np.subtract(x, y, out=out[..., half:])
+        a, out = out, a
+    return a
+
+
+def _transforms(p: int, n: int) -> dict:
+    """The transform pair of the spectral plane count (see the module
+    docstring): forward over the q^3 entries of a function on GF(q)^3 in
+    point-index order, inverse over GF(q) on the last axis of (rows, q)."""
+    if p == 2:
+        return dict(forward3=_walsh, inverse1=lambda S: _walsh(S) >> n)
+    space, line = (p,) * 3 * n, (p,) * n
+    axes = tuple(range(1, n + 1))
+
+    def inverse1(S):
+        return np.fft.ifftn(S.reshape(len(S), *line), axes=axes).reshape(S.shape)
+
+    return dict(forward3=lambda f: np.fft.fftn(f.reshape(space)).ravel(), inverse1=inverse1)
 
 
 def _packed_sums(fs: FieldSpec, powers, log):
@@ -593,4 +649,4 @@ def _extension_backend(fs: FieldSpec) -> dict:
 
     return dict(tables, add=add, sub=sub, neg=neg, mul=mul, inv=inv, pow=power,
                 is_square=is_square, vmul=vmul, vadd=vadd, vneg=vneg, vinv=vinv,
-                dot_blocks=dot_blocks)
+                dot_blocks=dot_blocks, **_transforms(p, fs.n))

@@ -13,6 +13,8 @@ and flat_rows reads every caller's flats into one.
 Everything here is affine and exact; there is no projective geometry, and
 the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 2^53) and of every prime-field dot_blocks block (see ffield) is exact.
+The complex histograms of plane_histograms are taken only when every entry
+rounds to an integer within 1/4; otherwise the count is pairwise.
 """
 
 import math
@@ -315,17 +317,20 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     reference everything else is checked against.  The flats are a Flats, or
     a sequence of Line2 or Plane3 that flat_rows reads into one, and the
     points have its dimension; the oracle loops over their Line2 or Plane3
-    items.  "fast" runs over the row blocks of FieldSpec.dot_blocks on the
-    hyperplanes n . x = r of the Flats.  Lines go through flat_counts from
+    items.  "fast" counts the hyperplanes n . x = r of the Flats.  Lines go
+    over the row blocks of FieldSpec.dot_blocks, through flat_counts from
     the cheaper side of the join, as x_join_pays picks it from the sizes:
     the points as rows against one column per distinct normal, (-a, 1) or
     (1, 0), against the right-hand sides; or the non-vertical lines as rows
     against one column per distinct x of the points, (a, b) . (x, 1) = a*x
     + b with a = -n_0 against the y of the points at x, with the lines x = c
-    counted from the points at each x.  Planes are the sum of plane_counts.
-    Both methods return identical counts.  Both raise FieldMismatch for a
-    coordinate or flat coefficient outside [0, q), an unknown line kind or a
-    zero plane normal.
+    counted from the points at each x.  Planes are counted by plane_total:
+    from one transform of the points when spectrum_pays, every plane read
+    from the histograms of its unit normal (plane_spectrum), and otherwise
+    over dot_blocks, grouped by unit normal when grouping_pays, or one
+    column per plane.  Both methods return identical counts.  Both raise
+    FieldMismatch for a coordinate or flat coefficient outside [0, q), an
+    unknown line kind or a zero plane normal.
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
@@ -342,7 +347,7 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
         return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, lines), "oracle")
     if lines:
         return IncidenceCount(_count_lines_fast(fs, pts, rows.normals, rows.rhs), "fast")
-    return IncidenceCount(int(plane_counts(fs, pts, rows.normals, rows.rhs).sum()), "fast")
+    return IncidenceCount(plane_total(fs, pts, rows.normals, rows.rhs), "fast")
 
 
 def _count_oracle(fs, points, flats, lines: bool) -> int:
@@ -502,21 +507,132 @@ def grouping_pays(fs: FieldSpec, points: int, flats: int) -> bool:
     return flats >= share * (fs.q**2 + fs.q + 1) * max(1, 800 / max(points, 1))
 
 
+def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
+    """Whether points rows meet flats planes sooner through plane_spectrum,
+    one transform of the points, than through the pairwise sides of
+    plane_counts, between which grouping_pays picks: when q^3 <=
+    TABLE_ELEMENTS (q <= 101), which caps the transform, and points x flats
+    > 30 (w q^3 + 2000), with w = 1 in characteristic 2 and w = n for odd p.
+
+    The rule reads sizes only.  It comes from timing both sides on random
+    points and planes, 30 to 30000 of each and at most 3 x 10^7 pairs, over
+    GF(5), GF(7), GF(11), GF(13), GF(31), GF(101), GF(4), GF(8), GF(16),
+    GF(9), GF(25), GF(49), GF(27) and GF(81) (2-CPU host, min of 10,
+    interleaved).  The transform costs a floor of 0.15-0.3 ms up to
+    q = 16 and then 70-110 ns per entry of GF(q)^3 for prime q and n = 2
+    (2.2 ms at GF(31), 8.2 ms at GF(49), 109 ms at GF(101)), and 200-220 ns
+    at GF(27) and GF(81), whose numpy.fft.fftn makes one pass per axis of
+    length p, 3n of them; the integer Walsh-Hadamard butterflies of GF(16)
+    take 0.27 ms in all.  A pairwise block entry costs 3-5 ns, so a plain
+    pair costs about 1/30 of a transform entry.  Both sides also pay per
+    plane, 0.12 us to scale it to its unit normal here and 0.2 us to group
+    it on the grouped side, so the product points x flats, rather than the
+    grouped side's points x (q^2 + q + 1) entries, is the measure: 30
+    points against 30000 planes over GF(13) took 3.7 ms through the
+    transform and 5.8 ms grouped.  Over the 672 shapes the rule's picks took
+    1.04 times the faster side's total (geometric mean 1.01, worst 1.8,
+    near the threshold), the pairwise sides alone 2.56 times and the
+    transform alone 5.7 times.  A second pass over 560 other shapes, 50 to
+    20000 of each, GF(17) and GF(53) added, read 1.01 (worst 1.7), 2.56
+    and 5.8.
+    """
+    q = fs.q
+    weight = 1 if fs.p == 2 else fs.n
+    return q**3 <= ffield.TABLE_ELEMENTS and points * flats > 30 * (weight * q**3 + 2000)
+
+
+def unit_normals(q: int):
+    """The q^2 + q + 1 unit normals of GF(q)^3, (0, 0, 1), (0, 1, b) and
+    (1, a, b), in row_keys order, as an int64 (q^2 + q + 1, 3) array."""
+    lead, b = np.divmod(np.arange(q * q + q), q)  # (0, 1, b) at lead 0, then (1, lead - 1, b)
+    return np.vstack([[0, 0, 1], np.column_stack([lead > 0, np.where(lead, lead - 1, 1), b])])
+
+
+def plane_histograms(fs: FieldSpec, X):
+    """H[k, r], the number of rows x of X with w_k . x = r for the unit
+    normals w_k of unit_normals, repeated rows counted each time, from one
+    transform of the indicator of X; None when the transform is not exact.
+
+    forward3 turns the counts f(x) of the point indices into F(c) = sum_x
+    f(x) chi_c(x) over the characters chi_c of GF(q)^3 = (Z_p)^(3n).  The
+    character a -> chi_e(w a) of GF(q) is chi_G[w, e] for a q x q table G
+    (w e mod q for prime q), so S_w(e) = sum_x f(x) chi_e(w . x) is F at
+    c(w, e) = G[w_0, e] + q G[w_1, e] + q^2 G[w_2, e], and its inverse over
+    GF(q), inverse1, is the histogram of w . x.  The gathers and inverses
+    run over the row blocks of the directions.  Every entry must lie within
+    1/4 of an integer in both its real and imaginary parts, or the count is
+    refused (see ffield).
+    """
+    p, n, q = fs.p, fs.n, fs.q
+    F = fs.forward3(np.bincount(X @ np.array([1, q, q * q]), minlength=q**3))
+    # G[w, e] = sum_j (e . digits(w p^j) mod p) p^j: the character e of w a
+    # as a character of a
+    el = np.arange(q)
+    digits = el[:, None] // p ** np.arange(n) % p
+    G = sum(digits[fs.vmul(el, p**j)] @ digits.T % p * p**j for j in range(n))
+    W = unit_normals(q)
+    H = np.empty((len(W), q), dtype=np.int64)
+    for rows in ffield.row_blocks(np.arange(len(W)), q):
+        w = W[rows]
+        h = fs.inverse1(F[G[w[:, 0]] + q * G[w[:, 1]] + q * q * G[w[:, 2]]])
+        counts = np.rint(h.real)
+        if not ((abs(h.real - counts) < 0.25).all() and (abs(h.imag) < 0.25).all()):
+            return None
+        H[rows] = counts
+    return H
+
+
+def plane_spectrum(fs: FieldSpec, X, normals, rhs):
+    """For each plane k, the number of rows x of X with x . normals[k] ==
+    rhs[k], read from plane_histograms: the plane (s n) . x = s r, s the
+    inverse of the first nonzero coordinate of n, at H[unit(n), s r]; None
+    when spectrum_pays declines or the transform is refused.  A zero normal
+    meets no x: its rhs must be nonzero, as in plane_groups."""
+    if not spectrum_pays(fs, len(X), len(normals)):
+        return None
+    H = plane_histograms(fs, X)
+    if H is None:
+        return None
+    (u0, u1, u2), scale = (a.T for a in unit_rows(fs, normals))
+    at = np.where(u0 == 1, 1 + fs.q + fs.q * u1 + u2, u1 * (1 + u2))  # in unit_normals
+    return np.where(normals.any(axis=1), H[at, fs.vmul(rhs, scale[0])], 0)
+
+
 def plane_counts(fs: FieldSpec, X, normals, rhs):
     """For each row x of X, the number of planes k with x . normals[k] ==
-    rhs[k], as an int64 array: one dot_blocks column per plane, or, when
-    grouping_pays finds the planes numerous enough to share unit normals,
-    flat_counts with one column per unit normal of plane_groups.  A zero
-    normal meets no x if its rhs is nonzero."""
+    rhs[k], as an int64 array, by the pairwise sides: one dot_blocks column
+    per plane, or, when grouping_pays finds the planes numerous enough to
+    share unit normals, flat_counts with one column per unit normal of
+    plane_groups.  A zero normal meets no x if its rhs is nonzero."""
     if grouping_pays(fs, len(X), len(normals)):
         return flat_counts(fs, X, *plane_groups(fs, normals, rhs))
-    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
     counts = np.zeros(len(X), dtype=np.int64)
     start = 0
-    for vals in fs.dot_blocks(X, normals):
-        counts[start:start + len(vals)] = (vals == rhs).sum(axis=1, dtype=np.uint32)
-        start += len(vals)
+    for on in _plain_blocks(fs, X, normals, rhs):
+        counts[start:start + len(on)] = on.sum(axis=1, dtype=np.uint32)
+        start += len(on)
     return counts
+
+
+def plane_total(fs: FieldSpec, X, normals, rhs) -> int:
+    """The number of pairs (x, k) with x . normals[k] == rhs[k]: the sum of
+    plane_spectrum when spectrum_pays, and otherwise from the side of
+    plane_counts that grouping_pays picks, where the plain side totals each
+    block with one count_nonzero."""
+    hits = plane_spectrum(fs, X, normals, rhs)
+    if hits is not None:
+        return int(hits.sum())
+    if grouping_pays(fs, len(X), len(normals)):
+        return int(flat_counts(fs, X, *plane_groups(fs, normals, rhs)).sum())
+    return int(sum(np.count_nonzero(on) for on in _plain_blocks(fs, X, normals, rhs)))
+
+
+def _plain_blocks(fs: FieldSpec, X, normals, rhs):
+    """The row blocks of x . normals[k] == rhs[k], one dot_blocks column per
+    plane."""
+    rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
+    for vals in fs.dot_blocks(X, normals):
+        yield vals == rhs
 
 
 def plane_groups(fs: FieldSpec, nrm, rhs):

@@ -10,9 +10,9 @@ vc_random), the reports that apps builds from point sets (dot, distance,
 traces, regular) and the vc-plane suite, so an input reader or report part
 that goes wrong fails here first.  The kinds come from the job lists
 themselves, so a new kind fails test_every_kind_is_replayed until it is in
-CASES.  Only the full_* kinds are left out: each counts the whole space at
-q = 16 (~0.7-1.2 s and ~670 MB).  It reads perfbench/ and changes nothing
-there; suites-cli is replayed by test_bench_digests.py.
+CASES.  The full_* kinds count the whole space at q = 16 and are checked
+against the closed forms of perfbench/reference.py.  It reads perfbench/
+and changes nothing there; suites-cli is replayed by test_bench_digests.py.
 """
 
 import json
@@ -36,13 +36,12 @@ RECORDED = json.loads((ROOT / "perfbench" / "expected.json").read_text())
 
 
 def _smallest(workload: str) -> dict:
-    """The smallest job of each kind, but full_*, of one pass of workload."""
+    """The smallest job of each kind of one pass of workload."""
     out = {}
     for job in jobs.make_jobs(workload, SEED):
-        if not job["kind"].startswith("full_"):
-            size = math.prod(len(job[key]) for key in INPUTS if key in job)
-            if job["kind"] not in out or size < out[job["kind"]][0]:
-                out[job["kind"]] = (size, job)
+        size = math.prod(len(job[key]) for key in INPUTS if key in job)
+        if job["kind"] not in out or size < out[job["kind"]][0]:
+            out[job["kind"]] = (size, job)
     return {kind: job for kind, (_, job) in out.items()}
 
 
@@ -52,7 +51,7 @@ CASES = [(workload, kind, job)
 
 def test_every_kind_is_replayed():
     kinds = {job["kind"] for workload in WORKLOADS for job in jobs.make_jobs(workload, SEED)}
-    assert {kind for _, kind, _ in CASES} == {k for k in kinds if not k.startswith("full_")}
+    assert {kind for _, kind, _ in CASES} == kinds
 
 
 @pytest.mark.parametrize("workload,kind,job", CASES,

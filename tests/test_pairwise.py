@@ -280,7 +280,7 @@ def whole_space_peak(fs, kernel):
 
 
 @pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
-def test_whole_space_kernels_stay_in_memory_budget(kernel):
+def test_whole_space_kernels_stay_in_memory_budget(kernel, spectral):
     # GF(16)^3: 4096 x 4096 unit products and 4096 x 4095 point-plane pairs,
     # which a kernel must walk in blocks rather than hold
     assert whole_space_peak(make_field(2, 4), kernel) < 8 * 2**20
@@ -292,8 +292,25 @@ PRIME_PEAK_PINS = {"regular_subset": 2 * 321_839, "plane_count": 2 * 427_062}
 
 
 @pytest.mark.parametrize("kernel", list(PRIME_PEAK_PINS))
-def test_whole_space_prime_kernels_stay_in_block_memory(kernel):
+def test_whole_space_prime_kernels_stay_in_block_memory(kernel, spectral):
     assert whole_space_peak(make_field(11, 1), kernel) < PRIME_PEAK_PINS[kernel]
+
+
+# 1.5 times the traced peaks over the whole GF(49)^3 through the spectral
+# side, 20.0 MB and 26.8 MB: mostly the int64 rows of the 117,648 planes or
+# points as unit_rows scales them, and regular_subset's report tuples; the
+# transform holds q^3 complex entries, 1.9 MB, and the histograms
+# (q^2 + q + 1) q int64, 0.96 MB.  The pairwise sides would take 2,451
+# columns per point.
+GF49_SPECTRAL_PEAK_PINS = {"regular_subset": 40_000_000, "plane_count": 30_000_000}
+
+
+@pytest.mark.parametrize("kernel", list(GF49_SPECTRAL_PEAK_PINS))
+def test_whole_space_spectral_kernels_stay_in_transform_memory(kernel, monkeypatch):
+    fs = make_field(7, 2)
+    seen = dot_block_columns(monkeypatch, fs)
+    assert whole_space_peak(fs, kernel) < GF49_SPECTRAL_PEAK_PINS[kernel]
+    assert not seen
 
 
 # twice the traced peak of regular_subset on 520 seeded points of GF(81)^3,
@@ -552,7 +569,7 @@ RULE_FIELDS = [(7, 1), (3, 2), (2, 2)]
 
 @pytest.mark.parametrize("p,n", RULE_FIELDS)
 @pytest.mark.parametrize("side", [-1, 0])
-def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget):
+def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget, spectral):
     fs = make_field(p, n)
     rng = random.Random(fs.q)
     share = 8 if p == 2 else 2
@@ -571,7 +588,7 @@ def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget):
 
 
 @pytest.mark.parametrize("p,n,size", [(7, 1, 343), (7, 1, 200), (3, 2, 600), (3, 2, 300)])
-def test_regular_subset_both_sides_of_the_grouping_rule(p, n, size, budget):
+def test_regular_subset_both_sides_of_the_grouping_rule(p, n, size, budget, spectral):
     # the whole GF(7)^3 and 600 of GF(9)^3 are grouped, 200 and 300 points not
     fs = make_field(p, n)
     idx = [0] + random.Random(size).sample(range(1, fs.q**3), size - 1)
@@ -600,8 +617,9 @@ def dot_block_columns(monkeypatch, fs):
     return seen
 
 
-@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
-def test_whole_space_counts_take_a_column_per_direction(kernel, monkeypatch):
+def whole_space_columns(monkeypatch, kernel):
+    """The dot_blocks columns of the GF(16) whole-space kernel, after
+    checking its result as whole_space_peak does."""
     fs = make_field(2, 4)
     space = decode_points(fs.q, range(fs.q**3))
     seen = dot_block_columns(monkeypatch, fs)
@@ -610,7 +628,20 @@ def test_whole_space_counts_take_a_column_per_direction(kernel, monkeypatch):
     else:
         planes = all_planes_through_one(fs)
         assert count_incidences(fs, space, planes).count == (fs.q**3 - 1) * fs.q**2
-    assert seen and max(seen) <= fs.q**2 + fs.q + 1
+    return seen
+
+
+@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
+def test_whole_space_counts_take_a_column_per_direction(kernel, monkeypatch):
+    # the grouped side, with the spectral rule pinned off
+    monkeypatch.setattr(geom, "spectrum_pays", lambda fs, points, flats: False)
+    seen = whole_space_columns(monkeypatch, kernel)
+    assert seen and max(seen) <= 16**2 + 16 + 1
+
+
+@pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
+def test_whole_space_counts_take_no_pairwise_block(kernel, monkeypatch):
+    assert whole_space_columns(monkeypatch, kernel) == []
 
 
 def test_random_gf81_regular_subset_keeps_a_column_per_point(monkeypatch):

@@ -4,6 +4,9 @@ The digests were recorded from the suite implementations before they became
 row generators; a change that alters any emitted byte other than the timing
 column fails here.  The vc-plane digest at q = 5 was recorded from the
 one-set-at-a-time VC search, before the bit-sliced trace kernel replaced it.
+The calibration digests at q = 11 and 16 and the regular-subset digest at
+q = 11 were recorded from the pairwise plane counts, before the spectral
+side of geom.plane_spectrum took some of their counts.
 """
 
 import csv
@@ -44,6 +47,9 @@ CSV_SHA256 = {
     ("unconditional", 5): "14c4bb28e0d1b7f300e1e0072827dfc98088bbda0a2a871a03210d10b5330af8",
     ("vinh-plane", 5): "d845e0f10a6144c69e34b9a0638fa81164a53ff9a2a0f5eb0c0bd962412fc143",
     ("vc-plane", 5): "e8cd11e1edfc090c5972c49be3b7ab92a6667ad2b9c4635762366a7c24a89dca",
+    ("calibration", 11): "79018e47a2f5ac7af10421f0f290fe4001856f03e3b0d766a39775784b0f08c8",
+    ("calibration", 16): "59481b2458d0b228ca8d91c9d3eb60a8a8ebf61dff1570d6b639985bb8df0936",
+    ("regular-subset", 11): "217b76dbceb4f960d983fe568f3e219792cd5994d9bc670ae0d797b180eedaae",
 }
 
 
