@@ -21,7 +21,7 @@ from . import ffield
 from .errors import BudgetExceeded, EqualPoints, EvenCharacteristic, InvalidPointSet
 from .ffield import FieldSpec
 from .geom import (Line3, Plane3, Point3, as_rows, distinct_points3, dot3, field_array,
-                   line_blocks, plane_canonical, plane_counts, plane_spectrum, row_keys,
+                   line_blocks, plane_canonical, plane_counts, row_keys,
                    unit_rows)
 
 TRIPLE_BUDGET = 10**9  # |E| * |F| pair work for the distance scan
@@ -269,7 +269,7 @@ class RegularSubsetReport:
     lower_threshold: float  # |U|/(2q)
     upper_threshold: float  # 2|U|/q
     size_hypothesis_ok: bool  # |U| >= 8 q^2
-    neighbor_sizes: dict[Point3, int] = field(repr=False, default_factory=dict)
+    counts: np.ndarray = field(repr=False, compare=False)  # |N(u)| as int64, in U order
 
 
 def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
@@ -281,22 +281,17 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
     partition is returned either way for exploration.  U is read by
     field_array; the parts list its points as tuples, in the order of U.
 
-    The count of u is the number of points u' of U on the plane u . x = 1,
-    by the symmetry of u . u' = 1: geom.plane_spectrum reads it from one
-    transform of U, at the histogram of the unit normal w of u = c w and
-    the value c^-1, when geom.spectrum_pays, and if the transform is not
-    exact or does not pay, geom.plane_counts counts the planes u' . x = 1
-    through each u: one dot_blocks column per point, or, when grouping
-    pays, one column per unit normal.  The zero point has no direction and
-    counts 0.  InvalidPointSet (a ValueError) for a point given twice.
+    The count of u is the number of planes u' . x = 1, u' in U, through u,
+    by geom.plane_counts; by the symmetry of u . u' = 1 it is also the
+    number of points of U on the plane u . x = 1.  The zero point lies on
+    none of these planes and gives none, as 0 . x = 1 is empty.  counts
+    holds them as an int64 array in the order of U.  InvalidPointSet (a
+    ValueError) for a point given twice.
     """
     arr = field_array(fs, as_rows(U), 3)
     if (np.diff(np.sort(row_keys(fs.q, arr))) == 0).any():
         raise InvalidPointSet("U must not contain duplicate points")
-    ones = np.ones(len(arr), np.int64)
-    counts = plane_spectrum(fs, arr, arr, ones)  # the points on plane u, by symmetry
-    if counts is None:
-        counts = plane_counts(fs, arr, arr, ones)
+    counts = plane_counts(fs, arr, arr, np.ones(len(arr), np.int64))
     U, n = list(zip(*arr.T.tolist())), len(arr)
     lo, hi = n / (2 * fs.q), 2 * n / fs.q  # counts are below 2^53: compared exactly
     return RegularSubsetReport(
@@ -306,7 +301,7 @@ def regular_subset(fs: FieldSpec, U) -> RegularSubsetReport:
         lower_threshold=lo,
         upper_threshold=hi,
         size_hypothesis_ok=n >= 8 * fs.q**2,
-        neighbor_sizes=dict(zip(U, counts.tolist())),
+        counts=counts,
     )
 
 

@@ -95,28 +95,29 @@ they save, and tables over the cap would break the memory bound; then each
 product is gathered per pair and coordinate, exp[log x_j + log y_j]
 (packed for odd p; exp's int32 blocks for p = 2).
 
-forward3 and inverse1 are the transform pair of geom's spectral plane
-count, set once per field like dot_blocks.  GF(q)^3 is (Z_p)^(3n) by the
-digits of the point index x_0 + x_1 q + x_2 q^2, and GF(q) is (Z_p)^n by
-the digits of an index.  forward3 takes the q^3 values of a function in
-that index order to F(c) = sum_x f(x) omega^-(c . x), omega = e^(2 pi i/p),
-and inverse1 takes rows of q values S(e) on the last axis back to
-h(r) = q^-1 sum_e S(e) omega^(e . r), so inverse1 inverts the same
-transform over GF(q).
+forward1 and inverse3 are the transform pair of geom's spectral plane
+count, set once per field like dot_blocks.  GF(q) is (Z_p)^n by the digits
+of an index, and GF(q)^3 is (Z_p)^(3n) by the digits of the point index
+x_0 + x_1 q + x_2 q^2.  forward1 takes rows of q values C(v) on the last
+axis to S(e) = sum_v C(v) omega^-(e . v), omega = e^(2 pi i/p), and
+inverse3 takes the q^3 values A(c) of a function on GF(q)^3, in that
+index order, to F(x) = q^-1 sum_c A(c) omega^(c . x).
 
   * For p = 2, omega^(c . x) = (-1)^popcount(c & x), so both are integer
     Walsh-Hadamard butterflies in int64, one per bit: exact while the sums
-    stay below 2^63.  inverse1 shifts right by n, an exact division of the
-    q h(r) that the butterflies give for integer h.
-  * For odd p, forward3 is numpy.fft.fftn over the 3n axes of length p
-    (the (q, q, q) array for prime q) and inverse1 numpy.fft.ifftn over n
-    axes, in complex128, so the histograms come back with rounding errors.
-    geom rounds every entry and takes the count only when each lies within
-    1/4 of an integer in both its real and imaginary parts; otherwise the
-    count falls back to the pairwise sides.  The values the transforms
-    sum are at most |P| in size, for |P| points, and a floating-point FFT
-    errs by O(log q) units of 2^-53 relative to them, so an error of 1/4
-    takes |P| far beyond 2^40; the check keeps the count exact either way.
+    stay below 2^63.  inverse3 shifts right by n, an exact division of
+    the q F(x) that the butterflies give when F is integer.
+  * For odd p, forward1 is numpy.fft.fftn over the n axes of length p of
+    each row and inverse3 numpy.fft.ifftn over the 3n axes of length p
+    (the (q, q, q) array for prime q), scaled by q^2, in complex128, so F
+    comes back with rounding errors.  geom rounds every entry and takes
+    the count only when each lies within 1/4 of an integer in both its
+    real and imaginary parts; otherwise the count falls back to the
+    pairwise sides.  geom transforms counts of planes, so every |S(e)|,
+    |A(c)| and F(x) is at most the number of planes |Pi|, and a
+    floating-point FFT errs by O(log q) units of 2^-53 relative to that:
+    an error of 1/4 takes |Pi| far beyond 2^40, and the check keeps the
+    count exact either way.
 """
 
 import functools
@@ -253,8 +254,8 @@ class FieldSpec:
         vmul, vadd, vneg, vinv                     elementwise on numpy index
                                                    arrays, broadcasting
         dot_blocks(X, Y)                           pairwise dot products
-        forward3(f), inverse1(S)                   the transforms over GF(q)^3
-                                                   and over GF(q) (see the
+        forward1(C), inverse3(A)                   the transforms over GF(q)
+                                                   and over GF(q)^3 (see the
                                                    module docstring)
 
     dot_blocks takes integer arrays X and Y of shape (rows, d) holding
@@ -459,17 +460,22 @@ def _walsh(a):
 
 def _transforms(p: int, n: int) -> dict:
     """The transform pair of the spectral plane count (see the module
-    docstring): forward over the q^3 entries of a function on GF(q)^3 in
-    point-index order, inverse over GF(q) on the last axis of (rows, q)."""
+    docstring): forward over GF(q) on the last axis of (rows, q), inverse
+    over the q^3 entries of a function on GF(q)^3 in point-index order."""
     if p == 2:
-        return dict(forward3=_walsh, inverse1=lambda S: _walsh(S) >> n)
-    space, line = (p,) * 3 * n, (p,) * n
+        return dict(forward1=_walsh, inverse3=lambda A: _walsh(A) >> n)
+    line, space, q2 = (p,) * n, (p,) * 3 * n, p ** (2 * n)
     axes = tuple(range(1, n + 1))
 
-    def inverse1(S):
-        return np.fft.ifftn(S.reshape(len(S), *line), axes=axes).reshape(S.shape)
+    def forward1(C):
+        return np.fft.fftn(C.reshape(len(C), *line), axes=axes).reshape(C.shape)
 
-    return dict(forward3=lambda f: np.fft.fftn(f.reshape(space)).ravel(), inverse1=inverse1)
+    def inverse3(A):
+        F = np.fft.ifftn(A.reshape(space)).ravel()
+        F *= q2  # ifftn divides by q^3
+        return F
+
+    return dict(forward1=forward1, inverse3=inverse3)
 
 
 def _packed_sums(fs: FieldSpec, powers, log):

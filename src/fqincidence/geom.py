@@ -13,8 +13,8 @@ and flat_rows reads every caller's flats into one.
 Everything here is affine and exact; there is no projective geometry, and
 the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
 2^53) and of every prime-field dot_blocks block (see ffield) is exact.
-The complex histograms of plane_histograms are taken only when every entry
-rounds to an integer within 1/4; otherwise the count is pairwise.
+The complex counts of plane_field are taken only when every entry rounds
+to an integer within 1/4; otherwise the count is pairwise.
 """
 
 import math
@@ -324,10 +324,10 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     (1, 0), against the right-hand sides; or the non-vertical lines as rows
     against one column per distinct x of the points, (a, b) . (x, 1) = a*x
     + b with a = -n_0 against the y of the points at x, with the lines x = c
-    counted from the points at each x.  Planes are counted by plane_total:
-    from one transform of the points when spectrum_pays, every plane read
-    from the histograms of its unit normal (plane_spectrum), and otherwise
-    over dot_blocks, grouped by unit normal when grouping_pays, or one
+    counted from the points at each x.  Planes are counted by plane_total,
+    from the planes grouped by unit normal: per point of GF(q)^3 from one
+    transform of the groups when spectrum_pays (plane_field), else over
+    dot_blocks, one column per unit normal when grouping_pays, or one
     column per plane.  Both methods return identical counts.  Both raise
     FieldMismatch for a coordinate or flat coefficient outside [0, q), an
     unknown line kind or a zero plane normal.
@@ -508,14 +508,15 @@ def grouping_pays(fs: FieldSpec, points: int, flats: int) -> bool:
 
 
 def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
-    """Whether points rows meet flats planes sooner through plane_spectrum,
-    one transform of the points, than through the pairwise sides of
+    """Whether points rows meet flats planes sooner through plane_field,
+    one transform of the planes, than through the pairwise sides of
     plane_counts, between which grouping_pays picks: when q^3 <=
     TABLE_ELEMENTS (q <= 101), which caps the transform, and points x flats
     > 30 (w q^3 + 2000), with w = 1 in characteristic 2 and w = n for odd p.
 
     The rule reads sizes only.  It comes from timing both sides on random
-    points and planes, 30 to 30000 of each and at most 3 x 10^7 pairs, over
+    points and planes, 30 to 30000 of each and at most 3 x 10^7 pairs (the
+    transform then taken of the points, over the same q^3 entries), over
     GF(5), GF(7), GF(11), GF(13), GF(31), GF(101), GF(4), GF(8), GF(16),
     GF(9), GF(25), GF(49), GF(27) and GF(81) (2-CPU host, min of 10,
     interleaved).  The transform costs a floor of 0.15-0.3 ms up to
@@ -541,71 +542,82 @@ def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
     return q**3 <= ffield.TABLE_ELEMENTS and points * flats > 30 * (weight * q**3 + 2000)
 
 
-def unit_normals(q: int):
-    """The q^2 + q + 1 unit normals of GF(q)^3, (0, 0, 1), (0, 1, b) and
-    (1, a, b), in row_keys order, as an int64 (q^2 + q + 1, 3) array."""
-    lead, b = np.divmod(np.arange(q * q + q), q)  # (0, 1, b) at lead 0, then (1, lead - 1, b)
-    return np.vstack([[0, 0, 1], np.column_stack([lead > 0, np.where(lead, lead - 1, 1), b])])
+def plane_groups(fs: FieldSpec, nrm, rhs):
+    """The flats x . nrm[k] = rhs[k] as flat_counts and plane_field take
+    them, grouped by unit normal: flat k is (s nrm[k]) . x = s rhs[k], s the
+    inverse of its first nonzero coordinate, as unit_rows scales it.  The
+    unit normals are numbered in row_keys order, (0, 0, 1) as 0, (0, 1, b)
+    as 1 + b and (1, a, b) as 1 + q + a q + b, in int64, by _numbered, and
+    D is decoded from the numbers.  A zero row is left out, so it must come
+    with a nonzero rhs, which no x meets."""
+    q = fs.q
+    unit, scale = unit_rows(fs, nrm)
+    u0, u1, u2 = unit.astype(np.int64).T
+    keep = (u0 | u1 | u2) > 0
+    index = np.where(u0 == 1, 1 + q + q * u1 + u2, u1 * (1 + u2))[keep]
+    ids, dir_id = _numbered(index, q * q + q + 1)
+    a, b = np.divmod(ids - 1 - q, q)  # a is -2 for (0, 0, 1), -1 for (0, 1, b)
+    D = np.column_stack([a >= 0, np.where(a >= 0, a, a + 2), np.where(a < -1, 1, b)])
+    return D, dir_id, fs.vmul(rhs[keep], scale[keep, 0])
 
 
-def plane_histograms(fs: FieldSpec, X):
-    """H[k, r], the number of rows x of X with w_k . x = r for the unit
-    normals w_k of unit_normals, repeated rows counted each time, from one
-    transform of the indicator of X; None when the transform is not exact.
+def plane_field(fs: FieldSpec, D, dir_id, val):
+    """F(x), the number of flats k with x . D[dir_id[k]] == val[k], at every
+    point x of GF(q)^3 in point-index order, for unit normals D as
+    plane_groups gives them: the projection-slice theorem run backwards,
+    one transform for all x.  None when the transform is not exact.
 
-    forward3 turns the counts f(x) of the point indices into F(c) = sum_x
-    f(x) chi_c(x) over the characters chi_c of GF(q)^3 = (Z_p)^(3n).  The
-    character a -> chi_e(w a) of GF(q) is chi_G[w, e] for a q x q table G
-    (w e mod q for prime q), so S_w(e) = sum_x f(x) chi_e(w . x) is F at
-    c(w, e) = G[w_0, e] + q G[w_1, e] + q^2 G[w_2, e], and its inverse over
-    GF(q), inverse1, is the histogram of w . x.  The gathers and inverses
-    run over the row blocks of the directions.  Every entry must lie within
-    1/4 of an integer in both its real and imaginary parts, or the count is
-    refused (see ffield).
+    C[w, v] counts the flats of unit normal w and value v, so F(x) = sum_w
+    C[w, w . x].  forward1 takes each row of C to S_w(e) = sum_v C[w, v]
+    chi_e(-v) over the characters chi_e of GF(q) = (Z_p)^n.  The character
+    a -> chi_e(w a) is chi_G[w, e] for a q x q table G (w e mod q for prime
+    q), so x -> chi_e(w . x) is the character of GF(q)^3 at c(w, e) =
+    G[w_0, e] + q G[w_1, e] + q^2 G[w_2, e], distinct over the unit normals
+    w and e != 0.  With A(c(w, e)) = S_w(e) and A(0) the number of flats,
+    inverse3 gives F.  Every entry must lie within 1/4 of an integer in
+    both its real and imaginary parts, or it is refused (see ffield).
     """
     p, n, q = fs.p, fs.n, fs.q
-    F = fs.forward3(np.bincount(X @ np.array([1, q, q * q]), minlength=q**3))
+    S = fs.forward1(np.bincount(dir_id * q + val, minlength=len(D) * q).reshape(len(D), q))
     # G[w, e] = sum_j (e . digits(w p^j) mod p) p^j: the character e of w a
     # as a character of a
     el = np.arange(q)
     digits = el[:, None] // p ** np.arange(n) % p
     G = sum(digits[fs.vmul(el, p**j)] @ digits.T % p * p**j for j in range(n))
-    W = unit_normals(q)
-    H = np.empty((len(W), q), dtype=np.int64)
-    for rows in ffield.row_blocks(np.arange(len(W)), q):
-        w = W[rows]
-        h = fs.inverse1(F[G[w[:, 0]] + q * G[w[:, 1]] + q * q * G[w[:, 2]]])
-        counts = np.rint(h.real)
-        if not ((abs(h.real - counts) < 0.25).all() and (abs(h.imag) < 0.25).all()):
-            return None
-        H[rows] = counts
-    return H
+    A = np.zeros(q**3, dtype=S.dtype)
+    A[G[D[:, 0]] + q * G[D[:, 1]] + q * q * G[D[:, 2]]] = S
+    A[0] = len(dir_id)  # c(w, 0) = 0 for every w
+    F = fs.inverse3(A)
+    counts = np.rint(F.real)
+    if not ((abs(F.real - counts) < 0.25).all() and (abs(F.imag) < 0.25).all()):
+        return None
+    return counts.astype(np.int64)
 
 
-def plane_spectrum(fs: FieldSpec, X, normals, rhs):
-    """For each plane k, the number of rows x of X with x . normals[k] ==
-    rhs[k], read from plane_histograms: the plane (s n) . x = s r, s the
-    inverse of the first nonzero coordinate of n, at H[unit(n), s r]; None
-    when spectrum_pays declines or the transform is refused.  A zero normal
-    meets no x: its rhs must be nonzero, as in plane_groups."""
-    if not spectrum_pays(fs, len(X), len(normals)):
+def _grouped_counts(fs: FieldSpec, X, normals, rhs):
+    """For each row x of X, the planes k with x . normals[k] == rhs[k], from
+    the planes grouped once by plane_groups: read from plane_field when
+    spectrum_pays and the transform is exact, else by flat_counts when
+    grouping_pays; None when neither side takes them."""
+    spectral = spectrum_pays(fs, len(X), len(normals))
+    grouped = grouping_pays(fs, len(X), len(normals))
+    if not (spectral or grouped):
         return None
-    H = plane_histograms(fs, X)
-    if H is None:
-        return None
-    (u0, u1, u2), scale = (a.T for a in unit_rows(fs, normals))
-    at = np.where(u0 == 1, 1 + fs.q + fs.q * u1 + u2, u1 * (1 + u2))  # in unit_normals
-    return np.where(normals.any(axis=1), H[at, fs.vmul(rhs, scale[0])], 0)
+    groups = plane_groups(fs, normals, rhs)
+    field = plane_field(fs, *groups) if spectral else None
+    if field is not None:
+        return field[X @ np.array([1, fs.q, fs.q**2])]
+    return flat_counts(fs, X, *groups) if grouped else None
 
 
 def plane_counts(fs: FieldSpec, X, normals, rhs):
     """For each row x of X, the number of planes k with x . normals[k] ==
-    rhs[k], as an int64 array, by the pairwise sides: one dot_blocks column
-    per plane, or, when grouping_pays finds the planes numerous enough to
-    share unit normals, flat_counts with one column per unit normal of
-    plane_groups.  A zero normal meets no x if its rhs is nonzero."""
-    if grouping_pays(fs, len(X), len(normals)):
-        return flat_counts(fs, X, *plane_groups(fs, normals, rhs))
+    rhs[k], as an int64 array: from the grouped planes when spectrum_pays
+    or grouping_pays (_grouped_counts), else by one dot_blocks column per
+    plane.  A zero normal meets no x if its rhs is nonzero."""
+    counts = _grouped_counts(fs, X, normals, rhs)
+    if counts is not None:
+        return counts
     counts = np.zeros(len(X), dtype=np.int64)
     start = 0
     for on in _plain_blocks(fs, X, normals, rhs):
@@ -616,14 +628,11 @@ def plane_counts(fs: FieldSpec, X, normals, rhs):
 
 def plane_total(fs: FieldSpec, X, normals, rhs) -> int:
     """The number of pairs (x, k) with x . normals[k] == rhs[k]: the sum of
-    plane_spectrum when spectrum_pays, and otherwise from the side of
-    plane_counts that grouping_pays picks, where the plain side totals each
-    block with one count_nonzero."""
-    hits = plane_spectrum(fs, X, normals, rhs)
-    if hits is not None:
-        return int(hits.sum())
-    if grouping_pays(fs, len(X), len(normals)):
-        return int(flat_counts(fs, X, *plane_groups(fs, normals, rhs)).sum())
+    the sides of plane_counts, where the plain side totals each block with
+    one count_nonzero."""
+    counts = _grouped_counts(fs, X, normals, rhs)
+    if counts is not None:
+        return int(counts.sum())
     return int(sum(np.count_nonzero(on) for on in _plain_blocks(fs, X, normals, rhs)))
 
 
@@ -633,17 +642,6 @@ def _plain_blocks(fs: FieldSpec, X, normals, rhs):
     rhs = rhs.astype(ffield.narrow_dtype(fs.q))  # compared in the block's own dtype
     for vals in fs.dot_blocks(X, normals):
         yield vals == rhs
-
-
-def plane_groups(fs: FieldSpec, nrm, rhs):
-    """The flats x . nrm[k] = rhs[k] as flat_counts takes them, grouped by
-    unit normal: flat k is (s nrm[k]) . x = s rhs[k], s the inverse of its
-    first nonzero coordinate, as unit_rows scales it.  A zero row is left
-    out, so it must come with a nonzero rhs, which no x meets."""
-    keep = nrm.any(axis=1)
-    unit, scale = unit_rows(fs, nrm[keep])
-    _, first, dir_id = np.unique(row_keys(fs.q, unit), return_index=True, return_inverse=True)
-    return unit[first], dir_id, fs.vmul(rhs[keep], scale[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Hypothesis draws the same examples on every run (derandomize) and has no
 per-example deadline, so a slow machine cannot fail a property test.
 The spectral fixture pins geom.spectrum_pays, the rule that sends a plane
-count through one transform of the points, off or on.
+count through one transform of the planes, off or on.
 """
 
 import pytest

@@ -309,7 +309,7 @@ def test_regular_subset_full_space(p, n):
     assert sorted(rep.U1) == sorted(U[1:])
     assert rep.R_light == [(0, 0, 0)]
     assert rep.L_heavy == []
-    assert rep.neighbor_sizes[(1, 0, 0)] == q * q
+    assert rep.counts[U.index((1, 0, 0))] == q * q
 
 
 def test_regular_subset_random_q9():
@@ -319,8 +319,9 @@ def test_regular_subset_random_q9():
     rep = regular_subset(fs, U)
     assert rep.size_hypothesis_ok
     assert len(rep.U1) >= len(U) / 2
+    sizes = dict(zip(U, rep.counts.tolist()))
     for u in rep.U1:
-        assert rep.lower_threshold < rep.neighbor_sizes[u] < rep.upper_threshold
+        assert rep.lower_threshold < sizes[u] < rep.upper_threshold
 
 
 def test_regular_subset_small_flagged():
@@ -335,9 +336,9 @@ def test_regular_subset_counts_match_brute_force():
     rng = random.Random(77)
     U = sample3(rng, 9, 60)
     rep = regular_subset(fs, U)
-    for u in U[:10]:
+    for u, size in zip(U[:10], rep.counts.tolist()):
         brute = sum(1 for v in U if dot3(fs, u, v) == 1)
-        assert rep.neighbor_sizes[u] == brute
+        assert size == brute
 
 
 def test_regular_subset_counts_match_brute_force_q625():
@@ -365,7 +366,7 @@ def test_regular_subset_counts_match_brute_force_q625():
         return acc
 
     brute = {u: sum(1 for v in U if raw_dot(u, v) == 1) for u in U}
-    assert rep.neighbor_sizes == brute
+    assert dict(zip(U, rep.counts.tolist())) == brute
     assert max(brute.values()) >= 25
 
 

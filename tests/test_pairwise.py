@@ -594,7 +594,7 @@ def test_regular_subset_both_sides_of_the_grouping_rule(p, n, size, budget, spec
     idx = [0] + random.Random(size).sample(range(1, fs.q**3), size - 1)
     U = decode_points(fs.q, idx)
     assert grouping_pays(fs, size, size) == (size >= 343)
-    counts = apps.regular_subset(fs, U).neighbor_sizes
+    counts = dict(zip(U, apps.regular_subset(fs, U).counts.tolist()))
     ones = Counter()
     for i, x in enumerate(U):
         for y in U[i:]:

@@ -1,9 +1,11 @@
 """Source hygiene of src/fqincidence, read with ast (no linter is needed).
 
-Three checks: every private module-level function, class or constant is
+Four checks: every private module-level function, class or constant is
 referenced somewhere in src/ outside its own definition, every name a module
-imports is used in that module (a package's __all__ counts as a use), and no
-module-level function or class name is defined in two modules.
+imports is used in that module (a package's __all__ counts as a use), no
+module-level function or class name is defined in two modules, and no
+module but geom names geom's size rules or the grouped plane and flat
+kernels, so only geom chooses a side of a count.
 """
 
 import ast
@@ -78,3 +80,15 @@ def test_function_and_class_names_are_defined_in_one_module():
                 modules.setdefault(node.name, []).append(path.name)
     twice = {name: where for name, where in modules.items() if len(where) > 1}
     assert not twice, f"defined in more than one module: {twice}"
+
+
+# geom's side rules and the kernels they choose between
+GEOM_SIDES = {"spectrum_pays", "grouping_pays", "x_join_pays", "plane_field", "plane_groups",
+              "flat_counts"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geom.py"],
+                         ids=lambda p: p.name)
+def test_only_geom_chooses_a_side_of_a_count(path):
+    named = GEOM_SIDES.intersection(_references(_tree(path)))
+    assert not named, f"{path.name} names {sorted(named)}"

@@ -6,7 +6,7 @@ column fails here.  The vc-plane digest at q = 5 was recorded from the
 one-set-at-a-time VC search, before the bit-sliced trace kernel replaced it.
 The calibration digests at q = 11 and 16 and the regular-subset digest at
 q = 11 were recorded from the pairwise plane counts, before the spectral
-side of geom.plane_spectrum took some of their counts.
+side, now geom.plane_field, took some of their counts.
 """
 
 import csv
