@@ -324,10 +324,9 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     (1, 0), against the right-hand sides; or the non-vertical lines as rows
     against one column per distinct x of the points, (a, b) . (x, 1) = a*x
     + b with a = -n_0 against the y of the points at x, with the lines x = c
-    counted from the points at each x.  Planes are counted by plane_total,
-    from the planes grouped by unit normal: per point of GF(q)^3 from one
-    transform of the groups when spectrum_pays (plane_field), else over
-    dot_blocks, one column per unit normal when grouping_pays, or one
+    counted from the points at each x.  Planes are counted by plane_total:
+    per point of GF(q)^3 from one transform of the planes grouped by unit
+    normal when spectrum_pays (plane_field), else over dot_blocks, one
     column per plane.  Both methods return identical counts.  Both raise
     FieldMismatch for a coordinate or flat coefficient outside [0, q), an
     unknown line kind or a zero plane normal.
@@ -484,33 +483,10 @@ def flat_counts(fs: FieldSpec, X, D, dir_id, val):
     return counts
 
 
-def grouping_pays(fs: FieldSpec, points: int, flats: int) -> bool:
-    """Whether points rows meet flats planes (or unit products) sooner
-    through plane_groups and flat_counts than one column per flat: when the
-    flats number at least k (q^2 + q + 1) max(1, 800 / points), k flats per
-    unit normal of GF(q)^3 on average, so that by pigeonhole they share
-    normals, with k = 2, or 8 in characteristic 2.
-
-    The rule reads sizes only, so an input it keeps on the plain path pays
-    nothing for the grouping.  It comes from timing both paths on random
-    normals and right-hand sides (2-CPU host, min of 7, interleaved): the
-    grouped path spends ~2.5 ns gathering each entry of its blocks and
-    ~0.2 us grouping each flat.  Over GF(7) to GF(101) it won from
-    2 (q^2 + q + 1) flats at 2000 points (0.76-0.85 of the plain time) and
-    from 3 (q^2 + q + 1) at 600, but at 100 points lost up to 2.4x below
-    6-10 (q^2 + q + 1).  A GF(2^n) product-table block is a few uint8 XOR
-    gathers, several times cheaper than an odd one: over GF(16) the grouped
-    path lost up to 2.6x below 8 (q^2 + q + 1) flats, and 2000 x 2000
-    (7.3 (q^2 + q + 1) flats) still read 1.03-1.06 of the plain time.
-    """
-    share = 8 if fs.p == 2 else 2
-    return flats >= share * (fs.q**2 + fs.q + 1) * max(1, 800 / max(points, 1))
-
-
 def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
     """Whether points rows meet flats planes sooner through plane_field,
-    one transform of the planes, than through the pairwise sides of
-    plane_counts, between which grouping_pays picks: when q^3 <=
+    one transform of the planes, than through the plain side of
+    plane_counts, one dot_blocks column per plane: when q^3 <=
     TABLE_ELEMENTS (q <= 101), which caps the transform, and points x flats
     > 30 (w q^3 + 2000), with w = 1 in characteristic 2 and w = n for odd p.
 
@@ -519,7 +495,8 @@ def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
     transform then taken of the points, over the same q^3 entries), over
     GF(5), GF(7), GF(11), GF(13), GF(31), GF(101), GF(4), GF(8), GF(16),
     GF(9), GF(25), GF(49), GF(27) and GF(81) (2-CPU host, min of 10,
-    interleaved).  The transform costs a floor of 0.15-0.3 ms up to
+    interleaved), against the pairwise sides of that time, the plain one
+    and a grouped one since deleted.  The transform costs a floor of 0.15-0.3 ms up to
     q = 16 and then 70-110 ns per entry of GF(q)^3 for prime q and n = 2
     (2.2 ms at GF(31), 8.2 ms at GF(49), 109 ms at GF(101)), and 200-220 ns
     at GF(27) and GF(81), whose numpy.fft.fftn makes one pass per axis of
@@ -594,28 +571,22 @@ def plane_field(fs: FieldSpec, D, dir_id, val):
     return counts.astype(np.int64)
 
 
-def _grouped_counts(fs: FieldSpec, X, normals, rhs):
-    """For each row x of X, the planes k with x . normals[k] == rhs[k], from
-    the planes grouped once by plane_groups: read from plane_field when
-    spectrum_pays and the transform is exact, else by flat_counts when
-    grouping_pays; None when neither side takes them."""
-    spectral = spectrum_pays(fs, len(X), len(normals))
-    grouped = grouping_pays(fs, len(X), len(normals))
-    if not (spectral or grouped):
+def _spectral_counts(fs: FieldSpec, X, normals, rhs):
+    """For each row x of X, the planes k with x . normals[k] == rhs[k], read
+    from plane_field of the planes grouped once by plane_groups; None when
+    spectrum_pays does not hold or the transform is not exact."""
+    if not spectrum_pays(fs, len(X), len(normals)):
         return None
-    groups = plane_groups(fs, normals, rhs)
-    field = plane_field(fs, *groups) if spectral else None
-    if field is not None:
-        return field[X @ np.array([1, fs.q, fs.q**2])]
-    return flat_counts(fs, X, *groups) if grouped else None
+    field = plane_field(fs, *plane_groups(fs, normals, rhs))
+    return None if field is None else field[X @ np.array([1, fs.q, fs.q**2])]
 
 
 def plane_counts(fs: FieldSpec, X, normals, rhs):
     """For each row x of X, the number of planes k with x . normals[k] ==
-    rhs[k], as an int64 array: from the grouped planes when spectrum_pays
-    or grouping_pays (_grouped_counts), else by one dot_blocks column per
-    plane.  A zero normal meets no x if its rhs is nonzero."""
-    counts = _grouped_counts(fs, X, normals, rhs)
+    rhs[k], as an int64 array: from one transform when spectrum_pays and it
+    is exact (_spectral_counts), else by one dot_blocks column per plane.
+    A zero normal meets no x if its rhs is nonzero."""
+    counts = _spectral_counts(fs, X, normals, rhs)
     if counts is not None:
         return counts
     counts = np.zeros(len(X), dtype=np.int64)
@@ -630,7 +601,7 @@ def plane_total(fs: FieldSpec, X, normals, rhs) -> int:
     """The number of pairs (x, k) with x . normals[k] == rhs[k]: the sum of
     the sides of plane_counts, where the plain side totals each block with
     one count_nonzero."""
-    counts = _grouped_counts(fs, X, normals, rhs)
+    counts = _spectral_counts(fs, X, normals, rhs)
     if counts is not None:
         return int(counts.sum())
     return int(sum(np.count_nonzero(on) for on in _plain_blocks(fs, X, normals, rhs)))

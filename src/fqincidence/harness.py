@@ -465,7 +465,8 @@ def suite_unconditional(cfg: ExperimentConfig, fs: FieldSpec):
         Up = U[sorted(rng.sample(range(n_u), n_up))]
         rep = apps.trace_pairs(fs, U, Up)
         yield t, *row("trace_pairs", f"U={n_u};Uprime={n_up}", rep.pair_count,
-                      rep.cs_lower, rep.pair_count >= rep.cs_lower - 1e-9)
+                      rep.cs_lower,
+                      rep.pair_count * rep.classes >= sum(rep.class_sizes) ** 2)
 
 
 @_suite("reduction-identity", "case", "n_lines", "n_a", "incidences", "fast", "oracle",
@@ -702,7 +703,7 @@ def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
         if case == "frozen_q3":
             ok = rep.pair_count == 370
         else:
-            ok = rep.pair_count >= rep.cs_lower - 1e-9
+            ok = rep.pair_count * rep.classes >= sum(rep.class_sizes) ** 2
         yield t, dict(case=case, n_u=len(U), n_uprime=len(Up),
                       pair_count=rep.pair_count, classes=rep.classes,
                       cs_lower=rep.cs_lower, bound_value=rep.bound_value,

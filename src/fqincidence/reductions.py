@@ -101,7 +101,7 @@ class CsUpperReport(NamedTuple):
     value: float  # sqrt(|B|) * sqrt(energy)
     solution_count: int
     actual: int  # oracle I(A x B, L)
-    holds: bool  # actual <= value; unconditional
+    holds: bool  # actual <= value, as actual^2 <= |B| energy in integers; unconditional
 
 
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
@@ -110,4 +110,4 @@ def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
     energy = count_solutions(fs, lines, A, method="fast")  # checks L and A first
     value = math.sqrt(len(B)) * math.sqrt(energy)
     actual = count_incidences(fs, grid_points(A, B), lines, "oracle").count if len(B) else 0
-    return CsUpperReport(value, energy, actual, actual <= value + 1e-9)
+    return CsUpperReport(value, energy, actual, actual * actual <= len(B) * energy)

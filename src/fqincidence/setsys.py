@@ -107,9 +107,16 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     """Exact VC dimension capped at d_max.
 
     Search budget: sum of C(ground_size, i) for i <= d_max must stay within
-    10^7.  Each level d >= 2 asks the system's search state (_Search, built
-    once per system and shared with shatter_function) whether a d-set is
-    shattered.  The answer is exact, as if is_shattered ran on every set.
+    10^7.  The dimension lies in [min(1, shattered singletons), d_max]; the
+    levels are bisected, each step asking the system's search state
+    (_Search, built once per system and shared with shatter_function)
+    whether a set of the upper middle level is shattered.  This is exact,
+    as if is_shattered ran on every set, because every subset of a
+    shattered set is shattered: a shattered d-set proves every level below
+    d, and none at d rules out every level above.  At d_max = 4 a system of
+    dimension 3 asks levels 3 and 4, never 2; one of dimension at most 1
+    asks levels 3 and 2, so it pays a failing level-3 search, its dearest,
+    that a walk up from level 2 would skip.
     The empty family is assigned dimension 0.
     """
     if not 1 <= d_max <= 6:
@@ -118,10 +125,11 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     if sum(comb(n, i) for i in range(1, d_max + 1)) > VC_BUDGET:
         raise BudgetExceeded("subset search over 10^7 combinations")
     state = _search(n, tuple(sorted(set(system.family))))
-    best = min(1, state.singles.size)
-    while best < d_max and state.shattered(best + 1):
-        best += 1
-    return VcResult(best, best == d_max)
+    lo, hi = min(1, state.singles.size), d_max if state.singles.size else 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if state.shattered(mid) else (lo, mid - 1)
+    return VcResult(lo, lo == d_max)
 
 
 class _Search:

@@ -77,8 +77,8 @@ def test_flats_count_as_their_lists(p, n):
                 == count_solutions(fs, line_list, a_set, method))
 
 
-def test_grouped_plane_count_takes_flats():
-    # enough planes over GF(13) for grouping_pays: the plane_groups path
+def test_large_plane_count_takes_flats(spectral):
+    # 900 points against 400 planes over GF(13), on both sides of plane_counts
     fs = make_field(13, 1)
     rng = random.Random(7)
     pts = _points(rng, 13, 900, 3)

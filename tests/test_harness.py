@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fqincidence import harness
+from fqincidence import apps, harness
 from fqincidence.errors import BudgetExceeded, Unrealizable
 from fqincidence.geom import Line2, Plane3
 from fqincidence.harness import (
@@ -262,6 +262,22 @@ def test_suite_trace_pairs_q3_frozen():
     assert res.failures == 0
     assert res.rows[0]["case"] == "frozen_q3"
     assert res.rows[0]["pair_count"] == 370
+
+
+@pytest.mark.parametrize("short", [0, 1])
+@pytest.mark.parametrize("suite,column", [("trace-pairs", "ok"), ("unconditional", "holds")])
+def test_trace_pair_verdicts_decide_in_integers(suite, column, short, monkeypatch):
+    # one trace class of k members, so the floor |U|^2 / classes is k^2,
+    # which as a float rounds above k^2: the verdict holds at equality and
+    # fails one pair short of it
+    k = 2**28 + 3
+    assert k * k / 1 > k * k
+    report = apps.TracePairReport([k], k * k - short, 1, 1.0, k * k / 1, 1.0)
+    monkeypatch.setattr(apps, "trace_pairs", lambda fs, U, Up: report)
+    res = _run(suite, 5, trials=2, seed=3)
+    verdicts = [r[column] for r in res.rows if r.get("family", "trace_pairs") == "trace_pairs"]
+    assert verdicts == [not short] * 2
+    assert res.failures == (2 if short else 0)
 
 
 def test_suite_vinh_plane_exact_main_term():

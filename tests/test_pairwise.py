@@ -36,7 +36,6 @@ from fqincidence.geom import (
     decode_points,
     dot3,
     flat_counts,
-    grouping_pays,
     plane_groups,
 )
 from fqincidence.reductions import count_solutions
@@ -562,19 +561,16 @@ def test_line_count_joins_from_the_cheaper_side(p, n, n_points, n_lines, by_x, m
     assert got == ref_lines(fs, points[:40], lines) + count_incidences(fs, points[40:], lines).count
 
 
-# The plane count and regular_subset both sides of grouping_pays: GF(7),
-# GF(9) and GF(4) (whose threshold is 8 (q^2 + q + 1) flats).
-RULE_FIELDS = [(7, 1), (3, 2), (2, 2)]
+# The plane count and regular_subset with many planes per unit normal, on
+# both sides of plane_counts: GF(7), GF(9) and GF(4).
+SCALED_FIELDS = [(7, 1), (3, 2), (2, 2)]
 
 
-@pytest.mark.parametrize("p,n", RULE_FIELDS)
-@pytest.mark.parametrize("side", [-1, 0])
-def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget, spectral):
+@pytest.mark.parametrize("p,n", SCALED_FIELDS)
+def test_plane_count_of_scaled_normals(p, n, budget, spectral):
     fs = make_field(p, n)
     rng = random.Random(fs.q)
-    share = 8 if p == 2 else 2
-    count = share * (fs.q**2 + fs.q + 1) + side  # at 800 points
-    assert grouping_pays(fs, 800, count) == (side == 0)
+    count = (8 if p == 2 else 2) * (fs.q**2 + fs.q + 1)  # at 800 points
     normals = [(rng.randrange(1, fs.q), rng.randrange(fs.q), rng.randrange(fs.q))
                for _ in range(count // 8)]
     planes = scaled_planes(fs, rng, normals, count)
@@ -588,12 +584,11 @@ def test_plane_count_both_sides_of_the_grouping_rule(p, n, side, budget, spectra
 
 
 @pytest.mark.parametrize("p,n,size", [(7, 1, 343), (7, 1, 200), (3, 2, 600), (3, 2, 300)])
-def test_regular_subset_both_sides_of_the_grouping_rule(p, n, size, budget, spectral):
-    # the whole GF(7)^3 and 600 of GF(9)^3 are grouped, 200 and 300 points not
+def test_regular_subset_matches_unit_products(p, n, size, budget, spectral):
+    # the whole GF(7)^3, and random subsets of GF(7)^3 and GF(9)^3
     fs = make_field(p, n)
     idx = [0] + random.Random(size).sample(range(1, fs.q**3), size - 1)
     U = decode_points(fs.q, idx)
-    assert grouping_pays(fs, size, size) == (size >= 343)
     counts = dict(zip(U, apps.regular_subset(fs, U).counts.tolist()))
     ones = Counter()
     for i, x in enumerate(U):
@@ -632,11 +627,12 @@ def whole_space_columns(monkeypatch, kernel):
 
 
 @pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])
-def test_whole_space_counts_take_a_column_per_direction(kernel, monkeypatch):
-    # the grouped side, with the spectral rule pinned off
+def test_whole_space_counts_take_a_column_per_plane(kernel, monkeypatch):
+    # the plain side, with the spectral rule pinned off: 4096 unit-product
+    # planes u . x = 1 (the zero point's among them) or the 4095 planes
     monkeypatch.setattr(geom, "spectrum_pays", lambda fs, points, flats: False)
     seen = whole_space_columns(monkeypatch, kernel)
-    assert seen and max(seen) <= 16**2 + 16 + 1
+    assert set(seen) == {16**3 if kernel == "regular_subset" else 16**3 - 1}
 
 
 @pytest.mark.parametrize("kernel", ["regular_subset", "plane_count"])

@@ -215,13 +215,12 @@ def test_unit_normals_are_numbered_in_row_keys_order(p, n):
     assert (val == fs.vmul(rhs, scale[:, 0])).all()
 
 
-def test_grouped_count_at_a_large_extension(monkeypatch):
-    # GF(1021^2) is past the transform's cap, so the pinned rule takes the
-    # grouped side, numbering unit normals past int32
+def test_plain_count_at_a_large_extension(monkeypatch):
+    # GF(1021^2) is past the transform's cap, so the count takes the plain
+    # side, whose int32 blocks hold elements past 2^16
     fs = make_field(1021, 2)
     points, planes = random_input(fs, random.Random(7), 60, 40)
     planes += [Plane3(pl.normal, dot3(fs, pl.normal, x)) for pl, x in zip(planes, points)]
-    monkeypatch.setattr(geom, "grouping_pays", lambda fs, points, flats: True)
     seen = field_calls(monkeypatch)
     want = count_incidences(fs, points, planes, "oracle").count
     assert want >= 40

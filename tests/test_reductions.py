@@ -172,6 +172,30 @@ def test_cs_upper_example():
     assert rep.holds
 
 
+def test_cs_upper_holds_at_equality():
+    # y = b for every b of GF(3), A = {0}, B = GF(3): each value is met
+    # once, so actual^2 = 9 = |B| energy, while sqrt(3) sqrt(3) rounds below 3
+    fs = make_field(3, 1)
+    rep = cs_upper(fs, [Line2("N", 0, b) for b in range(3)], [0], [0, 1, 2])
+    assert (rep.actual, rep.solution_count) == (3, 3)
+    assert rep.value < rep.actual
+    assert rep.holds
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cs_upper_decides_in_integers(extra, monkeypatch):
+    # actual = 3k against |B| = 3 and energy = 3k^2: the float value
+    # sqrt(3) sqrt(3k^2) lies more than 1e-9 below 3k, and one more
+    # incidence breaks the bound
+    k = 10**7
+    monkeypatch.setattr(reductions, "count_solutions", lambda *args, **kw: 3 * k * k)
+    monkeypatch.setattr(reductions, "count_incidences",
+                        lambda *args: geom.IncidenceCount(3 * k + extra, "oracle"))
+    rep = cs_upper(make_field(3, 1), [Line2("N", 0, 0)], [0], [0, 1, 2])
+    assert rep.value < 3 * k - 1e-9
+    assert rep.holds is (extra == 0)
+
+
 @pytest.mark.parametrize("wrap", [list, iter, lambda ls: (ln for ln in ls)],
                          ids=["list", "iterator", "generator"])
 def test_cs_upper_reads_lines_once(wrap):

@@ -193,6 +193,72 @@ def test_vc_dimension_matches_brute_force_random_systems():
         assert got.saturated == (expect == 4)
 
 
+def vc_by_every_subset(system, d_max):
+    """The largest size <= d_max of a set is_shattered accepts, asked of
+    every subset of every size, so no level is inferred from another."""
+    sizes = (len(s) for d in range(d_max + 1)
+             for s in combinations(range(system.ground_size), d) if is_shattered(system, s))
+    return max(sizes, default=0)
+
+
+# the empty family; VC 0: equal members, or one member, so that no singleton
+# is shattered; VC 1: a chain and a partition; VC 6, saturated at every
+# d_max: every subset of the ground set, and every subset of 6 of 8 elements
+NAMED_FAMILIES = {
+    "empty": (5, []),
+    "equal": (5, [0b10110] * 4),
+    "one-member": (6, [0b111111]),
+    "chain": (7, [(1 << k) - 1 for k in range(8)]),
+    "partition": (9, [0b111, 0b111000, 0b111000000]),
+    "power-set": (6, list(range(1 << 6))),
+    "power-set-of-six": (8, [m << 1 for m in range(1 << 6)] + [0b10000001]),
+}
+
+
+@pytest.mark.parametrize("d_max", range(1, 7))
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_vc_dimension_matches_every_subset_on_named_families(name, d_max):
+    system = SetSystem(*NAMED_FAMILIES[name])
+    expect = vc_by_every_subset(system, d_max)
+    assert vc_dimension(system, d_max) == (expect, expect == d_max)
+    if name in ("empty", "equal", "one-member"):
+        assert expect == 0
+    elif name in ("chain", "partition"):
+        assert expect == 1
+    else:
+        assert expect == d_max
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=40),
+        st.integers(1, 6),
+    ))
+)
+def test_vc_dimension_matches_every_subset_for_every_d_max(args):
+    n, fam, d_max = args
+    system = SetSystem(n, fam)
+    expect = vc_by_every_subset(system, d_max)
+    assert vc_dimension(system, d_max) == (expect, expect == d_max)
+
+
+def test_vc_dimension_asks_the_level_above_and_below_only():
+    # a 40 x 40 plane system over GF(7) of VC 3, as in the random VC
+    # workloads: bisecting [1, 4] asks level 3, then level 4, and never 2
+    fs = make_field(7, 1)
+    rng = random.Random(0)
+    points = decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))
+    planes = [plane_through_one(a)
+              for a in decode_points(fs.q, rng.sample(range(1, fs.q**3), 40))]
+    system = neighborhood_system(fs, points, planes, "by_point")
+    setsys._search.cache_clear()
+    assert vc_dimension(system, 4) == (3, False)
+    state = setsys._search(system.ground_size, tuple(sorted(set(system.family))))
+    assert state.answers == {3: True, 4: False}
+
+
 @pytest.mark.parametrize("q,p,n", [(3, 3, 1), (5, 5, 1)])
 def test_plane_system_vc_at_most_three(q, p, n):
     fs = make_field(p, n)

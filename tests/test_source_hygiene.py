@@ -4,8 +4,8 @@ Four checks: every private module-level function, class or constant is
 referenced somewhere in src/ outside its own definition, every name a module
 imports is used in that module (a package's __all__ counts as a use), no
 module-level function or class name is defined in two modules, and no
-module but geom names geom's size rules or the grouped plane and flat
-kernels, so only geom chooses a side of a count.
+module but geom names geom's size rules or the kernels they choose
+between, so only geom chooses a side of a count.
 """
 
 import ast
@@ -83,8 +83,7 @@ def test_function_and_class_names_are_defined_in_one_module():
 
 
 # geom's side rules and the kernels they choose between
-GEOM_SIDES = {"spectrum_pays", "grouping_pays", "x_join_pays", "plane_field", "plane_groups",
-              "flat_counts"}
+GEOM_SIDES = {"spectrum_pays", "x_join_pays", "plane_field", "plane_groups", "flat_counts"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geom.py"],
