@@ -101,8 +101,8 @@ def _distance_blocks(fs: FieldSpec, a, b):
 def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
     """Count triples (u, v, x) in E x E x F with ||x-u|| = ||x-v|| != 0.
 
-    The count comes from the one pass of distance_set, which agrees with the
-    definition tuple-for-tuple.  Also runs the unconditional chain check
+    The count comes from the one pass of distance_set, exact tuple-for-tuple.
+    Also decides, in integers, the unconditional chain check
 
         (|E||F| - zero_pairs)^2 <= |distance set minus 0| * |F| * T
 
@@ -111,10 +111,9 @@ def triple_count_T(fs: FieldSpec, E, F) -> DistanceReport:
     """
     E, F = as_rows(E), as_rows(F)
     rep = distance_set(fs, E, F)
-    nonzero_pairs = len(E) * len(F) - rep.zero_pairs
-    rep.chain_lhs = float(nonzero_pairs) ** 2
-    rep.chain_rhs = float(len(rep.distance_set - {0})) * len(F) * rep.T
-    rep.chain_holds = rep.chain_lhs <= rep.chain_rhs
+    nonzero_pairs, rhs = len(E) * len(F) - rep.zero_pairs, len(rep.distance_set - {0}) * len(F)
+    rep.chain_lhs, rep.chain_rhs = float(nonzero_pairs) ** 2, float(rhs) * rep.T
+    rep.chain_holds = nonzero_pairs**2 <= rhs * rep.T  # in integers; the floats are for the CSV
     rep.zero_hypothesis_ok = rep.zero_pairs <= len(E) * len(F) / 2
     if rep.zero_hypothesis_ok and rep.T > 0:
         rep.derived_lower = len(E) ** 2 * len(F) / (4 * rep.T)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ToolkitError
 from .ffield import FieldSpec, make_field
-from .geom import Line2, Plane3, flat_rows
+from .geom import Line2, Plane3, flat_rows, line_coeffs
 from .setsys import SetSystem
 
 
@@ -89,11 +89,9 @@ def load_points(path) -> tuple[FieldSpec, list[tuple[int, ...]]]:
 
 
 def save_lines(path, fs: FieldSpec, lines) -> None:
-    """The lines, read by geom.flat_rows, written from its array columns."""
-    lines = flat_rows(fs, lines, 2)
-    a = fs.vneg(lines.normals[:, 0]).tolist()  # of y = a*x + b; x = c has n_1 = 0
-    out = [_header(fs), *(f"N {a} {b}" if n1 else f"V {b}" for n1, a, b
-                          in zip(lines.normals[:, 1].tolist(), a, lines.rhs.tolist()))]
+    """The lines, read by geom.line_coeffs, written from its arrays."""
+    a, b, vert = (c.tolist() for c in line_coeffs(fs, lines))
+    out = [_header(fs), *(f"V {x}" if v else f"N {x} {y}" for x, y, v in zip(a, b, vert))]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -7,8 +7,8 @@ and "V" for x = c.  Planes are stored as (normal, rhs) for
 normalized form normal . x = 1 instead of the scaled canonical form.
 Line2 and Plane3 are the scalar types.  A Flats holds many lines or planes
 as one kind of object, the hyperplanes n . x = r of GF(q)^2 or GF(q)^3,
-in arrays read once; it is what the samplers make and the kernels count,
-and flat_rows reads every caller's flats into one.
+in arrays read once; flat_rows reads every caller's flats into one, and
+slope_lines and line_coeffs alone build and read lines in slope form.
 
 Everything here is affine and exact; there is no projective geometry, and
 the float64 of max_shared_collinear's gram (sums of 0/1 incidences, below
@@ -196,15 +196,15 @@ def as_rows(points):
 class Flats:
     """Flats as hyperplanes n . x = r of GF(q)^d: normals, the int64 (n, d)
     rows, and rhs, the int64 right-hand sides, with d = 2 for lines and 3 for
-    planes, the width of the normals.  A line is kept in slope form: y = a*x
-    + b as (-a, 1) with rhs b, and x = c as (1, 0) with rhs c.  A plane is
-    kept as given.  The constructor reads both arrays through field_array
-    for the field fs, once (FieldMismatch as there, for a width other than 2
-    or 3, a count of right-hand sides other than of normals, a line not in
-    slope form or a zero plane normal): kernels take a
-    Flats of their order as it is.  As a sequence a Flats holds the Line2 or
-    Plane3 of its rows, so the oracles and fileio read it as a list; a slice
-    is a Flats, and equality compares the order and the arrays."""
+    planes, the width of the normals.  A line is kept in slope form, y = a*x
+    + b as (-a, 1) with rhs b and x = c as (1, 0) with rhs c, built by
+    slope_lines and read by line_coeffs.  A plane is kept as given.  The
+    constructor reads both arrays through field_array for the field fs, once
+    (FieldMismatch as there, for a width other than 2 or 3, a count of
+    right-hand sides other than of normals, a line not in slope form or a
+    zero plane normal): kernels take a Flats of their order as it is.  As a
+    sequence it holds the Line2 or Plane3 of its rows; a slice is a Flats,
+    and equality compares the order and the arrays."""
 
     __slots__ = ("fs", "normals", "rhs")
     __hash__ = None
@@ -251,10 +251,8 @@ class Flats:
     def __iter__(self):
         if self.normals.shape[1] == 3:
             return map(Plane3, map(tuple, self.normals.tolist()), self.rhs.tolist())
-        vert = self.normals[:, 1] == 0
-        return map(Line2, np.where(vert, "V", "N").tolist(),
-                   np.where(vert, self.rhs, self.fs.vneg(self.normals[:, 0])).tolist(),
-                   np.where(vert, 0, self.rhs).tolist())
+        a, b, vert = line_coeffs(self.fs, self)
+        return map(Line2, np.where(vert, "V", "N").tolist(), a.tolist(), b.tolist())
 
     def __eq__(self, other):
         if type(other) is not Flats:
@@ -268,12 +266,12 @@ class Flats:
 
 def flat_rows(fs: FieldSpec, flats, dim: Optional[int] = None) -> Flats:
     """flats as a Flats of the order of fs: a Flats of that order and of
-    dimension dim as it is, and Line2 or Plane3 items in one pass; a Flats
-    of another order or dimension is read again from its items.  dim is 2
-    for lines and 3 for planes; without it the flats are of the kind of the
-    first.  FieldMismatch for a flat of the other kind ("expected Plane3
-    flats, got Line2"), an unknown line kind, a zero plane normal, or as
-    field_array for a bad coefficient."""
+    dimension dim as it is, and Line2 or Plane3 items in one pass, lines
+    through slope_lines; a Flats of another order or dimension is read again
+    from its items.  dim is 2 for lines and 3 for planes; without it the
+    flats are of the kind of the first.  FieldMismatch for a flat of the
+    other kind ("expected Plane3 flats, got Line2"), an unknown line kind, a
+    zero plane normal, or as field_array for a bad coefficient."""
     flats = as_rows(flats)
     if isinstance(flats, Flats):
         if flats.fs.q == fs.q and dim in (None, flats.normals.shape[1]):
@@ -293,11 +291,27 @@ def flat_rows(fs: FieldSpec, flats, dim: Optional[int] = None) -> Flats:
     if kinds.count("N") + kinds.count("V") != len(kinds):
         bad = next(k for k in kinds if k not in ("N", "V"))
         raise FieldMismatch(f"unknown line kind {bad!r}")
-    del flat[::3]
-    a, b = field_array(fs, [flat], len(flat), "line coefficient").reshape(-1, 2).T
     vert = np.frombuffer("".join(kinds).encode(), dtype=np.uint8) == ord("V")
+    return slope_lines(fs, flat[1::3], flat[2::3], vert)
+
+
+def slope_lines(fs: FieldSpec, a, b, vertical=None) -> Flats:
+    """The one line encoder, in Line2's convention: the lines y = a*x + b, and
+    x = a where the bool mask vertical is set, as a slope-form Flats.  a and b
+    are read by one field_array call as line coefficients; b is unused at x = a."""
+    a, b = field_array(fs, [a, b], len(a), "line coefficient")
+    vert = np.zeros(len(a), dtype=bool) if vertical is None else np.asarray(vertical, bool)
     nrm = np.column_stack([np.where(vert, 1, fs.vneg(a)), ~vert]).astype(np.int64)
     return Flats._of(fs, nrm, np.where(vert, a, b))
+
+
+def line_coeffs(fs: FieldSpec, lines):
+    """The one line decoder: (a, b, vertical) of the lines flat_rows reads, as
+    slope_lines takes them, two int64 arrays and a bool mask; b is 0 at x = a."""
+    lines = flat_rows(fs, lines, 2)
+    vert = lines.normals[:, 1] == 0
+    return (np.where(vert, lines.rhs, fs.vneg(lines.normals[:, 0])),
+            np.where(vert, 0, lines.rhs), vert)
 
 
 def dot3(fs: FieldSpec, u, v) -> int:
@@ -316,36 +330,40 @@ def count_incidences(fs, points, flats, method: str = "fast") -> IncidenceCount:
     "oracle" is the plain double loop over all (point, flat) pairs and is the
     reference everything else is checked against.  The flats are a Flats, or
     a sequence of Line2 or Plane3 that flat_rows reads into one, and the
-    points have its dimension; the oracle loops over their Line2 or Plane3
-    items.  "fast" counts the hyperplanes n . x = r of the Flats.  Lines go
-    over the row blocks of FieldSpec.dot_blocks, through flat_counts from
-    the cheaper side of the join, as x_join_pays picks it from the sizes:
+    points have its width (2 or 3 for an empty list); the oracle loops over
+    their Line2 or Plane3 items.  "fast" counts the hyperplanes n . x = r of
+    the Flats.  Lines go over the row blocks of FieldSpec.dot_blocks, through
+    flat_counts from the cheaper side of the join, as x_join_pays picks it:
     the points as rows against one column per distinct normal, (-a, 1) or
-    (1, 0), against the right-hand sides; or the non-vertical lines as rows
-    against one column per distinct x of the points, (a, b) . (x, 1) = a*x
-    + b with a = -n_0 against the y of the points at x, with the lines x = c
+    (1, 0), against the right-hand sides; or the line_coeffs (a, b) of the
+    non-vertical lines as rows against one column (x, 1) per distinct x of
+    the points, against the y of the points at x, and the lines x = c
     counted from the points at each x.  Planes are counted by plane_total:
     per point of GF(q)^3 from one transform of the planes grouped by unit
     normal when spectrum_pays (plane_field), else over dot_blocks, one
-    column per plane.  Both methods return identical counts.  Both raise
-    FieldMismatch for a coordinate or flat coefficient outside [0, q), an
-    unknown line kind or a zero plane normal.
+    column per plane.  Both methods return identical counts.  Both read
+    each side, also beside an empty one, and raise FieldMismatch for a
+    coordinate or flat coefficient outside [0, q), an unknown line kind or
+    a zero plane normal.
     """
     if method not in ("oracle", "fast"):
         raise ValueError(f"unknown method {method!r}")
     points, flats = as_rows(points), as_rows(flats)
-    if not len(points) or not len(flats):
-        return IncidenceCount(0, method)
     rows = flat_rows(fs, flats)
-    lines = rows.normals.shape[1] == 2
-    pts = field_array(fs, points, rows.normals.shape[1])
+    dim = rows.normals.shape[1]
+    unsized = not (len(rows) or isinstance(flats, Flats))  # no flat gives the width
+    if unsized and len(points) and hasattr(points[0], "__len__") and len(points[0]) == 2:
+        dim = 2
+    pts = field_array(fs, points, dim)
+    if not len(pts) or not len(rows):
+        return IncidenceCount(0, method)
     if method == "oracle":
         if len(points) * len(flats) > ORACLE_PAIR_CAP:
             raise SizeCap("oracle pair count over 10^9")
         flats = list(flats)  # a Flats builds its items once, not once per point
-        return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, lines), "oracle")
-    if lines:
-        return IncidenceCount(_count_lines_fast(fs, pts, rows.normals, rows.rhs), "fast")
+        return IncidenceCount(_count_oracle(fs, pts.tolist(), flats, dim == 2), "oracle")
+    if dim == 2:
+        return IncidenceCount(_count_lines_fast(fs, pts, rows), "fast")
     return IncidenceCount(plane_total(fs, pts, rows.normals, rows.rhs), "fast")
 
 
@@ -370,25 +388,26 @@ def _count_oracle(fs, points, flats, lines: bool) -> int:
     return total
 
 
-def _count_lines_fast(fs, pts, nrm, rhs) -> int:
+def _count_lines_fast(fs, pts, lines: Flats) -> int:
     # (x, y) lies on x = c iff (x, y) . (1, 0) = c, and on y = a*x + b iff
     # (x, y) . (-a, 1) = b, that is (a, b) . (x, 1) = y.
-    vert = nrm[:, 1] == 0
-    if x_join_pays(fs, len(pts), len(nrm), len(nrm) - int(np.count_nonzero(vert))):
+    vert = lines.normals[:, 1] == 0
+    if x_join_pays(fs, len(pts), len(lines), len(lines) - int(np.count_nonzero(vert))):
         # each point is a flat: direction its x, value its y
         xs, x_id = _numbered(pts[:, 0], fs.q)
         D = np.column_stack([xs, np.ones_like(xs)])
-        ab = np.column_stack([fs.vneg(nrm[~vert, 0]), rhs[~vert]])
+        a, b, _ = line_coeffs(fs, lines)  # masked 1-D: a row mask of stacked (a, b) costs 2x
+        ab = np.column_stack([a[~vert], b[~vert]])
         count = int(flat_counts(fs, ab, D, x_id, pts[:, 1]).sum())
-        c = rhs[vert]
+        c = a[vert]
         if len(c):  # the points at x = c
             at = np.searchsorted(xs, c).clip(max=len(xs) - 1)
             count += int(np.bincount(x_id)[at][xs[at] == c].sum())
         return count
     # a normal packs into one int in [0, q], q for (1, 0) and n_0 for (n_0, 1)
-    dirs, dir_id = _numbered(np.where(vert, fs.q, nrm[:, 0]), fs.q + 1)
+    dirs, dir_id = _numbered(np.where(vert, fs.q, lines.normals[:, 0]), fs.q + 1)
     D = np.column_stack([np.where(dirs == fs.q, 1, dirs), dirs < fs.q])
-    return int(flat_counts(fs, pts, D, dir_id, rhs).sum())
+    return int(flat_counts(fs, pts, D, dir_id, lines.rhs).sum())
 
 
 def _numbered(keys, size: int):

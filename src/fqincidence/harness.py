@@ -34,7 +34,9 @@ from .geom import (
     decode_rows,
     grid_points,
     line3_points,
+    line_coeffs,
     max_shared_collinear,
+    slope_lines,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -103,7 +105,8 @@ def field_for_order(q: int) -> FieldSpec:
 #
 # Each sampler draws one rng.sample over an index range and sorts it; all
 # but sample_field_subset then decode the indices with numpy: points into an
-# int64 array by geom.decode_rows, planes and lines into a geom.Flats.
+# int64 array by geom.decode_rows, planes and lines (by geom.slope_lines) into
+# a geom.Flats.
 
 def sample_field_subset(rng, fs, size: int) -> list[int]:
     if size > fs.q:
@@ -137,9 +140,8 @@ def sample_planes_one(rng, fs, size: int) -> Flats:
 def sample_lines(
     rng, fs, size: int, slanted_only: bool = False, with_vertical: bool = True
 ) -> Flats:
-    """Distinct lines; index i < q^2 is y = (i // q) x + i % q (slope 1 + i // q
-    when slanted_only), and q^2 + c is x = c: in slope form, normal (-a, 1)
-    or (1, 0), and the right-hand side i % q either way."""
+    """Distinct lines, built by geom.slope_lines; index i < q^2 is y = (i // q)
+    x + i % q (slope 1 + i // q when slanted_only), and q^2 + c is x = c."""
     q = fs.q
     if slanted_only:
         space = (q - 1) * q
@@ -149,16 +151,8 @@ def sample_lines(
         raise Unrealizable(f"{size} lines exceed the family size {space}")
     idx = np.array(sorted(rng.sample(range(space), size)), dtype=np.int64)
     a, b = np.divmod(idx, q)
-    if slanted_only:
-        a += 1
-    vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q (its i // q is q)
-    return Flats(fs, np.column_stack([np.where(vert, 1, fs.vneg(a % q)), ~vert]), b)
-
-
-def all_nonvertical_lines(fs) -> Flats:
-    """Every line y = a x + b, ordered by (a, b)."""
-    a, b = np.divmod(np.arange(fs.q**2), fs.q)
-    return Flats(fs, np.column_stack([fs.vneg(a), np.ones_like(a)]), b)
+    vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q
+    return slope_lines(fs, np.where(vert, b, a + slanted_only), b, vert)
 
 
 def random_config(fs: FieldSpec, kind: str, sizes: dict, seed: int) -> dict:
@@ -259,27 +253,12 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
         slopes = sorted(rng.sample(range(1, q), n_slopes))
         counts = [n_lines // n_slopes + (j < n_lines % n_slopes) for j in range(n_slopes)]
         rhs = [b for cnt in counts for b in sorted(rng.sample(range(q), cnt))]
-        a = np.repeat(np.array(slopes, dtype=np.int64), counts)
-        lines = Flats(fs, np.column_stack([fs.vneg(a), np.ones_like(a)]), rhs)
+        lines = slope_lines(fs, np.repeat(slopes, counts), rhs)
         a_set = sample_field_subset(rng, fs, n_a)
         b_set = sample_field_subset(rng, fs, n_b)
-        realized_slopes = n_slopes - counts.count(0)
-        return PresetConfig(
-            name,
-            q,
-            alpha,
-            "line",
-            {
-                "lines": len(lines),
-                "slopes": realized_slopes,
-                "A": n_a,
-                "B": n_b,
-            },
-            seed,
-            lines=lines,
-            a_set=a_set,
-            b_set=b_set,
-        )
+        sizes = {"lines": len(lines), "slopes": n_slopes - counts.count(0), "A": n_a, "B": n_b}
+        return PresetConfig(name, q, alpha, "line", sizes, seed, lines=lines, a_set=a_set,
+                            b_set=b_set)
     alpha, pie, pe, pf, cap = _PLANE_PRESETS[name]
     n_pi = _rounded(q, pie)
     if n_pi > q**3 - 1:
@@ -486,7 +465,7 @@ def suite_reduction_identity(cfg: ExperimentConfig, fs: FieldSpec):
         equal = inc == out.solution_count == oracle
         yield t, dict(case="random", n_lines=n_l, n_a=n_a, incidences=inc,
                       fast=out.solution_count, oracle=oracle, equal=equal), not equal, 0
-    full = all_nonvertical_lines(fs)
+    full = slope_lines(fs, *np.divmod(np.arange(q * q), q))  # ordered by (a, b)
     fast = reductions.count_solutions(fs, full, list(fs.elements()), "fast")
     expected = q**5
     if q <= 5:
@@ -668,7 +647,7 @@ def suite_calibration(cfg: ExperimentConfig, fs: FieldSpec):
             lns = sample_lines(r, fs, n_l, slanted_only=True)
             a_set = sample_field_subset(r, fs, n_a)
             b_set = sample_field_subset(r, fs, n_b)
-            n_lx = np.unique(lns.normals[:, 0]).size
+            n_lx = np.unique(line_coeffs(fs, lns)[0]).size
             return lns, a_set, b_set, bounds.RegimeParams(
                 q=q, alpha=alpha, nL=len(lns), nA=len(a_set), nB=len(b_set), nLx=n_lx)
 

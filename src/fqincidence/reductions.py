@@ -1,7 +1,8 @@
 """The point-line to point-plane reduction for Cartesian point sets.
 
-For non-vertical lines L (pairs (a, b) meaning y = a*x + b) and A a subset
-of the field, the energy count is
+For non-vertical lines L (pairs (a, b) meaning y = a*x + b, as
+geom.line_coeffs reads them from a geom.Flats or Line2 items) and A a
+subset of the field, the energy count is
 
     #{(a, b, x, a', b', x') in L x A x L x A : a*x + b = a'*x' + b'}.
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import SizeCap, VerticalLinePresent
 from .ffield import FieldSpec
 from .geom import (Flats, as_rows, count_incidences, field_array, flat_rows, grid_points,
-                   unit_rows)
+                   line_coeffs, unit_rows)
 
 ORACLE_TUPLE_CAP = 10**9
 
@@ -37,12 +38,15 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     "fast" makes one pass over the row blocks of (a, b) . (x, 1) = a*x + b,
     which histograms r(v) = #{(a, b, x) : a*x + b = v}, and returns
     sum r(v)^2; "oracle" enumerates all tuples.  The lines are a geom.Flats
-    or a sequence of Line2, read by geom.flat_rows, and (a, b) is taken
-    from the slope form (-a, 1), b.  Both methods agree exactly, and both
-    raise FieldMismatch as geom.flat_rows and geom.field_array for a bad
-    line or element of A, and VerticalLinePresent for a vertical line.
+    or a sequence of Line2, read into (a, b) by geom.line_coeffs.  Both
+    methods agree exactly, and both raise FieldMismatch as geom.flat_rows
+    and geom.field_array for a bad line or element of A, and
+    VerticalLinePresent for a vertical line.
     """
-    rows, A = _slopes(fs, lines), as_rows(a_set)
+    a, b, vert = line_coeffs(fs, lines)
+    if vert.any():
+        raise VerticalLinePresent("the reduction needs non-vertical lines")
+    rows, A = np.column_stack([a, b]), as_rows(a_set)
     cols = field_array(fs, [(x, 1) for x in A], 2, "element")
     if method == "fast":
         r = np.zeros(fs.q, dtype=np.int64)
@@ -59,15 +63,6 @@ def count_solutions(fs: FieldSpec, lines, a_set, method: str = "fast") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _slopes(fs: FieldSpec, lines):
-    """The int64 (a, b) rows of the lines y = a*x + b; VerticalLinePresent
-    for a line x = c."""
-    lines = flat_rows(fs, lines, 2)
-    if not lines.normals[:, 1].all():
-        raise VerticalLinePresent("the reduction needs non-vertical lines")
-    return np.column_stack([fs.vneg(lines.normals[:, 0]), lines.rhs])
-
-
 @dataclass
 class ReductionOutput:
     points3: np.ndarray  # int64 (|A| |L|, 3)
@@ -80,14 +75,16 @@ def build_point_plane_sets(fs: FieldSpec, lines, a_set) -> ReductionOutput:
     """Materialize the 3D point and plane sets whose incidence count is the energy.
 
     points3 = {(x, a', b')} over A x L, an int64 array; planes3, a Flats,
-    encode (a, b, x') over L x A.  Both keep multiplicity; the defining
-    identity I(points3, planes3) == count_solutions(L, A) holds exactly.
-    Each plane is in the canonical form of geom.make_plane, scaled by
-    unit_rows.  Raises as count_solutions for a bad line or element of A.
+    encode (a, b, x') over L x A, (a, b) from geom.line_coeffs.  Both keep
+    multiplicity; the defining identity I(points3, planes3) ==
+    count_solutions(L, A) holds exactly.  Each plane is in the canonical
+    form of geom.make_plane, scaled by unit_rows.  Raises as count_solutions
+    for a bad line or element of A.
     """
     lines, A = flat_rows(fs, lines, 2), as_rows(a_set)
     count = count_solutions(fs, lines, A, method="fast")  # checks L and A first
-    ab, xs = _slopes(fs, lines), field_array(fs, [A], len(A), "element")[0]
+    ab = np.column_stack(line_coeffs(fs, lines)[:2])
+    xs = field_array(fs, [A], len(A), "element")[0]
     pts = np.column_stack([np.repeat(xs, len(ab)), np.tile(ab, (len(xs), 1))])
     nrm, scale = unit_rows(fs, np.column_stack([
         np.repeat(ab[:, 0], len(xs)), np.tile(fs.vneg(xs), len(ab)),
@@ -105,9 +102,11 @@ class CsUpperReport(NamedTuple):
 
 
 def cs_upper(fs: FieldSpec, lines, a_set, b_set) -> CsUpperReport:
-    """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle."""
+    """sqrt(|B| * energy) upper bound on I(A x B, L), checked against the oracle;
+    B is read by geom.field_array before the oracle counts."""
     lines, A, B = flat_rows(fs, lines, 2), as_rows(a_set), as_rows(b_set)
     energy = count_solutions(fs, lines, A, method="fast")  # checks L and A first
+    B = field_array(fs, [B], len(B), "element")[0].tolist()
     value = math.sqrt(len(B)) * math.sqrt(energy)
     actual = count_incidences(fs, grid_points(A, B), lines, "oracle").count if len(B) else 0
     return CsUpperReport(value, energy, actual, actual * actual <= len(B) * energy)

@@ -124,6 +124,19 @@ def test_chain_inequality_random_configs():
             assert len(rep.distance_set - {0}) >= rep.derived_lower - 1e-9
 
 
+def test_chain_is_decided_in_integers(monkeypatch):
+    # (|E||F| - 1)^2 = 2^54 against 133 * 81 * T = 2^54 - 1, which rounds
+    # to 2^54 in float64: the floats tie, the integers do not
+    T = (2**54 - 1) // (81 * 133)
+    assert 81 * 133 * T == 2**54 - 1
+    monkeypatch.setattr(apps, "distance_set",
+                        lambda fs, E, F: apps.DistanceReport(set(range(134)), 1, T))
+    E = np.broadcast_to(np.zeros(3, np.int64), (1_657_009, 3))  # |E| 81 = 2^27 + 1
+    rep = triple_count_T(make_field(7, 1), E, [(0, 0, 0)] * 81)
+    assert rep.chain_lhs == rep.chain_rhs == 2.0**54  # the CSV's floats
+    assert not rep.chain_holds
+
+
 def test_bisector_plane_examples():
     fs3 = make_field(3, 1)
     pl = bisector_plane(fs3, (0, 0, 0), (2, 0, 0))

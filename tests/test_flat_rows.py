@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from fqincidence.errors import FieldMismatch
 from fqincidence.ffield import make_field
 from fqincidence.geom import (Flats, Line2, Plane3, count_incidences, decode_rows, flat_rows,
-                              max_shared_collinear)
+                              line_coeffs, max_shared_collinear, slope_lines)
 from fqincidence.reductions import count_solutions
 from fqincidence.setsys import neighborhood_system
 
 FIELDS = [(13, 1), (2, 4), (3, 4), (5, 4)]  # prime, GF(16), GF(81), GF(625)
 ROUND_TRIP_FIELDS = [(7, 1), (2, 4), (3, 4), (5, 4)]  # GF(7), GF(16), GF(81), GF(625)
+# GF(7), GF(101), GF(16), GF(81), GF(625), GF(1021^2), GF(1048573)
+CODEC_FIELDS = [(7, 1), (101, 1), (2, 4), (3, 4), (5, 4), (1021, 2), (1048573, 1)]
 
 
 def _points(rng, q, count, dim):
@@ -280,3 +282,37 @@ def test_a_line_not_in_slope_form_is_refused(data):
     with pytest.raises(FieldMismatch, match=rf"^line normal \({normal[0]}, {normal[1]}\) is "
                                             r"not \(-a, 1\) or \(1, 0\)$"):
         Flats(fs, [(1, 0), normal], [0, data.draw(element)])
+
+
+# -- the line codec: slope_lines builds, line_coeffs reads ---------------------
+
+@settings(max_examples=60)
+@given(st.data())
+def test_the_line_codec_round_trips(data):
+    fs = make_field(*data.draw(st.sampled_from(CODEC_FIELDS)))
+    items = data.draw(st.lists(_line_items(fs.q), max_size=12))
+    a, b = [ln.a for ln in items], [ln.b for ln in items]
+    vert = [ln.kind == "V" for ln in items]
+    if data.draw(st.booleans()):
+        a, b = np.array(a, np.int64), np.array(b, np.int64)
+    lines = slope_lines(fs, a, b, vert)
+    assert type(lines) is Flats and list(lines) == items
+    assert flat_rows(fs, items, 2) == lines
+    if not any(vert):
+        assert slope_lines(fs, a, b) == lines
+    for got in (line_coeffs(fs, lines), line_coeffs(fs, items)):
+        assert [c.dtype for c in got] == [np.int64, np.int64, bool]
+        assert [c.tolist() for c in got] == [list(a), list(b), vert]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_the_line_codec_refuses_a_bad_coefficient(data):
+    fs = make_field(*data.draw(st.sampled_from(CODEC_FIELDS)))
+    items = data.draw(st.lists(_line_items(fs.q), min_size=1, max_size=8))
+    coeffs = [[ln.a for ln in items], [ln.b for ln in items]]
+    bad = data.draw(st.one_of(st.integers(fs.q, 2**70), st.integers(-2**70, -1),
+                              st.floats(allow_nan=False, allow_infinity=False)))
+    data.draw(st.sampled_from(coeffs))[data.draw(st.integers(0, len(items) - 1))] = bad
+    with pytest.raises(FieldMismatch, match="^line coefficient "):
+        slope_lines(fs, *coeffs, [ln.kind == "V" for ln in items])

@@ -358,3 +358,34 @@ def test_oracle_refuses_past_its_pair_cap(monkeypatch):
     with pytest.raises(SizeCap):
         count_incidences(fs, pts, lines, "oracle")
     assert count_incidences(fs, pts, lines, "fast").count == 125
+
+
+# Each side is read before an empty other side returns 0: the points at the
+# flats' width, or at 2 or 3 coordinates when the flats are an empty list.
+EMPTY_SIDE_REFUSALS = [
+    ([(9, 9)], []),
+    ([(1.5, 2)], []),
+    ([(1, 2, 3, 4)], []),
+    ([], [Line2("X", 1, 2)]),
+    ([], [Plane3((0, 0, 0), 1)]),
+]
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+@pytest.mark.parametrize("points,flats", EMPTY_SIDE_REFUSALS)
+def test_an_empty_side_does_not_skip_reading_the_other(points, flats, method):
+    with pytest.raises(FieldMismatch):
+        count_incidences(make_field(7, 1), points, flats, method)
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_valid_empty_sides_count_zero(method):
+    fs = make_field(7, 1)
+    no_lines, no_planes = geom.flat_rows(fs, [], 2), geom.flat_rows(fs, [], 3)
+    for points, flats in (([], []), ([(1, 2)], []), ([(1, 2, 3)], []), ([], [nonvertical(1, 2)]),
+                          ([], [plane_through_one((1, 0, 0))]), ([(1, 3)], no_lines),
+                          ([(1, 0, 0)], no_planes)):
+        assert count_incidences(fs, points, flats, method) == (0, method)
+    for points, flats in (([(1, 2, 3)], no_lines), ([(1, 2)], no_planes)):
+        with pytest.raises(FieldMismatch):  # an empty Flats still has a width
+            count_incidences(fs, points, flats, method)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fqincidence import geom, reductions
-from fqincidence.errors import SizeCap, VerticalLinePresent
+from fqincidence.errors import FieldMismatch, SizeCap, VerticalLinePresent
 from fqincidence.ffield import make_field
 from fqincidence.geom import Line2, count_incidences, dot3, grid_points, max_collinear, vertical
 from fqincidence.reductions import (
@@ -162,6 +162,12 @@ def test_cs_upper_empty_b():
     assert rep.value == 0
     assert rep.actual == 0
     assert rep.holds
+
+
+@pytest.mark.parametrize("b_set", [[99], [1.5]])
+def test_cs_upper_reads_b_with_an_empty_a(b_set):
+    with pytest.raises(FieldMismatch, match="^element "):
+        cs_upper(make_field(7, 1), [Line2("N", 1, 2)], [], b_set)
 
 
 def test_cs_upper_example():

@@ -1,11 +1,13 @@
 """Source hygiene of src/fqincidence, read with ast (no linter is needed).
 
-Four checks: every private module-level function, class or constant is
+Five checks: every private module-level function, class or constant is
 referenced somewhere in src/ outside its own definition, every name a module
 imports is used in that module (a package's __all__ counts as a use), no
-module-level function or class name is defined in two modules, and no
-module but geom names geom's size rules or the kernels they choose
-between, so only geom chooses a side of a count.
+module-level function or class name is defined in two modules, no module
+but geom names geom's size rules or the kernels they choose between, so
+only geom chooses a side of a count, and no module but geom indexes the
+normals of a Flats, so lines are built and read in slope form by geom's
+slope_lines and line_coeffs alone.
 """
 
 import ast
@@ -91,3 +93,12 @@ GEOM_SIDES = {"spectrum_pays", "x_join_pays", "plane_field", "plane_groups", "fl
 def test_only_geom_chooses_a_side_of_a_count(path):
     named = GEOM_SIDES.intersection(_references(_tree(path)))
     assert not named, f"{path.name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geom.py"],
+                         ids=lambda p: p.name)
+def test_only_geom_indexes_flat_normals(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "normals"]
+    assert not lines, f"{path.name} subscripts .normals at lines {lines}"
