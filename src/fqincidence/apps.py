@@ -312,6 +312,7 @@ class TracePairReport:
     bound_value: float  # |U|^2 / |U'|^3 (inf when U' is empty)
     cs_lower: float  # |U|^2 / classes; pair_count >= cs_lower always
     ratio_vs_bound: float  # pair_count / bound_value
+    cs_holds: bool  # pair_count * classes >= |U|^2, decided in Python ints
 
 
 def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
@@ -343,4 +344,5 @@ def trace_pairs(fs: FieldSpec, U, Uprime) -> TracePairReport:
     bound = len(U) ** 2 / len(Up) ** 3 if len(Up) else math.inf
     cs_lower = len(U) ** 2 / classes
     ratio = pair_count / bound if bound != math.inf else 0.0
-    return TracePairReport(sizes, pair_count, classes, bound, cs_lower, ratio)
+    return TracePairReport(sizes, pair_count, classes, bound, cs_lower, ratio,
+                           pair_count * classes >= len(U) ** 2)

@@ -470,10 +470,9 @@ def flat_counts(fs: FieldSpec, X, D, dir_id, val):
     """For each row x of X, the number of flats k with x . D[dir_id[k]] ==
     val[k], as an int64 array; D holds the distinct directions, dir_id
     (integers) and val (field elements) one entry per flat, repeats counted
-    each time.  Either side of an incidence join can be the flats: planes
-    grouped by unit normal against points, lines grouped by direction
-    against points, or points grouped by x against non-vertical lines, the
-    point (x, y) being the flat (a, b) . (x, 1) = y.
+    each time.  Either side of a line incidence join can be the flats: lines
+    grouped by direction against points, or points grouped by x against
+    non-vertical lines, the point (x, y) being the flat (a, b) . (x, 1) = y.
 
     The counts run over the row blocks of dot_blocks(X, D), whose entry
     x . D[j] sits at key j q + x . D[j] among the flats' keys dir_id q +
@@ -539,13 +538,13 @@ def spectrum_pays(fs: FieldSpec, points: int, flats: int) -> bool:
 
 
 def plane_groups(fs: FieldSpec, nrm, rhs):
-    """The flats x . nrm[k] = rhs[k] as flat_counts and plane_field take
-    them, grouped by unit normal: flat k is (s nrm[k]) . x = s rhs[k], s the
-    inverse of its first nonzero coordinate, as unit_rows scales it.  The
-    unit normals are numbered in row_keys order, (0, 0, 1) as 0, (0, 1, b)
-    as 1 + b and (1, a, b) as 1 + q + a q + b, in int64, by _numbered, and
-    D is decoded from the numbers.  A zero row is left out, so it must come
-    with a nonzero rhs, which no x meets."""
+    """The planes x . nrm[k] = rhs[k] as plane_field takes them, grouped by
+    unit normal: plane k is (s nrm[k]) . x = s rhs[k], s the inverse of its
+    first nonzero coordinate, as unit_rows scales it.  The unit normals are
+    numbered in row_keys order, (0, 0, 1) as 0, (0, 1, b) as 1 + b and
+    (1, a, b) as 1 + q + a q + b, in int64, by _numbered, and D is decoded
+    from the numbers.  A zero row is left out, so it must come with a
+    nonzero rhs, which no x meets."""
     q = fs.q
     unit, scale = unit_rows(fs, nrm)
     u0, u1, u2 = unit.astype(np.int64).T

@@ -30,7 +30,6 @@ from .geom import (
     Flats,
     all_planes_through_one,
     count_incidences,
-    decode_points,
     decode_rows,
     grid_points,
     line3_points,
@@ -103,32 +102,38 @@ def field_for_order(q: int) -> FieldSpec:
 # samplers (uniform without replacement over the ambient object space)
 # ---------------------------------------------------------------------------
 #
-# Each sampler draws one rng.sample over an index range and sorts it; all
-# but sample_field_subset then decode the indices with numpy: points into an
-# int64 array by geom.decode_rows, planes and lines (by geom.slope_lines) into
-# a geom.Flats.
+# Every random subset the harness takes is one _draw: sorted distinct indices
+# of an index range, refused by _fit when the range is too small.  All
+# samplers but sample_field_subset then decode the indices with numpy: points
+# into an int64 array by geom.decode_rows, planes and lines (by
+# geom.slope_lines) into a geom.Flats.
+
+def _fit(what: str, n: int, most: int) -> int:
+    """n, or Unrealizable naming the size what = n when it exceeds most."""
+    if n > most:
+        raise Unrealizable(f"{what} = {n} exceeds {most}")
+    return n
+
+
+def _draw(rng, lo: int, hi: int, size: int, what: str) -> list[int]:
+    """size distinct indices of range(lo, hi), sorted, from one rng.sample;
+    _fit refuses a size past the range, naming it what."""
+    return sorted(rng.sample(range(lo, hi), _fit(what, size, hi - lo)))
+
 
 def sample_field_subset(rng, fs, size: int) -> list[int]:
-    if size > fs.q:
-        raise Unrealizable(f"subset size {size} exceeds q = {fs.q}")
-    return sorted(rng.sample(range(fs.q), size))
+    return _draw(rng, 0, fs.q, size, "subset size")
 
 
 def sample_points2(rng, fs, size: int):
     """size distinct points of GF(q)^2 as an int64 (size, 2) array."""
-    if size > fs.q**2:
-        raise Unrealizable(f"{size} points exceed the plane size {fs.q ** 2}")
-    return decode_rows(fs.q, sorted(rng.sample(range(fs.q**2), size)), 2)
+    return decode_rows(fs.q, _draw(rng, 0, fs.q**2, size, "points"), 2)
 
 
 def sample_points3(rng, fs, size: int, nonzero: bool = False):
     """size distinct points of GF(q)^3 (nonzero ones if nonzero) as an int64
     (size, 3) array."""
-    lo = 1 if nonzero else 0
-    space = fs.q**3 - lo
-    if size > space:
-        raise Unrealizable(f"{size} points exceed the space size {space}")
-    return decode_rows(fs.q, sorted(rng.sample(range(lo, fs.q**3), size)))
+    return decode_rows(fs.q, _draw(rng, int(nonzero), fs.q**3, size, "points"))
 
 
 def sample_planes_one(rng, fs, size: int) -> Flats:
@@ -143,13 +148,8 @@ def sample_lines(
     """Distinct lines, built by geom.slope_lines; index i < q^2 is y = (i // q)
     x + i % q (slope 1 + i // q when slanted_only), and q^2 + c is x = c."""
     q = fs.q
-    if slanted_only:
-        space = (q - 1) * q
-    else:
-        space = q * q + (q if with_vertical else 0)
-    if size > space:
-        raise Unrealizable(f"{size} lines exceed the family size {space}")
-    idx = np.array(sorted(rng.sample(range(space), size)), dtype=np.int64)
+    space = (q - 1) * q if slanted_only else q * q + (q if with_vertical else 0)
+    idx = np.array(_draw(rng, 0, space, size, "lines"), dtype=np.int64)
     a, b = np.divmod(idx, q)
     vert = idx >= q * q  # i = q^2 + c is x = c, and c = i % q
     return slope_lines(fs, np.where(vert, b, a + slanted_only), b, vert)
@@ -237,22 +237,14 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
     rng = rng_for(seed, hash_name(name), q)
     if name in _LINE_PRESETS:
         alpha, se, le, ae, be = _LINE_PRESETS[name]
-        n_slopes = _rounded(q, se)
-        if n_slopes > q - 1:
-            raise Unrealizable(f"preset {name}: {n_slopes} slopes exceed q-1")
+        n_slopes = _fit(f"preset {name}: slopes", _rounded(q, se), q - 1)
         n_lines = _rounded(q, le)
-        per_slope = -(-n_lines // n_slopes)
-        if per_slope > q:
-            raise Unrealizable(f"preset {name}: {per_slope} lines per slope exceed q")
-        n_a = _rounded(q, ae)
-        n_b = _rounded(q, be)
-        if n_a > q:
-            raise Unrealizable(f"preset {name}: |A| = {n_a} exceeds q")
-        if n_b > q:
-            raise Unrealizable(f"preset {name}: |B| = {n_b} exceeds q")
-        slopes = sorted(rng.sample(range(1, q), n_slopes))
+        _fit(f"preset {name}: lines per slope", -(-n_lines // n_slopes), q)
+        n_a = _fit(f"preset {name}: |A|", _rounded(q, ae), q)
+        n_b = _fit(f"preset {name}: |B|", _rounded(q, be), q)
+        slopes = _draw(rng, 1, q, n_slopes, "slopes")
         counts = [n_lines // n_slopes + (j < n_lines % n_slopes) for j in range(n_slopes)]
-        rhs = [b for cnt in counts for b in sorted(rng.sample(range(q), cnt))]
+        rhs = [b for cnt in counts for b in _draw(rng, 0, q, cnt, "intercepts")]
         lines = slope_lines(fs, np.repeat(slopes, counts), rhs)
         a_set = sample_field_subset(rng, fs, n_a)
         b_set = sample_field_subset(rng, fs, n_b)
@@ -260,12 +252,8 @@ def preset(name: str, q: int, seed: int = 0) -> PresetConfig:
         return PresetConfig(name, q, alpha, "line", sizes, seed, lines=lines, a_set=a_set,
                             b_set=b_set)
     alpha, pie, pe, pf, cap = _PLANE_PRESETS[name]
-    n_pi = _rounded(q, pie)
-    if n_pi > q**3 - 1:
-        raise Unrealizable(f"preset {name}: {n_pi} planes exceed q^3-1")
-    n_p = _rounded(q, pe, pf)
-    if n_p > q**3:
-        raise Unrealizable(f"preset {name}: {n_p} points exceed q^3")
+    n_pi = _fit(f"preset {name}: planes", _rounded(q, pie), q**3 - 1)
+    n_p = _fit(f"preset {name}: points", _rounded(q, pe, pf), q**3)
     planes = sample_planes_one(rng, fs, n_pi)
     k = None if cap is None else _rounded(q, cap)
     for _ in range(_CAP_ATTEMPTS):
@@ -316,12 +304,6 @@ class SuiteResult:
     rows: list[dict]
     failures: int = 0
     violations: int = 0
-
-    @property
-    def exit_code(self) -> int:
-        if self.failures:
-            return 1
-        return 2 if self.violations else 0
 
 
 def _fmt_cell(v) -> str:
@@ -441,11 +423,9 @@ def suite_unconditional(cfg: ExperimentConfig, fs: FieldSpec):
         n_u = rng.randint(2, min(q**3, 40))
         U = sample_points3(rng, fs, n_u)
         n_up = rng.randint(1, min(n_u, 4))
-        Up = U[sorted(rng.sample(range(n_u), n_up))]
-        rep = apps.trace_pairs(fs, U, Up)
+        rep = apps.trace_pairs(fs, U, U[_draw(rng, 0, n_u, n_up, "U' points")])
         yield t, *row("trace_pairs", f"U={n_u};Uprime={n_up}", rep.pair_count,
-                      rep.cs_lower,
-                      rep.pair_count * rep.classes >= sum(rep.class_sizes) ** 2)
+                      rep.cs_lower, rep.cs_holds)
 
 
 @_suite("reduction-identity", "case", "n_lines", "n_a", "incidences", "fast", "oracle",
@@ -492,7 +472,7 @@ def suite_vc_plane(cfg: ExperimentConfig, fs: FieldSpec):
     exhaustive = q <= 5
     for t in range(1 if exhaustive else cfg.trials):
         if exhaustive:
-            by_point = decode_rows(q, np.arange(q**3))
+            by_point = _full_space(q)
             by_plane, planes = by_point[1:], all_planes_through_one(fs)
         else:
             rng = _trial_rng(cfg, t)
@@ -538,7 +518,7 @@ def suite_q3mod4_geometry(cfg: ExperimentConfig, fs: FieldSpec):
         yield r, dict(check="sphere_scan", r=r, lines_found=len(found),
                       expect_lines=expect_lines, ok=ok), not ok, 0
     if fs.p != 2 and q <= 7:
-        ok = apps.bisector_collisions_isotropic(fs, decode_points(q, range(q**3)))
+        ok = apps.bisector_collisions_isotropic(fs, _full_space(q))
         yield q, dict(check="bisector_collisions_isotropic", r=0, lines_found=0,
                       expect_lines=False, ok=ok), not ok, 0
 
@@ -550,7 +530,7 @@ def suite_regular_subset(cfg: ExperimentConfig, fs: FieldSpec):
     full = _full_space(q)
     rep = apps.regular_subset(fs, full)
     hyp = rep.size_hypothesis_ok
-    ok = rep.U1 == decode_points(q, range(1, q**3)) if hyp else True  # U1 in the order of U
+    ok = np.array_equal(rep.U1, full[1:]) if hyp else True  # U1 in the order of U
     yield 0, dict(case="full_space", n_u=len(full), n_u1=len(rep.U1),
                   hypothesis_ok=hyp, ok=ok), not ok, not hyp
     if 8 * q * q < q**3:
@@ -669,20 +649,17 @@ def suite_trace_pairs(cfg: ExperimentConfig, fs: FieldSpec):
 
     def cases():
         if q == 3:
-            yield 0, "frozen_q3", decode_points(3, range(1, 27)), [(1, 0, 0)]
+            yield 0, "frozen_q3", _full_space(3)[1:], [(1, 0, 0)]
         for t in range(cfg.trials):
             rng = _trial_rng(cfg, t)
             n_u = rng.randint(2, min(q**3, 60))
             U = sample_points3(rng, fs, n_u)
             n_up = rng.randint(1, min(n_u, 4))
-            yield t + 1, "random", U, U[sorted(rng.sample(range(n_u), n_up))]
+            yield t + 1, "random", U, U[_draw(rng, 0, n_u, n_up, "U' points")]
 
     for t, case, U, Up in cases():
         rep = apps.trace_pairs(fs, U, Up)
-        if case == "frozen_q3":
-            ok = rep.pair_count == 370
-        else:
-            ok = rep.pair_count * rep.classes >= sum(rep.class_sizes) ** 2
+        ok = rep.pair_count == 370 if case == "frozen_q3" else rep.cs_holds
         yield t, dict(case=case, n_u=len(U), n_uprime=len(Up),
                       pair_count=rep.pair_count, classes=rep.classes,
                       cs_lower=rep.cs_lower, bound_value=rep.bound_value,
@@ -730,8 +707,9 @@ def suite_vinh_plane(cfg: ExperimentConfig, fs: FieldSpec):
     pts = _full_space(q)
     planes = all_planes_through_one(fs)
     actual = count_incidences(fs, pts, planes, "fast").count
-    main = len(pts) * len(planes) / q
-    ok = actual == main
+    pairs = len(pts) * len(planes)
+    main = pairs / q
+    ok = actual * q == pairs
     yield 0, dict(n_points=len(pts), n_planes=len(planes), actual=actual,
                   main_term=main, main_ratio=main / actual if actual else 0.0,
                   ok=ok), not ok, 0

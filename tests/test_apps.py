@@ -416,6 +416,20 @@ def test_trace_pairs_cs_floor_random():
         assert rep.pair_count >= math.ceil(len(U) ** 2 / rep.classes) - 1
 
 
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2)])
+def test_trace_pairs_cs_holds_is_the_integer_inequality(p, n):
+    fs = make_field(p, n)
+    rng = random.Random(70 + fs.q)
+    cases = [(all_points3(fs.q)[1:9], [])]  # one class: equality
+    for _ in range(8):
+        U = sample3(rng, fs.q, rng.randint(2, 40))
+        k = rng.randint(1, min(4, len(U)))
+        cases.append((U, [U[i] for i in sorted(rng.sample(range(len(U)), k))]))
+    for U, Up in cases:
+        rep = trace_pairs(fs, U, Up)
+        assert rep.cs_holds is (rep.pair_count * rep.classes >= len(U) ** 2) is True
+
+
 def test_trace_pairs_requires_subset():
     fs = make_field(3, 1)
     with pytest.raises(ValueError):

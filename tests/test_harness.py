@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,21 +79,57 @@ def test_samplers_reject_oversize():
         random_config(fs, "plane", {"points": 5, "planes": 27}, seed=0)
 
 
-@pytest.mark.parametrize("sample,space", [
-    (sample_field_subset, lambda q: q),
-    (sample_points2, lambda q: q * q),
-    (sample_lines, lambda q: q * q + q),
-    (partial(sample_lines, slanted_only=True), lambda q: (q - 1) * q),
-    (partial(sample_lines, with_vertical=False), lambda q: q * q),
-], ids=["field", "points2", "lines", "slanted", "no-vertical"])
+# each preset size, forced past its space at q = 7 by one recipe exponent
+PRESET_OVERSIZE = [
+    ("line-1", 1, 1, "slopes = 7 exceeds 6"),
+    ("line-1", 2, 3, "lines per slope = 115 exceeds 7"),
+    ("line-1", 3, 2, "|A| = 49 exceeds 7"),
+    ("line-1", 4, 2, "|B| = 49 exceeds 7"),
+    ("plane-1", 1, 3, "planes = 343 exceeds 342"),
+    ("plane-1", 2, 4, "points = 2401 exceeds 343"),
+]
+
+
+@pytest.mark.parametrize("name,slot,exponent,message", PRESET_OVERSIZE,
+                         ids=[m.split(" =")[0] for *_, m in PRESET_OVERSIZE])
+def test_preset_refuses_each_size_naming_it(monkeypatch, name, slot, exponent, message):
+    table = harness._LINE_PRESETS if name in harness._LINE_PRESETS else harness._PLANE_PRESETS
+    recipe = list(table[name])
+    recipe[slot] = exponent
+    monkeypatch.setitem(table, name, tuple(recipe))
+    with pytest.raises(Unrealizable, match=re.escape(f"preset {name}: {message}")):
+        preset(name, 7)
+
+
+def test_preset_names_the_first_failing_size(monkeypatch):
+    # every size past its space: the slopes come first, then the planes
+    monkeypatch.setitem(harness._LINE_PRESETS, "line-1", (Fraction(1, 4), 1, 3, 2, 2))
+    monkeypatch.setitem(harness._PLANE_PRESETS, "plane-1", (Fraction(1, 5), 3, 4, 1, None))
+    with pytest.raises(Unrealizable, match="slopes = "):
+        preset("line-1", 7)
+    with pytest.raises(Unrealizable, match="planes = "):
+        preset("plane-1", 7)
+
+
+@pytest.mark.parametrize("sample,what,space", [
+    (sample_field_subset, "subset size", lambda q: q),
+    (sample_points2, "points", lambda q: q * q),
+    (sample_lines, "lines", lambda q: q * q + q),
+    (partial(sample_lines, slanted_only=True), "lines", lambda q: (q - 1) * q),
+    (partial(sample_lines, with_vertical=False), "lines", lambda q: q * q),
+    (sample_points3, "points", lambda q: q**3),
+    (partial(sample_points3, nonzero=True), "points", lambda q: q**3 - 1),
+    (sample_planes_one, "points", lambda q: q**3 - 1),
+], ids=["field", "points2", "lines", "slanted", "no-vertical", "points3", "points3-nonzero",
+        "planes"])
 @pytest.mark.parametrize("q", [4, 5])
-def test_samplers_take_their_whole_space_and_refuse_one_more(sample, space, q):
-    fs = field_for_order(q)
-    drawn = sample(rng_for(q), fs, space(q))
+def test_samplers_take_their_whole_space_and_refuse_one_more(sample, what, space, q):
+    fs, n = field_for_order(q), space(q)
+    drawn = sample(rng_for(q), fs, n)
     drawn = list(map(tuple, drawn.tolist())) if isinstance(drawn, np.ndarray) else list(drawn)
-    assert len(set(drawn)) == len(drawn) == space(q)
-    with pytest.raises(Unrealizable):
-        sample(rng_for(q), fs, space(q) + 1)
+    assert len(set(drawn)) == len(drawn) == n
+    with pytest.raises(Unrealizable, match=re.escape(f"{what} = {n + 1} exceeds {n}")):
+        sample(rng_for(q), fs, n + 1)
 
 
 def test_random_config_reproducible():
@@ -264,20 +302,18 @@ def test_suite_trace_pairs_q3_frozen():
     assert res.rows[0]["pair_count"] == 370
 
 
-@pytest.mark.parametrize("short", [0, 1])
+@pytest.mark.parametrize("holds", [True, False])
 @pytest.mark.parametrize("suite,column", [("trace-pairs", "ok"), ("unconditional", "holds")])
-def test_trace_pair_verdicts_decide_in_integers(suite, column, short, monkeypatch):
-    # one trace class of k members, so the floor |U|^2 / classes is k^2,
-    # which as a float rounds above k^2: the verdict holds at equality and
-    # fails one pair short of it
-    k = 2**28 + 3
-    assert k * k / 1 > k * k
-    report = apps.TracePairReport([k], k * k - short, 1, 1.0, k * k / 1, 1.0)
+def test_trace_pair_verdicts_decide_in_integers(suite, column, holds, monkeypatch):
+    # the suites copy the report's integer verdict cs_holds; the report's
+    # counts say the opposite (pair_count * classes against |U|^2 = 1), so a
+    # suite that worked the check out again would disagree
+    report = apps.TracePairReport([1], int(not holds), 1, 1.0, 1.0, 1.0, holds)
     monkeypatch.setattr(apps, "trace_pairs", lambda fs, U, Up: report)
     res = _run(suite, 5, trials=2, seed=3)
     verdicts = [r[column] for r in res.rows if r.get("family", "trace_pairs") == "trace_pairs"]
-    assert verdicts == [not short] * 2
-    assert res.failures == (2 if short else 0)
+    assert verdicts == [holds] * 2
+    assert res.failures == (0 if holds else 2)
 
 
 def test_suite_vinh_plane_exact_main_term():
@@ -286,11 +322,26 @@ def test_suite_vinh_plane_exact_main_term():
     assert res.rows[0]["main_ratio"] == 1.0
 
 
+def test_suite_vinh_plane_decides_in_integers(monkeypatch):
+    # 3 (2^53 + 1) points against one plane have the main term 2^53 + 1,
+    # which as a float rounds to 2^53: a count of 2^53 matches the float
+    # main term and misses the integer one
+    n = 3 * (2**53 + 1)
+    assert n / 3 == 2**53
+    monkeypatch.setattr(harness, "_full_space",
+                        lambda q: np.broadcast_to(np.zeros(3, np.int64), (n, 3)))
+    monkeypatch.setattr(harness, "all_planes_through_one", lambda fs: [None])
+    monkeypatch.setattr(harness, "count_incidences",
+                        lambda fs, pts, planes, method: SimpleNamespace(count=2**53))
+    res = _run("vinh-plane", 3)
+    assert res.rows[0]["main_term"] == 2**53 and res.rows[0]["main_ratio"] == 1.0
+    assert res.rows[0]["ok"] is False and res.failures == 1
+
+
 def test_suite_preset_audit_flags_line1():
     res = _run("preset-audit", 3, seed=11)
     assert res.failures == 0
     assert res.violations > 0
-    assert res.exit_code == 2
     line1 = next(r for r in res.rows if r["preset"] == "line-1")
     assert line1["hypothesis_ok"] is False
 

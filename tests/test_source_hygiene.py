@@ -1,13 +1,14 @@
 """Source hygiene of src/fqincidence, read with ast (no linter is needed).
 
-Five checks: every private module-level function, class or constant is
+Six checks: every private module-level function, class or constant is
 referenced somewhere in src/ outside its own definition, every name a module
 imports is used in that module (a package's __all__ counts as a use), no
 module-level function or class name is defined in two modules, no module
 but geom names geom's size rules or the kernels they choose between, so
-only geom chooses a side of a count, and no module but geom indexes the
+only geom chooses a side of a count, no module but geom indexes the
 normals of a Flats, so lines are built and read in slope form by geom's
-slope_lines and line_coeffs alone.
+slope_lines and line_coeffs alone, and no function but harness._draw calls
+rng.sample, so every random subset is drawn, sorted and refused by one rule.
 """
 
 import ast
@@ -102,3 +103,17 @@ def test_only_geom_indexes_flat_normals(path):
              if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
              and node.value.attr == "normals"]
     assert not lines, f"{path.name} subscripts .normals at lines {lines}"
+
+
+def test_only_harness_draw_calls_sample():
+    sites = []
+    for path in MODULES:
+        tree = _tree(path)
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sample"):
+                inner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                sites.append((path.name, inner and inner.name, node.lineno))
+    assert [site[:2] for site in sites] == [("harness.py", "_draw")], sites
