@@ -119,7 +119,7 @@ def vc_dimension(system: SetSystem, d_max: int) -> VcResult:
     that a walk up from level 2 would skip.
     The empty family is assigned dimension 0.
     """
-    if not 1 <= d_max <= 6:
+    if not 1 <= (d_max := _integer(d_max, "d_max")) <= 6:
         raise ValueError("d_max must be in [1, 6]")
     n = system.ground_size
     if sum(comb(n, i) for i in range(1, d_max + 1)) > VC_BUDGET:
@@ -191,89 +191,73 @@ def _search(n, members):
 def _subsets(groups, d, words):
     """Every d-subset of every row of each group (2-D arrays of element rows
     of one length k) as index blocks, each filled to its size, growing from
-    256 sets to about TRACE_BLOCK atom words.
+    256 sets to rows, about TRACE_BLOCK atom words.
 
-    A group's table combinations(range(k), d) comes whole from _table, and
-    its rows expand through it with one gather; a table longer than a block
-    (as on the plain route over a large ground set) streams in slices of one
-    block instead.
+    One stream: a group's combinations(range(k), d) comes from _slice, whole
+    when it fits in one block (one cached lookup per group), else in slices
+    of 256 rows, then 4 times as many up to rows, so an early stop builds
+    little; each slice gathers as many of the group's rows at once as fill
+    a block.
     """
     rows = max(1, TRACE_BLOCK // (words * min(1 << d, 64 * words)))  # atoms <= members
     size, parts, have = min(256, rows), [], 0
-    for part in _expand(groups, d, rows):
-        parts.append(part)
-        have += len(part)
-        while have >= size:
-            block = np.concatenate(parts)
-            yield block[:size]
-            parts, have = [block[size:]], have - size
-            size = min(4 * size, rows)
+    for es in groups:
+        k, start = es.shape[1], 0
+        total = comb(k, d)
+        while start < total:  # slice i of a long table starts at 256 (4^i - 1) / 3
+            stop = total if total <= rows else min(4 * start + 256, start + rows, total)
+            t, per = _slice(k, d, start, stop), rows // (stop - start)
+            for i in range(0, len(es), per):
+                parts.append(es[i : i + per].take(t, axis=1).reshape(-1, d))
+                have += len(parts[-1])
+                while have >= size:
+                    block = np.concatenate(parts)
+                    yield block[:size]
+                    parts, have = [block[size:]], have - size
+                    size = min(4 * size, rows)
+            start = stop
     if have:
         yield np.concatenate(parts)
 
 
 @lru_cache(maxsize=32)
-def _table(k, d):
-    """combinations(range(k), d) as a read-only (C(k, d), d) index array.
+def _slice(k, d, start, stop):
+    """Ranks start..stop-1 of combinations(range(k), d) as a read-only
+    (stop - start, d) index array.
 
-    Kept across calls, at most 32 of them.  _expand asks only for a table
-    no longer than one candidate block, rows * d index words of 8 bytes with
+    Kept across calls, at most 32 of them.  _subsets asks only for slices
+    of at most one candidate block, rows * d index words of 8 bytes with
     rows * min(2^d, 64) <= TRACE_BLOCK, so each is at most max(256, 8 d) KiB
     and the cache holds at most 8 MiB while d <= 32.
     """
-    t = _ranked(k, d)(np.arange(comb(k, d)))
+    t = _ranked(k, d, np.arange(start, stop))
     t.flags.writeable = False
     return t
 
 
-def _ranked(k, d):
-    """The map from lexicographic ranks (an int64 array) to the d-subsets of
-    range(k) they rank in combinations(range(k), d), as intp rows.
+def _ranked(k, d, ranks):
+    """The d-subsets of range(k) at the given lexicographic ranks (an int64
+    array) of combinations(range(k), d), as intp rows.
 
     Entry j of a subset is found from the rank left after entries 0..j-1 by
     one searchsorted over first[j]: first[j][c - j] counts the ways to
     complete entries j.. with entry j below c, C(k - j, d - j) - C(k - c,
     d - j), whatever entries came before; every count is at most C(k, d).
+    The binomials are column sums, C(m, r) = sum of C(i, r - 1) over i < m,
+    kept to m <= k - d + r, where C(m, r) <= C(k, d), so each slice of a
+    long table costs O(d k) array work, not d k calls of comb.
     """
-    first = [comb(k - j, d - j) - np.array([comb(k - c, d - j) for c in range(j, k - d + j + 2)],
-                                           dtype=np.int64) for j in range(d)]
-
-    def rows(ranks):
-        out = np.empty((len(ranks), d), dtype=np.intp)
-        prev, left = np.full(len(ranks), -1), ranks
-        for j, f in enumerate(first):
-            at = f[prev + 1 - j] + left  # among completions with entry j past prev
-            prev = out[:, j] = np.searchsorted(f, at, "right") + j - 1
-            left = at - f[prev - j]
-        return out
-
-    return rows
-
-
-def _slices(k, d, rows):
-    """combinations(range(k), d) in lexicographic order as index arrays of
-    256 rows (at most rows), then 4 times as many each time up to rows; the
-    last may be shorter.  Each slice is unranked on its own, so an early
-    stop builds no more than it used."""
-    rows_of, total, start, step = _ranked(k, d), comb(k, d), 0, min(256, rows)
-    while start < total:
-        yield rows_of(np.arange(start, min(start + step, total)))
-        start, step = start + step, min(4 * step, rows)
-
-
-def _expand(groups, d, rows):
-    """The d-subsets of each group's rows in pieces of at most rows sets."""
-    for es in groups:
-        k = es.shape[1]
-        if comb(k, d) <= rows:
-            table = _table(k, d)
-            step = rows // len(table)
-            for i in range(0, len(es), step):
-                yield es[i : i + step, table].reshape(-1, d)
-        else:  # slices grow as the blocks do, so an early stop builds little
-            for t in _slices(k, d, rows):
-                for e in es:
-                    yield e[t]
+    first, col = [], np.ones(k - d + 1, np.int64)  # C(m, 0) for m <= k - d
+    for r in range(1, d + 1):  # entry j = d - r
+        col = np.concatenate(([0], np.cumsum(col)))
+        first.append(col[-1] - col[r - 1 :][::-1])
+    out = np.empty((len(ranks), d), dtype=np.intp)
+    prev, left = np.full(len(ranks), -1), ranks
+    for j, f in enumerate(reversed(first)):
+        at = f[prev + 1 - j] + left  # among completions with entry j past prev
+        prev = out[:, j] = np.searchsorted(f, at, "right") + j - 1
+        left = at - f[prev - j]
+    return out
 
 
 def _max_traces(cols, ncols, cands, floor: int) -> int:
@@ -311,15 +295,21 @@ class ShatterValue(NamedTuple):
 def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     """Max number of distinct traces of the family on a z-element ground subset.
 
-    First, when the system's search state has answered level z, or the
-    members hold no more z-subsets than there are z-sets of shattered
-    singletons, a shattered z-set found by the state gives 2^z.  Otherwise all C(ground_size, z) subsets (budget 10^6) run
-    through the trace kernel in lexicographic blocks of about TRACE_BLOCK
-    words, stopping after the first block that reaches min(2^z, distinct
-    members), or min(2^z - 1, distinct members) once the first pass found
-    no shattered set; the value is exact.
+    The budget counts every z-set (C(ground_size, z) <= 10^6), but only the
+    shattered singletons are searched, as on vc_dimension's plain route: an
+    element every member holds, or none does, adds no trace, and a set has
+    no fewer traces than its subsets, so some z-set of singletons reaches
+    the maximum; with fewer than z of them, the distinct members, which
+    differ on the singletons, give the value.  When the system's search
+    state has answered level z, or the members hold no more z-subsets than
+    there are z-sets of singletons, a shattered z-set found by the state
+    gives 2^z.  Otherwise the z-sets of singletons run through the trace
+    kernel in lexicographic blocks of about TRACE_BLOCK words, stopping
+    after the first block that reaches min(2^z, distinct members), or
+    min(2^z - 1, distinct members) once the first pass found no shattered
+    set; the value is exact.
     """
-    n = system.ground_size
+    n, z = system.ground_size, _integer(z, "z")
     if not 0 <= z <= n:
         raise ValueError(f"z = {z} outside [0, {n}]")
     if z == 0:
@@ -329,12 +319,14 @@ def shatter_function(system: SetSystem, z: int) -> ShatterValue:
     members = tuple(sorted(set(system.family)))
     state = _search(n, members)
     most = min(1 << z, len(members))  # no set has more traces
+    if state.singles.size < z:
+        return ShatterValue(most)
     if most == 1 << z and (z in state.answers or state.route(z) is not None):
         if state.shattered(z):
             return ShatterValue(most)
         most -= 1
     best = 0
-    for cands in _subsets([np.arange(n)[None]], z, state.cols.shape[1]):
+    for cands in _subsets([state.singles[None]], z, state.cols.shape[1]):
         if (best := _max_traces(state.cols, state.ncols, cands, best)) == most:
             break
     return ShatterValue(best)
@@ -342,6 +334,7 @@ def shatter_function(system: SetSystem, z: int) -> ShatterValue:
 
 def sauer_shelah(z: int, d: int) -> int:
     """sum_{i=0}^{d} C(z, i); includes the i = 0 empty-trace term."""
+    z, d = _integer(z, "z"), _integer(d, "d")
     if z < 0 or d < 0:
         raise ValueError("z and d must be nonnegative")
     return sum(comb(z, i) for i in range(min(z, d) + 1))

@@ -1,5 +1,5 @@
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -293,6 +293,28 @@ def test_sauer_shelah_values():
     assert sauer_shelah(3, 9) == 8  # d past z adds nothing
 
 
+@pytest.mark.parametrize("call,what", [
+    pytest.param(lambda s: vc_dimension(s, 2.0), "d_max", id="vc_dimension-float"),
+    pytest.param(lambda s: vc_dimension(s, "2"), "d_max", id="vc_dimension-str"),
+    pytest.param(lambda s: shatter_function(s, 2.0), "z", id="shatter_function-float"),
+    pytest.param(lambda s: shatter_function(s, "2"), "z", id="shatter_function-str"),
+    pytest.param(lambda s: sauer_shelah(3.0, 1), "z", id="sauer_shelah-float-z"),
+    pytest.param(lambda s: sauer_shelah(3, "1"), "d", id="sauer_shelah-str-d"),
+])
+def test_level_arguments_that_are_not_integers_are_refused_by_name(call, what):
+    with pytest.raises(ValueError, match=f"^{what} .+ is not an integer$"):
+        call(powerset_system(3))
+
+
+def test_numpy_level_arguments_give_python_ints():
+    system = powerset_system(3)
+    vc = vc_dimension(system, np.int64(2))
+    value = shatter_function(system, np.int64(2)).value
+    bound = sauer_shelah(np.int64(3), np.uint8(1))
+    assert (vc, value, bound) == ((2, True), 4, 4)
+    assert {type(vc.dimension), type(value), type(bound)} == {int}
+
+
 def test_sauer_shelah_bounds_every_exact_shatter_value():
     rng = random.Random(5)
     for _ in range(20):
@@ -564,40 +586,102 @@ def test_shatter_function_scans_nothing_past_a_member_that_shatters(monkeypatch)
 def test_combination_tables_stay_within_the_cache_bound(monkeypatch):
     built = []
 
-    def recording(k, d):
-        t = table(k, d)
-        built.append(t.nbytes)
+    def recording(k, d, start, stop):
+        t = cached(k, d, start, stop)
+        built.append((start, t.nbytes))
         assert not t.flags.writeable
-        assert (t == np.array(list(combinations(range(k), d)), np.intp).reshape(-1, d)).all()
+        want = list(islice(combinations(range(k), d), start, stop))
+        assert (t == np.array(want, np.intp).reshape(-1, d)).all()
         return t
 
-    table = setsys._table
-    monkeypatch.setattr(setsys, "_table", recording)
-    assert table.cache_info().maxsize == 32
-    shatter_function(SetSystem(30000, [1, 2, 4]), 1)  # one row of 30000 sets
-    shatter_function(SetSystem(12, [5, 9, 17]), 6)
-    shatter_function(SetSystem(33, [3, 5]), 32)
+    cached = setsys._slice
+    monkeypatch.setattr(setsys, "_slice", recording)
+    assert cached.cache_info().maxsize == 32
+    # every element a shattered singleton: one slice of 30000 1-sets, 240 KB
+    evens = sum(1 << e for e in range(0, 30000, 2))
+    shatter_function(SetSystem(30000, [evens, evens << 1, (1 << 30000) - 2]), 1)
+    shatter_function(SetSystem(12, [0b101010101010, 0b010101010101, 0b111111000000]), 6)
+    shatter_function(SetSystem(33, [(1 << 16) - 1, (1 << 33) - (1 << 16)]), 32)
+    # a chain over 200 singletons has 3 traces on every pair, below the 4 it
+    # could reach, so all C(200, 2) pairs stream past one block
+    shatter_function(SetSystem(200, [(1 << m) - 1 for m in range(0, 201, 50)]), 2)
     for seed in range(3):
         system = wide_system(seed, 70, 140, 0.1, {"dup"})
         vc_dimension(system, 3)
         shatter_function(system, 2)
-    assert built and max(built) <= 256 * 1024
+    assert max(nbytes for _, nbytes in built) <= 256 * 1024
+    assert any(start for start, _ in built)  # a long table streamed
+
+
+@pytest.fixture
+def asked_slices(monkeypatch):
+    """The (k, d, start, stop) of every _slice call, in order."""
+    asked, cached = [], setsys._slice
+
+    def recording(*key):
+        asked.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(setsys, "_slice", recording)
+    return asked
 
 
 @pytest.mark.parametrize("k,d,rows", [(40, 2, 256), (12, 4, 7), (30, 26, 64), (1500, 1, 1000)])
-def test_streamed_slices_match_combinations(k, d, rows):
+def test_streamed_slices_match_combinations(monkeypatch, asked_slices, k, d, rows):
     # a table longer than one block streams in slices of 256 rows (at most
-    # rows), each 4 times the last up to rows, in itertools' order
+    # rows), each 4 times the last up to rows, in itertools' order; one row
+    # fills each block from one slice
     assert comb(k, d) > rows
+    monkeypatch.setattr(setsys, "TRACE_BLOCK", rows * min(1 << d, 64))  # rows sets a block
     want = np.fromiter(chain.from_iterable(combinations(range(k), d)), np.intp).reshape(-1, d)
-    slices = list(setsys._slices(k, d, rows))
-    assert np.array_equal(np.concatenate(slices), want)
+    blocks = list(setsys._subsets([np.arange(k)[None]], d, 1))
+    assert np.array_equal(np.concatenate(blocks), want)
     sizes, step = [], min(256, rows)
     while sum(sizes) < len(want):
         sizes.append(min(step, len(want) - sum(sizes)))
         step = min(4 * step, rows)
-    assert [len(t) for t in slices] == sizes
-    assert np.array_equal(setsys._table.__wrapped__(k, d), want)
+    assert [stop - start for _, _, start, stop in asked_slices] == [len(b) for b in blocks] == sizes
+    assert np.array_equal(setsys._ranked(k, d, np.arange(len(want))), want)
+
+
+def test_a_table_within_one_block_is_one_slice_per_group(asked_slices):
+    rng = np.random.default_rng(0)
+    groups = [rng.integers(0, 40, (c, k)) for c, k in [(5, 4), (30, 6), (2, 9)]]
+    blocks = list(setsys._subsets(groups, 3, 1))
+    assert asked_slices == [(4, 3, 0, 4), (6, 3, 0, 20), (9, 3, 0, 84)]
+    want = [[e[list(c)] for c in combinations(range(es.shape[1]), 3)] for es in groups for e in es]
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(want))
+    assert [len(b) for b in blocks] == [256, 788 - 256]
+
+
+def test_shatter_scan_covers_only_the_shattered_singletons(monkeypatch):
+    # elements 0..4 are singletons, 5..9 every member holds, 10, 11 none
+    # does: at most 4 traces on a 3-set, below the 6 members, so the scan
+    # runs to its end, over the 3-sets of the 5 singletons alone
+    held = 0b1111100000
+    system = SetSystem(12, [held] + [held | 1 << e for e in range(5)])
+    handed = []
+
+    def counting(cols, ncols, cands, floor):
+        handed.append(len(cands))
+        return kernel(cols, ncols, cands, floor)
+
+    kernel = setsys._max_traces
+    monkeypatch.setattr(setsys, "_max_traces", counting)
+    assert shatter_function(system, 3).value == brute_shatter(system, 3) == 4
+    assert 0 < sum(handed) <= comb(5, 3) < comb(12, 3)
+
+
+@pytest.mark.parametrize("n,fam", [
+    NAMED_FAMILIES["empty"],
+    NAMED_FAMILIES["one-member"],
+    NAMED_FAMILIES["equal"],
+    (5, [0b10000, 0b10001, 0b10010, 0b10011]),  # element 4 in each; singletons 0, 1
+], ids=["empty", "one-member", "equal", "two-singletons"])
+def test_shatter_function_with_fewer_singletons_than_z_matches_brute_counts(n, fam):
+    system = SetSystem(n, fam)
+    for z in range(1, n + 1):
+        assert shatter_function(system, z).value == brute_shatter(system, z)
 
 
 def test_shatter_function_reuses_the_level_vc_dimension_searched(monkeypatch):

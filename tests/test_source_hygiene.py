@@ -1,14 +1,16 @@
 """Source hygiene of src/fqincidence, read with ast (no linter is needed).
 
-Six checks: every private module-level function, class or constant is
+Seven checks: every private module-level function, class or constant is
 referenced somewhere in src/ outside its own definition, every name a module
 imports is used in that module (a package's __all__ counts as a use), no
 module-level function or class name is defined in two modules, no module
 but geom names geom's size rules or the kernels they choose between, so
 only geom chooses a side of a count, no module but geom indexes the
 normals of a Flats, so lines are built and read in slope form by geom's
-slope_lines and line_coeffs alone, and no function but harness._draw calls
-rng.sample, so every random subset is drawn, sorted and refused by one rule.
+slope_lines and line_coeffs alone, no function but harness._draw calls
+rng.sample, so every random subset is drawn, sorted and refused by one rule,
+and no function but setsys._slice calls setsys._ranked, so every candidate
+set of the VC searches comes through the one stream of setsys._subsets.
 """
 
 import ast
@@ -105,15 +107,27 @@ def test_only_geom_indexes_flat_normals(path):
     assert not lines, f"{path.name} subscripts .normals at lines {lines}"
 
 
-def test_only_harness_draw_calls_sample():
+def _callers(attr):
+    """(module, innermost enclosing function, line) of every call of attr,
+    as a plain name or an attribute, in src/."""
     sites = []
     for path in MODULES:
         tree = _tree(path)
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sample"):
+            if isinstance(node, ast.Call) and attr in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
                 inner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 sites.append((path.name, inner and inner.name, node.lineno))
+    return sites
+
+
+def test_only_harness_draw_calls_sample():
+    sites = _callers("sample")
     assert [site[:2] for site in sites] == [("harness.py", "_draw")], sites
+
+
+def test_only_setsys_slice_unranks_combinations():
+    sites = _callers("_ranked")
+    assert [site[:2] for site in sites] == [("setsys.py", "_slice")], sites
